@@ -8,33 +8,22 @@ mismatches are flagged inline and make the script exit nonzero.
 import argparse
 import sys
 
+from dualcount.cli import DEFAULT_GAMMAS, DUALITY_PAIRS
 from dualcount.counting import Target, count_homs
 from dualcount.errors import NotCoveredError
 from dualcount.grouprep import GroupSpec
 
-PAIRS = {
-    "sp-so": ("Sp", "SO_odd"),
-    "su-pu": ("SU", "PU"),
-    "psp-spin": ("PSp", "Spin_odd"),
-}
-
-CATALOGUE = (
-    [f"Z:{m}" for m in range(1, 13)]
-    + [f"Dhat:{m}" for m in range(2, 7)]
-    + ["That", "Ohat", "Ihat"]
-)
-
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--pair", choices=sorted(PAIRS), default="sp-so")
+    ap.add_argument("--pair", choices=sorted(DUALITY_PAIRS), default="sp-so")
     ap.add_argument("--max-n", type=int, default=8)
     ap.add_argument("--gamma", action="append",
                     help="restrict to specific groups (repeatable)")
     args = ap.parse_args()
 
-    left, right = PAIRS[args.pair]
-    labels = args.gamma or CATALOGUE
+    left, right = DUALITY_PAIRS[args.pair]
+    labels = args.gamma or DEFAULT_GAMMAS
     header = ["gamma".ljust(8)] + [f"n={n}" for n in range(args.max_n + 1)]
     print("  ".join(h.rjust(6) for h in header))
 

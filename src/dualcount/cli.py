@@ -9,6 +9,8 @@ same command are byte-identical.  Exit codes:
     2   a verification check failed; the failing rows are in the report
         (and echoed to stderr as JSON when the format is not json)
     3   the request falls outside the covered range
+    4   an internal consistency check failed: a defect in the program,
+        never a property of the input
 
 The environment variable DUALCOUNT_MAX_ORDER lowers the default series
 truncation order wherever a command does not fix one explicitly.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from . import affine, lattice, series
 from .counting import (Target, count_homs, count_row, sector_row,
                        verify_swap_equivalence)
-from .errors import NotCoveredError
+from .errors import InvariantError, NotCoveredError
 from .grouprep import GroupSpec, irrep_table_json
 from .mckay import mckay_json
 
@@ -36,6 +38,19 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
+
+# Largest target size n that count, sectors and the duality and refined
+# suites accept.  One count costs slots x (2n + 1) x |grading group| cells of
+# the counting kernel, each row one Python int per grade.  Over the catalogue
+# the costliest single call is the refined suite's table for Z:12 at n
+# divisible by 12: twelve kernel runs over 12 slots graded by Z12, about
+# 1728 n cells, some 1.7e7 at this bound, about a second and a few MB of rows
+# on a 2-CPU machine.  A sweep to --max-n runs n + 1 counts per pair and
+# group, so its cost is quadratic in the bound.  The cyclic PSp and Spin
+# counts still go through the lattice grids, whose size grows as order**n;
+# the bound does not make those cheap.
+MAX_N = 10_000
 
 SUITES = ("duality", "refined", "identities", "zn-lattice", "smatrix", "oracle")
 FORMATS = ("json", "csv", "text")
@@ -221,8 +236,18 @@ def parse_args(argv=None) -> RunConfig:
     if ns.command == "count":
         if (values.get("n") is None) == (values.get("n_range") is None):
             raise UsageError("count needs exactly one of --n and --n-range")
-    defaults = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    assert set(values) <= defaults, sorted(set(values) - defaults)
+    n_range = values.get("n_range")
+    sizes = {"--n": values.get("n"), "--n-range": n_range and n_range[1]}
+    if values.get("suite") in ("duality", "refined"):
+        sizes["--max-n"] = values.get("max_n")
+    for flag, size in sizes.items():
+        if size is not None and size > MAX_N:
+            raise UsageError(
+                f"{flag} {size} exceeds the largest supported size {MAX_N}")
+    unknown = set(values) - set(RunConfig.__dataclass_fields__)
+    if unknown:
+        raise InvariantError(
+            f"parsed options missing from RunConfig: {sorted(unknown)}")
     return RunConfig(**values)
 
 
@@ -562,17 +587,16 @@ def render(report: dict, fmt: str) -> str:
 def main(argv=None) -> int:
     try:
         cfg = parse_args(argv)
-    except UsageError as e:
+        report, status = run(cfg)
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        report, status = run(cfg)
     except NotCoveredError as e:
         print(str(e), file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except InvariantError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(render(report, cfg.fmt))
     if status == EXIT_FAIL and cfg.fmt != "json":
         print(json.dumps(_round_floats(report["failures"]), sort_keys=True),

@@ -5,10 +5,18 @@ O(2n+1), ... is a direct sum of irreducibles, so its class is a multiplicity
 vector subject to target-specific constraints: nothing for U; trivial
 determinant for SU; even multiplicity on strictly real summands and matched
 conjugate pairs for Sp; even multiplicity on pseudoreal summands for O; the
-determinant condition again for SO.  Everything here is counted by bounded
-lattice-point iteration over those vectors in the canonical irreducible
-order; closed-form series live in a separate module precisely so the two
-routes stay independent checks of each other.
+determinant condition again for SO.  Each constraint set is a list of free
+slots, each with a dimension weight w and a grade g in a finite abelian group
+(the determinant, or a sector congruence), so every count is one coefficient
+of prod_i 1/(1 - t^(w_i) x^(g_i)).  The dynamic-programming kernel
+`graded_compositions` extracts it in slots x size x |grading group| steps
+without listing a single vector.  Counts up to a symmetry (PU, the classes an
+involution fixes, the finite character tables) run the same kernel on
+weights collapsed along permutation orbits, because a fixed vector is
+constant on each orbit.  Only character data enters, no Lie-theoretic input;
+closed-form series live in a separate module precisely so the two routes stay
+independent checks of each other.  `multiplicity_vectors` still lists the
+vectors themselves, as the enumeration oracle the tests compare against.
 
 The binary octahedral group is the one exceptional case with a nontrivial
 two-torsion refinement: its symplectic and orthogonal counts split into
@@ -24,7 +32,7 @@ from math import gcd
 
 from .abgroup import AbGroup
 from .cyclotomic import Cyc
-from .errors import NotCoveredError
+from .errors import InvariantError, NotCoveredError
 from .grouprep import (
     COMPLEX,
     CYCLIC,
@@ -37,8 +45,8 @@ from .grouprep import (
     GroupSpec,
     abelianization,
     irreps,
+    onedim_permutations,
     sw_of_multiplicity_vector,
-    tensor_with_onedim,
     twisted_irreps,
     twisted_x_action,
 )
@@ -88,8 +96,58 @@ class Target:
             raise ValueError(f"cannot parse target {text!r}: {exc}") from None
 
 
+def graded_compositions(slots, group: AbGroup, total: int) -> dict:
+    """Coefficient of t**total in prod_i 1/(1 - t**w_i * x**g_i), per grade.
+
+    slots is a sequence of (w_i, g_i) pairs: a positive integer weight and
+    an element of the finite abelian group.  The result maps every element
+    of the group to the number of nonnegative integer vectors v with
+    sum(v_i * w_i) == total and sum(v_i * g_i) equal to that element.  Rows
+    0..total each hold one count per grade, and every slot is one forward
+    pass over them, so the cost is len(slots) * total * group.order cells.
+    """
+    els = group.elements()
+    index = {e: k for k, e in enumerate(els)}
+    rows = [[0] * len(els) for _ in range(total + 1)]
+    rows[0][index[group.identity]] = 1
+    for weight, grade in slots:
+        minus = group.neg(grade)
+        source = [index[group.add(e, minus)] for e in els]
+        for t in range(weight, total + 1):
+            prev = rows[t - weight]
+            rows[t] = [x + prev[j] for x, j in zip(rows[t], source)]
+    return dict(zip(els, rows[total]))
+
+
+_UNGRADED = AbGroup(())
+
+
+def _count_weights(weights, total) -> int:
+    """Number of nonnegative integer vectors v with sum(v[i] * weights[i]) == total."""
+    return graded_compositions([(w, ()) for w in weights], _UNGRADED, total)[()]
+
+
+def _orbits(perm):
+    """Cycles of a permutation of range(len(perm)), as lists of indices."""
+    seen = set()
+    out = []
+    for start in range(len(perm)):
+        orbit = []
+        j = start
+        while j not in seen:
+            seen.add(j)
+            orbit.append(j)
+            j = perm[j]
+        if orbit:
+            out.append(orbit)
+    return out
+
+
 def _iter_vectors(weights, total):
-    """Nonnegative integer vectors v with sum(v[i] * weights[i]) == total."""
+    """Nonnegative integer vectors v with sum(v[i] * weights[i]) == total.
+
+    Lists what `graded_compositions` counts; kept as the tests' oracle.
+    """
     n = len(weights)
     if n == 0:
         if total == 0:
@@ -234,40 +292,21 @@ def multiplicity_vectors(g: GroupSpec, t: Target):
         f"not covered: {t.family} classes are not plain multiplicity vectors")
 
 
-def _onedim_permutation(g: GroupSpec, element) -> tuple[int, ...]:
-    """Permutation of canonical irrep indices given by tensoring with the
-    1-dim character at the given abelianization element."""
-    ab = abelianization(g)
-    infos = irreps(g)
-    index = {info.name: k for k, info in enumerate(infos)}
-    onedim = ab.name_of[tuple(element)]
-    return tuple(index[tensor_with_onedim(g, info.name, onedim)] for info in infos)
-
-
 def _pu_count(g: GroupSpec, n: int) -> int:
     # Burnside over the character group acting on unitary solutions by
     # tensoring: fixed vectors are constant on each permutation orbit, so
-    # they are enumerated directly on orbit-collapsed weights.
-    ab = abelianization(g)
+    # they are counted directly on orbit-collapsed weights.
+    order = abelianization(g).group.order
     infos = irreps(g)
-    total = 0
-    for a in ab.group.elements():
-        perm = _onedim_permutation(g, a)
-        orbit_weights = []
-        seen = set()
-        for start in range(len(perm)):
-            if start in seen:
-                continue
-            w = 0
-            j = start
-            while j not in seen:
-                seen.add(j)
-                w += infos[j].dim
-                j = perm[j]
-            orbit_weights.append(w)
-        total += sum(1 for _ in _iter_vectors(tuple(orbit_weights), n))
-    assert total % ab.group.order == 0
-    return total // ab.group.order
+    total = sum(
+        _count_weights([sum(infos[j].dim for j in orbit)
+                        for orbit in _orbits(perm)], n)
+        for perm in onedim_permutations(g).values())
+    if total % order:
+        raise InvariantError(
+            f"Burnside sum {total} for {g.label} in PU({n}) is not a "
+            f"multiple of the group order {order}")
+    return total // order
 
 
 # -- octahedral sector machinery -------------------------------------------------
@@ -312,42 +351,60 @@ def _oct_sp_sector(n: int, w: int) -> SectorCount:
         slots = _build_slots(twisted_irreps(g), abelianization(g).group, REAL)
         action = twisted_x_action(g)
         for slot in slots:
-            assert set(action[nm] for nm in slot.names) == set(slot.names)
-        count = sum(1 for _ in _iter_vectors(tuple(s.weight for s in slots), 2 * n))
-        return SectorCount(1, count, 0)
+            if {action[nm] for nm in slot.names} != set(slot.names):
+                raise InvariantError(
+                    f"the twist does not preserve the slot {slot.names}")
+        return SectorCount(1, _count_weights([s.weight for s in slots], 2 * n), 0)
+    # the involution tensors with 1'; the solutions it fixes are constant on
+    # its orbits of slots
     slots = _symplectic_slots(g)
-    name_to_slot = {s.names[0]: k for k, s in enumerate(slots)}
-    perm = tuple(name_to_slot[tensor_with_onedim(g, s.names[0], "1'")] for s in slots)
-    fixed = moved = 0
-    for vec in _iter_vectors(tuple(s.weight for s in slots), 2 * n):
-        if all(vec[k] == vec[perm[k]] for k in range(len(vec))):
-            fixed += 1
-        else:
-            moved += 1
-    return SectorCount(0, fixed, moved)
+    names = [info.name for info in irreps(g)]
+    irrep_perm = onedim_permutations(g)[abelianization(g).element_of["1'"]]
+    tensored = {names[i]: names[j] for i, j in enumerate(irrep_perm)}
+    slot_of = {nm: k for k, s in enumerate(slots) for nm in s.names}
+    perm = [slot_of[tensored[s.names[0]]] for s in slots]
+    weights = [s.weight for s in slots]
+    total = _count_weights(weights, 2 * n)
+    fixed = _count_weights(
+        [sum(weights[k] for k in orbit) for orbit in _orbits(perm)], 2 * n)
+    return SectorCount(0, fixed, total - fixed)
+
+
+# coefficients of the mod-4 congruence c = m(1') - m(3') + m(2'') whose half
+# is the two-torsion sector of a special orthogonal Ohat vector
+_OCT_CONGRUENCE = {"1'": 1, "3'": -1, "2''": 1}
 
 
 def _oct_spin_sectors(n: int) -> dict[int, SectorCount]:
+    # Orthogonal solutions graded by (determinant, c) in A x Z4.  A solution
+    # is moved (its class splits in pairs) exactly when it avoids 2'' and one
+    # of {1, 3} and {1', 3'}; inclusion-exclusion over the slot sets that
+    # avoid those irreps counts the moved ones.
     g = GroupSpec.binary_octahedral()
-    ab = abelianization(g)
-    slots = _orthogonal_slots(g)
-    weights = tuple(s.weight for s in slots)
-    counts = {0: [0, 0], 1: [0, 0]}  # sector -> [fixed, moved]
-    for vec in _iter_vectors(weights, 2 * n + 1):
-        if _vector_det(ab.group, slots, vec) != ab.group.identity:
-            continue
-        mv = _vector_as_dict(slots, vec)
-        c = (mv.get("1'", 0) - mv.get("3'", 0) + mv.get("2''", 0)) % 4
-        assert c % 2 == 0
-        sector = c // 2
-        fixed = mv.get("2''", 0) > 0 or (
-            mv.get("1", 0) + mv.get("3", 0) > 0
-            and mv.get("1'", 0) + mv.get("3'", 0) > 0)
-        if fixed:
-            counts[sector][0] += 1
-        else:
-            counts[sector][1] += 2
-    return {w: SectorCount(w, f, m) for w, (f, m) in counts.items()}
+    A = abelianization(g).group
+    graded = AbGroup(A.moduli + (4,))
+    slots = []
+    for s in _orthogonal_slots(g):
+        c = s.step * sum(_OCT_CONGRUENCE.get(nm, 0) for nm in s.names)
+        slots.append((set(s.names), (s.weight, s.det + (c % 4,))))
+
+    def count(avoided):
+        kept = [slot for names, slot in slots if not names & avoided]
+        return graded_compositions(kept, graded, 2 * n + 1)
+
+    total = count(set())
+    avoid_13 = count({"2''", "1", "3"})
+    avoid_13p = count({"2''", "1'", "3'"})
+    avoid_both = count({"2''", "1", "3", "1'", "3'"})
+    if total[A.identity + (1,)] or total[A.identity + (3,)]:
+        raise InvariantError(
+            "a special orthogonal Ohat vector has an odd congruence class")
+    out = {}
+    for w in (0, 1):
+        key = A.identity + (2 * w,)
+        moved = avoid_13[key] + avoid_13p[key] - avoid_both[key]
+        out[w] = SectorCount(w, total[key] - moved, 2 * moved)
+    return out
 
 
 def count_twisted(g: GroupSpec, family: str, n: int, w: int) -> SectorCount:
@@ -389,9 +446,10 @@ def sector_of_so_rep(mv: dict[str, int]) -> int:
     congruence = (mv.get("1'", 0) - mv.get("3'", 0) + mv.get("2''", 0)) % 4
     by_congruence = congruence // 2
     sw = sw_of_multiplicity_vector(g, {k: v for k, v in mv.items() if v})
-    assert sw.w1 == 0
+    if sw.w1:
+        raise InvariantError(f"special orthogonal vector {mv} is not orientable")
     if sw.w2 != by_congruence:
-        raise RuntimeError(
+        raise InvariantError(
             f"sector routes disagree on {mv}: {sw.w2} vs {by_congruence}")
     return by_congruence
 
@@ -401,11 +459,23 @@ def sector_of_so_rep(mv: dict[str, int]) -> int:
 
 def count_homs(g: GroupSpec, t: Target) -> int:
     """Number of conjugacy classes of homomorphisms from g into the target."""
-    if t.family in ("U", "SU", "Sp", "O_odd", "SO_odd"):
-        return sum(1 for _ in multiplicity_vectors(g, t))
+    if t.family == "U":
+        return _count_weights([info.dim for info in irreps(g)], t.n)
+    ab = abelianization(g)
+    if t.family == "SU":
+        slots = [(info.dim, info.det_element) for info in irreps(g)]
+        return graded_compositions(slots, ab.group, t.n)[ab.group.identity]
+    if t.family == "Sp":
+        return _count_weights([s.weight for s in _symplectic_slots(g)], 2 * t.n)
+    if t.family == "O_odd":
+        return _count_weights(
+            [s.weight for s in _orthogonal_slots(g)], 2 * t.n + 1)
+    if t.family == "SO_odd":
+        slots = [(s.weight, s.det) for s in _orthogonal_slots(g)]
+        return graded_compositions(
+            slots, ab.group, 2 * t.n + 1)[ab.group.identity]
     if t.family == "PU":
         return _pu_count(g, t.n)
-    ab = abelianization(g)
     if t.family == "Spin_odd":
         if t.n == 0:
             # Spin(1) is the two-element group
@@ -444,7 +514,7 @@ def count_homs(g: GroupSpec, t: Target) -> int:
         raise NotCoveredError(
             f"not covered: PSp counts for {g.label} need the dihedral "
             "refinement, which is out of scope")
-    raise AssertionError(t.family)
+    raise InvariantError(f"no counting route for the family {t.family!r}")
 
 
 # -- finite character tables and the swap report -----------------------------------
@@ -474,7 +544,8 @@ class FRepCharacter:
 
     def dim(self) -> int:
         v = self.values[0][0].rational()
-        assert v.denominator == 1
+        if v.denominator != 1:
+            raise InvariantError(f"table dimension {v} is not an integer")
         return int(v)
 
 
@@ -483,33 +554,29 @@ def _su_f_rep(g: GroupSpec, n: int) -> FRepCharacter:
     A = ab.group
     gcds = tuple(gcd(d, n) for d in A.moduli)
     G0 = AbGroup(gcds)
-    qmod, reps, class_of = A.quotient_by_scaling(n)
-    assert qmod == gcds
-    transversal = set(reps)
+    qmod, reps, _ = A.quotient_by_scaling(n)
+    if qmod != gcds:
+        raise InvariantError(f"A/nA has moduli {qmod}, expected {gcds}")
     z_elements = G0.elements()
-    embed = {
-        z: tuple(zi * (d // gi) for zi, d, gi in zip(z, A.moduli, gcds))
-        for z in z_elements
-    }
-    perms = {z: _onedim_permutation(g, embed[z]) for z in z_elements}
+    perms = onedim_permutations(g)
     infos = irreps(g)
-    counts = {z: {w: 0 for w in reps} for z in z_elements}
-    for vec in _iter_vectors(tuple(i.dim for i in infos), n):
-        det = A.identity
-        for info, c in zip(infos, vec):
-            if c:
-                det = A.add(det, A.scale(c, info.det_element))
-        if det not in transversal:
-            continue
-        w = class_of[det]
-        for z in z_elements:
-            perm = perms[z]
-            if all(vec[k] == vec[perm[k]] for k in range(len(vec))):
-                counts[z][w] += 1
+    counts = {}
+    for z in z_elements:
+        # unitary solutions fixed by tensoring with z are constant on its
+        # orbits, and an orbit adds its summed dimension and determinant
+        embedded = tuple(zi * (d // gi) for zi, d, gi in zip(z, A.moduli, gcds))
+        slots = []
+        for orbit in _orbits(perms[embedded]):
+            det = A.identity
+            for j in orbit:
+                det = A.add(det, infos[j].det_element)
+            slots.append((sum(infos[j].dim for j in orbit), det))
+        by_det = graded_compositions(slots, A, n)
+        counts[z] = {w: by_det[w] for w in reps}
     values = tuple(
         tuple(
             sum(
-                (G0.pairing(what, w, conductor=n) * Cyc.from_rational(c)
+                (G0.pairing(what, w) * Cyc.from_rational(c)
                  for w, c in counts[z].items() if c),
                 Cyc.from_rational(0),
             )

@@ -6,3 +6,11 @@ class NotCoveredError(Exception):
 
     The CLI maps this to exit code 3.
     """
+
+
+class InvariantError(RuntimeError):
+    """Raised when an internal consistency check fails: a defect, not bad input.
+
+    These checks are explicit raises rather than asserts, so they still run
+    under ``python -O``.  The CLI maps this to exit code 4.
+    """

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from types import MappingProxyType
 
 from .abgroup import AbGroup, invariant_factors
 from .cyclotomic import Cyc
@@ -610,6 +611,31 @@ def tensor_with_onedim(g: GroupSpec, name: str, onedim: str) -> str:
     t = character_table(g)
     vec = t.product(t.chars[name], t.chars[onedim])
     return t.name_of_char(vec)
+
+
+@lru_cache(maxsize=None)
+def onedim_permutations(g: GroupSpec) -> MappingProxyType:
+    """Read-only map from each abelianization element to the permutation of
+    canonical irrep indices given by tensoring with that 1-dim character.
+
+    Tensoring with 1-dim characters is an action of the character group, so
+    only the generators' permutations come from character products; every
+    other element's permutation is composed from those.
+    """
+    ab = abelianization(g)
+    names = character_table(g).irrep_names
+    index = {name: k for k, name in enumerate(names)}
+    generator_perms = [
+        tuple(index[tensor_with_onedim(g, name, gen)] for name in names)
+        for gen in ab.generator_names]
+    table = {}
+    for x in ab.group.elements():
+        perm = tuple(range(len(names)))
+        for gen_perm, power in zip(generator_perms, x):
+            for _ in range(power):
+                perm = tuple(gen_perm[j] for j in perm)
+        table[x] = perm
+    return MappingProxyType(table)
 
 
 def decompose_defining_tensor(g: GroupSpec, name: str) -> dict[str, int]:

@@ -21,7 +21,7 @@ from .grouprep import (
     abelianization,
     decompose_defining_tensor,
     irreps,
-    tensor_with_onedim,
+    onedim_permutations,
 )
 
 
@@ -119,13 +119,9 @@ def mckay_graph(g: GroupSpec) -> McKayGraph:
 def a_action(g: GroupSpec) -> AAction:
     graph = mckay_graph(g)
     ab = abelianization(g)
-    names = graph.node_names
-    node_of = {n: i for i, n in enumerate(names)}
     perms = {}
-    for el in ab.group.elements():
-        onedim = ab.name_of[el]
-        perm = tuple(node_of[tensor_with_onedim(g, n, onedim)] for n in names)
-        if sorted(perm) != list(range(len(names))):
+    for el, perm in onedim_permutations(g).items():
+        if sorted(perm) != list(range(graph.n_nodes)):
             raise AssertionError("tensoring by a 1-dim irrep must permute nodes")
         for i, j in enumerate(perm):
             if graph.comarks[i] != graph.comarks[j]:

@@ -8,7 +8,7 @@ so algorithmic regressions surface as failures rather than silent drift.
 import random
 import time
 from collections import Counter
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -41,6 +41,32 @@ def test_01_symplectic_orthogonal_duality_full_sweep():
         for n in range(0, 13):
             assert (count_homs(g, Target("Sp", n))
                     == count_homs(g, Target("SO_odd", n))), (g.label, n)
+    assert time.monotonic() - start < 60.0
+
+
+def _cyclic_su_count(m, n):
+    """N(Z_m, SU(n)) by the necklace formula, independent of the character route."""
+    total = 0
+    for d in range(1, gcd(m, n) + 1):
+        if m % d == 0 and n % d == 0:
+            phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+            total += phi * comb(m // d + n // d - 1, n // d)
+    return total // m
+
+
+def test_01_kernel_reaches_n_50():
+    start = time.monotonic()
+    assert _cyclic_su_count(12, 12) == 112720
+    for m in range(1, 13):
+        for n in range(0, 51):
+            assert (count_homs(GroupSpec.cyclic(m), Target("SU", n))
+                    == _cyclic_su_count(m, n)), (m, n)
+    for g in ALL_GAMMAS:
+        for n in range(0, 51):
+            assert (count_homs(g, Target("Sp", n))
+                    == count_homs(g, Target("SO_odd", n))), (g.label, n)
+            assert (count_homs(g, Target("SU", n))
+                    == count_homs(g, Target("PU", n))), (g.label, n)
     assert time.monotonic() - start < 60.0
 
 

@@ -1,13 +1,15 @@
 """CLI behavior: exit codes, output determinism, config round-trips."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from dualcount import cli
-from dualcount.cli import RunConfig, parse_args, to_argv
+from dualcount.cli import MAX_N, RunConfig, parse_args, to_argv
 
 
 def invoke(argv, capsys):
@@ -70,6 +72,63 @@ def test_not_covered_exit_3(argv, capsys):
     status, _, err = invoke(argv, capsys)
     assert status == 3
     assert "not covered" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--gamma", "Z:2", "--target", "SU", "--n", str(MAX_N + 1)],
+    ["count", "--gamma", "Z:2", "--target", "SU", "--n-range",
+     f"0:{MAX_N + 1}"],
+    ["sectors", "--family", "Sp", "--n", str(MAX_N + 1)],
+    ["verify", "duality", "--max-n", str(MAX_N + 1)],
+    ["verify", "refined", "--max-n", str(MAX_N + 1)],
+])
+def test_sizes_over_the_bound_are_refused(argv, capsys):
+    status, out, err = invoke(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert str(MAX_N) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--gamma", "Z:2", "--target", "SU", "--n-range",
+     f"{MAX_N}:{MAX_N}"],
+    ["sectors", "--family", "Sp", "--n", str(MAX_N)],
+    ["verify", "duality", "--max-n", str(MAX_N)],
+    ["verify", "refined", "--max-n", str(MAX_N)],
+])
+def test_sizes_at_the_bound_are_accepted(argv):
+    parse_args(argv)
+
+
+def test_count_at_the_bound_runs(capsys):
+    # Z_2 into SU(n): a + b = n with b even
+    argv = ["count", "--gamma", "Z:2", "--target", "SU", "--n", str(MAX_N)]
+    status, out, _ = invoke(argv, capsys)
+    assert status == 0
+    assert json.loads(out)["rows"][0]["count"] == MAX_N // 2 + 1
+
+
+def test_invariant_failure_exits_4_under_optimize():
+    # a Burnside sum that is not a multiple of the group order must stop the
+    # run even with asserts stripped, never print a floored count
+    code = (
+        "import sys\n"
+        "from dualcount import cli, counting\n"
+        "counting.onedim_permutations = lambda g: {(0,): (0, 1)}\n"
+        "sys.exit(cli.main(['count', '--gamma', 'Z:2', '--target', 'PU',"
+        " '--n', '2']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "internal error" in proc.stderr
+
+
+def test_readme_lists_every_exit_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = {int(c) for c in re.findall(r"^\| (\d) +\|", readme, re.M)}
+    assert documented == {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_FAIL,
+                          cli.EXIT_UNSUPPORTED, cli.EXIT_INTERNAL}
 
 
 def test_help_exits_zero():

@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualcount.abgroup import AbGroup
+from dualcount.cli import DEFAULT_GAMMAS
 from dualcount.counting import (
     FRepCharacter,
     SectorCount,
     Target,
+    _build_slots,
+    _iter_vectors,
     count_homs,
     count_row,
     count_twisted,
     f_rep_character,
+    graded_compositions,
     multiplicity_vectors,
     sector_of_so_rep,
     sector_row,
@@ -29,6 +34,7 @@ from dualcount.grouprep import (
     irrep_by_name,
     irreps,
     tensor_with_onedim,
+    twisted_irreps,
 )
 
 Z = GroupSpec.cyclic
@@ -38,6 +44,7 @@ OCT = GroupSpec.binary_octahedral()
 ICO = GroupSpec.binary_icosahedral()
 
 SMALL_GROUPS = [Z(1), Z(2), Z(3), Z(4), Z(6), DH(2), DH(3), DH(5), TET, OCT, ICO]
+CATALOGUE = [GroupSpec.from_label(label) for label in DEFAULT_GAMMAS]
 
 
 # -- targets -------------------------------------------------------------------
@@ -106,6 +113,25 @@ def test_unitary_count_matches_compositions_for_cyclic():
     for m in (1, 2, 3, 5, 8):
         for n in range(0, 7):
             assert count_homs(Z(m), Target("U", n)) == comb(n + m - 1, m - 1)
+
+
+def test_graded_compositions_small_case():
+    # v1 + 2 v2 = 3 has the solutions (3, 0) and (1, 1), both of grade 1
+    A = AbGroup((2,))
+    assert graded_compositions([(1, (1,)), (2, (0,))], A, 3) == {(0,): 0, (1,): 2}
+    assert graded_compositions([(1, (1,))], A, 0) == {(0,): 1, (1,): 0}
+    assert graded_compositions([], A, 2) == {(0,): 0, (1,): 0}
+
+
+@pytest.mark.parametrize("g", CATALOGUE, ids=lambda g: g.label)
+def test_kernel_counts_match_enumeration(g):
+    # the kernel counts what multiplicity_vectors lists, over the whole
+    # catalogue and every family of plain multiplicity vectors
+    for family in ("U", "SU", "Sp", "O_odd", "SO_odd"):
+        for n in range(0, 7):
+            t = Target(family, n)
+            assert count_homs(g, t) == len(list(multiplicity_vectors(g, t))), (
+                family, n)
 
 
 def test_multiplicity_vector_enumeration_frozen():
@@ -225,6 +251,47 @@ def test_sector_count_anchors():
     assert count_twisted(OCT, "Sp", 0, 0) == SectorCount(0, 1, 0)
     assert count_twisted(OCT, "Spin_odd", 1, 0) == SectorCount(0, 0, 4)
     assert count_twisted(OCT, "Spin_odd", 1, 1) == SectorCount(1, 2, 0)
+
+
+def _enumerated_sector(family, n, w):
+    """Fixed/moved counts of one Ohat sector by listing solution vectors."""
+    A = abelianization(OCT).group
+    if family == "Sp" and w == 1:
+        slots = _build_slots(twisted_irreps(OCT), A, REAL)
+        weights = tuple(s.weight for s in slots)
+        return SectorCount(1, sum(1 for _ in _iter_vectors(weights, 2 * n)), 0)
+    if family == "Sp":
+        # the involution tensors with 1'; fixed vectors equal their image
+        slots = _build_slots(irreps(OCT), A, REAL)
+        slot_of = {s.names[0]: k for k, s in enumerate(slots)}
+        perm = [slot_of[tensor_with_onedim(OCT, s.names[0], "1'")] for s in slots]
+        fixed = moved = 0
+        for vec in _iter_vectors(tuple(s.weight for s in slots), 2 * n):
+            if all(vec[k] == vec[perm[k]] for k in range(len(vec))):
+                fixed += 1
+            else:
+                moved += 1
+        return SectorCount(0, fixed, moved)
+    fixed = moved = 0
+    for mv in multiplicity_vectors(OCT, Target("SO_odd", n)):
+        c = (mv.get("1'", 0) - mv.get("3'", 0) + mv.get("2''", 0)) % 4
+        assert c % 2 == 0
+        if c // 2 != w:
+            continue
+        if mv.get("2''", 0) or (mv.get("1", 0) + mv.get("3", 0)
+                                and mv.get("1'", 0) + mv.get("3'", 0)):
+            fixed += 1
+        else:
+            moved += 2
+    return SectorCount(w, fixed, moved)
+
+
+@pytest.mark.parametrize("family", ["Sp", "Spin_odd"])
+def test_sector_counts_match_enumeration(family):
+    for n in range(0, 9):
+        for w in (0, 1):
+            assert count_twisted(OCT, family, n, w) == _enumerated_sector(
+                family, n, w), (n, w)
 
 
 def test_sector_count_validation():

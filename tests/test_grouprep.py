@@ -20,6 +20,7 @@ from dualcount.grouprep import (
     irrep_by_name,
     irrep_table_json,
     irreps,
+    onedim_permutations,
     sw_class,
     sw_of_multiplicity_vector,
     tensor_with_onedim,
@@ -237,6 +238,20 @@ def test_tensor_with_onedim():
     assert tensor_with_onedim(oct_, "2", "1'") == "2'"
     assert tensor_with_onedim(oct_, "2''", "1'") == "2''"
     assert tensor_with_onedim(oct_, "4", "1'") == "4"
+
+
+@pytest.mark.parametrize("g", ALL_GROUPS, ids=lambda g: g.label)
+def test_onedim_permutations_match_character_products(g):
+    # the table composes generator permutations; every entry must equal the
+    # permutation read off that element's own 1-dim character
+    ab = abelianization(g)
+    names = [info.name for info in irreps(g)]
+    table = onedim_permutations(g)
+    assert sorted(table) == ab.group.elements()
+    for el, perm in table.items():
+        onedim = ab.name_of[el]
+        assert perm == tuple(
+            names.index(tensor_with_onedim(g, nm, onedim)) for nm in names)
 
 
 def test_defining_tensor_decompositions():
