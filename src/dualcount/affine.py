@@ -3,10 +3,17 @@
 The weight set at level n is the set of multiplicity vectors over the nodes
 of the partner subgroup's McKay graph, with node 0 the affine (trivial-irrep)
 node, ordered descending-lexicographically so the vacuum weight comes first.
-The S-matrix is the Weyl-alternating sum over the finite Weyl group at
-argument (w(lam+rho), mu+rho)/(n + g), g the sum of all comarks, normalized
-to a unitary matrix.  Rows are independent and evaluated in vectorized numpy
-batches; the fill order cannot affect anything beyond float rounding.
+The S-matrix is the Kac-Peterson Weyl-alternating sum over the finite Weyl
+group at argument (w(lam+rho), mu+rho)/k, k = n + g with g the sum of all
+comarks, normalized to a unitary matrix.  The Weyl group is enumerated once
+per type, by length layers from rho.  Every entry is first collected
+exactly, as the signed count of Weyl group elements per residue of the
+integer pairing den*(w(lam+rho), mu+rho) modulo den*k (den the denominator
+of the inverse Cartan matrix), and then turned into a float by one dot
+product with the den*k-th roots of unity; so rounding enters once per entry
+and S comes out exactly symmetric.  A request is refused before any weight
+is enumerated when its weight count or its pairings exceed MAX_WEIGHTS or
+MAX_WORK.
 
 This is the package's only approximate-arithmetic module.  The working
 tolerance is 1e-9, and any entry of magnitude >= 1e-6 counts as genuinely
@@ -26,18 +33,22 @@ import numpy as np
 
 from . import lattice
 from .abgroup import AbGroup
+from .counting import graded_compositions
 from .cyclotomic import Cyc
-from .errors import NotCoveredError
+from .errors import InvariantError, NotCoveredError
 from .grouprep import GroupSpec, abelianization, det_char
 from .mckay import a_action, mckay_graph
 
 __all__ = [
+    "MAX_WEIGHTS",
+    "MAX_WORK",
     "TOLERANCE",
     "ZERO_FLOOR",
     "LevelWeights",
     "SMatrix",
     "a1_exact_sine_table",
     "charge_conjugation",
+    "check_levels",
     "det_classes_from_center",
     "det_classes_from_reps",
     "det_route_report",
@@ -152,7 +163,7 @@ def _highest_root(roots) -> tuple[int, ...]:
     ranked = sorted(roots, key=lambda x: (sum(x), x))
     top = ranked[-1]
     if sum(ranked[-2]) == sum(top) or any(v < 0 for v in top):
-        raise AssertionError("the highest root must be unique and positive")
+        raise InvariantError("the highest root must be unique and positive")
     return top
 
 
@@ -197,7 +208,7 @@ def _finite_index_map(graph, c) -> dict:
         return False
 
     if not place(0):
-        raise AssertionError("the finite diagram does not embed in the Cartan matrix")
+        raise InvariantError("the finite diagram does not embed in the Cartan matrix")
     return dict(assign)
 
 
@@ -213,64 +224,65 @@ def _finite_structure(ade_type: str):
     marks = _highest_root(roots)
     for node, j in idx.items():
         if graph.comarks[node] != marks[j]:
-            raise AssertionError("McKay comarks disagree with the highest root")
+            raise InvariantError("McKay comarks disagree with the highest root")
     if sum(graph.comarks) != 1 + sum(marks):
-        raise AssertionError("comark sum disagrees with the highest root height")
+        raise InvariantError("comark sum disagrees with the highest root height")
     return c, idx, len(roots) // 2
 
 
-def _weight_reflections(c) -> list[np.ndarray]:
-    """Simple reflections acting on weight coordinates by x -> x @ m."""
-    mats = []
-    for i in range(c.rank):
-        m = np.eye(c.rank, dtype=np.int64)
-        m[i, :] -= np.asarray(c.cartan[i], dtype=np.int64)
-        mats.append(m)
-    return mats
+def _weyl_order(letter: str, rank: int) -> int:
+    """|W| from the classical formulas, independent of any enumeration."""
+    if letter == "A":
+        return math.factorial(rank + 1)
+    if letter == "D":
+        return 2 ** (rank - 1) * math.factorial(rank)
+    return {6: 51840, 7: 2903040, 8: 696729600}[rank]
 
 
-def _signed_orbit(mats, start) -> tuple[np.ndarray, np.ndarray]:
-    """The Weyl orbit of a regular vector with the sign of the element
-    reaching each point.  Regularity makes the sign well defined."""
-    rank = len(start)
+@lru_cache(maxsize=None)
+def _weyl_group(ade_type: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every Weyl group element as an int8 matrix acting on weight
+    coordinates by x -> x @ m, and its sign; the sign +1 elements come first.
+
+    The elements are enumerated by length from rho.  For w of length l, the
+    element s_i w has length l + 1 exactly when coordinate i of w(rho) is
+    positive, so each layer is reached from the one before by those steps
+    alone, and duplicates can only occur within the new layer.  rho is
+    regular, so w(rho) identifies w; its coordinates are root heights, below
+    64 in absolute value, and are encoded in base 128.
+    """
+    letter, rank = parse_ade_type(ade_type)
+    c, _, _ = _finite_structure(ade_type)
     if rank > 8:
-        raise ValueError("orbit encoding supports rank <= 8")
+        raise InvariantError("the rho-image encoding supports rank <= 8")
+    cart = np.asarray(c.cartan, dtype=np.int8)
     powers = (128 ** np.arange(rank)).astype(np.int64)
-
-    def encode(arr):
-        if arr.size and int(np.abs(arr).max()) >= 64:
-            raise AssertionError("orbit coordinates exceed the encoding range")
-        return (arr + 64) @ powers
-
-    pts = np.asarray([start], dtype=np.int64)
-    sgn = np.asarray([1], dtype=np.int64)
-    keys = encode(pts)
-    frontier, fsgn = pts, sgn
-    while frontier.size:
-        cand = np.concatenate([frontier @ m for m in mats])
-        csgn = np.tile(-fsgn, len(mats))
-        ckey = encode(cand)
-        uniq, first = np.unique(ckey, return_index=True)
-        fresh = ~np.isin(uniq, keys)
-        frontier = cand[first[fresh]]
-        fsgn = csgn[first[fresh]]
-        pts = np.concatenate([pts, frontier])
-        sgn = np.concatenate([sgn, fsgn])
-        keys = np.concatenate([keys, uniq[fresh]])
-    return pts, sgn
-
-
-def _phase_sum(pts, sgn, right, k) -> np.ndarray:
-    """sum over orbit points p of sgn(p) * exp(-2*pi*i * (p @ right) / k),
-    accumulated in bounded-size blocks."""
-    out = np.zeros(right.shape[1], dtype=np.complex128)
-    factor = -2j * np.pi / k
-    step = 1 << 18
-    for lo in range(0, pts.shape[0], step):
-        block = pts[lo:lo + step].astype(np.float64)
-        out += (sgn[lo:lo + step, None] *
-                np.exp(factor * (block @ right))).sum(axis=0)
-    return out
+    mats = np.eye(rank, dtype=np.int8)[None]
+    images = np.ones((1, rank), dtype=np.int64)
+    layers = [mats]
+    while len(images):
+        # x @ s_i = x - x_i * (row i of the Cartan matrix)
+        src, gen = np.nonzero(images > 0)
+        cand = images[src] - images[src, gen][:, None] * cart[gen]
+        if cand.size and int(np.abs(cand).max()) >= 64:
+            raise InvariantError("rho-image coordinates exceed the encoding range")
+        _, first = np.unique((cand + 64) @ powers, return_index=True)
+        src, gen, images = src[first], gen[first], cand[first]
+        mats = mats[src] - mats[src, :, gen][:, :, None] * cart[gen][:, None, :]
+        layers.append(mats)
+    even, odd = layers[0::2], layers[1::2]
+    n_even, n_odd = sum(map(len, even)), sum(map(len, odd))
+    if n_even + n_odd != _weyl_order(letter, rank):
+        raise InvariantError(
+            f"enumerated {n_even + n_odd} Weyl group elements of {ade_type}, "
+            f"expected {_weyl_order(letter, rank)}")
+    if n_even != n_odd:
+        raise InvariantError("the Weyl group signs must sum to zero")
+    mats = np.concatenate(even + odd)
+    signs = np.repeat(np.asarray([1, -1], dtype=np.int8), [n_even, n_odd])
+    # every caller shares the cached arrays
+    mats.flags.writeable = signs.flags.writeable = False
+    return mats, signs
 
 
 # -- the S-matrix --------------------------------------------------------------
@@ -301,8 +313,52 @@ class SMatrix:
 
 _RANK_CAP = {"A": 6, "D": 6}
 
+# Bounds on one S-matrix request, checked before any weight is enumerated.
+# With L weights and K = den * k residues, the residue route evaluates
+# |W| * L**2 integer pairings and then reduces L**2 * K residue counts
+# against the K roots of unity, at about 15 ns per pairing or cell on a
+# 2-CPU machine, so MAX_WORK is about 15 s (A1 at level 792 takes 14 s
+# with its JSON, E6 at level 5 5 s); W itself is built once per type, 4 s
+# for E7.  Each matrix is held as L**2 Python complex numbers and printed as
+# JSON, and verification multiplies dense L x L matrices; at MAX_WEIGHTS
+# (A2 at level 43, L = 990) `smatrix` takes about 9 s and 470 MB.  A sweep
+# over levels is bounded as if its levels were one matrix: weights and work
+# are summed.
+MAX_WEIGHTS = 1000
+MAX_WORK = 10 ** 9
 
-def s_matrix(ade_type: str, n: int, *, enable_e7: bool = False) -> SMatrix:
+# row blocks hold at most this many residue-count cells, and each numpy
+# step evaluates at most this many pairings (or one cell block's worth)
+_COUNT_CELLS = 1 << 18
+_PAIRINGS = 1 << 17
+
+
+@lru_cache(maxsize=None)
+def _scaled_inverse(ade_type: str) -> tuple[int, np.ndarray]:
+    """(den, den * C^-1) with den the denominator of the inverse Cartan
+    matrix, so that den * (x, y) is an integer for weights x and y."""
+    c, _, _ = _finite_structure(ade_type)
+    inv = lattice._frac_inverse(c.cartan)
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    gram = np.asarray([[int(x * den) for x in row] for row in inv])
+    gram.flags.writeable = False
+    return den, gram
+
+
+def _residue_modulus(ade_type: str, n: int) -> int:
+    """den * k, the modulus of the scaled pairings at level n, k = n + h."""
+    h = sum(mckay_graph(mckay_partner(ade_type)).comarks)
+    return _scaled_inverse(ade_type)[0] * (n + h)
+
+
+def check_levels(ade_type: str, levels, *, enable_e7: bool = False) -> None:
+    """Refuse a request outside the covered types (NotCoveredError) or over
+    MAX_WEIGHTS or MAX_WORK (ValueError), before any weight is enumerated.
+
+    Weights are counted with the composition kernel.  Every covered type has
+    two comark-1 nodes, so level n has at least n + 1 weights, and a level
+    that alone breaks MAX_WEIGHTS is refused without counting.
+    """
     letter, rank = parse_ade_type(ade_type)
     if letter == "E" and rank == 8:
         raise NotCoveredError(
@@ -314,25 +370,95 @@ def s_matrix(ade_type: str, n: int, *, enable_e7: bool = False) -> SMatrix:
     if letter in _RANK_CAP and rank > _RANK_CAP[letter]:
         raise NotCoveredError(
             f"not covered: rank {rank} exceeds the supported cap for type {letter}")
+    slots = [(m, ()) for m in mckay_graph(mckay_partner(ade_type)).comarks]
+    ungraded = AbGroup(())
+    order = _weyl_order(letter, rank)
+    weights = work = 0
+    for n in levels:
+        if not isinstance(n, int) or n < 1:
+            raise ValueError("level must be a positive integer")
+        if n >= MAX_WEIGHTS:
+            raise ValueError(f"{ade_type} at level {n} has more than "
+                             f"{MAX_WEIGHTS} weights, the supported bound")
+        count = graded_compositions(slots, ungraded, n)[()]
+        weights += count
+        work += count * count * (order + _residue_modulus(ade_type, n))
+        if weights > MAX_WEIGHTS:
+            raise ValueError(f"{ade_type} at levels up to {n} has {weights} "
+                             f"weights, over the supported bound {MAX_WEIGHTS}")
+        if work > MAX_WORK:
+            raise ValueError(
+                f"{ade_type} at levels up to {n} needs {work} Weyl pairings "
+                f"and residue cells, over the supported bound {MAX_WORK}")
+
+
+def _residue_count_blocks(ade_type: str, n: int):
+    """Exact residue counts of the Weyl-alternating sum, by blocks of rows.
+
+    Yields (lo, counts) with counts[a - lo, b, r] the signed number of w in
+    W with den * (w(lam_a + rho), lam_b + rho) = r mod den * k.
+    """
     lw = level_weights(ade_type, n)
-    c, idx, npos = _finite_structure(ade_type)
-    k = n + sum(lw.comarks)
-    finite = np.zeros((lw.count, c.rank), dtype=np.int64)
+    c, idx, _ = _finite_structure(ade_type)
+    modulus = _residue_modulus(ade_type, n)
+    shifted = np.ones((lw.count, c.rank))
     for a, w in enumerate(lw.weights):
         for node, j in idx.items():
-            finite[a, j] = w[node]
-    shifted = finite + 1
-    gram = np.asarray(
-        [[float(x) for x in row] for row in lattice._frac_inverse(c.cartan)])
-    right = gram @ shifted.T.astype(np.float64)
-    mats = _weight_reflections(c)
+            shifted[a, j] += w[node]
+    # float64 products of these small integers are exact
+    right = _scaled_inverse(ade_type)[1] @ shifted.T
+    mats, signs = _weyl_group(ade_type)
+    split = int((signs > 0).sum())
+    size, rank = lw.count, c.rank
+    rows = max(1, _COUNT_CELLS // (size * modulus))
+    for lo in range(0, size, rows):
+        block = shifted[lo:lo + rows]
+        cells = len(block) * size * modulus
+        base = (np.arange(len(block))[:, None, None] * size
+                + np.arange(size)) * modulus
+        # at least one pairing per cell, so clearing the counts never dominates
+        step = max(_PAIRINGS // (len(block) * size), modulus)
+        counts = np.zeros(cells, dtype=np.int64)
+        for start, stop, sign in ((0, split, 1), (split, len(mats), -1)):
+            for w0 in range(start, stop, step):
+                chunk = mats[w0:min(w0 + step, stop)]
+                # w(lam + rho) for every row and w in one product, and then
+                # the pairings, indexed (row, w, column)
+                flat = chunk.transpose(1, 0, 2).reshape(rank, -1)
+                images = (block @ flat.astype(np.float64)).reshape(-1, rank)
+                res = (images @ right).astype(np.int64)
+                res = res.reshape(len(block), len(chunk), size)
+                res %= modulus
+                res += base
+                counts += sign * np.bincount(res.ravel(), minlength=cells)
+        yield lo, counts.reshape(len(block), size, modulus)
+
+
+@lru_cache(maxsize=4)
+def _s_matrix(ade_type: str, n: int) -> SMatrix:
+    lw = level_weights(ade_type, n)
+    _, _, npos = _finite_structure(ade_type)
+    modulus = _residue_modulus(ade_type, n)
+    # exp(-2 pi i r / modulus), at angles reduced to [-pi, pi]
+    r = np.arange(modulus)
+    r = np.where(2 * r > modulus, r - modulus, r)
+    phases = np.exp(-2j * np.pi * r / modulus)
+    table = np.stack([phases.real, phases.imag], axis=1)
     u = np.zeros((lw.count, lw.count), dtype=np.complex128)
-    for a in range(lw.count):
-        pts, sgn = _signed_orbit(mats, tuple(int(x) for x in shifted[a]))
-        u[a] = _phase_sum(pts, sgn, right, k)
+    for lo, counts in _residue_count_blocks(ade_type, n):
+        part = counts.astype(np.float64) @ table
+        u[lo:lo + len(counts)] = part[..., 0] + 1j * part[..., 1]
     scale = (1j ** (npos % 4)) / math.sqrt(float((np.abs(u) ** 2).sum()) / lw.count)
     values = tuple(tuple(complex(z) for z in row) for row in u * scale)
     return SMatrix(weights=lw, values=values)
+
+
+def s_matrix(ade_type: str, n: int, *, enable_e7: bool = False) -> SMatrix:
+    """The S-matrix at level n, after the coverage and size checks.  The
+    few most recent matrices are kept, so the checks of one grid point share
+    a single computation."""
+    check_levels(ade_type, (n,), enable_e7=enable_e7)
+    return _s_matrix(ade_type, n)
 
 
 def unitarity_error(sm: SMatrix) -> float:
@@ -357,10 +483,10 @@ def charge_conjugation(sm: SMatrix):
     r = r @ r
     mags = np.abs(r)
     if bool(((mags > ZERO_FLOOR) & (mags < 1 - ZERO_FLOOR)).any()):
-        raise AssertionError("an entry of S^2 falls between zero and one")
+        raise InvariantError("an entry of S^2 falls between zero and one")
     perm = [int(np.argmax(mags[i])) for i in range(sm.size)]
     if sorted(perm) != list(range(sm.size)):
-        raise AssertionError("S^2 does not round to a permutation")
+        raise InvariantError("S^2 does not round to a permutation")
     signs = [1 if r[i, j].real > 0 else -1 for i, j in enumerate(perm)]
     p = np.zeros_like(r)
     for i, (j, s) in enumerate(zip(perm, signs)):
@@ -391,7 +517,7 @@ def det_classes_from_center(lw: LevelWeights) -> tuple[tuple[int, ...], ...]:
                         cinv[j][t] * gen[t] for t in range(c.rank))
             scaled = val * d
             if scaled.denominator != 1:
-                raise AssertionError("center values must be d-th roots of unity")
+                raise InvariantError("center values must be d-th roots of unity")
             coords.append(int(scaled) % d)
         out.append(tuple(coords))
     return tuple(out)
@@ -459,13 +585,14 @@ def verify_s_conjugation(ade_type: str, n: int, *, enable_e7: bool = False) -> d
     sinv = s.conj().T
     conj = {}
     for el, perm in act.perms.items():
-        p = np.zeros((lw.count, lw.count))
-        for i, w in enumerate(lw.weights):
+        # column i of S P_a is the column of S at the image of weight i
+        cols = []
+        for w in lw.weights:
             moved = [0] * len(w)
             for node, mult in enumerate(w):
                 moved[perm[node]] = mult
-            p[pos[tuple(moved)], i] = 1.0
-        conj[el] = s @ p @ sinv
+            cols.append(pos[tuple(moved)])
+        conj[el] = s[:, cols] @ sinv
     # the off-diagonal part must vanish no matter the identification
     base_err = max(float(np.abs(mat - np.diag(np.diag(mat))).max())
                    for mat in conj.values())
@@ -475,14 +602,16 @@ def verify_s_conjugation(ade_type: str, n: int, *, enable_e7: bool = False) -> d
         e = [0] * len(sym.moduli)
         e[i] = 1
         standard.append(tuple(e))
+    # the center-character diagonal of each center element, computed once
+    diags = {}
+    for z in center.elements():
+        value = {chi: center.pairing(chi, z).complex_value() for chi in set(geo)}
+        diags[z] = np.asarray([value[chi] for chi in geo])
     results = []
     for iso in sym.isomorphisms_to(center):
         err = base_err
         for el, mat in conj.items():
-            z = iso[el]
-            diag = np.asarray([center.pairing(chi, z).complex_value()
-                               for chi in geo])
-            err = max(err, float(np.abs(np.diag(mat) - diag).max()))
+            err = max(err, float(np.abs(np.diag(mat) - diags[iso[el]]).max()))
         descr = {name: list(iso[e]) for name, e in zip(gen_names, standard)}
         results.append((err, descr))
     passed = sorted((e, sorted(d.items())) for e, d in results if e < TOLERANCE)

@@ -440,6 +440,9 @@ def _suite_zn(cfg: RunConfig):
 def _suite_smatrix(cfg: RunConfig):
     if cfg.ade_type:
         levels = range(1, (cfg.max_n if cfg.max_n is not None else 2) + 1)
+        # refuse an uncovered type or an oversized sweep before any work
+        affine.check_levels(cfg.ade_type, levels,
+                            enable_e7=cfg.enable_e7_smatrix)
         grid = [(cfg.ade_type, n) for n in levels]
     else:
         grid = SMATRIX_GRID

@@ -10,7 +10,9 @@ irrep, and comarks are the irrep dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
+from .errors import InvariantError
 from .grouprep import (
     CYCLIC,
     DIHEDRAL,
@@ -25,7 +27,7 @@ from .grouprep import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class McKayGraph:
     ade_type: str
     node_names: tuple[str, ...]
@@ -83,6 +85,7 @@ def _expected_edges(g: GroupSpec) -> list[tuple[int, int]]:
     return [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
 
 
+@lru_cache(maxsize=None)
 def mckay_graph(g: GroupSpec) -> McKayGraph:
     infos = irreps(g)
     names = [i.name for i in infos]
@@ -94,10 +97,10 @@ def mckay_graph(g: GroupSpec) -> McKayGraph:
             adj[i][node_of[other]] = mult
     for i in range(len(names)):
         if sum(adj[i][j] * dims[j] for j in range(len(names))) != 2 * dims[i]:
-            raise AssertionError("adjacency violates the dimension identity")
+            raise InvariantError("adjacency violates the dimension identity")
         for j in range(len(names)):
             if adj[i][j] != adj[j][i]:
-                raise AssertionError("adjacency is not symmetric")
+                raise InvariantError("adjacency is not symmetric")
     edges = []
     for i in range(len(names)):
         for _ in range(adj[i][i]):
@@ -105,7 +108,7 @@ def mckay_graph(g: GroupSpec) -> McKayGraph:
         for j in range(i + 1, len(names)):
             edges.extend([(i, j)] * adj[i][j])
     if sorted(edges) != sorted(_expected_edges(g)):
-        raise AssertionError(
+        raise InvariantError(
             f"computed adjacency for {g.label} does not match the expected diagram")
     return McKayGraph(
         ade_type=ade_type_of(g),
@@ -122,19 +125,19 @@ def a_action(g: GroupSpec) -> AAction:
     perms = {}
     for el, perm in onedim_permutations(g).items():
         if sorted(perm) != list(range(graph.n_nodes)):
-            raise AssertionError("tensoring by a 1-dim irrep must permute nodes")
+            raise InvariantError("tensoring by a 1-dim irrep must permute nodes")
         for i, j in enumerate(perm):
             if graph.comarks[i] != graph.comarks[j]:
-                raise AssertionError("node permutation must preserve comarks")
+                raise InvariantError("node permutation must preserve comarks")
         mapped = sorted(tuple(sorted((perm[i], perm[j]))) for i, j in graph.edges)
         if mapped != sorted(graph.edges):
-            raise AssertionError("node permutation must preserve the edge multiset")
+            raise InvariantError("node permutation must preserve the edge multiset")
         perms[el] = perm
     # simple transitivity on comark-1 nodes
     fund = sorted(i for i, c in enumerate(graph.comarks) if c == 1)
     orbit = sorted(perm[graph.affine_node] for perm in perms.values())
     if orbit != fund:
-        raise AssertionError("1-dim tensoring must act simply transitively "
+        raise InvariantError("1-dim tensoring must act simply transitively "
                              "on comark-1 nodes")
     return AAction(
         moduli=ab.group.moduli,

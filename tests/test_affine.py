@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualcount import affine, lattice
 from dualcount.affine import (
     TOLERANCE,
     a1_exact_sine_table,
@@ -294,3 +295,167 @@ def test_smatrix_json_shape_and_fixed_precision():
     once = json.dumps(doc, sort_keys=True)
     again = json.dumps(smatrix_json(s_matrix("A1", 1)), sort_keys=True)
     assert once == again
+
+
+# -- the residue route against the per-row Weyl sum --------------------------------
+
+
+def _signed_orbit(mats, start):
+    """The Weyl orbit of a regular vector with the sign of the element
+    reaching each point, by breadth-first search from the vector itself.
+    Regularity makes the sign well defined."""
+    rank = len(start)
+    assert rank <= 8, "orbit encoding supports rank <= 8"
+    powers = (128 ** np.arange(rank)).astype(np.int64)
+
+    def encode(arr):
+        assert not arr.size or int(np.abs(arr).max()) < 64
+        return (arr + 64) @ powers
+
+    pts = np.asarray([start], dtype=np.int64)
+    sgn = np.asarray([1], dtype=np.int64)
+    keys = encode(pts)
+    frontier, fsgn = pts, sgn
+    while frontier.size:
+        cand = np.concatenate([frontier @ m for m in mats])
+        csgn = np.tile(-fsgn, len(mats))
+        uniq, first = np.unique(encode(cand), return_index=True)
+        fresh = ~np.isin(uniq, keys)
+        frontier = cand[first[fresh]]
+        fsgn = csgn[first[fresh]]
+        pts = np.concatenate([pts, frontier])
+        sgn = np.concatenate([sgn, fsgn])
+        keys = np.concatenate([keys, uniq[fresh]])
+    return pts, sgn
+
+
+def _phase_sum(pts, sgn, right, k):
+    """sum over orbit points p of sgn(p) * exp(-2*pi*i * (p @ right) / k)."""
+    phases = np.exp(-2j * np.pi / k * (pts.astype(np.float64) @ right))
+    return (sgn[:, None] * phases).sum(axis=0)
+
+
+def _weight_reflections(c):
+    """Simple reflections acting on weight coordinates by x -> x @ m."""
+    mats = []
+    for i in range(c.rank):
+        m = np.eye(c.rank, dtype=np.int64)
+        m[i, :] -= np.asarray(c.cartan[i], dtype=np.int64)
+        mats.append(m)
+    return mats
+
+
+def _per_row_weyl_sum(ade_type, n):
+    """S as the seed computed it: one orbit per row, phases in floating
+    point at the unreduced argument (w(lam + rho), mu + rho) / k."""
+    lw = level_weights(ade_type, n)
+    c, idx, npos = affine._finite_structure(ade_type)
+    shifted = np.ones((lw.count, c.rank))
+    for a, w in enumerate(lw.weights):
+        for node, j in idx.items():
+            shifted[a, j] += w[node]
+    gram = np.asarray([[float(x) for x in row]
+                       for row in lattice._frac_inverse(c.cartan)])
+    right = gram @ shifted.T
+    k = n + sum(lw.comarks)
+    mats = _weight_reflections(c)
+    u = np.zeros((lw.count, lw.count), dtype=np.complex128)
+    for a in range(lw.count):
+        pts, sgn = _signed_orbit(mats, tuple(int(x) for x in shifted[a]))
+        u[a] = _phase_sum(pts, sgn, right, k)
+    scale = (1j ** (npos % 4)) / math.sqrt(float((np.abs(u) ** 2).sum()) / lw.count)
+    return u * scale
+
+
+def _residue_counts(ade_type, n):
+    return np.concatenate([c for _, c in affine._residue_count_blocks(ade_type, n)])
+
+
+@pytest.mark.parametrize("ade_type, n", S_GRID)
+def test_residue_route_matches_the_per_row_weyl_sum(ade_type, n):
+    want = _per_row_weyl_sum(ade_type, n)
+    assert np.abs(s_matrix(ade_type, n).array() - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("ade_type, n", S_GRID)
+def test_residue_counts_are_exactly_symmetric(ade_type, n):
+    counts = _residue_counts(ade_type, n)
+    size = level_weights(ade_type, n).count
+    assert counts.shape == (size, size, affine._residue_modulus(ade_type, n))
+    assert (counts == counts.transpose(1, 0, 2)).all()
+    # every row and column pair sees each Weyl group element once
+    order = len(affine._weyl_group(ade_type)[0])
+    assert (np.abs(counts).sum(axis=2) <= order).all()
+
+
+@pytest.mark.parametrize("ade_type, order", [
+    ("A1", 2), ("A2", 6), ("A3", 24), ("A4", 120), ("A5", 720), ("A6", 5040),
+    ("D4", 2 ** 3 * 24), ("D5", 2 ** 4 * 120), ("D6", 2 ** 5 * 720),
+    ("E6", 51840),
+])
+def test_weyl_group_order_and_signs(ade_type, order):
+    mats, signs = affine._weyl_group(ade_type)
+    assert mats.dtype == np.int8 and mats.shape[0] == order
+    assert int(signs.astype(np.int64).sum()) == 0
+    # the sign is the determinant, and rho has as many images as elements
+    dets = np.rint(np.linalg.det(mats.astype(np.float64))).astype(np.int64)
+    assert (dets == signs).all()
+    rank = mats.shape[1]
+    images = np.ones(rank, dtype=np.int64) @ mats.astype(np.int64)
+    assert len({tuple(v) for v in images}) == order
+
+
+def test_s_matrix_is_computed_once_per_grid_point():
+    affine._s_matrix.cache_clear()
+    sm = s_matrix("A3", 2)
+    verify_s_conjugation("A3", 2)
+    assert s_matrix("A3", 2) is sm
+    assert affine._s_matrix.cache_info().misses == 1
+
+
+def _fsum_s_matrix(ade_type, n):
+    """S from the exact residue counts, each entry summed with math.fsum."""
+    counts = _residue_counts(ade_type, n)
+    size, _, modulus = counts.shape
+    angles = [-2 * math.pi * r / modulus for r in range(modulus)]
+    u = np.asarray([[complex(
+        math.fsum(int(c) * math.cos(t) for c, t in zip(cell, angles)),
+        math.fsum(int(c) * math.sin(t) for c, t in zip(cell, angles)))
+        for cell in row] for row in counts])
+    npos = affine._finite_structure(ade_type)[2]
+    return u * (1j ** (npos % 4)) / math.sqrt(
+        math.fsum(float(abs(z)) ** 2 for z in u.ravel()) / size)
+
+
+def test_e6_level_2_json_is_symmetric_and_correctly_rounded():
+    entries = smatrix_json(s_matrix("E6", 2))["entries"]
+    size = len(entries)
+    assert all(entries[a][b] == entries[b][a]
+               for a in range(size) for b in range(size))
+    want = _fsum_s_matrix("E6", 2)
+    assert entries == [[[round(z.real, 12) + 0.0, round(z.imag, 12) + 0.0]
+                        for z in row] for row in want]
+    # the seed printed ...248 and ...129 here
+    assert entries[0][4][0] == 0.341219233249
+    assert entries[1][5][0] == entries[1][8][0] == -0.212746712128
+
+
+def test_e6_level_2_entries_are_within_1e_15_of_40_digit_values():
+    mp = pytest.importorskip("mpmath")
+    counts = _residue_counts("E6", 2)
+    size, _, modulus = counts.shape
+    with mp.workdps(40):
+        roots = [mp.expjpi(mp.mpf(-2 * r) / modulus) for r in range(modulus)]
+        u = [[mp.fsum(int(c) * z for c, z in zip(cell, roots) if c)
+              for cell in row] for row in counts]
+        norm = mp.sqrt(mp.fsum(abs(z) ** 2 for row in u for z in row) / size)
+        phase = 1j ** (affine._finite_structure("E6")[2] % 4)
+        s = s_matrix("E6", 2).values
+        err = max(abs(mp.mpc(s[a][b]) - u[a][b] * phase / norm)
+                  for a in range(size) for b in range(size))
+        # both sit within 4e-15 of a twelve-digit rounding boundary
+        assert abs((u[0][4] * phase / norm).real
+                   - mp.mpf("0.3412192332485034612")) < 1e-18
+        assert abs((u[1][5] * phase / norm).real
+                   - mp.mpf("-0.2127467121284984034")) < 1e-18
+    assert err < 1e-15

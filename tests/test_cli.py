@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dualcount import cli
+from dualcount import affine, cli
 from dualcount.cli import MAX_N, RunConfig, parse_args, to_argv
 
 
@@ -122,6 +123,78 @@ def test_invariant_failure_exits_4_under_optimize():
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert "internal error" in proc.stderr
+
+
+def test_broken_weyl_group_check_exits_4_under_optimize():
+    # a Weyl group that does not have the known order must stop an S-matrix
+    # run even with asserts stripped
+    code = (
+        "import sys\n"
+        "from dualcount import affine, cli\n"
+        "affine._weyl_order = lambda letter, rank: 7\n"
+        "sys.exit(cli.main(['smatrix', '--type', 'A2', '--level', '1']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "internal error" in proc.stderr
+
+
+# -- S-matrix sizes ---------------------------------------------------------
+
+
+def test_smatrix_at_level_63_runs_and_is_unitary(capsys):
+    # the seed's orbit encoding overflowed here
+    status, out, _ = invoke(["smatrix", "--type", "A1", "--level", "63"], capsys)
+    assert status == 0
+    entries = json.loads(out)["entries"]
+    s = np.asarray([[complex(*z) for z in row] for row in entries])
+    assert s.shape == (64, 64)
+    # twelve printed digits bound the unitarity error of the printed matrix
+    assert np.abs(s @ s.conj().T - np.eye(64)).max() < 1e-9
+
+
+def _largest(accepted):
+    n = 1
+    while accepted(n + 1):
+        n += 1
+    return n
+
+
+# A1 at level n: n + 1 weights, |W| = 2 and den * k = 2 (n + 2) residues
+A1_LEVEL = _largest(lambda n: (n + 1) ** 2 * (2 + 2 * (n + 2)) <= affine.MAX_WORK
+                    and n + 1 <= affine.MAX_WEIGHTS)
+# a sweep over A1 levels 1..n holds sum(k + 1) weights
+A1_SWEEP = _largest(lambda n: n * (n + 3) // 2 <= affine.MAX_WEIGHTS)
+# A2 at level n has (n + 2)(n + 1)/2 weights
+A2_LEVEL = _largest(lambda n: (n + 2) * (n + 1) // 2 <= affine.MAX_WEIGHTS)
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["smatrix", "--type", "A1", "--level", str(A1_LEVEL + 1)], affine.MAX_WORK),
+    (["smatrix", "--type", "A2", "--level", str(A2_LEVEL + 1)],
+     affine.MAX_WEIGHTS),
+    (["smatrix", "--type", "A1", "--level", str(10 ** 9)], affine.MAX_WEIGHTS),
+    (["verify", "smatrix", "--type", "A1", "--max-n", str(A1_SWEEP + 1)],
+     affine.MAX_WEIGHTS),
+    (["verify", "smatrix", "--type", "A2", "--max-n", "70"], affine.MAX_WEIGHTS),
+    (["verify", "smatrix", "--type", "A1", "--max-n", str(10 ** 9)],
+     affine.MAX_WEIGHTS),
+])
+def test_smatrix_sizes_over_the_bound_are_refused(argv, bound, capsys):
+    status, out, err = invoke(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert re.search(rf"\b{bound}\b", err)
+
+
+@pytest.mark.parametrize("ade_type, levels", [
+    ("A1", [A1_LEVEL]),
+    ("A2", [A2_LEVEL]),
+    ("A1", range(1, A1_SWEEP + 1)),
+])
+def test_smatrix_sizes_at_the_bound_are_accepted(ade_type, levels):
+    affine.check_levels(ade_type, levels)
 
 
 def test_readme_lists_every_exit_code():

@@ -1,5 +1,7 @@
 """McKay graphs and the 1-dim tensoring action."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -119,3 +121,11 @@ def test_mckay_json_shape():
     assert doc["a_action"]["1"] == [0, 1, 2, 3, 4, 5, 6]
     assert doc["a_action"]["1'"] == [4, 3, 2, 5, 6, 1, 0]
     assert set(doc["a_action"]) == {"1", "1'", "1''"}
+
+
+def test_graphs_are_frozen_and_built_once():
+    g = GroupSpec.binary_tetrahedral()
+    graph = mckay_graph(g)
+    assert mckay_graph(GroupSpec.binary_tetrahedral()) is graph
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        graph.affine_node = 1
