@@ -10,17 +10,8 @@ import random
 import sys
 import time
 
+from dualcount.cli import FIXED_IDENTITY_RUNS
 from dualcount.series import prove_identity, random_identity_params
-
-FIXED = (
-    ("KF1", "1;1;3;1,1,1"),
-    ("KF1", "2;1,2;2;1,2"),
-    ("KF1", "4;1,3,2,2;2;2,4"),
-    ("KF2", "2;1;3,2;1,2,2;1,1"),
-    ("KF2", "4;1,2;1,1;2;1"),
-    ("KF3", "1;2,2,0,0;2,2;1,1;;"),
-    ("KF4", "1,2;1;2"),
-)
 
 
 def main():
@@ -32,7 +23,8 @@ def main():
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    runs = list(FIXED) + [("PropX", None), ("PropA", None), ("PropY", None)]
+    runs = list(FIXED_IDENTITY_RUNS) + [("PropX", None), ("PropA", None),
+                                        ("PropY", None)]
     for fam in ("KF1", "KF2", "KF3", "KF4"):
         runs += [(fam, random_identity_params(fam, rng))
                  for _ in range(args.random)]

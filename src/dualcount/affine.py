@@ -33,7 +33,7 @@ import numpy as np
 
 from . import lattice
 from .abgroup import AbGroup
-from .counting import graded_compositions
+from .counting import _iter_vectors, graded_compositions
 from .cyclotomic import Cyc
 from .errors import InvariantError, NotCoveredError
 from .grouprep import GroupSpec, abelianization, det_char
@@ -116,55 +116,16 @@ class LevelWeights:
         return len(self.weights)
 
 
-def _weighted_compositions(comarks, total):
-    if not comarks:
-        if total == 0:
-            yield ()
-        return
-    head = comarks[0]
-    for take in range(total // head, -1, -1):
-        for rest in _weighted_compositions(comarks[1:], total - head * take):
-            yield (take,) + rest
-
-
 def level_weights(ade_type: str, n: int) -> LevelWeights:
     if not isinstance(n, int) or n < 1:
         raise ValueError("level must be a positive integer")
     graph = mckay_graph(mckay_partner(ade_type))
-    vecs = tuple(sorted(_weighted_compositions(graph.comarks, n), reverse=True))
+    vecs = tuple(sorted(_iter_vectors(graph.comarks, n), reverse=True))
     return LevelWeights(ade_type=ade_type, level=n, node_names=graph.node_names,
                         comarks=graph.comarks, weights=vecs)
 
 
 # -- finite root-system scaffolding -------------------------------------------
-
-
-def _all_roots(c) -> set:
-    """Every root in simple-root coordinates, closed under reflections."""
-    rank, cart = c.rank, c.cartan
-    seen = {tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)}
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for i in range(rank):
-                pair = sum(x[j] * cart[j][i] for j in range(rank))
-                y = list(x)
-                y[i] -= pair
-                y = tuple(y)
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return seen
-
-
-def _highest_root(roots) -> tuple[int, ...]:
-    ranked = sorted(roots, key=lambda x: (sum(x), x))
-    top = ranked[-1]
-    if sum(ranked[-2]) == sum(top) or any(v < 0 for v in top):
-        raise InvariantError("the highest root must be unique and positive")
-    return top
 
 
 def _finite_index_map(graph, c) -> dict:
@@ -215,19 +176,19 @@ def _finite_index_map(graph, c) -> dict:
 @lru_cache(maxsize=None)
 def _finite_structure(ade_type: str):
     """Cartan data, the McKay-node -> simple-root map, and the positive
-    root count, cross-validated against the comarks."""
+    root count, cross-validated against the comarks.  The extended marks
+    sum to the Coxeter number h, and a simply-laced rank r has r * h roots."""
     letter, rank = parse_ade_type(ade_type)
     c = lattice.cartan_data(letter, rank)
     graph = mckay_graph(mckay_partner(ade_type))
     idx = _finite_index_map(graph, c)
-    roots = _all_roots(c)
-    marks = _highest_root(roots)
+    marks = lattice._kac_data(letter, rank)[0]
     for node, j in idx.items():
-        if graph.comarks[node] != marks[j]:
+        if graph.comarks[node] != marks[j + 1]:
             raise InvariantError("McKay comarks disagree with the highest root")
-    if sum(graph.comarks) != 1 + sum(marks):
+    if sum(graph.comarks) != sum(marks):
         raise InvariantError("comark sum disagrees with the highest root height")
-    return c, idx, len(roots) // 2
+    return c, idx, rank * sum(marks) // 2
 
 
 def _weyl_order(letter: str, rank: int) -> int:

@@ -41,16 +41,20 @@ EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
 
 # Largest target size n that count, sectors and the duality and refined
-# suites accept.  One count costs slots x (2n + 1) x |grading group| cells of
-# the counting kernel, each row one Python int per grade.  Over the catalogue
-# the costliest single call is the refined suite's table for Z:12 at n
-# divisible by 12: twelve kernel runs over 12 slots graded by Z12, about
-# 1728 n cells, some 1.7e7 at this bound, about a second and a few MB of rows
-# on a 2-CPU machine.  A sweep to --max-n runs n + 1 counts per pair and
-# group, so its cost is quadratic in the bound.  The cyclic PSp and Spin
-# counts still go through the lattice grids, whose size grows as order**n;
-# the bound does not make those cheap.
+# suites accept, and the zn-lattice suite's largest modulus.  One count costs
+# slots x (2n + 1) x |grading group| cells of the counting kernel, each row
+# one Python int per grade.  Over the catalogue the costliest single call is
+# the refined suite's table for Z:12 at n divisible by 12: twelve kernel runs
+# over 12 slots graded by Z12, about 1728 n cells, some 1.7e7 at this bound,
+# about a second and a few MB of rows on a 2-CPU machine.  A sweep to
+# --max-n runs n + 1 counts per pair and group, so its cost is quadratic in
+# the bound.  Cyclic PSp and Spin sizes are ranks, held to lattice.MAX_RANK.
 MAX_N = 10_000
+
+# Largest series order of genfun and of verify oracle (2 * max_n + 1): the
+# costliest series, Ohat refined:1,1:Spin, takes 2.7 ms per order on a 2-CPU
+# machine, and `verify oracle --max-n 499` 35 s, mostly the counts it checks.
+MAX_ORDER = 1000
 
 SUITES = ("duality", "refined", "identities", "zn-lattice", "smatrix", "oracle")
 FORMATS = ("json", "csv", "text")
@@ -68,8 +72,8 @@ DEFAULT_GAMMAS = (
     + tuple(f"Dhat:{m}" for m in range(2, 7))
     + ("That", "Ohat", "Ihat"))
 
-# cyclic adjoint-side counts grow as order**n, so the psp-spin sweep keeps
-# to the exceptional groups; the cyclic case is the zn-lattice suite's job
+# the psp-spin sweep keeps to the exceptional groups, so that its report is
+# unchanged; `--gamma Z:m` runs the cyclic case, as zn-lattice does per modulus
 PAIR_DEFAULT_GAMMAS = {
     "sp-so": DEFAULT_GAMMAS,
     "su-pu": DEFAULT_GAMMAS,
@@ -237,13 +241,17 @@ def parse_args(argv=None) -> RunConfig:
         if (values.get("n") is None) == (values.get("n_range") is None):
             raise UsageError("count needs exactly one of --n and --n-range")
     n_range = values.get("n_range")
-    sizes = {"--n": values.get("n"), "--n-range": n_range and n_range[1]}
-    if values.get("suite") in ("duality", "refined"):
-        sizes["--max-n"] = values.get("max_n")
-    for flag, size in sizes.items():
-        if size is not None and size > MAX_N:
+    max_n = {"duality": MAX_N, "refined": MAX_N, "zn-lattice": MAX_N,
+             "oracle": (MAX_ORDER - 1) // 2}.get(values.get("suite"))
+    sizes = [("--n", values.get("n"), MAX_N),
+             ("--n-range", n_range and n_range[1], MAX_N),
+             ("--order", values.get("order"), MAX_ORDER),
+             ("--max-n", max_n and values.get("max_n"), max_n),
+             ("--max-rank", values.get("max_rank"), lattice.MAX_RANK)]
+    for flag, size, bound in sizes:
+        if size is not None and size > bound:
             raise UsageError(
-                f"{flag} {size} exceeds the largest supported size {MAX_N}")
+                f"{flag} {size} exceeds the largest supported size {bound}")
     unknown = set(values) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise InvariantError(

@@ -146,7 +146,7 @@ def _orbits(perm):
 def _iter_vectors(weights, total):
     """Nonnegative integer vectors v with sum(v[i] * weights[i]) == total.
 
-    Lists what `graded_compositions` counts; kept as the tests' oracle.
+    Lists what `graded_compositions` counts: affine weights, and the tests.
     """
     n = len(weights)
     if n == 0:

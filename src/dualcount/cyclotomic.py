@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .errors import InvariantError
+
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
     while p and p[-1] == 0:
@@ -43,7 +45,8 @@ def cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
     for d in range(1, n):
         if n % d == 0:
             p, rem = _poly_divmod(p, list(cyclotomic_poly(d)))
-            assert not rem
+            if rem:
+                raise InvariantError(f"Phi_{d} must divide x^{n} - 1")
     return tuple(p)
 
 

@@ -1,13 +1,16 @@
 """Root-system lattices, Weyl orbits modulo n, and refined center gradings.
 
-Each simple type is realized on the fundamental-coweight basis.  The
-intermediate lattices between the coroot and coweight lattices are given by
-integer basis matrices, the simple reflections are conjugated into the
-chosen basis and reduced mod n, and Weyl orbits on (1/n)M*/M* are counted
-as connected components of the generator graph.  The refined variant grades
-the points of (1/n)N*/M* by the quotient Z = N*/M* and packages the result
-as the same character-table type the direct constraint enumeration
-produces, so the two routes can be compared point for point.
+Each simple type is realized on the fundamental-coweight basis, and the
+lattices M* between the coroots Q and the coweights P are given by integer
+basis matrices.  The Weyl orbits on (1/n)M*/M* are the points of the alcove
+at level n, compositions of n weighted by the marks of the extended diagram
+with grade in M*/Q, up to the diagram symmetries of M*/Q (Djokovic, Proc.
+AMS 80 (1980)); Burnside turns each count into `counting.graded_compositions`
+calls.  The refined variant grades (1/n)P/M* by Z = P/M* and packages the
+result as the character-table type of the direct constraint enumeration,
+so the two routes can be compared point for point.  The torus grids of
+n**rank points (`lattice_quotient`, `_orbits`, `graded_orbits`) remain only
+as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -15,18 +18,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import gcd
-
-import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from math import gcd, prod
 
 from .abgroup import AbGroup
-from .counting import FRepCharacter
+from .counting import FRepCharacter, graded_compositions
+from .counting import _orbits as _cycles
 from .cyclotomic import Cyc
+from .errors import InvariantError
 
 __all__ = [
+    "MAX_RANK",
     "CartanData",
     "LatticeQuotient",
     "GradedOrbitSet",
@@ -41,6 +44,11 @@ __all__ = [
     "verify_zn_duality",
     "zn_duality_row",
 ]
+
+# Largest rank cartan_data accepts.  Kac data take about rank**3 steps: 0.5 s
+# for A, B, C and D together at this bound on a 2-CPU machine, and a sweep
+# builds every rank up to its own (zn-lattice --max-rank 100 --max-n 2: 32 s).
+MAX_RANK = 100
 
 
 # -- integer matrix utilities --------------------------------------------------
@@ -79,51 +87,42 @@ def _frac_inverse(mat):
     return [row[r:] for row in work]
 
 
-def _int_inverse(mat):
-    inv = _frac_inverse(mat)
-    assert all(x.denominator == 1 for row in inv for x in row)
-    return [[int(x) for x in row] for row in inv]
-
-
 def _smith_normal_form(mat):
-    """(U, D, V) with U @ mat @ V == D diagonal in divisibility order."""
+    """(U, D, U**-1) with U @ mat @ V == D in divisibility order for some V."""
     a = [list(row) for row in mat]
     r, m = len(a), len(a[0])
     U = _identity_matrix(r)
-    V = _identity_matrix(m)
+    Uinv = _identity_matrix(r)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         U[i], U[j] = U[j], U[i]
+        for row in Uinv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, k):
         a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
         U[dst] = [x + k * y for x, y in zip(U[dst], U[src])]
+        for row in Uinv:
+            row[src] -= k * row[dst]
 
     def add_col(src, dst, k):
         for row in a:
             row[dst] += k * row[src]
-        for row in V:
-            row[dst] += k * row[src]
 
     for t in range(min(r, m)):
         while True:
-            pivot = None
-            for i in range(t, r):
-                for j in range(t, m):
-                    if a[i][j] and (pivot is None
-                                    or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+            # the first entry of least absolute value, in row order
+            pivot = min(((abs(a[i][j]), i, j) for i in range(t, r)
+                         for j in range(t, m) if a[i][j]), default=None)
             if pivot is None:
                 break
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
+            swap_rows(t, pivot[1])
+            swap_cols(t, pivot[2])
             clean = True
             for i in range(t + 1, r):
                 if a[i][t]:
@@ -137,17 +136,20 @@ def _smith_normal_form(mat):
                         clean = False
             if not clean:
                 continue
-            offender = next(
+            # a unit pivot divides everything
+            offender = abs(a[t][t]) > 1 and next(
                 ((i, j) for i in range(t + 1, r) for j in range(t + 1, m)
                  if a[i][j] % a[t][t]),
                 None)
-            if offender is None:
+            if not offender:
                 break
             add_row(offender[0], t, 1)
         if t < min(r, m) and a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             U[t] = [-x for x in U[t]]
-    return U, a, V
+            for row in Uinv:
+                row[t] = -row[t]
+    return U, a, Uinv
 
 
 # -- Cartan data ----------------------------------------------------------------
@@ -158,17 +160,26 @@ class CartanData:
     """A simple type on the fundamental-coweight basis.
 
     cartan[i][j] is the pairing of simple root i with simple coroot j.
-    reflections[i] is the matrix of the i-th simple reflection acting on
-    coweight coordinates; center_moduli/center_gens present the quotient of
-    the coweight lattice by the coroot lattice with explicit lifts.
+    center_moduli/center_gens present the quotient of the coweight lattice
+    by the coroot lattice with explicit lifts, and center_rows[k] reads
+    coordinate k of the class of a coweight.
     """
 
     type: str
     rank: int
     cartan: tuple
-    reflections: tuple
     center_moduli: tuple
     center_gens: tuple
+    center_rows: tuple
+
+    @property
+    def reflections(self) -> tuple:
+        """reflections[i]: the i-th simple reflection on coweight coordinates."""
+        r, C = self.rank, self.cartan
+        return tuple(
+            tuple(tuple(int(j == k) - (k == i) * C[j][i] for k in range(r))
+                  for j in range(r))
+            for i in range(r))
 
 
 _EXCEPTIONAL_LINKS = {
@@ -212,34 +223,76 @@ _RANK_RANGES = {"A": (1, None), "B": (1, None), "C": (1, None),
                 "D": (3, None), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
+@lru_cache(maxsize=None)
 def cartan_data(letter: str, rank: int) -> CartanData:
     if letter not in _RANK_RANGES:
         raise ValueError(f"unknown type letter {letter!r}")
     lo, hi = _RANK_RANGES[letter]
     if rank < lo or (hi is not None and rank > hi):
         raise ValueError(f"rank {rank} out of range for type {letter}")
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} exceeds the largest supported rank {MAX_RANK}")
     C = _build_cartan(letter, rank)
-    reflections = []
-    for i in range(rank):
-        S = _identity_matrix(rank)
-        for j in range(rank):
-            S[j][i] -= C[j][i]
-        reflections.append(tuple(tuple(row) for row in S))
-    U, D, _ = _smith_normal_form(C)
-    Uinv = _int_inverse(U)
-    moduli, gens = [], []
-    for i in range(rank):
-        if D[i][i] != 1:
-            moduli.append(D[i][i])
-            gens.append(tuple(Uinv[j][i] for j in range(rank)))
+    U, D, Uinv = _smith_normal_form(C)
+    keep = [i for i in range(rank) if D[i][i] != 1]
     return CartanData(
         type=f"{letter}{rank}",
         rank=rank,
         cartan=tuple(tuple(row) for row in C),
-        reflections=tuple(reflections),
-        center_moduli=tuple(moduli),
-        center_gens=tuple(gens),
+        center_moduli=tuple(D[i][i] for i in keep),
+        center_gens=tuple(tuple(row[i] for row in Uinv) for i in keep),
+        center_rows=tuple(tuple(U[i]) for i in keep),
     )
+
+
+# -- Kac coordinates -------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _kac_data(letter: str, rank: int):
+    """(marks, omega) of the extended diagram, node i > 0 being simple root
+    i - 1: marks 1 and the highest root's coefficients, and omega[z][i] the
+    node that the diagram symmetry of z in P/Q sends node i to."""
+    c = cartan_data(letter, rank)
+    C = c.cartan
+    # raise a long simple root (its row has an entry below -1 at a multiple
+    # bond) by simple reflections; a short one ends at the highest short root
+    start = next((i for i, row in enumerate(C) if min(row) < -1), 0)
+    theta = [int(j == start) for j in range(rank)]
+    co = [row[start] for row in C]  # its coroot, in coweight coordinates
+    while min(co) < 0:
+        j = co.index(min(co))
+        theta[j] -= sum(t * row[j] for t, row in zip(theta, C))
+        co = [y - co[j] * row[j] for y, row in zip(co, C)]
+    marks = (1, *theta)
+    # a generator's symmetry moves the Kac coordinates 1..rank+1 (scaled to
+    # integers) of a generic point translated by its lift and walked back
+    # into the alcove by the simple reflections and the affine one
+    level = sum(a * (i + 1) for i, a in enumerate(marks))
+    gens = []
+    for lift in c.center_gens:
+        x = [i + 2 + level * g for i, g in enumerate(lift)]
+        while True:
+            i = x.index(min(x))
+            if x[i] < 0:
+                x = [y - row[i] * x[i] for y, row in zip(x, C)]
+                continue
+            excess = sum(a * v for a, v in zip(theta, x)) - level
+            if excess <= 0:
+                break
+            x = [y - excess * t for y, t in zip(x, co)]
+        kac = [-excess, *x]
+        if sorted(kac) != list(range(1, rank + 2)):
+            raise InvariantError("a diagram symmetry must permute the Kac coordinates")
+        gens.append(tuple(kac.index(i + 1) for i in range(rank + 1)))
+    omega = {}
+    for z in AbGroup(c.center_moduli).elements():
+        perm = tuple(range(rank + 1))
+        for zk, gen in zip(z, gens):
+            for _ in range(zk):
+                perm = tuple(gen[p] for p in perm)
+        omega[z] = perm
+    return marks, omega
 
 
 # -- lattice choices --------------------------------------------------------------
@@ -267,10 +320,8 @@ def _lattice_basis(c: CartanData, choice: str):
             node = r - 1 if choice == "hs+" else r - 2
             extra = [int(j == node) for j in range(r)]
         span = [list(row) + [extra[i]] for i, row in enumerate(c.cartan)]
-        U, D, _ = _smith_normal_form(span)
-        Uinv = _int_inverse(U)
-        diag = _mat_mul(Uinv, [row[:r] for row in D])
-        return diag
+        _, D, Uinv = _smith_normal_form(span)
+        return _mat_mul(Uinv, [row[:r] for row in D])
     raise ValueError(f"unknown lattice choice {choice!r} for type {c.type}")
 
 
@@ -279,7 +330,8 @@ def _basis_reflections(c: CartanData, basis):
     out = []
     for S in c.reflections:
         M = _mat_mul(_mat_mul(binv, S), basis)
-        assert all(x.denominator == 1 for row in M for x in row)
+        if any(x.denominator != 1 for row in M for x in row):
+            raise InvariantError("the Weyl group must preserve the lattice")
         out.append(tuple(tuple(int(x) for x in row) for row in M))
     return out
 
@@ -298,13 +350,11 @@ class LatticeQuotient:
         return product(*[range(m) for m in self.moduli])
 
     def size(self) -> int:
-        size = 1
-        for m in self.moduli:
-            size *= m
-        return size
+        return prod(self.moduli)
 
 
 def lattice_quotient(c: CartanData, choice: str, n: int) -> LatticeQuotient:
+    """The grid (1/n)M*/M* with its Weyl generators; the tests' oracle."""
     if n < 1:
         raise ValueError("modulus must be positive")
     gens = _basis_reflections(c, _lattice_basis(c, choice))
@@ -316,36 +366,55 @@ def lattice_quotient(c: CartanData, choice: str, n: int) -> LatticeQuotient:
 # -- orbit counting ----------------------------------------------------------------
 
 
-def _component_count(generators, moduli) -> int:
-    """Connected components of the generator graph on the product grid."""
-    size = 1
-    for m in moduli:
-        size *= m
-    if size == 1 or not generators:
-        return size
-    r = len(moduli)
-    mods = np.array(moduli, dtype=np.int64)
-    radix = np.ones(r, dtype=np.int64)
-    for i in range(1, r):
-        radix[i] = radix[i - 1] * moduli[i - 1]
-    ids = np.arange(size, dtype=np.int64)
-    digits = ((ids[:, None] // radix[None, :]) % mods[None, :]).astype(np.int32)
-    rows, cols = [], []
-    for S in generators:
-        M = np.array(S, dtype=np.int32)
-        img = digits @ M.T % mods[None, :].astype(np.int32)
-        rows.append(ids)
-        cols.append(img.astype(np.int64) @ radix)
-    graph = coo_matrix(
-        (np.ones(size * len(generators), dtype=np.int8),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size))
-    count, _ = connected_components(graph, directed=False)
-    return int(count)
+@lru_cache(maxsize=None)
+def _center_grading(c: CartanData, choice: str):
+    """Z = P/M*: its moduli, the rows reading the class in Z of a coweight,
+    lifts of its generators, and M*/Q as the classes in P/Q over 0 in Z."""
+    U, D, Uinv = _smith_normal_form(_lattice_basis(c, choice))
+    keep = [i for i in range(c.rank) if D[i][i] != 1]
+    zmods = tuple(D[i][i] for i in keep)
+    zrows = [U[i] for i in keep]
+    sub = [g for g in AbGroup(c.center_moduli).elements()
+           if not any(sum(x * row[j] * gen[j] for x, gen in zip(g, c.center_gens)
+                          for j in range(c.rank)) % d
+                      for row, d in zip(zrows, zmods))]
+    return zmods, zrows, [[row[i] for row in Uinv] for i in keep], sub
+
+
+def _fixed_orbits(c: CartanData, n: int, choice: str, shift) -> dict:
+    """Per grade in Z = P/M*, the Weyl orbits on (1/n)P/M* fixed by the
+    translation by a coweight of class shift in P/Q: the level-n Kac points
+    up to the symmetries of H = M*/Q, on which the translation is the
+    symmetry of shift, so Burnside on the coset shift + H averages the
+    points fixed by shift + h, the compositions constant on its cycles."""
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    zmods, zrows, _, sub = _center_grading(c, choice)
+    marks, omega = _kac_data(c.type[0], c.rank)
+    center, zgroup = AbGroup(c.center_moduli), AbGroup(zmods)
+    total = dict.fromkeys(zgroup.elements(), 0)
+    for h in sub:
+        slots = [(marks[cycle[0]] * len(cycle),
+                  tuple(sum(row[i - 1] for i in cycle if i) % d
+                        for row, d in zip(zrows, zmods)))
+                 for cycle in _cycles(omega[center.add(shift, h)])]
+        for z, v in graded_compositions(slots, zgroup, n).items():
+            total[z] += v
+    if any(v % len(sub) for v in total.values()):
+        raise InvariantError(f"a Burnside sum in {sorted(total.values())} "
+                             f"is not a multiple of |M*/Q| = {len(sub)}")
+    return {z: v // len(sub) for z, v in total.items()}
+
+
+def weyl_orbit_count(c: CartanData, lattice: str, n: int) -> int:
+    """Number of Weyl orbits on (1/n)M*/M* for the chosen lattice M*: the
+    level-n Kac points of grade in M*/Q, up to the symmetries of M*/Q."""
+    counts = _fixed_orbits(c, n, lattice, (0,) * len(c.center_moduli))
+    return counts[(0,) * len(_center_grading(c, lattice)[0])]
 
 
 def _orbits(generators, moduli, order=None):
-    """Orbits as sorted point lists, by breadth-first closure.
+    """Orbits on the grid as sorted point lists, by breadth-first closure.
 
     order optionally permutes the seed sequence; the partition (and hence
     everything derived from it) must not depend on it.
@@ -376,12 +445,6 @@ def _orbits(generators, moduli, order=None):
     return sorted(orbits)
 
 
-def weyl_orbit_count(c: CartanData, lattice: str, n: int) -> int:
-    """Number of Weyl orbits on (1/n)M*/M* for the chosen lattice M*."""
-    q = lattice_quotient(c, lattice, n)
-    return _component_count(q.generators, q.moduli)
-
-
 def weyl_orbit_count_burnside(c: CartanData, lattice: str, n: int) -> int:
     """Independent route: average fixed points over the explicit Weyl group."""
     if c.rank > 3:
@@ -409,7 +472,8 @@ def weyl_orbit_count_burnside(c: CartanData, lattice: str, n: int) -> int:
             if all(
                 sum(w[j][k] * p[k] for k in range(c.rank)) % n == p[j]
                 for j in range(c.rank)))
-    assert total % len(group) == 0
+    if total % len(group):
+        raise InvariantError("the fixed points must average to a whole number")
     return total // len(group)
 
 
@@ -417,15 +481,12 @@ def symmetric_orbit_count(k: int, n: int) -> int:
     """Orbits of coordinate permutations on (Z/n)^k: the U(k) count."""
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
-    if k == 0:
-        return 1
     gens = []
     for i in range(k - 1):
         S = _identity_matrix(k)
-        S[i][i] = S[i + 1][i + 1] = 0
-        S[i][i + 1] = S[i + 1][i] = 1
+        S[i], S[i + 1] = S[i + 1], S[i]
         gens.append(tuple(tuple(row) for row in S))
-    return _component_count(tuple(gens), (n,) * k)
+    return len(_orbits(tuple(gens), (n,) * k))
 
 
 # -- refined center grading ----------------------------------------------------------
@@ -433,61 +494,80 @@ def symmetric_orbit_count(k: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class GradedOrbitSet:
-    """Weyl orbits on (1/n)N*/M* together with their N*/M*-grades."""
+    """Grid Weyl orbits, their N*/M*-grades and the n-torsion translations."""
 
     quotient: LatticeQuotient
     orbits: tuple
     grades: tuple
+    translations: dict
 
 
-def _refined_setup(letter: str, rank: int, sublattice: str, n: int):
-    c = cartan_data(letter, rank)
-    basis = _lattice_basis(c, sublattice)
-    U, D, _ = _smith_normal_form(basis)
-    zmods = [D[i][i] for i in range(rank) if D[i][i] != 1]
-    zrows = [U[i] for i in range(rank) if D[i][i] != 1]
-    uinv = _int_inverse(U)
-    zgens = [[uinv[j][i] for j in range(rank)]
-             for i in range(rank) if D[i][i] != 1]
-    scaled = [[n * x for x in row] for row in basis]
-    U2, D2, _ = _smith_normal_form(scaled)
-    xmods = tuple(D2[i][i] for i in range(rank))
-    u2inv = _int_inverse(U2)
-    gens = []
-    for S in c.reflections:
-        M = _mat_mul(_mat_mul(U2, S), u2inv)
-        assert all(
-            M[j][k] * xmods[k] % xmods[j] == 0
-            for j in range(rank) for k in range(rank))
-        gens.append(tuple(tuple(row) for row in M))
-    grade_rows = [
-        [sum(zrow[k] * u2inv[k][j] for k in range(rank)) for j in range(rank)]
-        for zrow in zrows
-    ]
-    quotient = LatticeQuotient(c.type, sublattice, n, xmods, tuple(gens))
-    return c, quotient, zmods, zgens, grade_rows, U2
+def _torsion_lifts(c: CartanData, sublattice: str, n: int) -> dict:
+    """Coweight lifts of the n-torsion of Z = P/M*, keyed in the Z/gcd(d, n)."""
+    zmods, _, zgens, _ = _center_grading(c, sublattice)
+    torsion = AbGroup(tuple(gcd(d, n) for d in zmods))
+    return {kel: [sum(x * (d // g) * gen[j]
+                      for x, d, g, gen in zip(kel, zmods, torsion.moduli, zgens))
+                  for j in range(c.rank)]
+            for kel in torsion.elements()}
+
+
+def _refined_counts(c: CartanData, sublattice: str, n: int) -> dict:
+    """counts[kel][z]: the Weyl orbits on (1/n)P/M* of grade z in Z that the
+    translation by the lift of kel fixes."""
+    return {kel: _fixed_orbits(c, n, sublattice, tuple(
+                sum(x * y for x, y in zip(row, lift)) % d
+                for row, d in zip(c.center_rows, c.center_moduli)))
+            for kel, lift in _torsion_lifts(c, sublattice, n).items()}
 
 
 def graded_orbits(letter: str, rank: int, sublattice: str, n: int,
                   order=None) -> GradedOrbitSet:
-    """Weyl orbits on (1/n)N*/M*, each graded by its class in Z = N*/M*."""
+    """Weyl orbits on the grid (1/n)N*/M*, as N*/nM* in Smith coordinates,
+    each graded by its class in Z = N*/M*; the tests' oracle."""
     if n < 1:
         raise ValueError("modulus must be positive")
-    _, quotient, zmods, _, grade_rows, _ = _refined_setup(
-        letter, rank, sublattice, n)
-    orbits = _orbits(quotient.generators, quotient.moduli, order=order)
-
-    def grade(pt):
-        return tuple(
-            sum(row[k] * pt[k] for k in range(rank)) % d
-            for row, d in zip(grade_rows, zmods))
-
+    c = cartan_data(letter, rank)
+    zmods, zrows, _, _ = _center_grading(c, sublattice)
+    scaled = [[n * x for x in row] for row in _lattice_basis(c, sublattice)]
+    U2, D2, u2inv = _smith_normal_form(scaled)
+    xmods = tuple(D2[i][i] for i in range(rank))
+    gens = []
+    for S in c.reflections:
+        M = _mat_mul(_mat_mul(U2, S), u2inv)
+        if any(M[j][k] * xmods[k] % xmods[j]
+               for j in range(rank) for k in range(rank)):
+            raise InvariantError("the Weyl group must act on the grid")
+        gens.append(tuple(tuple(row) for row in M))
+    orbits = _orbits(gens, xmods, order=order)
+    grade_rows = _mat_mul(zrows, u2inv)
     grades = []
     for orbit in orbits:
-        gs = {grade(p) for p in orbit}
-        assert len(gs) == 1  # the grading is Weyl-invariant
+        gs = {tuple(x % d for x, d in zip(_mat_vec(grade_rows, p), zmods))
+              for p in orbit}
+        if len(gs) != 1:
+            raise InvariantError("the grading must be Weyl-invariant")
         grades.append(gs.pop())
-    return GradedOrbitSet(quotient, tuple(orbits), tuple(grades))
+    translations = {
+        kel: tuple(v % m for v, m in zip(_mat_vec(U2, [n * x for x in lift]), xmods))
+        for kel, lift in _torsion_lifts(c, sublattice, n).items()}
+    quotient = LatticeQuotient(c.type, sublattice, n, xmods, tuple(gens))
+    return GradedOrbitSet(quotient, tuple(orbits), tuple(grades), translations)
+
+
+def _grid_refined_counts(c: CartanData, sublattice: str, n: int) -> dict:
+    """`_refined_counts` from the orbits on the grid; the tests' oracle."""
+    graded = graded_orbits(c.type[0], c.rank, sublattice, n)
+    orbit_of = {p: idx for idx, orbit in enumerate(graded.orbits) for p in orbit}
+    zgroup = AbGroup(_center_grading(c, sublattice)[0])
+    counts = {}
+    for kel, t in graded.translations.items():
+        counts[kel] = dict.fromkeys(zgroup.elements(), 0)
+        for idx, orbit in enumerate(graded.orbits):
+            moved = tuple((a + b) % m
+                          for a, b, m in zip(orbit[0], t, graded.quotient.moduli))
+            counts[kel][graded.grades[idx]] += orbit_of[moved] == idx
+    return counts
 
 
 def refined_zn_characters(letter: str, rank: int, sublattice: str,
@@ -497,64 +577,23 @@ def refined_zn_characters(letter: str, rank: int, sublattice: str,
     Z = N*/M* (N* the coweight lattice) grades the points of (1/n)N*/M*;
     elements of Ker(n: Z -> Z) act by translation, characters of Z/nZ by the
     pairing scalar on the grade.  Summing over one transversal of nZ-cosets
-    removes the |nZ|-fold repetition, which is asserted along the way.
+    removes the |nZ|-fold repetition, which is checked along the way.
     """
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    c, quotient, zmods, zgens, grade_rows, U2 = _refined_setup(
-        letter, rank, sublattice, n)
-    orbits = _orbits(quotient.generators, quotient.moduli)
-    xmods = quotient.moduli
-
-    def grade(pt):
-        return tuple(
-            sum(row[k] * pt[k] for k in range(rank)) % d
-            for row, d in zip(grade_rows, zmods))
-
-    orbit_of = {}
-    grades = []
-    for idx, orbit in enumerate(orbits):
-        gs = {grade(p) for p in orbit}
-        assert len(gs) == 1
-        grades.append(gs.pop())
-        for p in orbit:
-            orbit_of[p] = idx
-
+    c = cartan_data(letter, rank)
+    zmods = _center_grading(c, sublattice)[0]
+    counts = _refined_counts(c, sublattice, n)
     gs_mods = tuple(gcd(d, n) for d in zmods)
     K = AbGroup(gs_mods)
-    translations = {}
-    for kel in K.elements():
-        lift = [0] * rank
-        for coord, d, g, gen in zip(kel, zmods, gs_mods, zgens):
-            step = coord * (d // g)
-            for j in range(rank):
-                lift[j] += step * gen[j]
-        vec = _mat_vec(U2, [n * x for x in lift])
-        translations[kel] = tuple(v % m for v, m in zip(vec, xmods))
-
-    def translate(pt, t):
-        return tuple((a + b) % m for a, b, m in zip(pt, t, xmods))
-
-    zgroup = AbGroup(tuple(zmods))
-    counts = {}
-    for kel, t in translations.items():
-        per_grade = {z: 0 for z in zgroup.elements()}
-        for idx, orbit in enumerate(orbits):
-            if orbit_of[translate(orbit[0], t)] == idx:
-                per_grade[grades[idx]] += 1
-        counts[kel] = per_grade
 
     # the grade distribution repeats along nZ-cosets; keep one transversal
     def coset_rep(z):
         return tuple(zi % g for zi, g in zip(z, gs_mods))
 
-    for per_grade in counts.values():
-        folded = {}
-        for z, v in per_grade.items():
-            folded.setdefault(coset_rep(z), set()).add(v)
-        assert all(len(vals) == 1 for vals in folded.values())
+    if any(v != per_grade[coset_rep(z)]
+           for per_grade in counts.values() for z, v in per_grade.items()):
+        raise InvariantError("the grade counts must repeat along nZ-cosets")
 
-    reps = [z for z in zgroup.elements() if z == coset_rep(z)]
+    reps = [z for z in AbGroup(zmods).elements() if z == coset_rep(z)]
     values = tuple(
         tuple(
             sum(
@@ -683,12 +722,7 @@ def _pair_sides(pair):
 
 def verify_zn_duality(pair, n: int) -> bool:
     """Orbit counts of the two sides of a dual pair agree at modulus n."""
-    left, right = _pair_sides(pair)
-    cl = weyl_orbit_count(cartan_data(left[0], left[1]), left[2], n)
-    if right == left:
-        return True
-    cr = weyl_orbit_count(cartan_data(right[0], right[1]), right[2], n)
-    return cl == cr
+    return zn_duality_row(pair, n)["equal"]
 
 
 def zn_duality_row(pair, n: int) -> dict:

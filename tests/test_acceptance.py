@@ -70,6 +70,17 @@ def test_01_kernel_reaches_n_50():
     assert time.monotonic() - start < 60.0
 
 
+def test_01_cyclic_psp_spin_reach_n_50():
+    # both sides are Kac-coordinate counts, of types C (adjoint) and B
+    start = time.monotonic()
+    for m in range(1, 13):
+        g = GroupSpec.cyclic(m)
+        for n in range(0, 51):
+            assert (count_homs(g, Target("PSp", n))
+                    == count_homs(g, Target("Spin_odd", n))), (m, n)
+    assert time.monotonic() - start < 60.0
+
+
 # -- 2: unitary vs projective unitary ---------------------------------------------
 
 

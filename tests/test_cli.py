@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualcount import affine, cli
-from dualcount.cli import MAX_N, RunConfig, parse_args, to_argv
+from dualcount import affine, cli, lattice
+from dualcount.cli import MAX_N, MAX_ORDER, RunConfig, parse_args, to_argv
 
 
 def invoke(argv, capsys):
@@ -138,6 +138,94 @@ def test_broken_weyl_group_check_exits_4_under_optimize():
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert "internal error" in proc.stderr
+
+
+def test_corrupted_diagram_symmetry_exits_4_under_optimize():
+    # a wrong cached symmetry of the extended C2 diagram leaves a Burnside
+    # sum that is not a multiple of |P/Q|; the run must stop, never floor it
+    code = (
+        "import sys\n"
+        "from dualcount import cli, lattice\n"
+        "lattice._kac_data('C', 2)[1][(1,)] = (0, 2, 1)\n"
+        "sys.exit(cli.main(['count', '--gamma', 'Z:2', '--target', 'PSp',"
+        " '--n', '2']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "internal error" in proc.stderr
+
+
+# -- lattice and series sizes ---------------------------------------------------
+
+
+ORACLE_MAX_N = (MAX_ORDER - 1) // 2
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["count", "--gamma", "Z:2", "--target", "PSp", "--n",
+      str(lattice.MAX_RANK + 1)], lattice.MAX_RANK),
+    (["count", "--gamma", "Z:3", "--target", "Spin_odd", "--n-range",
+      f"{lattice.MAX_RANK + 1}:{lattice.MAX_RANK + 1}"], lattice.MAX_RANK),
+    (["verify", "zn-lattice", "--max-rank", str(lattice.MAX_RANK + 1)],
+     lattice.MAX_RANK),
+    (["verify", "zn-lattice", "--max-n", str(MAX_N + 1)], MAX_N),
+    (["genfun", "--gamma", "Z:1", "--order", str(MAX_ORDER + 1)], MAX_ORDER),
+    (["verify", "oracle", "--max-n", str(ORACLE_MAX_N + 1)], ORACLE_MAX_N),
+])
+def test_lattice_and_series_sizes_over_the_bound_are_refused(argv, bound, capsys):
+    status, out, err = invoke(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert str(bound) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "zn-lattice", "--max-rank", str(lattice.MAX_RANK)],
+    ["verify", "zn-lattice", "--max-n", str(MAX_N)],
+    ["genfun", "--gamma", "Z:1", "--order", str(MAX_ORDER)],
+    ["verify", "oracle", "--max-n", str(ORACLE_MAX_N)],
+])
+def test_lattice_and_series_sizes_at_the_bound_are_accepted(argv):
+    parse_args(argv)
+
+
+def test_cyclic_psp_count_at_the_rank_bound_runs(capsys):
+    # Z_2 into PSp(n): the level-2 Kac points of C_n up to the flip of the
+    # diagram, n // 2 + 2 of them
+    argv = ["count", "--gamma", "Z:2", "--target", "PSp", "--n",
+            str(lattice.MAX_RANK)]
+    status, out, _ = invoke(argv, capsys)
+    assert status == 0
+    assert json.loads(out)["rows"][0]["count"] == lattice.MAX_RANK // 2 + 2
+
+
+def test_genfun_at_the_order_bound_runs(capsys):
+    # Z_1 into Sp(n): one class, the trivial one, at every even order
+    argv = ["genfun", "--gamma", "Z:1", "--order", str(MAX_ORDER)]
+    status, out, _ = invoke(argv, capsys)
+    assert status == 0
+    coeffs = json.loads(out)["coefficients"]
+    assert len(coeffs) == MAX_ORDER + 1
+    assert coeffs[MAX_ORDER] == 1
+
+
+def test_refined_cyclic_tables_reach_z12(capsys):
+    status, out, _ = invoke(["verify", "refined", "--gamma", "Z:12",
+                             "--max-n", "8"], capsys)
+    assert status == 0
+    report = json.loads(out)
+    assert report["failures"] == []
+    assert report["checks"] == 16
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys\nimport dualcount.cli\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
 
 
 # -- S-matrix sizes ---------------------------------------------------------

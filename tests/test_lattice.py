@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcount import lattice as L
+from dualcount.abgroup import AbGroup
 from dualcount.counting import Target, count_homs, tables_swap_equivalent
 from dualcount.grouprep import GroupSpec
 
@@ -142,7 +143,7 @@ def test_orbit_partition_independent_of_seed_order():
         order = list(range(size))
         rng.shuffle(order)
         assert L._orbits(q.generators, q.moduli, order=order) == base
-    assert L._component_count(q.generators, q.moduli) == len(base)
+    assert L.weyl_orbit_count(c, "sc", 4) == len(base)
 
 
 def test_d3_matches_a3():
@@ -301,3 +302,97 @@ def test_graded_orbits_structure():
     order = list(range(g.quotient.size()))
     rng.shuffle(order)
     assert L.graded_orbits("A", 1, "sc", 2, order=order).orbits == g.orbits
+
+
+# -- the Kac-coordinate route against the grid oracle ---------------------------------
+
+
+def _grid_count(c, choice, n):
+    q = L.lattice_quotient(c, choice, n)
+    return len(L._orbits(q.generators, q.moduli))
+
+
+def _catalogue_sides(max_rank):
+    sides = set()
+    for pair in L.dual_pairs(max_rank):
+        sides.update(L._pair_sides(pair))
+    return sorted(sides)
+
+
+KAC_CASES = (
+    [(side, n) for side in _catalogue_sides(5) for n in range(1, 6)]
+    + [((letter, rank, choice), n)
+       for letter, rank, choices in [("E", 6, ("sc", "adj")), ("E", 7, ("sc", "adj")),
+                                     ("E", 8, ("sc",)), ("F", 4, ("sc",)),
+                                     ("G", 2, ("sc",))]
+       for choice in choices for n in range(1, 4)]
+    + [(("D", rank, choice), n) for rank in (6, 8)
+       for choice in ("hs+", "hs-", "so") for n in range(1, 4)])
+
+
+def test_kac_route_matches_the_grid():
+    for (letter, rank, choice), n in KAC_CASES:
+        c = L.cartan_data(letter, rank)
+        assert L.weyl_orbit_count(c, choice, n) == _grid_count(c, choice, n), (
+            letter, rank, choice, n)
+
+
+REFINED_CASES = (
+    [(letter, rank, choice, m) for letter in "ABC" for rank in (1, 2, 3)
+     for choice in ("sc", "adj") for m in range(1, 6)]
+    + [("D", rank, choice, m) for rank in (3, 4, 5)
+       for choice in ("sc", "adj", "so") for m in range(1, 5)]
+    + [("E", 6, choice, m) for choice in ("sc", "adj") for m in range(1, 4)]
+    + [("E", 7, choice, m) for choice in ("sc", "adj") for m in (1, 2)])
+
+
+def test_refined_counts_match_the_grid():
+    for letter, rank, choice, m in REFINED_CASES:
+        c = L.cartan_data(letter, rank)
+        assert (L._refined_counts(c, choice, m)
+                == L._grid_refined_counts(c, choice, m)), (letter, rank, choice, m)
+
+
+COXETER = ([("A", r, r + 1) for r in range(1, 11)]
+           + [(letter, r, 2 * r) for letter in "BC" for r in range(2, 11)]
+           + [("D", r, 2 * r - 2) for r in range(3, 11)]
+           + [("E", 6, 12), ("E", 7, 18), ("E", 8, 30), ("F", 4, 12), ("G", 2, 6)])
+
+
+@pytest.mark.parametrize("letter,rank,h", COXETER, ids=lambda v: str(v))
+def test_kac_data_marks_and_symmetries(letter, rank, h):
+    marks, omega = L._kac_data(letter, rank)
+    group = AbGroup(L.cartan_data(letter, rank).center_moduli)
+    # the marks sum to the Coxeter number
+    assert marks[0] == 1 and sum(marks) == h
+    assert len(omega) == group.order
+    for z, perm in omega.items():
+        # each symmetry keeps the marks, sends node 0 to a mark-1 node, and
+        # the symmetries compose like the center
+        assert [marks[p] for p in perm] == list(marks)
+        assert marks[perm[0]] == 1
+        for y, other in omega.items():
+            assert omega[group.add(z, y)] == tuple(perm[p] for p in other)
+    # distinct symmetries move node 0 to distinct nodes
+    assert len({perm[0] for perm in omega.values()}) == len(omega)
+
+
+def test_smith_form_tracks_the_inverse():
+    for letter, rank in ALL_TYPES:
+        c = L.cartan_data(letter, rank)
+        for choice in ("sc", "adj"):
+            U, _, Uinv = L._smith_normal_form(L._lattice_basis(c, choice))
+            assert L._mat_mul(U, Uinv) == L._identity_matrix(rank)
+
+
+def test_rank_bound():
+    assert L.cartan_data("A", L.MAX_RANK).rank == L.MAX_RANK
+    for letter in "ABCD":
+        with pytest.raises(ValueError, match="largest supported rank"):
+            L.cartan_data(letter, L.MAX_RANK + 1)
+
+
+def test_cyclic_psp_spin_agree_at_the_rank_bound():
+    g = GroupSpec.cyclic(2)
+    n = L.MAX_RANK
+    assert count_homs(g, Target("PSp", n)) == count_homs(g, Target("Spin_odd", n))
