@@ -6,12 +6,10 @@ Runs the fixed instantiations, the three parameter-free identities and, with
 """
 
 import argparse
-import random
 import sys
 import time
 
-from dualcount.cli import FIXED_IDENTITY_RUNS
-from dualcount.series import prove_identity, random_identity_params
+from dualcount.cli import identity_runs, prove_run
 
 
 def main():
@@ -22,21 +20,13 @@ def main():
                     help="series depth for the identity with no rational form")
     args = ap.parse_args()
 
-    rng = random.Random(args.seed)
-    runs = list(FIXED_IDENTITY_RUNS) + [("PropX", None), ("PropA", None),
-                                        ("PropY", None)]
-    for fam in ("KF1", "KF2", "KF3", "KF4"):
-        runs += [(fam, random_identity_params(fam, rng))
-                 for _ in range(args.random)]
-
+    runs = identity_runs()
+    if args.random:
+        runs += identity_runs(args.random, args.seed)
     failed = 0
     for identity, params in runs:
         start = time.monotonic()
-        if identity == "PropY":
-            report = prove_identity(identity, params, method="series",
-                                    order=args.order)
-        else:
-            report = prove_identity(identity, params)
+        report = prove_run(identity, params, args.order)
         elapsed = time.monotonic() - start
         mark = "ok" if report["verdict"] == "proven" else "FAILED"
         failed += report["verdict"] != "proven"

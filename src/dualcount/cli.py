@@ -12,8 +12,9 @@ same command are byte-identical.  Exit codes:
     4   an internal consistency check failed: a defect in the program,
         never a property of the input
 
-The environment variable DUALCOUNT_MAX_ORDER lowers the default series
-truncation order wherever a command does not fix one explicitly.
+The environment variable DUALCOUNT_MAX_ORDER sets the default series
+truncation order wherever a command does not fix one explicitly; like
+--order it is held to series.MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -51,10 +51,17 @@ EXIT_INTERNAL = 4
 # the bound.  Cyclic PSp and Spin sizes are ranks, held to lattice.MAX_RANK.
 MAX_N = 10_000
 
-# Largest series order of genfun and of verify oracle (2 * max_n + 1): the
-# costliest series, Ohat refined:1,1:Spin, takes 2.7 ms per order on a 2-CPU
-# machine, and `verify oracle --max-n 499` 35 s, mostly the counts it checks.
-MAX_ORDER = 1000
+# Largest --max-n of verify oracle.  Its counts, not its series, set the cost:
+# 9 groups x 2 families x (max_n + 1) counts, each linear in n, so the suite is
+# quadratic in the bound; `verify oracle --max-n 499` takes 27 s on a 2-CPU
+# machine, 0.07 s of it in series expansion.
+MAX_ORACLE_N = 499
+
+# Largest --random of verify identities, in draws per KF family.  Every draw
+# keeps to k, v <= 6 and at most 3 v values per list, and clears in at most
+# about 6 ms (2 ms on average) on a 2-CPU machine, so the four families at the
+# bound take about a minute and a half.
+MAX_RANDOM_DRAWS = 10_000
 
 SUITES = ("duality", "refined", "identities", "zn-lattice", "smatrix", "oracle")
 FORMATS = ("json", "csv", "text")
@@ -242,12 +249,13 @@ def parse_args(argv=None) -> RunConfig:
             raise UsageError("count needs exactly one of --n and --n-range")
     n_range = values.get("n_range")
     max_n = {"duality": MAX_N, "refined": MAX_N, "zn-lattice": MAX_N,
-             "oracle": (MAX_ORDER - 1) // 2}.get(values.get("suite"))
+             "oracle": MAX_ORACLE_N}.get(values.get("suite"))
     sizes = [("--n", values.get("n"), MAX_N),
              ("--n-range", n_range and n_range[1], MAX_N),
-             ("--order", values.get("order"), MAX_ORDER),
+             ("--order", values.get("order"), series.MAX_ORDER),
              ("--max-n", max_n and values.get("max_n"), max_n),
-             ("--max-rank", values.get("max_rank"), lattice.MAX_RANK)]
+             ("--max-rank", values.get("max_rank"), lattice.MAX_RANK),
+             ("--random", values.get("random_draws"), MAX_RANDOM_DRAWS)]
     for flag, size, bound in sizes:
         if size is not None and size > bound:
             raise UsageError(
@@ -297,13 +305,6 @@ def to_argv(cfg: RunConfig) -> list[str]:
 # -- commands -------------------------------------------------------------
 
 
-def _series_default_order(cap: int) -> int:
-    # an explicit DUALCOUNT_MAX_ORDER wins over the built-in default
-    if os.environ.get("DUALCOUNT_MAX_ORDER"):
-        return series.max_order()
-    return cap
-
-
 def _run_count(cfg: RunConfig):
     g = GroupSpec.from_label(cfg.gamma)
     ns = [cfg.n] if cfg.n is not None else range(cfg.n_range[0], cfg.n_range[1] + 1)
@@ -329,7 +330,7 @@ def _run_mckay(cfg: RunConfig):
 
 def _run_genfun(cfg: RunConfig):
     g = GroupSpec.from_label(cfg.gamma)
-    order = cfg.order if cfg.order is not None else _series_default_order(24)
+    order = cfg.order if cfg.order is not None else series.max_order(24)
     tree = series.builtin_genfun(g, cfg.token)
     coeffs = series.expand(tree, order).integer_coeffs()
     return {"command": "genfun", "gamma": g.label, "token": cfg.token,
@@ -400,30 +401,37 @@ def _suite_refined(cfg: RunConfig):
     return checks, skipped, failures
 
 
-def _propy_order() -> int:
-    return _series_default_order(200)
+def identity_runs(random_draws: int = 0, seed: int = 0) -> list:
+    """(identity, params) pairs: the fixed instantiations and the three
+    propositions, or with random_draws that many seeded draws per KF family."""
+    if random_draws:
+        rng = random.Random(seed)
+        return [(fam, series.random_identity_params(fam, rng))
+                for fam in ("KF1", "KF2", "KF3", "KF4")
+                for _ in range(random_draws)]
+    return list(FIXED_IDENTITY_RUNS) + [("PropX", None), ("PropA", None),
+                                        ("PropY", None)]
+
+
+def prove_run(name: str, params, propy_order: int) -> dict:
+    """Prove one identity run, PropY by its series to propy_order."""
+    if name == "PropY":
+        # no closed rational form on the zero side: compare series deep
+        return series.prove_identity(name, params, method="series",
+                                     order=propy_order)
+    return series.prove_identity(name, params)
 
 
 def _suite_identities(cfg: RunConfig):
+    propy_order = series.max_order(200)
     if cfg.prop:
         runs = [(cfg.prop, cfg.params)]
-    elif cfg.random_draws:
-        rng = random.Random(cfg.seed)
-        runs = [(fam, series.random_identity_params(fam, rng))
-                for fam in ("KF1", "KF2", "KF3", "KF4")
-                for _ in range(cfg.random_draws)]
     else:
-        runs = list(FIXED_IDENTITY_RUNS) + [("PropX", None), ("PropA", None),
-                                            ("PropY", None)]
+        runs = identity_runs(cfg.random_draws, cfg.seed)
     checks = 0
     failures = []
     for name, params in runs:
-        if name == "PropY":
-            # no closed rational form on the zero side: compare series deep
-            rep = series.prove_identity(name, params, method="series",
-                                        order=_propy_order())
-        else:
-            rep = series.prove_identity(name, params)
+        rep = prove_run(name, params, propy_order)
         checks += 1
         if rep["verdict"] != "proven":
             failures.append({"suite": "identities", **rep})

@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 from .abgroup import AbGroup, invariant_factors
 from .cyclotomic import Cyc
-from .errors import NotCoveredError
+from .errors import InvariantError, NotCoveredError
 
 REAL = "real"
 PSEUDOREAL = "pseudoreal"
@@ -183,7 +183,7 @@ class CharTable:
             acc = acc + self.char_of_power(name, c, 2) * self.class_sizes[c]
         val = acc.rational() / self.group.order
         if val not in (1, -1, 0):
-            raise AssertionError(f"bad indicator {val} for {name}")
+            raise InvariantError(f"bad indicator {val} for {name}")
         return int(val)
 
     def det_vector(self, name: str):
@@ -208,33 +208,33 @@ class CharTable:
 def _validate_table(t: CharTable):
     g = t.group
     if sum(t.class_sizes) != g.order:
-        raise AssertionError("class sizes do not sum to the group order")
+        raise InvariantError("class sizes do not sum to the group order")
     if len(t.irrep_names) != t.n_classes:
-        raise AssertionError("irrep count differs from class count")
+        raise InvariantError("irrep count differs from class count")
     if t.class_orders[0] != 1 or t.class_sizes[0] != 1:
-        raise AssertionError("identity class must come first")
+        raise InvariantError("identity class must come first")
     if sum(t.dim(n) ** 2 for n in t.irrep_names) != g.order:
-        raise AssertionError("dimension squares do not sum to the group order")
+        raise InvariantError("dimension squares do not sum to the group order")
     for i, a in enumerate(t.irrep_names):
         for b in t.irrep_names[i:]:
             expect = Fraction(1 if a == b else 0)
             if t.inner(t.chars[a], t.chars[b]) != expect:
-                raise AssertionError(f"orthogonality fails for ({a}, {b})")
+                raise InvariantError(f"orthogonality fails for ({a}, {b})")
     for c in range(t.n_classes):
         if t.power_class[c][0] != 0:
-            raise AssertionError("power map must send p=0 to the identity class")
+            raise InvariantError("power map must send p=0 to the identity class")
         if t.class_orders[c] > 1 and t.power_class[c][1] != c:
-            raise AssertionError("power map must send p=1 to the class itself")
+            raise InvariantError("power map must send p=1 to the class itself")
         if len(t.power_class[c]) != t.class_orders[c]:
-            raise AssertionError("power map row length must equal the element order")
+            raise InvariantError("power map row length must equal the element order")
         inv = t.inverse_class(c)
         for name in t.irrep_names:
             if t.chars[name][inv] != t.chars[name][c].conjugate():
-                raise AssertionError(f"inversion check fails for {name} at class {c}")
+                raise InvariantError(f"inversion check fails for {name} at class {c}")
         for p in range(t.class_orders[c]):
             oc = t.class_orders[t.power_class[c][p]]
             if oc != t.class_orders[c] // gcd(t.class_orders[c], p or t.class_orders[c]):
-                raise AssertionError("power map order bookkeeping is wrong")
+                raise InvariantError("power map order bookkeeping is wrong")
 
 
 # -- cyclic tables -----------------------------------------------------------
@@ -544,7 +544,7 @@ def abelianization(g: GroupSpec) -> Abelianization:
     ab = AbGroup(moduli)
     onedims = t.onedim_names()
     if ab.order != len(onedims):
-        raise AssertionError("abelianization order mismatch")
+        raise InvariantError("abelianization order mismatch")
     name_of = {}
     for x in ab.elements():
         vec = tuple(Cyc.from_rational(1, t.conductor) for _ in t.class_names)
@@ -554,7 +554,7 @@ def abelianization(g: GroupSpec) -> Abelianization:
                 vec = t.product(vec, gen_char)
         name_of[x] = t.name_of_char(vec)
     if len(set(name_of.values())) != ab.order:
-        raise AssertionError("chosen generators do not generate the character group")
+        raise InvariantError("chosen generators do not generate the character group")
     element_of = {v: k for k, v in name_of.items()}
     return Abelianization(group=ab, generator_names=tuple(gens), name_of=name_of,
                           element_of=element_of)
@@ -575,7 +575,7 @@ def _irrep_data(g: GroupSpec):
             conj = tuple(v.conjugate() for v in t.chars[name])
             reality, partner = COMPLEX, t.name_of_char(conj)
             if partner == name:
-                raise AssertionError("complex irrep cannot be self-conjugate")
+                raise InvariantError("complex irrep cannot be self-conjugate")
         det_name = t.name_of_char(t.det_vector(name))
         infos.append(IrrepInfo(
             name=name,

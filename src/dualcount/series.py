@@ -6,9 +6,12 @@ rational scalars, powers of q, phases i^(linear form), binomial factors
 avg(v in 0..n) that substitute v = 0..n and divide by n + 1.
 
 Expressions parse from text and print back canonically (parse(print(e)) == e).
-Expansion is exact over Gaussian rationals.  Identities are proven either by
-clearing all denominators and comparing polynomials exactly ("cleared") or by
-comparing truncated series to a stated order ("series").
+Expansion is exact over Gaussian integers with one shared rational scale:
+every phase is a power of i, so a binomial factor is applied by integer
+additions and quarter turns, and only scalars, averages and quotients move the
+scale.  Identities are proven either by clearing all denominators and
+comparing polynomials exactly ("cleared") or by comparing truncated series to
+a stated order ("series").
 """
 
 from __future__ import annotations
@@ -16,217 +19,192 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd, lcm
+from operator import add, sub
 
-from .errors import NotCoveredError
+from .errors import InvariantError, NotCoveredError
 from .grouprep import CYCLIC, DIHEDRAL, ICOSAHEDRAL, OCTAHEDRAL, TETRAHEDRAL, GroupSpec
 
 DEFAULT_ORDER = 64
 IDENTITIES = ("KF1", "KF2", "KF3", "KF4", "PropX", "PropY", "PropA")
 
-
-def max_order() -> int:
-    """Series truncation cap; override with DUALCOUNT_MAX_ORDER."""
-    return int(os.environ.get("DUALCOUNT_MAX_ORDER", str(DEFAULT_ORDER)))
-
-
-# -- Gaussian rationals -------------------------------------------------------
+# Largest truncation order that genfun --order or DUALCOUNT_MAX_ORDER may ask
+# for.  The built-in series expand in linear time: the costliest, Ohat
+# refined:1,1:Spin, takes about 0.04 ms per order on a 2-CPU machine, 0.75 s
+# at this bound and 1.3 s for the whole genfun command.
+MAX_ORDER = 20_000
 
 
-class GaussRat:
-    """a + b*i with exact rational a, b."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, *a):
-        raise AttributeError("GaussRat is immutable")
-
-    @staticmethod
-    def i_power(c: int) -> "GaussRat":
-        return ((GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))[c % 4])
-
-    def __add__(self, other):
-        other = _as_gauss(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_gauss(other)
-        return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _as_gauss(other) - self
-
-    def __mul__(self, other):
-        other = _as_gauss(other)
-        return GaussRat(self.re * other.re - self.im * other.im,
-                        self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussRat(-self.re, -self.im)
-
-    def inverse(self) -> "GaussRat":
-        n = self.re * self.re + self.im * self.im
-        if not n:
-            raise ZeroDivisionError("inverse of zero")
-        return GaussRat(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * _as_gauss(other).inverse()
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __eq__(self, other):
-        other = _as_gauss(other)
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def rational(self) -> Fraction:
-        if self.im:
-            raise ValueError(f"{self!r} is not real")
-        return self.re
-
-    def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
-
-
-def _as_gauss(x) -> GaussRat:
-    if isinstance(x, GaussRat):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRat(x)
-    raise TypeError(f"cannot coerce {x!r} to GaussRat")
+def max_order(default: int = DEFAULT_ORDER) -> int:
+    """The truncation order where none is given: DUALCOUNT_MAX_ORDER when set,
+    up to MAX_ORDER, else default."""
+    order = int(os.environ.get("DUALCOUNT_MAX_ORDER") or default)
+    if order > MAX_ORDER:
+        raise ValueError(f"DUALCOUNT_MAX_ORDER {order} exceeds the largest "
+                         f"supported order {MAX_ORDER}")
+    return order
 
 
 # -- truncated series ---------------------------------------------------------
 
+# i^c as (real part, imaginary part), indexed by c mod 4
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _times_binom(re: list, im: list, c: int, k: int):
+    """Multiply re + i*im by (1 - i^c q^k) in place, truncated to its length."""
+    m = max(len(re) - k, 0)
+    x, y = re[:m], im[:m]
+    if c == 0:
+        re[k:], im[k:] = map(sub, re[k:], x), map(sub, im[k:], y)
+    elif c == 1:
+        re[k:], im[k:] = map(add, re[k:], y), map(sub, im[k:], x)
+    elif c == 2:
+        re[k:], im[k:] = map(add, re[k:], x), map(add, im[k:], y)
+    else:
+        re[k:], im[k:] = map(sub, re[k:], y), map(add, im[k:], x)
+
+
+def _over_binom(re: list, im: list, c: int, k: int):
+    """Divide re + i*im by (1 - i^c q^k) in place, truncated to its length.
+
+    1/(1 - u q^k) = (1 + u q^k) / (1 - u^2 q^(2k)) until u = 1; the last
+    division is a running sum along each residue class mod k.
+    """
+    while c % 4:
+        _times_binom(re, im, (c + 2) % 4, k)
+        c, k = 2 * c % 4, 2 * k
+    for r in range(min(k, len(re))):
+        re[r::k], im[r::k] = accumulate(re[r::k]), accumulate(im[r::k])
+
 
 class GaussSeries:
-    """Power series in q truncated at a fixed order, with GaussRat coefficients."""
+    """Power series in q truncated at q^order, with Gaussian rational coefficients.
 
-    __slots__ = ("order", "coeffs")
+    The coefficient of q^j is (re[j] + i*im[j]) / den: two lists of ints over
+    one positive integer scale, kept in lowest terms.
+    """
 
-    def __init__(self, order: int, coeffs=None):
+    __slots__ = ("order", "re", "im", "den")
+
+    def __init__(self, order: int, re=(), im=(), den: int = 1):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        self.order = order
-        if coeffs is None:
-            coeffs = [GaussRat() for _ in range(order + 1)]
-        else:
-            coeffs = [_as_gauss(c) for c in coeffs]
-            coeffs += [GaussRat() for _ in range(order + 1 - len(coeffs))]
-            del coeffs[order + 1:]
-        self.coeffs = coeffs
+        pad = [0] * (order + 1)
+        re, im = (list(re) + pad)[:order + 1], (list(im) + pad)[:order + 1]
+        g = gcd(den, *re, *im) if den != 1 else 1
+        if g != 1:
+            re, im, den = [x // g for x in re], [y // g for y in im], den // g
+        self.order, self.re, self.im, self.den = order, re, im, den
 
     @staticmethod
     def one(order: int) -> "GaussSeries":
-        s = GaussSeries(order)
-        s.coeffs[0] = GaussRat(1)
-        return s
+        return GaussSeries(order, [1])
 
     @staticmethod
     def term(order: int, scalar, shift: int) -> "GaussSeries":
-        s = GaussSeries(order)
-        if 0 <= shift <= order:
-            s.coeffs[shift] = _as_gauss(scalar)
-        return s
+        """scalar * q^shift for a rational scalar."""
+        scalar = Fraction(scalar)
+        if not 0 <= shift <= order:
+            return GaussSeries(order)
+        return GaussSeries(order, [0] * shift + [scalar.numerator], (),
+                           scalar.denominator)
 
-    def coeff(self, k: int) -> GaussRat:
+    def coeff(self, k: int) -> Fraction:
+        """The coefficient of q^k, which must be real."""
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
+        if self.im[k]:
+            raise ValueError(f"coefficient {k} is not real")
+        return Fraction(self.re[k], self.den)
 
     def _check(self, other: "GaussSeries"):
         if self.order != other.order:
             raise ValueError("series orders differ")
 
-    def __add__(self, other):
+    def _combine(self, other: "GaussSeries", sign: int) -> "GaussSeries":
         self._check(other)
-        return GaussSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return GaussSeries(self.order, [a * x + b * y for x, y in zip(self.re, other.re)],
+                           [a * x + b * y for x, y in zip(self.im, other.im)], den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        return GaussSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         self._check(other)
-        out = [GaussRat() for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
+        n = self.order
+        re, im = [0] * (n + 1), [0] * (n + 1)
+        nonzero = [(j, x, y) for j, (x, y) in enumerate(zip(other.re, other.im)) if x or y]
+        for i, (a, b) in enumerate(zip(self.re, self.im)):
+            if not (a or b):
                 continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return GaussSeries(self.order, out)
+            for j, x, y in nonzero:
+                if i + j > n:
+                    break
+                re[i + j] += a * x - b * y
+                im[i + j] += a * y + b * x
+        return GaussSeries(n, re, im, self.den * other.den)
 
     def scale(self, c) -> "GaussSeries":
-        c = _as_gauss(c)
-        return GaussSeries(self.order, [a * c for a in self.coeffs])
+        """Multiply by a rational number."""
+        c = Fraction(c)
+        return GaussSeries(self.order, [x * c.numerator for x in self.re],
+                           [y * c.numerator for y in self.im], self.den * c.denominator)
 
-    def shift(self, k: int) -> "GaussSeries":
-        return GaussSeries(self.order, [GaussRat()] * k + self.coeffs)
-
-    def apply_binom(self, u: GaussRat, k: int, e: int) -> "GaussSeries":
-        """Multiply by (1 - u q^k)^e, exponent by exponent."""
+    def apply_binom(self, c: int, k: int, e: int) -> "GaussSeries":
+        """Multiply by (1 - i^c q^k)^e, one factor at a time."""
         if k < 1:
             raise ValueError("binomial factor needs a positive q power")
-        cur = list(self.coeffs)
+        re, im = list(self.re), list(self.im)
+        step = _times_binom if e > 0 else _over_binom
         for _ in range(abs(e)):
-            if e > 0:
-                nxt = list(cur)
-                for j in range(k, self.order + 1):
-                    nxt[j] = nxt[j] - u * cur[j - k]
-            else:
-                nxt = list(cur)
-                for j in range(k, self.order + 1):
-                    nxt[j] = nxt[j] + u * nxt[j - k]
-            cur = nxt
-        return GaussSeries(self.order, cur)
+            step(re, im, c % 4, k)
+        return GaussSeries(self.order, re, im, self.den)
 
     def inverse(self) -> "GaussSeries":
-        c0 = self.coeffs[0]
-        if not c0:
+        a, b = self.re[0], self.im[0]
+        norm = a * a + b * b
+        if not norm:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = c0.inverse()
-        out = [inv0] + [GaussRat() for _ in range(self.order)]
-        for j in range(1, self.order + 1):
-            acc = GaussRat()
-            for t in range(1, j + 1):
-                if self.coeffs[t]:
-                    acc = acc + self.coeffs[t] * out[j - t]
-            out[j] = -inv0 * acc
-        return GaussSeries(self.order, out)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        # times conj(c0) the constant term is the integer norm, and over the
+        # scale norm^(order+1) the inverse of that series is integral: its
+        # recurrence divides exactly by norm
+        n = self.order
+        terms = [(t, a * x + b * y, a * y - b * x)
+                 for t, (x, y) in enumerate(zip(self.re, self.im)) if t and (x or y)]
+        re, im = [norm ** n] + [0] * n, [0] * (n + 1)
+        for j in range(1, n + 1):
+            acc_re = acc_im = 0
+            for t, x, y in terms:
+                if t > j:
+                    break
+                acc_re += x * re[j - t] - y * im[j - t]
+                acc_im += x * im[j - t] + y * re[j - t]
+            re[j], im[j] = -acc_re // norm, -acc_im // norm
+        # 1 / self = den * conj(c0) / (self * den * conj(c0))
+        d = self.den
+        return GaussSeries(n, [d * (a * x + b * y) for x, y in zip(re, im)],
+                           [d * (a * y - b * x) for x, y in zip(re, im)], norm ** (n + 1))
 
     def integer_coeffs(self) -> list[int]:
-        out = []
-        for c in self.coeffs:
-            r = c.rational()
-            if r.denominator != 1:
-                raise ValueError(f"non-integer coefficient {r}")
-            out.append(r.numerator)
-        return out
+        if any(self.im):
+            raise ValueError("series has non-real coefficients")
+        if self.den != 1:
+            raise ValueError(f"series has non-integer coefficients (scale {self.den})")
+        return list(self.re)
 
     def __eq__(self, other):
         return (isinstance(other, GaussSeries) and self.order == other.order
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.re == other.re and self.im == other.im)
 
     def __repr__(self):
-        return f"GaussSeries({self.order}, {self.coeffs[:8]}...)"
+        return f"GaussSeries({self.order}, {self.re[:8]}, {self.im[:8]}, {self.den}...)"
 
 
 # -- linear forms modulo 4 ----------------------------------------------------
@@ -687,7 +665,7 @@ def to_text(node) -> str:
     if isinstance(node, Root):
         atoms = _phase_atoms(node.lin)
         if len(atoms) != 1:
-            raise AssertionError("phase factors print as single atoms")
+            raise InvariantError("phase factors print as single atoms")
         return atoms[0]
     if isinstance(node, Binom):
         const = node.phase.const
@@ -747,21 +725,20 @@ def expand(node, order: int | None = None, env: dict | None = None) -> GaussSeri
 
 def _expand(node, order: int, env: dict) -> GaussSeries:
     if isinstance(node, Num):
-        return GaussSeries.term(order, GaussRat(node.value), 0)
+        return GaussSeries.term(order, node.value, 0)
     if isinstance(node, QPow):
-        return GaussSeries.term(order, GaussRat(1), node.k)
+        return GaussSeries.term(order, 1, node.k)
     if isinstance(node, Root):
-        return GaussSeries.term(order, GaussRat.i_power(node.lin.evaluate(env)), 0)
+        re, im = _I_POWERS[node.lin.evaluate(env)]
+        return GaussSeries(order, [re], [im])
     if isinstance(node, Binom):
-        u = GaussRat.i_power(node.phase.evaluate(env))
-        return GaussSeries.one(order).apply_binom(u, node.k, node.e)
+        return GaussSeries.one(order).apply_binom(node.phase.evaluate(env), node.k, node.e)
     if isinstance(node, Prod):
         acc = GaussSeries.one(order)
         for f in node.factors:
             # binomial factors apply by recurrence instead of full products
             if isinstance(f, Binom):
-                u = GaussRat.i_power(f.phase.evaluate(env))
-                acc = acc.apply_binom(u, f.k, f.e)
+                acc = acc.apply_binom(f.phase.evaluate(env), f.k, f.e)
             else:
                 acc = acc * _expand(f, order, env)
         return acc
@@ -787,10 +764,19 @@ def coeff(node, k: int, env: dict | None = None) -> Fraction:
     if k > cap:
         raise ValueError(
             f"order {k} exceeds the cap {cap}; raise DUALCOUNT_MAX_ORDER to allow it")
-    return expand(node, k, env).coeff(k).rational()
+    return expand(node, k, env).coeff(k)
 
 
 # -- flattening and exact identity proofs --------------------------------------
+
+
+# Largest cleared work of an identity proof: the sum over its flattened terms
+# of degree x (1 + binomial steps), known before any expansion.  A unit is one
+# integer addition, 90-110 ns with the loop overhead on a 2-CPU machine, so a
+# proof at the bound takes about 2 s: KF4 1,2890 (degree 98252) 1.9 s, KF1 with
+# one k = 370000 (degree 2.2e6, the sparsest family) 2.2 s and 147 MB peak.
+# The random draws of verify identities take at most about 5.4e4.
+MAX_CLEARED_WORK = 20_000_000
 
 
 class FlattenError(ValueError):
@@ -799,51 +785,48 @@ class FlattenError(ValueError):
 
 @dataclass
 class _FlatTerm:
-    scalar: GaussRat
+    """(re + i*im) / den * q^qshift * prod (1 - i^c q^k)^e, den > 0."""
+
+    re: int
+    im: int
+    den: int
     qshift: int
     factors: dict  # (phase const mod 4, k) -> exponent
 
 
 def _flatten(node, env: dict) -> list[_FlatTerm]:
     if isinstance(node, Num):
-        if node.value == 0:
-            return []
-        return [_FlatTerm(GaussRat(node.value), 0, {})]
+        v = node.value
+        return [_FlatTerm(v.numerator, 0, v.denominator, 0, {})] if v else []
     if isinstance(node, QPow):
-        return [_FlatTerm(GaussRat(1), node.k, {})]
+        return [_FlatTerm(1, 0, 1, node.k, {})]
     if isinstance(node, Root):
-        return [_FlatTerm(GaussRat.i_power(node.lin.evaluate(env)), 0, {})]
+        return [_FlatTerm(*_I_POWERS[node.lin.evaluate(env)], 1, 0, {})]
     if isinstance(node, Binom):
         c = node.phase.evaluate(env)
-        return [_FlatTerm(GaussRat(1), 0, {(c, node.k): node.e})]
+        return [_FlatTerm(1, 0, 1, 0, {(c, node.k): node.e})]
     if isinstance(node, Prod):
-        terms = [_FlatTerm(GaussRat(1), 0, {})]
+        terms = [_FlatTerm(1, 0, 1, 0, {})]
         for f in node.factors:
-            sub = _flatten(f, env)
-            terms = [_merge_terms(a, b) for a in terms for b in sub]
+            sub_terms = _flatten(f, env)
+            terms = [_merge_terms(a, b) for a in terms for b in sub_terms]
         return terms
     if isinstance(node, Sum):
-        out = []
-        for sign, term in node.terms:
-            for t in _flatten(term, env):
-                out.append(_FlatTerm(t.scalar if sign > 0 else -t.scalar,
-                                     t.qshift, t.factors))
-        return out
+        return [_FlatTerm(sign * t.re, sign * t.im, t.den, t.qshift, t.factors)
+                for sign, term in node.terms for t in _flatten(term, env)]
     if isinstance(node, Div):
         den = _flatten(node.den, env)
         if len(den) != 1:
             raise FlattenError("denominator does not flatten to a single term")
         d = den[0]
-        inv = _FlatTerm(d.scalar.inverse(), -d.qshift,
-                        {key: -e for key, e in d.factors.items()})
+        # 1 / ((re + i*im) / den) = den * (re - i*im) / (re^2 + im^2)
+        inv = _FlatTerm(d.den * d.re, -d.den * d.im, d.re * d.re + d.im * d.im,
+                        -d.qshift, {key: -e for key, e in d.factors.items()})
         return [_merge_terms(t, inv) for t in _flatten(node.num, env)]
     if isinstance(node, Avg):
-        out = []
-        w = GaussRat(Fraction(1, node.hi + 1))
-        for v in range(node.hi + 1):
-            for t in _flatten(node.body, {**env, node.var: v}):
-                out.append(_FlatTerm(t.scalar * w, t.qshift, t.factors))
-        return out
+        return [_FlatTerm(t.re, t.im, t.den * (node.hi + 1), t.qshift, t.factors)
+                for v in range(node.hi + 1)
+                for t in _flatten(node.body, {**env, node.var: v})]
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -853,38 +836,54 @@ def _merge_terms(a: _FlatTerm, b: _FlatTerm) -> _FlatTerm:
         factors[key] = factors.get(key, 0) + e
         if factors[key] == 0:
             del factors[key]
-    return _FlatTerm(a.scalar * b.scalar, a.qshift + b.qshift, factors)
+    return _FlatTerm(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re,
+                     a.den * b.den, a.qshift + b.qshift, factors)
 
 
 def cleared_difference_degree(lhs, rhs) -> tuple[bool, int]:
-    """Prove lhs == rhs by clearing denominators; returns (holds, degree)."""
+    """Prove lhs == rhs by clearing denominators; returns (holds, degree).
+
+    Every term of lhs - rhs is multiplied by the binomial factors that clear
+    all denominators and by one power of q that makes every shift
+    nonnegative, so its degree is known before any expansion.  The terms are
+    brought to one common scale, and each is expanded as an integer
+    polynomial up to its own degree and added into the cleared difference,
+    which must vanish.
+    """
     terms = _flatten(lhs, {}) + [
-        _FlatTerm(-t.scalar, t.qshift, t.factors) for t in _flatten(rhs, {})]
+        _FlatTerm(-t.re, -t.im, t.den, t.qshift, t.factors) for t in _flatten(rhs, {})]
     if not terms:
         return True, 0
     need: dict = {}
     for t in terms:
         for key, e in t.factors.items():
             need[key] = max(need.get(key, 0), -e)
-    base_shift = -min(min((t.qshift for t in terms), default=0), 0)
-    degree = 0
+    base_shift = -min(min(t.qshift for t in terms), 0)
+    plans = []  # per term: shift, [(factor, exponent)], degree
     for t in terms:
-        d = t.qshift + base_shift
-        for key, e in t.factors.items():
-            d += (e + need.get(key, 0)) * key[1]
-        for key, extra in need.items():
-            if key not in t.factors:
-                d += extra * key[1]
-        degree = max(degree, d)
-    total = GaussSeries(degree)
-    for t in terms:
-        poly = GaussSeries.term(degree, t.scalar, t.qshift + base_shift)
-        for key, extra in need.items():
-            e = t.factors.get(key, 0) + extra
-            if e:
-                poly = poly.apply_binom(GaussRat.i_power(key[0]), key[1], e)
-        total = total + poly
-    return total.is_zero(), degree
+        steps = [(key, t.factors.get(key, 0) + extra) for key, extra in need.items()
+                 if t.factors.get(key, 0) + extra]
+        shift = t.qshift + base_shift
+        plans.append((shift, steps, shift + sum(e * key[1] for key, e in steps)))
+    degree = max(d for _, _, d in plans)
+    work = sum(d * (1 + sum(e for _, e in steps)) for _, steps, d in plans)
+    if work > MAX_CLEARED_WORK:
+        raise ValueError(f"clearing this identity takes {work} steps, over the "
+                         f"largest supported work {MAX_CLEARED_WORK}")
+    scale = lcm(*(t.den for t in terms))
+    total_re, total_im = [0] * (degree + 1), [0] * (degree + 1)
+    for t, (shift, steps, d) in zip(terms, plans):
+        re, im = [1], [0]
+        for (c, k), e in steps:
+            for _ in range(e):
+                re += [0] * k
+                im += [0] * k
+                _times_binom(re, im, c, k)
+        a, b = t.re * (scale // t.den), t.im * (scale // t.den)
+        seg = slice(shift, d + 1)
+        total_re[seg] = [u + a * x - b * y for u, x, y in zip(total_re[seg], re, im)]
+        total_im[seg] = [v + a * y + b * x for v, x, y in zip(total_im[seg], re, im)]
+    return not any(total_re) and not any(total_im), degree
 
 
 # -- built-in generating functions ---------------------------------------------

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualcount import affine, cli, lattice
-from dualcount.cli import MAX_N, MAX_ORDER, RunConfig, parse_args, to_argv
+from dualcount import affine, cli, lattice, series
+from dualcount.cli import (MAX_N, MAX_ORACLE_N, MAX_RANDOM_DRAWS, RunConfig,
+                           parse_args, to_argv)
+from dualcount.series import MAX_ORDER
 
 
 def invoke(argv, capsys):
@@ -156,10 +158,25 @@ def test_corrupted_diagram_symmetry_exits_4_under_optimize():
     assert "internal error" in proc.stderr
 
 
+def test_corrupted_character_table_exits_4_under_optimize():
+    # a character table whose dimensions do not square to the group order
+    # must stop the run even with asserts stripped
+    code = (
+        "import sys\n"
+        "from dualcount import cli, grouprep\n"
+        "grouprep.CharTable.dim = lambda self, name: 1\n"
+        "sys.exit(cli.main(['irreps', '--gamma', 'That']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "internal error" in proc.stderr
+
+
 # -- lattice and series sizes ---------------------------------------------------
 
 
-ORACLE_MAX_N = (MAX_ORDER - 1) // 2
+ORACLE_MAX_N = MAX_ORACLE_N
 
 
 @pytest.mark.parametrize("argv,bound", [
@@ -208,6 +225,66 @@ def test_genfun_at_the_order_bound_runs(capsys):
     coeffs = json.loads(out)["coefficients"]
     assert len(coeffs) == MAX_ORDER + 1
     assert coeffs[MAX_ORDER] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["genfun", "--gamma", "Z:1"],
+    ["verify", "identities"],
+])
+def test_env_order_over_the_bound_is_refused(argv, monkeypatch, capsys):
+    monkeypatch.setenv("DUALCOUNT_MAX_ORDER", str(MAX_ORDER + 1))
+    status, out, err = invoke(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert str(MAX_ORDER) in err
+
+
+def test_env_order_at_the_bound_runs(monkeypatch, capsys):
+    monkeypatch.setenv("DUALCOUNT_MAX_ORDER", str(MAX_ORDER))
+    status, out, _ = invoke(["genfun", "--gamma", "Z:1"], capsys)
+    assert status == 0
+    report = json.loads(out)
+    assert report["order"] == MAX_ORDER
+    assert report["coefficients"][MAX_ORDER] == 1
+
+
+def test_random_draws_over_the_bound_are_refused(capsys):
+    argv = ["verify", "identities", "--random", str(MAX_RANDOM_DRAWS + 1)]
+    status, out, err = invoke(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert str(MAX_RANDOM_DRAWS) in err
+
+
+def test_random_draws_at_the_bound_are_accepted():
+    cfg = parse_args(["verify", "identities", "--random", str(MAX_RANDOM_DRAWS)])
+    assert cfg.random_draws == MAX_RANDOM_DRAWS
+
+
+def test_identity_over_the_work_bound_is_refused(capsys):
+    # KF1 with one k = 500000 clears to degree 3e6 in 2.7e7 steps
+    argv = ["verify", "identities", "--prop", "KF1", "--params", "1;500000;0;"]
+    status, out, err = invoke(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert "takes 26999973 steps" in err
+    assert str(series.MAX_CLEARED_WORK) in err
+
+
+def test_identity_work_bound_is_exact(monkeypatch, capsys):
+    argv = ["verify", "identities", "--prop", "KF4", "--params", "1,2;1;2"]
+    monkeypatch.setattr(series, "MAX_CLEARED_WORK", 0)
+    _, _, err = invoke(argv, capsys)
+    work = int(re.search(r"takes (\d+) steps", err).group(1))
+    monkeypatch.setattr(series, "MAX_CLEARED_WORK", work)
+    status, out, _ = invoke(argv, capsys)
+    assert status == 0
+    assert json.loads(out)["checks"] == 1
+    monkeypatch.setattr(series, "MAX_CLEARED_WORK", work - 1)
+    status, out, err = invoke(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert str(work) in err
 
 
 def test_refined_cyclic_tables_reach_z12(capsys):

@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 
 from dualcount.errors import NotCoveredError
 from dualcount.grouprep import GroupSpec
+from dualcount import series
 from dualcount.series import (
     Avg,
     Binom,
-    GaussRat,
+    Div,
     GaussSeries,
     Num,
     ParseError,
     QPow,
+    Prod,
     Root,
+    Sum,
     builtin_genfun,
     canonical_params,
     cleared_difference_degree,
@@ -65,7 +68,250 @@ FIXED_INSTANTIATIONS = (
 )
 
 
-# -- Gaussian rationals and series --------------------------------------------
+# -- the seed's Fraction route, kept as the test oracle -------------------------
+#
+# Coefficients are GaussRat pairs of Fractions, every binomial factor multiplies
+# by a GaussRat, and the cleared proof expands each term to the full degree.
+
+
+class GaussRat:
+    """a + b*i with exact rational a, b."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, *a):
+        raise AttributeError("GaussRat is immutable")
+
+    @staticmethod
+    def i_power(c: int) -> "GaussRat":
+        return ((GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))[c % 4])
+
+    def __add__(self, other):
+        other = _as_gauss(other)
+        return GaussRat(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        other = _as_gauss(other)
+        return GaussRat(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        other = _as_gauss(other)
+        return GaussRat(self.re * other.re - self.im * other.im,
+                        self.re * other.im + self.im * other.re)
+
+    def __neg__(self):
+        return GaussRat(-self.re, -self.im)
+
+    def inverse(self) -> "GaussRat":
+        n = self.re * self.re + self.im * self.im
+        if not n:
+            raise ZeroDivisionError("inverse of zero")
+        return GaussRat(self.re / n, -self.im / n)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        other = _as_gauss(other)
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def rational(self) -> Fraction:
+        if self.im:
+            raise ValueError(f"{self!r} is not real")
+        return self.re
+
+    def __repr__(self):
+        if not self.im:
+            return str(self.re)
+        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
+
+
+def _as_gauss(x) -> GaussRat:
+    if isinstance(x, GaussRat):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return GaussRat(x)
+    raise TypeError(f"cannot coerce {x!r} to GaussRat")
+
+
+class FractionSeries:
+    """Power series in q truncated at a fixed order, with GaussRat coefficients."""
+
+    def __init__(self, order: int, coeffs=None):
+        self.order = order
+        coeffs = [_as_gauss(c) for c in coeffs or ()]
+        coeffs += [GaussRat() for _ in range(order + 1 - len(coeffs))]
+        self.coeffs = coeffs[:order + 1]
+
+    @staticmethod
+    def term(order: int, scalar, shift: int) -> "FractionSeries":
+        s = FractionSeries(order)
+        if 0 <= shift <= order:
+            s.coeffs[shift] = _as_gauss(scalar)
+        return s
+
+    def __add__(self, other):
+        return FractionSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return FractionSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        out = [GaussRat() for _ in range(self.order + 1)]
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j in range(self.order + 1 - i):
+                b = other.coeffs[j]
+                if b:
+                    out[i + j] = out[i + j] + a * b
+        return FractionSeries(self.order, out)
+
+    def scale(self, c) -> "FractionSeries":
+        return FractionSeries(self.order, [a * c for a in self.coeffs])
+
+    def apply_binom(self, u: GaussRat, k: int, e: int) -> "FractionSeries":
+        """Multiply by (1 - u q^k)^e, exponent by exponent."""
+        cur = list(self.coeffs)
+        for _ in range(abs(e)):
+            nxt = list(cur)
+            for j in range(k, self.order + 1):
+                if e > 0:
+                    nxt[j] = nxt[j] - u * cur[j - k]
+                else:
+                    nxt[j] = nxt[j] + u * nxt[j - k]
+            cur = nxt
+        return FractionSeries(self.order, cur)
+
+    def inverse(self) -> "FractionSeries":
+        inv0 = self.coeffs[0].inverse()
+        out = [inv0] + [GaussRat() for _ in range(self.order)]
+        for j in range(1, self.order + 1):
+            acc = GaussRat()
+            for t in range(1, j + 1):
+                if self.coeffs[t]:
+                    acc = acc + self.coeffs[t] * out[j - t]
+            out[j] = -inv0 * acc
+        return FractionSeries(self.order, out)
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+
+def oracle_expand(node, order: int, env: dict | None = None) -> FractionSeries:
+    env = env or {}
+    if isinstance(node, Num):
+        return FractionSeries.term(order, GaussRat(node.value), 0)
+    if isinstance(node, QPow):
+        return FractionSeries.term(order, GaussRat(1), node.k)
+    if isinstance(node, Root):
+        return FractionSeries.term(order, GaussRat.i_power(node.lin.evaluate(env)), 0)
+    if isinstance(node, Binom):
+        u = GaussRat.i_power(node.phase.evaluate(env))
+        return FractionSeries.term(order, 1, 0).apply_binom(u, node.k, node.e)
+    if isinstance(node, Prod):
+        acc = FractionSeries.term(order, 1, 0)
+        for f in node.factors:
+            if isinstance(f, Binom):
+                u = GaussRat.i_power(f.phase.evaluate(env))
+                acc = acc.apply_binom(u, f.k, f.e)
+            else:
+                acc = acc * oracle_expand(f, order, env)
+        return acc
+    if isinstance(node, Sum):
+        acc = FractionSeries(order)
+        for sign, term in node.terms:
+            s = oracle_expand(term, order, env)
+            acc = acc + s if sign > 0 else acc - s
+        return acc
+    if isinstance(node, Div):
+        return oracle_expand(node.num, order, env) * oracle_expand(node.den, order, env).inverse()
+    if isinstance(node, Avg):
+        acc = FractionSeries(order)
+        for v in range(node.hi + 1):
+            acc = acc + oracle_expand(node.body, order, {**env, node.var: v})
+        return acc.scale(GaussRat(Fraction(1, node.hi + 1)))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _oracle_flatten(node, env: dict) -> list:
+    """Terms (scalar, qshift, {(phase, k): exponent}) whose sum is node."""
+    if isinstance(node, Num):
+        return [(GaussRat(node.value), 0, {})] if node.value else []
+    if isinstance(node, QPow):
+        return [(GaussRat(1), node.k, {})]
+    if isinstance(node, Root):
+        return [(GaussRat.i_power(node.lin.evaluate(env)), 0, {})]
+    if isinstance(node, Binom):
+        return [(GaussRat(1), 0, {(node.phase.evaluate(env), node.k): node.e})]
+    if isinstance(node, Prod):
+        terms = [(GaussRat(1), 0, {})]
+        for f in node.factors:
+            sub = _oracle_flatten(f, env)
+            terms = [_oracle_merge(a, b) for a in terms for b in sub]
+        return terms
+    if isinstance(node, Sum):
+        return [(s if sign > 0 else -s, shift, fac) for sign, term in node.terms
+                for s, shift, fac in _oracle_flatten(term, env)]
+    if isinstance(node, Div):
+        (s, shift, fac), = _oracle_flatten(node.den, env)
+        inv = (s.inverse(), -shift, {key: -e for key, e in fac.items()})
+        return [_oracle_merge(t, inv) for t in _oracle_flatten(node.num, env)]
+    if isinstance(node, Avg):
+        w = GaussRat(Fraction(1, node.hi + 1))
+        return [(s * w, shift, fac) for v in range(node.hi + 1)
+                for s, shift, fac in _oracle_flatten(node.body, {**env, node.var: v})]
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _oracle_merge(a, b):
+    factors = dict(a[2])
+    for key, e in b[2].items():
+        factors[key] = factors.get(key, 0) + e
+        if factors[key] == 0:
+            del factors[key]
+    return a[0] * b[0], a[1] + b[1], factors
+
+
+def oracle_cleared_difference_degree(lhs, rhs) -> tuple[bool, int]:
+    terms = _oracle_flatten(lhs, {}) + [
+        (-s, shift, fac) for s, shift, fac in _oracle_flatten(rhs, {})]
+    if not terms:
+        return True, 0
+    need: dict = {}
+    for _, _, fac in terms:
+        for key, e in fac.items():
+            need[key] = max(need.get(key, 0), -e)
+    base_shift = -min(min((shift for _, shift, _ in terms), default=0), 0)
+    degree = 0
+    for _, shift, fac in terms:
+        d = shift + base_shift
+        for key, e in fac.items():
+            d += (e + need.get(key, 0)) * key[1]
+        for key, extra in need.items():
+            if key not in fac:
+                d += extra * key[1]
+        degree = max(degree, d)
+    total = FractionSeries(degree)
+    for s, shift, fac in terms:
+        poly = FractionSeries.term(degree, s, shift + base_shift)
+        for key, extra in need.items():
+            e = fac.get(key, 0) + extra
+            if e:
+                poly = poly.apply_binom(GaussRat.i_power(key[0]), key[1], e)
+        total = total + poly
+    return total.is_zero(), degree
+
+
+def _gauss_coeffs(s: GaussSeries) -> list:
+    return [GaussRat(Fraction(x, s.den), Fraction(y, s.den)) for x, y in zip(s.re, s.im)]
 
 
 def test_gauss_rat_arithmetic():
@@ -80,9 +326,12 @@ def test_gauss_rat_arithmetic():
         GaussRat(1, 1).rational()
 
 
+# -- Gaussian integer series -----------------------------------------------------
+
+
 def test_gauss_series_ring_ops():
     one = GaussSeries.one(8)
-    t = GaussSeries.term(8, GaussRat(1), 1)
+    t = GaussSeries.term(8, 1, 1)
     geo = (one - t).inverse()
     assert geo.integer_coeffs() == [1] * 9
     assert (geo * (one - t)) == one
@@ -93,12 +342,23 @@ def test_gauss_series_ring_ops():
 def test_apply_binom_matches_explicit_product():
     # (1 - q)^3 applied via the recurrence equals multiplying out by hand
     base = GaussSeries.one(6)
-    via = base.apply_binom(GaussRat(1), 1, 3)
-    poly = GaussSeries.one(6) - GaussSeries.term(6, GaussRat(1), 1)
+    via = base.apply_binom(0, 1, 3)
+    poly = GaussSeries.one(6) - GaussSeries.term(6, 1, 1)
     explicit = base * poly * poly * poly
     assert via == explicit
     # inverse direction undoes it
-    assert via.apply_binom(GaussRat(1), 1, -3) == base
+    assert via.apply_binom(0, 1, -3) == base
+
+
+@pytest.mark.parametrize("c", range(4))
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("e", [-3, -1, 1, 2])
+def test_apply_binom_matches_the_fraction_route(c, k, e):
+    start = expand(parse_genexpr("(1 - i q)^-1 (1 - (-1)^a q^2)^2 + (1/3) q"), 30,
+                   env={"a": 1})
+    via = start.apply_binom(c, k, e)
+    old = FractionSeries(30, _gauss_coeffs(start)).apply_binom(GaussRat.i_power(c), k, e)
+    assert _gauss_coeffs(via) == old.coeffs
 
 
 # -- parsing and printing ------------------------------------------------------
@@ -210,7 +470,7 @@ def test_avg_equals_mean_of_substitutions():
     wrapped = Avg("a", 1, body)
     direct = expand(wrapped, 12)
     parts = [expand(body, 12, env={"a": val}) for val in (0, 1)]
-    mean = (parts[0] + parts[1]).scale(GaussRat(Fraction(1, 2)))
+    mean = (parts[0] + parts[1]).scale(Fraction(1, 2))
     assert direct == mean
 
 
@@ -226,7 +486,7 @@ def test_coeff_respects_order_cap(monkeypatch):
 
 def test_coeff_rejects_fractional_result_only_when_nonintegral():
     half = mkprod(mknum(Fraction(1, 2)), QPow(1))
-    assert expand(half, 2).coeff(1) == GaussRat(Fraction(1, 2))
+    assert expand(half, 2).coeff(1) == Fraction(1, 2)
 
 
 @given(st.integers(1, 5), st.integers(1, 4))
@@ -235,7 +495,7 @@ def test_shift_matches_qpow_product(k, e):
     base = parse_genexpr(f"(1 - q^{k})^-{e}")
     shifted = mkprod(QPow(3), base)
     a = expand(shifted, 12)
-    b = expand(base, 12).shift(3)
+    b = expand(base, 12) * GaussSeries.term(12, 1, 3)
     assert a == b
 
 
@@ -266,9 +526,9 @@ def test_sp_series_vanish_in_odd_degree_and_so_in_even():
         sp = expand(builtin_genfun(g, "Sp"), 9)
         so = expand(builtin_genfun(g, "SO_odd"), 9)
         for j in range(1, 10, 2):
-            assert sp.coeff(j).rational() == 0
+            assert sp.coeff(j) == 0
         for j in range(0, 10, 2):
-            assert so.coeff(j).rational() == 0
+            assert so.coeff(j) == 0
 
 
 def test_refined_sector_anchors():
@@ -313,7 +573,7 @@ def test_sector_series_sums():
 
 def test_vanishing_sector_series_is_zero_to_high_order():
     z = expand(builtin_genfun(GroupSpec.binary_octahedral(), "refined:1,1:Spin"), 60)
-    assert z.is_zero()
+    assert z == GaussSeries(60)
 
 
 # -- identities ----------------------------------------------------------------
@@ -462,3 +722,80 @@ def test_random_params_rejects_unparametrized():
 
     with pytest.raises(ValueError):
         random_identity_params("PropX", random.Random(0))
+
+
+# -- the integer route against the Fraction route ---------------------------------
+
+
+ORACLE_GROUPS = (
+    [GroupSpec.cyclic(m) for m in range(1, 13)]
+    + [GroupSpec.binary_dihedral(m) for m in range(2, 7)]
+    + [
+        GroupSpec.binary_tetrahedral(),
+        GroupSpec.binary_octahedral(),
+        GroupSpec.binary_icosahedral(),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "identity,params",
+    FIXED_INSTANTIATIONS + (("PropX", None), ("PropA", None)))
+def test_cleared_routes_agree_on_fixed_instances(identity, params):
+    lhs, rhs = identity_trees(identity, params)
+    assert cleared_difference_degree(lhs, rhs) == oracle_cleared_difference_degree(lhs, rhs)
+
+
+@pytest.mark.parametrize("identity", ["KF1", "KF2", "KF3", "KF4"])
+def test_cleared_routes_agree_on_random_draws(identity):
+    import random
+
+    rng = random.Random(7)
+    for _ in range(3):
+        params = random_identity_params(identity, rng)
+        lhs, rhs = identity_trees(identity, params)
+        new = cleared_difference_degree(lhs, rhs)
+        assert new == oracle_cleared_difference_degree(lhs, rhs), params
+        assert new[0]
+
+
+def test_broken_identity_fails_on_both_routes():
+    lhs, rhs = identity_trees("KF4", "1,2;1;2")
+    broken = mksum((1, lhs), (1, QPow(300)))
+    new = cleared_difference_degree(broken, rhs)
+    assert not new[0]
+    assert new == oracle_cleared_difference_degree(broken, rhs)
+
+
+@pytest.mark.parametrize("g", ORACLE_GROUPS, ids=lambda g: g.label)
+@pytest.mark.parametrize("token", ["Sp", "SO_odd"])
+def test_expand_routes_agree_on_builtins(g, token):
+    tree = builtin_genfun(g, token)
+    assert _gauss_coeffs(expand(tree, 25)) == oracle_expand(tree, 25).coeffs
+
+
+@pytest.mark.parametrize("token", REFINED_TOKENS)
+def test_expand_routes_agree_on_refined_tokens(token):
+    tree = builtin_genfun(GroupSpec.binary_octahedral(), token)
+    assert _gauss_coeffs(expand(tree, 25)) == oracle_expand(tree, 25).coeffs
+
+
+def test_expand_routes_agree_on_the_vanishing_series_to_order_200():
+    lhs, rhs = identity_trees("PropY", None)
+    new = expand(lhs, 200)
+    assert new == GaussSeries(200)
+    assert _gauss_coeffs(new) == oracle_expand(lhs, 200).coeffs
+
+
+def test_division_by_a_non_unit_constant_term_stays_exact():
+    tree = parse_genexpr("(1 - i q) / (2 - q)")
+    assert isinstance(tree, Div)
+    s = expand(tree, 30)
+    # 1/(2 - q) = sum q^j / 2^(j+1)
+    geo = [GaussRat(Fraction(1, 2 ** (j + 1))) for j in range(31)]
+    want = [geo[0]] + [geo[j] - GaussRat(0, 1) * geo[j - 1] for j in range(1, 31)]
+    assert _gauss_coeffs(s) == want == oracle_expand(tree, 30).coeffs
+    assert expand(parse_genexpr("1 / (2 - q)"), 30).coeff(30) == Fraction(1, 2 ** 31)
+    # a Gaussian constant term: 1/(1 + i - q) times (1 + i - q) is one
+    den = parse_genexpr("1 + i - q")
+    assert expand(den, 12) * expand(den, 12).inverse() == GaussSeries.one(12)
