@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import lattice
 from .abgroup import AbGroup
 from .counting import _iter_vectors, graded_compositions
@@ -212,6 +210,7 @@ def _weyl_group(ade_type: str) -> tuple[np.ndarray, np.ndarray]:
     regular, so w(rho) identifies w; its coordinates are root heights, below
     64 in absolute value, and are encoded in base 128.
     """
+    import numpy as np
     letter, rank = parse_ade_type(ade_type)
     c, _, _ = _finite_structure(ade_type)
     if rank > 8:
@@ -269,6 +268,7 @@ class SMatrix:
         return self.weights.count
 
     def array(self) -> np.ndarray:
+        import numpy as np
         return np.asarray(self.values, dtype=np.complex128)
 
 
@@ -289,15 +289,19 @@ MAX_WEIGHTS = 1000
 MAX_WORK = 10 ** 9
 
 # row blocks hold at most this many residue-count cells, and each numpy
-# step evaluates at most this many pairings (or one cell block's worth)
+# step evaluates at most this many pairings (or one cell block's worth).
+# A step's float64 copy of its Weyl chunk is the largest temporary: at
+# 1 << 16 pairings `verify smatrix` peaks 6.5 MB lower than at 1 << 17 (E6 at
+# level 1 sets the peak), at the same speed on a 2-CPU machine.
 _COUNT_CELLS = 1 << 18
-_PAIRINGS = 1 << 17
+_PAIRINGS = 1 << 16
 
 
 @lru_cache(maxsize=None)
 def _scaled_inverse(ade_type: str) -> tuple[int, np.ndarray]:
     """(den, den * C^-1) with den the denominator of the inverse Cartan
     matrix, so that den * (x, y) is an integer for weights x and y."""
+    import numpy as np
     c, _, _ = _finite_structure(ade_type)
     inv = lattice._frac_inverse(c.cartan)
     den = math.lcm(*(x.denominator for row in inv for x in row))
@@ -359,6 +363,7 @@ def _residue_count_blocks(ade_type: str, n: int):
     Yields (lo, counts) with counts[a - lo, b, r] the signed number of w in
     W with den * (w(lam_a + rho), lam_b + rho) = r mod den * k.
     """
+    import numpy as np
     lw = level_weights(ade_type, n)
     c, idx, _ = _finite_structure(ade_type)
     modulus = _residue_modulus(ade_type, n)
@@ -397,6 +402,7 @@ def _residue_count_blocks(ade_type: str, n: int):
 
 @lru_cache(maxsize=4)
 def _s_matrix(ade_type: str, n: int) -> SMatrix:
+    import numpy as np
     lw = level_weights(ade_type, n)
     _, _, npos = _finite_structure(ade_type)
     modulus = _residue_modulus(ade_type, n)
@@ -423,11 +429,13 @@ def s_matrix(ade_type: str, n: int, *, enable_e7: bool = False) -> SMatrix:
 
 
 def unitarity_error(sm: SMatrix) -> float:
+    import numpy as np
     s = sm.array()
     return float(np.abs(s @ s.conj().T - np.eye(sm.size)).max())
 
 
 def symmetry_error(sm: SMatrix) -> float:
+    import numpy as np
     s = sm.array()
     return float(np.abs(s - s.T).max())
 
@@ -440,6 +448,7 @@ def charge_conjugation(sm: SMatrix):
     between ZERO_FLOOR and 1 - ZERO_FLOOR in magnitude, or if the result is
     not a permutation.
     """
+    import numpy as np
     r = sm.array()
     r = r @ r
     mags = np.abs(r)
@@ -533,6 +542,7 @@ def verify_s_conjugation(ade_type: str, n: int, *, enable_e7: bool = False) -> d
     phi(a) for at least one isomorphism phi from A to the center.  There is
     no preferred phi, so all of them are tried and every success reported.
     """
+    import numpy as np
     sm = s_matrix(ade_type, n, enable_e7=enable_e7)
     lw = sm.weights
     g = mckay_partner(ade_type)

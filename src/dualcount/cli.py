@@ -253,18 +253,35 @@ def parse_args(argv=None) -> RunConfig:
     sizes = [("--n", values.get("n"), MAX_N),
              ("--n-range", n_range and n_range[1], MAX_N),
              ("--order", values.get("order"), series.MAX_ORDER),
-             ("--max-n", max_n and values.get("max_n"), max_n),
+             ("--max-n", values.get("max_n"), max_n),
              ("--max-rank", values.get("max_rank"), lattice.MAX_RANK),
-             ("--random", values.get("random_draws"), MAX_RANDOM_DRAWS)]
+             ("--random", values.get("random_draws"), MAX_RANDOM_DRAWS),
+             ("--level", values.get("level"), None)]
     for flag, size, bound in sizes:
-        if size is not None and size > bound:
+        if size is not None and size < 0:
+            raise UsageError(f"{flag} {size} is negative")
+        if size is not None and bound is not None and size > bound:
             raise UsageError(
                 f"{flag} {size} exceeds the largest supported size {bound}")
+    if values.get("gamma") is not None:
+        # a bad label, or a Z:m or Dhat:m over grouprep.MAX_GROUP_PARAM
+        try:
+            GroupSpec.from_label(values["gamma"])
+        except ValueError as e:
+            raise UsageError(str(e)) from None
     unknown = set(values) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise InvariantError(
             f"parsed options missing from RunConfig: {sorted(unknown)}")
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    if cfg.suite == "zn-lattice":
+        pairs, top = _zn_sweep(cfg)
+        cells = lattice.zn_sweep_cells(pairs, top)
+        if cells > lattice.MAX_ZN_CELLS:
+            raise UsageError(
+                f"zn-lattice to n {top} needs about {cells} kernel cells, "
+                f"over the supported bound {lattice.MAX_ZN_CELLS}")
+    return cfg
 
 
 def to_argv(cfg: RunConfig) -> list[str]:
@@ -438,10 +455,15 @@ def _suite_identities(cfg: RunConfig):
     return checks, 0, failures
 
 
-def _suite_zn(cfg: RunConfig):
+def _zn_sweep(cfg: RunConfig):
+    """The pairs and the largest modulus of a zn-lattice run."""
     max_rank = cfg.max_rank if cfg.max_rank is not None else 4
     max_n = cfg.max_n if cfg.max_n is not None else 4
-    pairs = (cfg.pair,) if cfg.pair else lattice.dual_pairs(max_rank)
+    return (cfg.pair,) if cfg.pair else lattice.dual_pairs(max_rank), max_n
+
+
+def _suite_zn(cfg: RunConfig):
+    pairs, max_n = _zn_sweep(cfg)
     checks = 0
     failures = []
     for pair in pairs:

@@ -1,8 +1,15 @@
 """Exact arithmetic in cyclotomic fields.
 
-A `Cyc` is an element of Q(zeta_N) stored as a Fraction-coefficient polynomial
-in zeta_N, reduced modulo the N-th cyclotomic polynomial.  All arithmetic is
-exact; `complex_value` is the only lossy operation.
+A `Cyc` is an element of Q(zeta_N) stored as integer numerators over one
+shared positive denominator: the numerators are the coordinates, in the power
+basis 1, zeta_N, ..., zeta_N^(phi(N) - 1), of the element times the
+denominator.  Numerators and denominator are kept coprime, so the stored form
+is canonical for a fixed conductor.  The N-th cyclotomic polynomial Phi_N is
+monic with integer coefficients, so products reduce modulo it without any
+division; every power of zeta_N has integer coordinates, so the Galois action
+and promotion to a larger conductor are integer row sums; and an inverse is
+the product of the non-trivial Galois conjugates divided by the norm.  All
+arithmetic is exact; `complex_value` is the only lossy operation.
 """
 
 from __future__ import annotations
@@ -10,87 +17,135 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvariantError
 
+# conductors whose zeta power table stays cached; each table holds
+# N x phi(N) integers, and a process touches a handful of conductors
+POWER_BASIS_CACHE = 64
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
+_new = object.__new__
+_set = object.__setattr__
+
+# operands taken as rationals; both carry .numerator and .denominator
+_RATIONAL = (int, Fraction)
+
+
+def _reduce_monic(p: list[int], n: int) -> list[int]:
+    """p modulo Phi_n, in place; returns its phi(n) low coefficients."""
+    deg, tail = _phi_tail(n)
+    for i in range(len(p) - 1, deg - 1, -1):
+        c = p[i]
+        if c:
+            base = i - deg
+            for j, f in tail:
+                p[base + j] -= c * f
+    del p[deg:]
     return p
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    """Exact division with remainder in Q[x]; den need not be monic."""
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / lead
-        if c:
-            q[i] = c
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return _poly_trim(q), _poly_trim(num)
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Integer coefficients (low to high) of the n-th cyclotomic polynomial."""
     if n < 1:
         raise ValueError("conductor must be >= 1")
-    # x^n - 1 divided by Phi_d for every proper divisor d of n
-    p = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    # x^n - 1 divided by Phi_d for every proper divisor d of n; every Phi_d is
+    # monic, so the long division stays in the integers
+    p = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            p, rem = _poly_divmod(p, list(cyclotomic_poly(d)))
-            if rem:
+            phi = cyclotomic_poly(d)
+            deg = len(phi) - 1
+            q = [0] * (len(p) - deg)
+            for i in range(len(q) - 1, -1, -1):
+                c = q[i] = p[i + deg]
+                if c:
+                    for j, f in enumerate(phi):
+                        p[i + j] -= c * f
+            if any(p[:deg]):
                 raise InvariantError(f"Phi_{d} must divide x^{n} - 1")
+            p = q
     return tuple(p)
 
 
 @lru_cache(maxsize=None)
-def _zeta_power_basis(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """zeta_n^j for j in 0..n-1, each reduced to the power basis of Q(zeta_n)."""
+def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(n) and the nonzero (j, coefficient) pairs of Phi_n below its leading term."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    return deg, tuple((j, f) for j, f in enumerate(phi[:deg]) if f)
+
+
+@lru_cache(maxsize=POWER_BASIS_CACHE)
+def _zeta_power_basis(n: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_n^j for j in 0..n-1, as integer coordinates in the power basis."""
     phi = cyclotomic_poly(n)
     deg = len(phi) - 1
     rows = []
-    cur = [Fraction(0)] * deg
-    cur[0] = Fraction(1)
+    cur = [1] + [0] * (deg - 1)
     for _ in range(n):
         rows.append(tuple(cur))
         # multiply by x, reduce mod Phi_n (monic)
-        nxt = [Fraction(0)] + cur
-        if len(nxt) > deg:
-            c = nxt.pop()
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
             for k in range(deg):
-                nxt[k] -= c * phi[k]
-        cur = nxt + [Fraction(0)] * (deg - len(nxt))
+                cur[k] -= top * phi[k]
     return tuple(rows)
+
+
+def _row_sum(nums, rows, step: int, n: int, deg: int) -> list[int]:
+    """sum_j nums[j] * rows[j * step mod n], the integer image of zeta^j -> zeta^(j*step)."""
+    out = [0] * deg
+    for j, c in enumerate(nums):
+        if c:
+            for t, r in enumerate(rows[j * step % n]):
+                if r:
+                    out[t] += c * r
+    return out
 
 
 class Cyc:
     """An element of Q(zeta_n), immutable and hashable.
 
-    The coefficient vector is canonical for a fixed conductor n, so equality
-    and hashing are consistent within one conductor.  Equality across
-    conductors promotes both sides, but hashes are only guaranteed to agree
-    across conductors for rational values; keep any hashed collection of Cyc
-    values at a single conductor.
+    The stored form (numerators, denominator) is canonical for a fixed
+    conductor n, so equality and hashing are consistent within one conductor.
+    Equality across conductors promotes both sides, but hashes are only
+    guaranteed to agree across conductors for rational values; keep any
+    hashed collection of Cyc values at a single conductor.
     """
 
-    __slots__ = ("n", "coeffs", "_hash")
+    __slots__ = ("n", "nums", "den", "_hash")
 
     def __init__(self, n: int, coeffs):
+        """The element sum_j coeffs[j] * zeta_n^j, for rational coeffs[j]
+        with at most phi(n) entries."""
         deg = len(cyclotomic_poly(n)) - 1
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > deg:
             raise ValueError("coefficient vector longer than field degree")
-        cs += [Fraction(0)] * (deg - len(cs))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_hash", None)
+        den = lcm(1, *(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        self._fill(n, nums + [0] * (deg - len(cs)), den)
+
+    def _fill(self, n: int, nums, den: int) -> None:
+        if den != 1:
+            if den < 0:
+                nums, den = [-x for x in nums], -den
+            g = gcd(den, *nums)
+            if g != 1:
+                nums, den = [x // g for x in nums], den // g
+        _set(self, "n", n)
+        _set(self, "nums", tuple(nums))
+        _set(self, "den", den)
+
+    @staticmethod
+    def _make(n: int, nums, den: int = 1) -> "Cyc":
+        """sum_j nums[j] * zeta_n^j / den, from integer numerators of full length."""
+        out = _new(Cyc)
+        out._fill(n, nums, den)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("Cyc is immutable")
@@ -100,12 +155,15 @@ class Cyc:
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyc":
         """zeta_n^k."""
-        row = _zeta_power_basis(n)[k % n]
-        return Cyc(n, row)
+        return Cyc._make(n, _zeta_power_basis(n)[k % n])
 
     @staticmethod
     def from_rational(value, n: int = 1) -> "Cyc":
-        return Cyc(n, [Fraction(value)])
+        deg = len(cyclotomic_poly(n)) - 1
+        if not isinstance(value, int):
+            value = Fraction(value)
+        return Cyc._make(n, [value.numerator] + [0] * (deg - 1),
+                         value.denominator)
 
     def promoted(self, m: int) -> "Cyc":
         """The same element viewed in Q(zeta_m); requires n | m."""
@@ -113,90 +171,96 @@ class Cyc:
             return self
         if m % self.n:
             raise ValueError(f"cannot promote conductor {self.n} to {m}")
-        step = m // self.n
-        out = Cyc(m, [0])
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out = out + Cyc.zeta(m, j * step)._scaled(c)
-        return out
+        deg = len(cyclotomic_poly(m)) - 1
+        out = _row_sum(self.nums, _zeta_power_basis(m), m // self.n, m, deg)
+        return Cyc._make(m, out, self.den)
 
-    def _scaled(self, f: Fraction) -> "Cyc":
-        return Cyc(self.n, [c * f for c in self.coeffs])
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational power-basis coordinates."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Cyc):
-            if other.n == self.n:
-                return self, other
-            m = self.n * other.n // gcd(self.n, other.n)
-            return self.promoted(m), other.promoted(m)
-        if isinstance(other, (int, Fraction)):
-            return self, Cyc(self.n, [Fraction(other)])
-        return self, NotImplemented
+    def _coerce(self, other: "Cyc"):
+        if other.n == self.n:
+            return self, other
+        m = self.n * other.n // gcd(self.n, other.n)
+        return self.promoted(m), other.promoted(m)
+
+    def _scaled(self, num: int, den: int) -> "Cyc":
+        return Cyc._make(self.n, [x * num for x in self.nums], self.den * den)
+
+    def _plus(self, other, sign: int):
+        """self + sign * other for a Cyc, int or Fraction other."""
+        if not isinstance(other, Cyc):
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
+            other = Cyc.from_rational(other, self.n)
+        a, b = self._coerce(other)
+        ad, bd = a.den, b.den
+        g = gcd(ad, bd)
+        fa, fb = bd // g, sign * (ad // g)
+        nums = [x * fa + y * fb for x, y in zip(a.nums, b.nums)]
+        return Cyc._make(a.n, nums, ad * fa)
 
     def __add__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Cyc(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._scaled(Fraction(-1))
+        return Cyc._make(self.n, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Cyc(a.n, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
+        if not isinstance(other, Cyc):
+            if isinstance(other, _RATIONAL):
+                return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        deg = len(a.coeffs)
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
+        a, b = self._coerce(other)
+        an, bn = a.nums, b.nums
+        deg = len(an)
+        prod = [0] * (2 * deg - 1)
+        right = [(j, y) for j, y in enumerate(bn) if y]
+        for i, x in enumerate(an):
+            if x:
+                for j, y in right:
                     prod[i + j] += x * y
-        # reduce mod Phi_n
-        phi = list(cyclotomic_poly(a.n))
-        _, rem = _poly_divmod(prod, phi)
-        return Cyc(a.n, rem)
+        return Cyc._make(a.n, _reduce_monic(prod, a.n), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the product of the non-trivial Galois
+        conjugates of the numerator, over its norm, times the denominator."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # gcd(self, Phi_n) = 1 in Q[x]; track the Bezout coefficient of self
-        r0, r1 = list(cyclotomic_poly(self.n)), _poly_trim(list(self.coeffs))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            s = list(s0)
-            s += [Fraction(0)] * (len(q) + len(s1) - 1 - len(s))
-            for i, qc in enumerate(q):
-                for j, sc in enumerate(s1):
-                    s[i + j] -= qc * sc
-            r0, r1, s0, s1 = r1, r, s1, _poly_trim(s)
-        c = r1[0]
-        return Cyc(self.n, [x / c for x in s1])
+        n = self.n
+        num = Cyc._make(n, self.nums)
+        others = Cyc.from_rational(1, n)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                others = others * num.galois(k)
+        norm = num * others
+        if not norm.is_rational() or norm.den != 1:
+            raise InvariantError(f"norm of {num!r} is not a rational integer")
+        return Cyc._make(n, [x * self.den for x in others.nums],
+                         others.den * norm.nums[0])
 
     def __truediv__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
+        if isinstance(other, _RATIONAL):
+            if not other:
+                raise ZeroDivisionError("division by zero")
+            return self._scaled(other.denominator, other.numerator)
+        if not isinstance(other, Cyc):
             return NotImplemented
-        return a * b.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -204,7 +268,7 @@ class Cyc:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = Cyc(self.n, [1])
+        out = Cyc.from_rational(1, self.n)
         base = self
         while k:
             if k & 1:
@@ -217,16 +281,11 @@ class Cyc:
 
     def galois(self, k: int) -> "Cyc":
         """Apply zeta -> zeta^k; requires gcd(k, n) = 1."""
-        if gcd(k % self.n, self.n) != 1:
+        n = self.n
+        if gcd(k % n, n) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        powers = _zeta_power_basis(self.n)
-        out = [Fraction(0)] * len(self.coeffs)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = powers[(j * k) % self.n]
-                for t, r in enumerate(row):
-                    out[t] += c * r
-        return Cyc(self.n, out)
+        out = _row_sum(self.nums, _zeta_power_basis(n), k, n, len(self.nums))
+        return Cyc._make(n, out, self.den)
 
     def conjugate(self) -> "Cyc":
         """Complex conjugation, zeta -> zeta^(-1)."""
@@ -235,46 +294,53 @@ class Cyc:
     # -- predicates and conversions ----------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def integer(self) -> int:
-        r = self.rational()
-        if r.denominator != 1:
+        if not self.is_rational() or self.den != 1:
             raise ValueError(f"{self!r} is not an integer")
-        return r.numerator
+        return self.nums[0]
 
     def complex_value(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.n)
-        return sum(float(c) * z**j for j, c in enumerate(self.coeffs))
+        den = self.den
+        return sum((x / den) * z**j for j, x in enumerate(self.nums))
 
     # -- protocol ----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyc(self.n, [Fraction(other)])
         if not isinstance(other, Cyc):
+            if isinstance(other, _RATIONAL):
+                return (self.den == other.denominator
+                        and self.nums[0] == other.numerator
+                        and self.is_rational())
             return NotImplemented
         a, b = self._coerce(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
-        if self._hash is None:
-            # hash in a conductor-independent way: rational elements must hash
-            # like their Fraction value
-            if self.is_rational():
-                h = hash(self.coeffs[0])
-            else:
-                h = hash((self.n, self.coeffs))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # hash in a conductor-independent way: rational elements must hash
+        # like their Fraction value
+        if not self.is_rational():
+            h = hash((self.n, self.nums, self.den))
+        elif self.den == 1:
+            h = hash(self.nums[0])
+        else:
+            h = hash(Fraction(self.nums[0], self.den))
+        _set(self, "_hash", h)
+        return h
 
     def __repr__(self):
         terms = []

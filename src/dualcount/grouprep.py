@@ -35,6 +35,17 @@ ICOSAHEDRAL = "binary_icosahedral"
 
 _EXCEPTIONAL_ORDERS = {TETRAHEDRAL: 24, OCTAHEDRAL: 48, ICOSAHEDRAL: 120}
 
+# Largest m that a Z:m or Dhat:m label may name.  The first use of a group
+# builds and validates its exact character table: the orthogonality checks
+# alone take |classes|^3 / 2 products in Q(zeta_N), N the conductor (m for
+# Z:m, lcm(2m, 4) for Dhat:m), each costing up to phi(N)^2 integer products.
+# The cost peaks at primes, where phi(N) is largest.  First calls of
+# `count --target SU --n 2` on a 2-CPU machine: Z:24 0.5 s, Z:32 1.0 s,
+# Z:47 3.7 s, Z:48 2.1 s, Dhat:47 5.6 s, Dhat:48 3.1 s; above the bound Z:61
+# takes 8.8 s, Dhat:61 14 s and Z:96 about 20 s, and the growth is close to
+# the fifth power of m.
+MAX_GROUP_PARAM = 48
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -113,6 +124,9 @@ class GroupSpec:
 def _parse_param(text: str, tail: str) -> int:
     if not tail.isdigit():
         raise ValueError(f"unrecognized group label {text!r}")
+    if int(tail) > MAX_GROUP_PARAM:
+        raise ValueError(f"{text} exceeds the largest supported group "
+                         f"parameter {MAX_GROUP_PARAM}")
     return int(tail)
 
 

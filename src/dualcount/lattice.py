@@ -30,6 +30,7 @@ from .errors import InvariantError
 
 __all__ = [
     "MAX_RANK",
+    "MAX_ZN_CELLS",
     "CartanData",
     "LatticeQuotient",
     "GradedOrbitSet",
@@ -43,12 +44,24 @@ __all__ = [
     "dual_pairs",
     "verify_zn_duality",
     "zn_duality_row",
+    "zn_sweep_cells",
 ]
 
 # Largest rank cartan_data accepts.  Kac data take about rank**3 steps: 0.5 s
 # for A, B, C and D together at this bound on a 2-CPU machine, and a sweep
 # builds every rank up to its own (zn-lattice --max-rank 100 --max-n 2: 32 s).
 MAX_RANK = 100
+
+# Bound on one zn-lattice sweep, checked before any orbit is counted; see
+# zn_sweep_cells.  On a 2-CPU machine a row costs about 70 ns per estimated
+# cell at rank 100 (SU(101)/PU(101) at n = 256: 0.38 s) and 400 ns at rank 4
+# (SU(5)/PU(5) at n = 10000: 0.2 s), where short grade rows leave the per-row
+# overhead on top; the Kac data of each pair come on top of that, once per
+# pair (MAX_RANK above).  The bound admits the default rank 4 up to the
+# --max-n bound cli.MAX_N (3.0e10 cells, hours at that rate) and rank 100 up
+# to n = 143, and refuses a sweep that grows past both, such as rank 100 to
+# n = 10000 (1.9e14 cells).
+MAX_ZN_CELLS = 4 * 10 ** 10
 
 
 # -- integer matrix utilities --------------------------------------------------
@@ -718,6 +731,17 @@ def _pair_sides(pair):
     if _dual_descriptor(left) != right:
         raise ValueError(f"{labels[0]} and {labels[1]} are not Langlands dual")
     return left, right
+
+
+def zn_sweep_cells(pairs, max_n: int) -> int:
+    """Estimated kernel cells of zn_duality_row for each pair at n = 1..max_n.
+
+    Each side of a rank-r pair at modulus n runs the composition kernel on at
+    most r + 1 slots over n rows, and its fixed-point sectors and grades
+    number at most r + 1 together, so it costs at most (r + 1)**2 * n cells.
+    """
+    ranks = [_pair_sides(pair)[0][1] for pair in pairs]
+    return sum((r + 1) ** 2 for r in ranks) * max_n * (max_n + 1)
 
 
 def verify_zn_duality(pair, n: int) -> bool:

@@ -12,6 +12,7 @@ import pytest
 from dualcount import affine, cli, lattice, series
 from dualcount.cli import (MAX_N, MAX_ORACLE_N, MAX_RANDOM_DRAWS, RunConfig,
                            parse_args, to_argv)
+from dualcount.grouprep import MAX_GROUP_PARAM
 from dualcount.series import MAX_ORDER
 
 
@@ -303,6 +304,111 @@ def test_cli_import_loads_no_scipy():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["count", "--gamma", "Ihat", "--target", "PU", "--n", "3"],
+])
+def test_cli_import_and_count_load_no_numpy(argv):
+    # numpy is imported inside the affine functions that use it, so only the
+    # S-matrix commands pay for it; the affine module itself still loads
+    code = ("import sys\nfrom dualcount import cli\n"
+            f"status = cli.main({argv!r}) if {argv!r} else 0\n"
+            "print(status, 'dualcount.affine' in sys.modules,"
+            " [m for m in sys.modules if m.split('.')[0] == 'numpy'])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip().splitlines()[-1] == "0 True []"
+
+
+def test_smatrix_command_still_loads_numpy():
+    code = ("import sys\nfrom dualcount import cli\n"
+            "status = cli.main(['smatrix', '--type', 'A1', '--level', '1'])\n"
+            "print(status, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip().splitlines()[-1] == "0 True"
+
+
+# -- negative sizes, the group parameter and the zn-lattice sweep -----------------
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["count", "--gamma", "Z:3", "--target", "Sp", "--n", "-1"], "--n"),
+    (["count", "--gamma", "Z:3", "--target", "Sp", "--n-range=-1:2"], "range"),
+    (["verify", "duality", "--max-n", "-1"], "--max-n"),
+    (["genfun", "--gamma", "Z:1", "--order", "-1"], "--order"),
+    (["verify", "zn-lattice", "--max-rank", "-1"], "--max-rank"),
+    (["verify", "identities", "--random", "-3"], "--random"),
+    (["smatrix", "--type", "A1", "--level", "-1"], "--level"),
+])
+def test_negative_sizes_are_refused(argv, flag, capsys):
+    status, out, err = invoke(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize("label", [f"Z:{MAX_GROUP_PARAM + 1}",
+                                   f"Dhat:{MAX_GROUP_PARAM + 1}",
+                                   "Z:100000"])
+def test_group_parameter_over_the_bound_is_refused(label, capsys):
+    status, out, err = invoke(["count", "--gamma", label, "--target", "SU",
+                               "--n", "2"], capsys)
+    assert status == 1
+    assert out == ""
+    assert str(MAX_GROUP_PARAM) in err
+
+
+@pytest.mark.parametrize("label", [f"Z:{MAX_GROUP_PARAM}",
+                                   f"Dhat:{MAX_GROUP_PARAM}"])
+def test_group_parameter_at_the_bound_is_accepted(label):
+    assert parse_args(["count", "--gamma", label, "--target", "SU",
+                       "--n", "2"]).gamma == label
+
+
+def test_count_at_the_group_parameter_bound_runs(capsys):
+    # Z_m into SU(2): the pairs {a, -a}, a in Z_m, so m // 2 + 1 classes
+    status, out, _ = invoke(["count", "--gamma", f"Z:{MAX_GROUP_PARAM}",
+                             "--target", "SU", "--n", "2"], capsys)
+    assert status == 0
+    assert json.loads(out)["rows"][0]["count"] == MAX_GROUP_PARAM // 2 + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "zn-lattice", "--max-rank", str(lattice.MAX_RANK),
+     "--max-n", str(MAX_N)],
+    ["verify", "zn-lattice", "--max-rank", str(lattice.MAX_RANK),
+     "--max-n", "144"],
+    ["verify", "zn-lattice", "--pair", f"SU({lattice.MAX_RANK + 1})/"
+     f"PU({lattice.MAX_RANK + 1})", "--max-n", str(MAX_N)],
+])
+def test_zn_lattice_sweep_over_the_work_bound_is_refused(argv, capsys):
+    status, out, err = invoke(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert str(lattice.MAX_ZN_CELLS) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "zn-lattice"],
+    ["verify", "zn-lattice", "--max-rank", "7", "--max-n", "5"],
+    ["verify", "zn-lattice", "--max-rank", str(lattice.MAX_RANK),
+     "--max-n", "143"],
+])
+def test_zn_lattice_sweep_at_the_work_bound_is_accepted(argv):
+    parse_args(argv)
+
+
+def test_zn_sweep_cells_counts_rank_squares():
+    # SU(3)/PU(3) has rank 2, so 9 cells per unit of n, both sides, n = 1..4
+    assert lattice.zn_sweep_cells(["SU(3)/PU(3)"], 4) == 9 * 4 * 5
+    assert (lattice.zn_sweep_cells(lattice.dual_pairs(100), 143)
+            <= lattice.MAX_ZN_CELLS
+            < lattice.zn_sweep_cells(lattice.dual_pairs(100), 144))
 
 
 # -- S-matrix sizes ---------------------------------------------------------
