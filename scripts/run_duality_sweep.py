@@ -2,13 +2,15 @@
 """Sweep a duality pair over the standard group catalogue and print the table.
 
 Each cell shows the matched count N(gamma, left(n)) = N(gamma, right(n));
-mismatches are flagged inline and make the script exit nonzero.
+mismatches are flagged inline and make the script exit nonzero.  The flags
+are checked as `dualcount verify duality` checks them, once per group and
+before any count, so the CLI's size bounds hold here too.
 """
 
 import argparse
 import sys
 
-from dualcount.cli import DEFAULT_GAMMAS, DUALITY_PAIRS
+from dualcount.cli import DEFAULT_GAMMAS, DUALITY_PAIRS, UsageError, parse_args
 from dualcount.counting import Target, count_homs
 from dualcount.errors import NotCoveredError
 from dualcount.grouprep import GroupSpec
@@ -22,8 +24,16 @@ def main():
                     help="restrict to specific groups (repeatable)")
     args = ap.parse_args()
 
-    left, right = DUALITY_PAIRS[args.pair]
     labels = args.gamma or DEFAULT_GAMMAS
+    try:
+        for label in labels:
+            parse_args(["verify", "duality", "--pair", args.pair,
+                        "--max-n", str(args.max_n), "--gamma", label])
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+
+    left, right = DUALITY_PAIRS[args.pair]
     header = ["gamma".ljust(8)] + [f"n={n}" for n in range(args.max_n + 1)]
     print("  ".join(h.rjust(6) for h in header))
 

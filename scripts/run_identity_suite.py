@@ -2,23 +2,29 @@
 """Prove the catalogued counting identities and time each proof.
 
 Runs the fixed instantiations, the three parameter-free identities and, with
---random N, N extra random draws per parametrized family.
+--random N, N extra random draws per parametrized family.  The flags are
+checked as `dualcount verify identities` checks them, before any proof.
 """
 
 import argparse
 import sys
 import time
 
-from dualcount.cli import identity_runs, prove_run
+from dualcount.cli import UsageError, identity_runs, parse_args
+from dualcount.series import prove_identity
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--random", type=int, default=0, metavar="N")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--order", type=int, default=200,
-                    help="series depth for the identity with no rational form")
     args = ap.parse_args()
+    try:
+        parse_args(["verify", "identities", "--random", str(args.random),
+                    "--seed", str(args.seed)])
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
     runs = identity_runs()
     if args.random:
@@ -26,7 +32,7 @@ def main():
     failed = 0
     for identity, params in runs:
         start = time.monotonic()
-        report = prove_run(identity, params, args.order)
+        report = prove_identity(identity, params)
         elapsed = time.monotonic() - start
         mark = "ok" if report["verdict"] == "proven" else "FAILED"
         failed += report["verdict"] != "proven"

@@ -12,9 +12,9 @@ same command are byte-identical.  Exit codes:
     4   an internal consistency check failed: a defect in the program,
         never a property of the input
 
-The environment variable DUALCOUNT_MAX_ORDER sets the default series
-truncation order wherever a command does not fix one explicitly; like
---order it is held to series.MAX_ORDER.
+The environment variable DUALCOUNT_MAX_ORDER sets genfun's truncation order
+when --order is not given (GENFUN_ORDER when unset).  Every command checks it
+up front: like --order it is held to series.MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from . import affine, lattice, series
 from .counting import (Target, count_homs, count_row, sector_row,
                        verify_swap_equivalence)
 from .errors import InvariantError, NotCoveredError
-from .grouprep import GroupSpec, irrep_table_json
+from .grouprep import CYCLIC, GroupSpec, irrep_table_json
 from .mckay import mckay_json
 
 EXIT_OK = 0
@@ -50,6 +51,9 @@ EXIT_INTERNAL = 4
 # --max-n runs n + 1 counts per pair and group, so its cost is quadratic in
 # the bound.  Cyclic PSp and Spin sizes are ranks, held to lattice.MAX_RANK.
 MAX_N = 10_000
+
+# genfun's truncation order when neither --order nor DUALCOUNT_MAX_ORDER is set
+GENFUN_ORDER = 24
 
 # Largest --max-n of verify oracle.  Its counts, not its series, set the cost:
 # 9 groups x 2 families x (max_n + 1) counts, each linear in n, so the suite is
@@ -132,11 +136,7 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one invocation does, as plain data.
-
-    parse_args and to_argv are mutually inverse on configurations built by
-    parse_args, so runs can be logged and replayed.
-    """
+    """Everything one invocation does, as plain data."""
 
     command: str
     fmt: str = "json"
@@ -202,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", required=True)
     p.add_argument("--token", default="Sp",
                    help="series token: Sp, SO_odd, or refined:e,m:Sp|Spin")
-    p.add_argument("--order", type=int, help="truncation order (default env-capped 24)")
+    p.add_argument("--order", type=int,
+                   help="truncation order (default DUALCOUNT_MAX_ORDER, else 24)")
 
     p = add("smatrix", "modular S-matrix of an affine algebra at a level")
     p.add_argument("--type", dest="ade_type", required=True, help="e.g. A3, D4, E6")
@@ -239,9 +240,36 @@ def _parse_pair_of_ints(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _env_order() -> int | None:
+    """DUALCOUNT_MAX_ORDER as an integer, or None when it is unset or empty."""
+    text = os.environ.get("DUALCOUNT_MAX_ORDER")
+    if not text:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(
+            f"DUALCOUNT_MAX_ORDER {text!r} is not an integer") from None
+
+
+def _cyclic_rank(cfg: RunConfig) -> int:
+    """The largest n at which a run counts a cyclic group into PSp or Spin,
+    which are Weyl orbits of rank n; 0 when it counts none.  The suites'
+    default sizes lie far below lattice.MAX_RANK."""
+    if cfg.gamma is None or GroupSpec.from_label(cfg.gamma).family != CYCLIC:
+        return 0
+    if cfg.command == "count" and cfg.target in ("PSp", "Spin_odd"):
+        return cfg.n if cfg.n is not None else cfg.n_range[1]
+    if cfg.suite == "refined" or (
+            cfg.suite == "duality" and cfg.pair in (None, "all", "psp-spin")):
+        return cfg.max_n or 0
+    return 0
+
+
 def parse_args(argv=None) -> RunConfig:
     ns = build_parser().parse_args(argv)
     values = vars(ns)
+    env_order = _env_order()
     if values.get("n_range") is not None:
         values["n_range"] = _parse_pair_of_ints(values["n_range"])
     if ns.command == "count":
@@ -253,6 +281,7 @@ def parse_args(argv=None) -> RunConfig:
     sizes = [("--n", values.get("n"), MAX_N),
              ("--n-range", n_range and n_range[1], MAX_N),
              ("--order", values.get("order"), series.MAX_ORDER),
+             ("DUALCOUNT_MAX_ORDER", env_order, series.MAX_ORDER),
              ("--max-n", values.get("max_n"), max_n),
              ("--max-rank", values.get("max_rank"), lattice.MAX_RANK),
              ("--random", values.get("random_draws"), MAX_RANDOM_DRAWS),
@@ -269,11 +298,18 @@ def parse_args(argv=None) -> RunConfig:
             GroupSpec.from_label(values["gamma"])
         except ValueError as e:
             raise UsageError(str(e)) from None
+    if ns.command == "genfun" and values["order"] is None:
+        values["order"] = GENFUN_ORDER if env_order is None else env_order
     unknown = set(values) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise InvariantError(
             f"parsed options missing from RunConfig: {sorted(unknown)}")
     cfg = RunConfig(**values)
+    rank = _cyclic_rank(cfg)
+    if rank > lattice.MAX_RANK:
+        raise UsageError(
+            f"{cfg.gamma} into PSp or Spin at n {rank} needs rank {rank}, over "
+            f"the largest supported rank {lattice.MAX_RANK}")
     if cfg.suite == "zn-lattice":
         pairs, top = _zn_sweep(cfg)
         cells = lattice.zn_sweep_cells(pairs, top)
@@ -282,41 +318,6 @@ def parse_args(argv=None) -> RunConfig:
                 f"zn-lattice to n {top} needs about {cells} kernel cells, "
                 f"over the supported bound {lattice.MAX_ZN_CELLS}")
     return cfg
-
-
-def to_argv(cfg: RunConfig) -> list[str]:
-    argv = [cfg.command]
-    if cfg.command == "verify":
-        argv.append(cfg.suite)
-
-    def opt(flag, value):
-        if value is not None:
-            argv.extend([flag, str(value)])
-
-    opt("--gamma", cfg.gamma)
-    opt("--target", cfg.target)
-    opt("--n", cfg.n)
-    if cfg.n_range is not None:
-        argv.extend(["--n-range", f"{cfg.n_range[0]}:{cfg.n_range[1]}"])
-    opt("--family", cfg.family)
-    opt("--token", cfg.token)
-    opt("--order", cfg.order)
-    opt("--type", cfg.ade_type)
-    opt("--level", cfg.level)
-    opt("--digits", cfg.digits)
-    opt("--pair", cfg.pair)
-    opt("--prop", cfg.prop)
-    opt("--params", cfg.params)
-    opt("--random", cfg.random_draws)
-    if cfg.seed:
-        argv.extend(["--seed", str(cfg.seed)])
-    opt("--max-n", cfg.max_n)
-    opt("--max-rank", cfg.max_rank)
-    if cfg.enable_e7_smatrix:
-        argv.append("--enable-e7-smatrix")
-    if cfg.fmt != "json":
-        argv.extend(["--format", cfg.fmt])
-    return argv
 
 
 # -- commands -------------------------------------------------------------
@@ -347,11 +348,10 @@ def _run_mckay(cfg: RunConfig):
 
 def _run_genfun(cfg: RunConfig):
     g = GroupSpec.from_label(cfg.gamma)
-    order = cfg.order if cfg.order is not None else series.max_order(24)
     tree = series.builtin_genfun(g, cfg.token)
-    coeffs = series.expand(tree, order).integer_coeffs()
+    coeffs = series.expand(tree, cfg.order).integer_coeffs()
     return {"command": "genfun", "gamma": g.label, "token": cfg.token,
-            "order": order, "coefficients": list(coeffs)}, EXIT_OK
+            "order": cfg.order, "coefficients": list(coeffs)}, EXIT_OK
 
 
 def _run_smatrix(cfg: RunConfig):
@@ -430,17 +430,7 @@ def identity_runs(random_draws: int = 0, seed: int = 0) -> list:
                                         ("PropY", None)]
 
 
-def prove_run(name: str, params, propy_order: int) -> dict:
-    """Prove one identity run, PropY by its series to propy_order."""
-    if name == "PropY":
-        # no closed rational form on the zero side: compare series deep
-        return series.prove_identity(name, params, method="series",
-                                     order=propy_order)
-    return series.prove_identity(name, params)
-
-
 def _suite_identities(cfg: RunConfig):
-    propy_order = series.max_order(200)
     if cfg.prop:
         runs = [(cfg.prop, cfg.params)]
     else:
@@ -448,7 +438,7 @@ def _suite_identities(cfg: RunConfig):
     checks = 0
     failures = []
     for name, params in runs:
-        rep = prove_run(name, params, propy_order)
+        rep = series.prove_identity(name, params)
         checks += 1
         if rep["verdict"] != "proven":
             failures.append({"suite": "identities", **rep})

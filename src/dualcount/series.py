@@ -1,32 +1,28 @@
 """Generating functions in q with fourth-root-of-unity phases.
 
-The expression language covers exactly what the counting identities need:
-rational scalars, powers of q, phases i^(linear form), binomial factors
-(1 - i^L q^k)^e, products, signed sums, quotients, and averaging operators
-avg(v in 0..n) that substitute v = 0..n and divide by n + 1.
+Expressions are trees built in code, and they cover exactly what the
+counting identities need: rational scalars, powers of q, phases i^(linear
+form), binomial factors (1 - i^L q^k)^e, products, signed sums, and averaging
+operators avg(v in 0..n) that substitute v = 0..n and divide by n + 1.
 
-Expressions parse from text and print back canonically (parse(print(e)) == e).
 Expansion is exact over Gaussian integers with one shared rational scale:
 every phase is a power of i, so a binomial factor is applied by integer
-additions and quarter turns, and only scalars, averages and quotients move the
-scale.  Identities are proven either by clearing all denominators and
-comparing polynomials exactly ("cleared") or by comparing truncated series to
-a stated order ("series").
+additions and quarter turns, and only scalars and averages move the scale.
+Every truncation order comes from the caller.  Identities have one proof
+route: clear all denominators and compare polynomials exactly.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from operator import add, sub
 
-from .errors import InvariantError, NotCoveredError
+from .errors import NotCoveredError
 from .grouprep import CYCLIC, DIHEDRAL, ICOSAHEDRAL, OCTAHEDRAL, TETRAHEDRAL, GroupSpec
 
-DEFAULT_ORDER = 64
 IDENTITIES = ("KF1", "KF2", "KF3", "KF4", "PropX", "PropY", "PropA")
 
 # Largest truncation order that genfun --order or DUALCOUNT_MAX_ORDER may ask
@@ -34,16 +30,6 @@ IDENTITIES = ("KF1", "KF2", "KF3", "KF4", "PropX", "PropY", "PropA")
 # refined:1,1:Spin, takes about 0.04 ms per order on a 2-CPU machine, 0.75 s
 # at this bound and 1.3 s for the whole genfun command.
 MAX_ORDER = 20_000
-
-
-def max_order(default: int = DEFAULT_ORDER) -> int:
-    """The truncation order where none is given: DUALCOUNT_MAX_ORDER when set,
-    up to MAX_ORDER, else default."""
-    order = int(os.environ.get("DUALCOUNT_MAX_ORDER") or default)
-    if order > MAX_ORDER:
-        raise ValueError(f"DUALCOUNT_MAX_ORDER {order} exceeds the largest "
-                         f"supported order {MAX_ORDER}")
-    return order
 
 
 # -- truncated series ---------------------------------------------------------
@@ -167,31 +153,6 @@ class GaussSeries:
             step(re, im, c % 4, k)
         return GaussSeries(self.order, re, im, self.den)
 
-    def inverse(self) -> "GaussSeries":
-        a, b = self.re[0], self.im[0]
-        norm = a * a + b * b
-        if not norm:
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        # times conj(c0) the constant term is the integer norm, and over the
-        # scale norm^(order+1) the inverse of that series is integral: its
-        # recurrence divides exactly by norm
-        n = self.order
-        terms = [(t, a * x + b * y, a * y - b * x)
-                 for t, (x, y) in enumerate(zip(self.re, self.im)) if t and (x or y)]
-        re, im = [norm ** n] + [0] * n, [0] * (n + 1)
-        for j in range(1, n + 1):
-            acc_re = acc_im = 0
-            for t, x, y in terms:
-                if t > j:
-                    break
-                acc_re += x * re[j - t] - y * im[j - t]
-                acc_im += x * im[j - t] + y * re[j - t]
-            re[j], im[j] = -acc_re // norm, -acc_im // norm
-        # 1 / self = den * conj(c0) / (self * den * conj(c0))
-        d = self.den
-        return GaussSeries(n, [d * (a * x + b * y) for x, y in zip(re, im)],
-                           [d * (a * y - b * x) for x, y in zip(re, im)], norm ** (n + 1))
-
     def integer_coeffs(self) -> list[int]:
         if any(self.im):
             raise ValueError("series has non-real coefficients")
@@ -224,20 +185,6 @@ class LinForm:
                 raise ValueError(f"unbound variable {var!r}")
             total += c * env[var]
         return total % 4
-
-    def substitute(self, env: dict) -> "LinForm":
-        const = self.const
-        keep = []
-        for var, c in self.terms:
-            if var in env:
-                const += c * env[var]
-            else:
-                keep.append((var, c))
-        return make_lin(const, keep)
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.terms)
 
 
 def make_lin(const: int = 0, terms=()) -> LinForm:
@@ -318,12 +265,6 @@ class Sum:
 
 
 @dataclass(frozen=True)
-class Div:
-    num: object
-    den: object
-
-
-@dataclass(frozen=True)
 class Avg:
     """(1/(hi+1)) * sum over var = 0..hi of the body."""
 
@@ -334,9 +275,6 @@ class Avg:
     def __post_init__(self):
         if self.hi < 0:
             raise ValueError("avg upper bound must be nonnegative")
-
-
-GenExpr = (Num, QPow, Root, Binom, Prod, Sum, Div, Avg)
 
 
 def mknum(value) -> Num:
@@ -371,355 +309,11 @@ def mksum(*signed_terms):
     return Sum(tuple(flat))
 
 
-def mkroot(const: int = 0, var: str | None = None, coeff: int = 1):
-    lin = make_lin(const, [(var, coeff)] if var else [])
-    if not lin.terms:
-        if lin.const == 0:
-            return mknum(1)
-        if lin.const == 2:
-            raise ValueError("a bare -1 phase must be expressed through sums")
-    return Root(lin)
-
-
-# -- parsing ------------------------------------------------------------------
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
-
-
-_PUNCT = {"(": "LP", ")": "RP", "^": "CARET", "+": "PLUS", "-": "MINUS", "/": "SLASH"}
-
-
-def _tokenize(text: str):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(("INT", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("NAME", text[i:j], i))
-            i = j
-            continue
-        if text.startswith("..", i):
-            toks.append(("DOTDOT", "..", i))
-            i += 2
-            continue
-        if ch in _PUNCT:
-            toks.append((_PUNCT[ch], ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append(("EOF", None, len(text)))
-    return toks
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.i = 0
-
-    def peek(self, ahead=0):
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind, what=None):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what or kind}, found {tok[1]!r}", tok[2])
-        return tok
-
-    # expr := ['-'] term { ('+'|'-') term }
-    def parse_expr(self):
-        terms = []
-        sign = 1
-        if self.peek()[0] == "MINUS":
-            self.next()
-            sign = -1
-        terms.append((sign, self.parse_term()))
-        while self.peek()[0] in ("PLUS", "MINUS"):
-            sign = 1 if self.next()[0] == "PLUS" else -1
-            terms.append((sign, self.parse_term()))
-        return mksum(*terms)
-
-    # term := avg-header term | fprod { '/' fprod }
-    def parse_term(self):
-        if self.peek() == ("NAME", "avg", self.peek()[2]):
-            return self.parse_avg()
-        node = self.parse_fprod()
-        while self.peek()[0] == "SLASH":
-            self.next()
-            rhs = self.parse_fprod()
-            if isinstance(node, Num) and isinstance(rhs, Num):
-                if rhs.value == 0:
-                    raise ParseError("division by zero", self.peek()[2])
-                node = mknum(node.value / rhs.value)
-            else:
-                node = Div(node, rhs)
-        return node
-
-    def parse_avg(self):
-        self.next()  # 'avg'
-        self.expect("LP", "'('")
-        var = self.expect("NAME", "variable name")[1]
-        if var in ("q", "i", "avg", "in"):
-            raise ParseError(f"{var!r} cannot be an avg variable", self.peek()[2])
-        tok = self.expect("NAME", "'in'")
-        if tok[1] != "in":
-            raise ParseError("expected 'in'", tok[2])
-        lo = self.expect("INT", "range start")
-        if lo[1] != 0:
-            raise ParseError("avg ranges start at 0", lo[2])
-        self.expect("DOTDOT", "'..'")
-        hi = self.expect("INT", "range end")[1]
-        self.expect("RP", "')'")
-        body = self.parse_term()
-        return Avg(var, hi, body)
-
-    def parse_fprod(self):
-        factors = [self.parse_factor()]
-        while self.peek()[0] in ("INT", "LP") or (
-                self.peek()[0] == "NAME" and self.peek()[1] in ("q", "i")):
-            factors.append(self.parse_factor())
-        return mkprod(*factors)
-
-    def parse_factor(self):
-        kind, value, pos = self.peek()
-        if kind == "INT":
-            self.next()
-            return mknum(value)
-        if kind == "NAME" and value == "q":
-            self.next()
-            k = 1
-            if self.peek()[0] == "CARET":
-                self.next()
-                ktok = self.expect("INT", "integer exponent")
-                k = ktok[1]
-                if k < 1:
-                    raise ParseError("q exponent must be positive", ktok[2])
-            return QPow(k)
-        if kind == "NAME" and value == "i":
-            return self._root_from_lin(self.parse_phase_atom())
-        if kind == "LP":
-            saved = self.i
-            try:
-                return self.parse_binom()
-            except ParseError:
-                self.i = saved
-            try:
-                return self._root_from_lin(self.parse_phase_atom())
-            except ParseError:
-                self.i = saved
-            self.next()
-            inner = self.parse_expr()
-            self.expect("RP", "')'")
-            return inner
-        raise ParseError(f"unexpected token {value!r}", pos)
-
-    def _root_from_lin(self, lin: LinForm):
-        if lin.terms:
-            return Root(lin)
-        if lin.const == 0:
-            return mknum(1)
-        if lin.const == 2:
-            # (-1) constant phase: fold into a signed sum
-            return mksum((-1, mknum(1)))
-        return Root(lin)
-
-    # phase atoms: i, i^X, (-1)^X with X = [-] [INT] [NAME] | INT
-    def parse_phase_atom(self) -> LinForm:
-        kind, value, pos = self.peek()
-        if kind == "NAME" and value == "i":
-            self.next()
-            scale = 1
-        elif kind == "LP":
-            if not (self.peek(1)[0] == "MINUS" and self.peek(2)[0] == "INT"
-                    and self.peek(2)[1] == 1 and self.peek(3)[0] == "RP"):
-                raise ParseError("not a phase atom", pos)
-            for _ in range(4):
-                self.next()
-            self.expect("CARET", "'^' after (-1)")
-            return self._parse_phase_exponent(2, required=True)
-        else:
-            raise ParseError("not a phase atom", pos)
-        if self.peek()[0] != "CARET":
-            return make_lin(scale)
-        self.next()
-        return self._parse_phase_exponent(scale, required=True)
-
-    def _parse_phase_exponent(self, scale: int, required: bool) -> LinForm:
-        sign = 1
-        if self.peek()[0] == "MINUS":
-            self.next()
-            sign = -1
-        coeff = None
-        if self.peek()[0] == "INT":
-            coeff = self.next()[1]
-        var = None
-        if self.peek()[0] == "NAME" and self.peek()[1] not in ("q", "i", "avg", "in"):
-            var = self.next()[1]
-        if var is None and coeff is None:
-            raise ParseError("expected an exponent", self.peek()[2])
-        if var is None:
-            return make_lin(scale * sign * coeff)
-        return make_lin(0, [(var, scale * sign * (1 if coeff is None else coeff))])
-
-    # binom := '(' 1 ('-'|'+') atoms q ')' ['^' ['-'] INT]
-    def parse_binom(self) -> Binom:
-        start = self.peek()[2]
-        self.expect("LP", "'('")
-        one = self.expect("INT", "literal 1")
-        if one[1] != 1:
-            raise ParseError("binomial factors start with 1", one[2])
-        sgn = self.next()
-        if sgn[0] == "MINUS":
-            const = 0
-        elif sgn[0] == "PLUS":
-            const = 2
-        else:
-            raise ParseError("expected '+' or '-'", sgn[2])
-        terms = []
-        while not (self.peek()[0] == "NAME" and self.peek()[1] == "q"):
-            lin = self.parse_phase_atom()
-            const += lin.const
-            terms.extend(lin.terms)
-        self.next()  # 'q'
-        k = 1
-        if self.peek()[0] == "CARET":
-            self.next()
-            ktok = self.expect("INT", "integer exponent")
-            k = ktok[1]
-            if k < 1:
-                raise ParseError("q exponent must be positive", ktok[2])
-        self.expect("RP", "')'")
-        e = 1
-        if self.peek()[0] == "CARET":
-            self.next()
-            esign = 1
-            if self.peek()[0] == "MINUS":
-                self.next()
-                esign = -1
-            etok = self.expect("INT", "integer exponent")
-            e = esign * etok[1]
-            if e == 0:
-                raise ParseError("binomial exponent must be nonzero", etok[2])
-        del start
-        return Binom(make_lin(const, terms), k, e)
-
-
-def parse_genexpr(text: str):
-    p = _Parser(text)
-    node = p.parse_expr()
-    tok = p.peek()
-    if tok[0] != "EOF":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return node
-
-
-# -- canonical printing -------------------------------------------------------
-
-
-def _phase_atoms(lin: LinForm) -> list[str]:
-    out = []
-    if lin.const == 1:
-        out.append("i")
-    elif lin.const == 3:
-        out.append("i^3")
-    for var, c in lin.terms:
-        if c == 1:
-            out.append(f"i^{var}")
-        elif c == 2:
-            out.append(f"(-1)^{var}")
-        else:
-            out.append(f"i^-{var}")
-    return out
-
-
-def to_text(node) -> str:
-    if isinstance(node, Num):
-        v = node.value
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"({v.numerator}/{v.denominator})"
-    if isinstance(node, QPow):
-        return "q" if node.k == 1 else f"q^{node.k}"
-    if isinstance(node, Root):
-        atoms = _phase_atoms(node.lin)
-        if len(atoms) != 1:
-            raise InvariantError("phase factors print as single atoms")
-        return atoms[0]
-    if isinstance(node, Binom):
-        const = node.phase.const
-        sign = "-"
-        shown = node.phase
-        if const == 2:
-            sign = "+"
-            shown = make_lin(0, node.phase.terms)
-        atoms = _phase_atoms(shown)
-        qtxt = "q" if node.k == 1 else f"q^{node.k}"
-        body = f"(1 {sign} {' '.join(atoms + [qtxt]) if atoms else qtxt})"
-        return body if node.e == 1 else f"{body}^{node.e}"
-    if isinstance(node, Prod):
-        parts = []
-        for f in node.factors:
-            txt = to_text(f)
-            if isinstance(f, (Sum, Div, Avg)):
-                txt = f"({txt})"
-            parts.append(txt)
-        return " ".join(parts)
-    if isinstance(node, Sum):
-        parts = []
-        for idx, (sign, term) in enumerate(node.terms):
-            txt = to_text(term)
-            if isinstance(term, Sum):
-                txt = f"({txt})"
-            if idx == 0:
-                parts.append(txt if sign > 0 else f"-{txt}")
-            else:
-                parts.append(f"{'+' if sign > 0 else '-'} {txt}")
-        return " ".join(parts)
-    if isinstance(node, Div):
-        num = to_text(node.num)
-        if isinstance(node.num, (Sum, Avg)):
-            num = f"({num})"
-        den = to_text(node.den)
-        if isinstance(node.den, (Sum, Div, Avg)):
-            den = f"({den})"
-        return f"{num} / {den}"
-    if isinstance(node, Avg):
-        body = to_text(node.body)
-        if isinstance(node.body, Sum):
-            body = f"({body})"
-        return f"avg({node.var} in 0..{node.hi}) {body}"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 # -- expansion ----------------------------------------------------------------
 
 
-def expand(node, order: int | None = None, env: dict | None = None) -> GaussSeries:
+def expand(node, order: int, env: dict | None = None) -> GaussSeries:
     """Exact series expansion of node through q^order."""
-    if order is None:
-        order = max_order()
     return _expand(node, order, env or {})
 
 
@@ -748,23 +342,12 @@ def _expand(node, order: int, env: dict) -> GaussSeries:
             s = _expand(term, order, env)
             acc = acc + s if sign > 0 else acc - s
         return acc
-    if isinstance(node, Div):
-        return _expand(node.num, order, env) * _expand(node.den, order, env).inverse()
     if isinstance(node, Avg):
         acc = GaussSeries(order)
         for v in range(node.hi + 1):
             acc = acc + _expand(node.body, order, {**env, node.var: v})
         return acc.scale(Fraction(1, node.hi + 1))
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def coeff(node, k: int, env: dict | None = None) -> Fraction:
-    """Coefficient of q^k, guarded by the truncation cap."""
-    cap = max_order()
-    if k > cap:
-        raise ValueError(
-            f"order {k} exceeds the cap {cap}; raise DUALCOUNT_MAX_ORDER to allow it")
-    return expand(node, k, env).coeff(k)
 
 
 # -- flattening and exact identity proofs --------------------------------------
@@ -777,10 +360,6 @@ def coeff(node, k: int, env: dict | None = None) -> Fraction:
 # one k = 370000 (degree 2.2e6, the sparsest family) 2.2 s and 147 MB peak.
 # The random draws of verify identities take at most about 5.4e4.
 MAX_CLEARED_WORK = 20_000_000
-
-
-class FlattenError(ValueError):
-    pass
 
 
 @dataclass
@@ -814,15 +393,6 @@ def _flatten(node, env: dict) -> list[_FlatTerm]:
     if isinstance(node, Sum):
         return [_FlatTerm(sign * t.re, sign * t.im, t.den, t.qshift, t.factors)
                 for sign, term in node.terms for t in _flatten(term, env)]
-    if isinstance(node, Div):
-        den = _flatten(node.den, env)
-        if len(den) != 1:
-            raise FlattenError("denominator does not flatten to a single term")
-        d = den[0]
-        # 1 / ((re + i*im) / den) = den * (re - i*im) / (re^2 + im^2)
-        inv = _FlatTerm(d.den * d.re, -d.den * d.im, d.re * d.re + d.im * d.im,
-                        -d.qshift, {key: -e for key, e in d.factors.items()})
-        return [_merge_terms(t, inv) for t in _flatten(node.num, env)]
     if isinstance(node, Avg):
         return [_FlatTerm(t.re, t.im, t.den * (node.hi + 1), t.qshift, t.factors)
                 for v in range(node.hi + 1)
@@ -1303,37 +873,17 @@ def random_identity_params(identity: str, rng, max_k: int = 6, max_v: int = 6,
     raise ValueError(f"identity {identity!r} is not parametrized")
 
 
-def prove_identity(identity: str, params=None, method: str | None = None,
-                   order: int | None = None) -> dict:
-    """Prove a counting identity exactly, or compare series to a given order.
-
-    method "cleared" multiplies out all denominators and compares polynomials
-    exactly; "series" compares truncated expansions.  The default tries
-    "cleared" and falls back to "series" when clearing is not possible.
-    """
+def prove_identity(identity: str, params=None) -> dict:
+    """Prove a counting identity exactly by clearing all denominators."""
     lhs, rhs = identity_trees(identity, params)
-    report = {
+    holds, degree = cleared_difference_degree(lhs, rhs)
+    return {
         "identity": identity,
         "params": canonical_params(identity, params),
+        "method": "cleared",
+        "degree_or_order": degree,
+        "verdict": "proven" if holds else "failed",
     }
-    if method not in (None, "cleared", "series"):
-        raise ValueError("method must be 'cleared' or 'series'")
-    if method in (None, "cleared"):
-        try:
-            holds, degree = cleared_difference_degree(lhs, rhs)
-            report["method"] = "cleared"
-            report["degree_or_order"] = degree
-            report["verdict"] = "proven" if holds else "failed"
-            return report
-        except FlattenError:
-            if method == "cleared":
-                raise
-    n = order if order is not None else 200
-    holds = expand(lhs, n) == expand(rhs, n)
-    report["method"] = "series"
-    report["degree_or_order"] = n
-    report["verdict"] = "proven" if holds else "failed"
-    return report
 
 
 def mainA_instantiation(g: GroupSpec) -> tuple[str, str]:

@@ -182,9 +182,8 @@ def test_06_random_instantiations_clear_exactly(identity):
 
 
 def test_06_vanishing_sector_series_is_zero_to_order_200():
-    report = series.prove_identity("PropY", method="series", order=200)
-    assert report["verdict"] == "proven"
-    assert report["degree_or_order"] == 200
+    lhs, rhs = series.identity_trees("PropY", None)
+    assert series.expand(lhs, 200) == series.expand(rhs, 200)
 
 
 # -- 7: lattice-route duality across the whole catalogue --------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from dualcount import affine, cli, lattice, series
 from dualcount.cli import (MAX_N, MAX_ORACLE_N, MAX_RANDOM_DRAWS, RunConfig,
-                           parse_args, to_argv)
+                           UsageError, parse_args)
 from dualcount.grouprep import MAX_GROUP_PARAM
 from dualcount.series import MAX_ORDER
 
@@ -216,6 +216,44 @@ def test_cyclic_psp_count_at_the_rank_bound_runs(capsys):
     status, out, _ = invoke(argv, capsys)
     assert status == 0
     assert json.loads(out)["rows"][0]["count"] == lattice.MAX_RANK // 2 + 2
+
+
+def _cyclic_sweeps(top):
+    """Runs that count a cyclic group into PSp or Spin up to rank top."""
+    return [
+        ["verify", "refined", "--gamma", "Z:12", "--max-n", str(top)],
+        ["verify", "duality", "--gamma", "Z:3", "--max-n", str(top)],
+        ["verify", "duality", "--gamma", "Z:3", "--pair", "all",
+         "--max-n", str(top)],
+        ["verify", "duality", "--gamma", "Z:3", "--pair", "psp-spin",
+         "--max-n", str(top)],
+        ["count", "--gamma", "Z:5", "--target", "PSp", "--n-range",
+         f"90:{top}"],
+        ["count", "--gamma", "Z:5", "--target", "Spin_odd", "--n", str(top)],
+    ]
+
+
+@pytest.mark.parametrize("argv", _cyclic_sweeps(lattice.MAX_RANK + 1))
+def test_cyclic_psp_spin_sweeps_over_the_rank_bound_are_refused(argv, capsys):
+    with pytest.raises(UsageError):
+        parse_args(argv)
+    status, out, err = invoke(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert str(lattice.MAX_RANK) in err
+
+
+@pytest.mark.parametrize("argv", _cyclic_sweeps(lattice.MAX_RANK) + [
+    # the other pairs and non-cyclic groups never reach the lattice route
+    ["verify", "duality", "--gamma", "Z:3", "--pair", "sp-so",
+     "--max-n", str(lattice.MAX_RANK + 1)],
+    ["verify", "duality", "--gamma", "Ohat", "--max-n",
+     str(lattice.MAX_RANK + 1)],
+    ["count", "--gamma", "Z:5", "--target", "Sp", "--n",
+     str(lattice.MAX_RANK + 1)],
+])
+def test_cyclic_psp_spin_sweeps_at_the_rank_bound_are_accepted(argv):
+    parse_args(argv)
 
 
 def test_genfun_at_the_order_bound_runs(capsys):
@@ -622,42 +660,62 @@ def test_irreps_and_mckay_dumps(capsys):
 # -- config round-trips -------------------------------------------------------------
 
 
+# each command line with the configuration it parses to
 ROUND_TRIP_CONFIGS = [
-    RunConfig(command="count", gamma="Z:7", target="Sp", n=3),
-    RunConfig(command="count", gamma="Dhat:5", target="SO_odd",
-              n_range=(0, 12), fmt="csv"),
-    RunConfig(command="sectors", gamma="Ohat", family="Spin_odd", n=2),
-    RunConfig(command="irreps", gamma="Ihat", fmt="text"),
-    RunConfig(command="mckay", gamma="That"),
-    RunConfig(command="genfun", gamma="Ohat", token="refined:0,1:Sp", order=10),
-    RunConfig(command="smatrix", ade_type="E6", level=2, digits=8),
-    RunConfig(command="smatrix", ade_type="E7", level=1, digits=12,
-              enable_e7_smatrix=True),
-    RunConfig(command="verify", suite="duality", pair="sp-so", max_n=12),
-    RunConfig(command="verify", suite="identities", prop="KF1",
-              params="1;1;3;1,1,1"),
-    RunConfig(command="verify", suite="identities", random_draws=5, seed=42),
-    RunConfig(command="verify", suite="zn-lattice", max_rank=8, max_n=6),
-    RunConfig(command="verify", suite="smatrix", ade_type="A3", max_n=4),
-    RunConfig(command="verify", suite="oracle", max_n=8, fmt="text"),
+    ("count --gamma Z:7 --target Sp --n 3",
+     RunConfig(command="count", gamma="Z:7", target="Sp", n=3)),
+    ("count --gamma Dhat:5 --target SO_odd --n-range 0:12 --format csv",
+     RunConfig(command="count", gamma="Dhat:5", target="SO_odd",
+               n_range=(0, 12), fmt="csv")),
+    ("sectors --gamma Ohat --n 2 --family Spin_odd",
+     RunConfig(command="sectors", gamma="Ohat", family="Spin_odd", n=2)),
+    ("irreps --gamma Ihat --format text",
+     RunConfig(command="irreps", gamma="Ihat", fmt="text")),
+    ("mckay --gamma That", RunConfig(command="mckay", gamma="That")),
+    ("genfun --gamma Ohat --token refined:0,1:Sp --order 10",
+     RunConfig(command="genfun", gamma="Ohat", token="refined:0,1:Sp", order=10)),
+    ("genfun --gamma Z:3",
+     RunConfig(command="genfun", gamma="Z:3", token="Sp", order=cli.GENFUN_ORDER)),
+    ("smatrix --type E6 --level 2 --digits 8",
+     RunConfig(command="smatrix", ade_type="E6", level=2, digits=8)),
+    ("smatrix --type E7 --level 1 --digits 12 --enable-e7-smatrix",
+     RunConfig(command="smatrix", ade_type="E7", level=1, digits=12,
+               enable_e7_smatrix=True)),
+    ("verify duality --pair sp-so --max-n 12",
+     RunConfig(command="verify", suite="duality", pair="sp-so", max_n=12)),
+    ("verify identities --prop KF1 --params 1;1;3;1,1,1",
+     RunConfig(command="verify", suite="identities", prop="KF1",
+               params="1;1;3;1,1,1")),
+    ("verify identities --random 5 --seed 42",
+     RunConfig(command="verify", suite="identities", random_draws=5, seed=42)),
+    ("verify zn-lattice --max-n 6 --max-rank 8",
+     RunConfig(command="verify", suite="zn-lattice", max_rank=8, max_n=6)),
+    ("verify smatrix --type A3 --max-n 4",
+     RunConfig(command="verify", suite="smatrix", ade_type="A3", max_n=4)),
+    ("verify oracle --max-n 8 --format text",
+     RunConfig(command="verify", suite="oracle", max_n=8, fmt="text")),
 ]
 
 
-@pytest.mark.parametrize("cfg", ROUND_TRIP_CONFIGS,
-                         ids=lambda c: " ".join(to_argv(c)))
-def test_round_trip(cfg):
-    assert parse_args(to_argv(cfg)) == cfg
+@pytest.mark.parametrize("line,cfg", ROUND_TRIP_CONFIGS,
+                         ids=[line for line, _ in ROUND_TRIP_CONFIGS])
+def test_round_trip(line, cfg):
+    assert parse_args(line.split()) == cfg
 
 
-@pytest.mark.parametrize("argv", [
-    ["count", "--gamma", "Ohat", "--target", "PU", "--n", "4",
-     "--format", "text"],
-    ["verify", "refined", "--gamma", "Z:6", "--max-n", "3"],
-    ["verify", "identities", "--random", "2", "--seed", "7"],
-])
-def test_parse_then_rebuild_is_stable(argv):
-    cfg = parse_args(argv)
-    assert parse_args(to_argv(cfg)) == cfg
+@pytest.mark.parametrize("argv,cfg", [
+    (["count", "--gamma", "Ohat", "--target", "PU", "--n", "4",
+      "--format", "text"],
+     RunConfig(command="count", gamma="Ohat", target="PU", n=4, fmt="text")),
+    (["verify", "refined", "--gamma", "Z:6", "--max-n", "3"],
+     RunConfig(command="verify", suite="refined", gamma="Z:6", max_n=3)),
+    (["verify", "identities", "--random", "2", "--seed", "7"],
+     RunConfig(command="verify", suite="identities", random_draws=2, seed=7)),
+], ids=["argv0", "argv1", "argv2"])
+def test_parse_then_rebuild_is_stable(argv, cfg):
+    # parsing leaves argv as it was, so a second parse gives the same config
+    assert parse_args(argv) == cfg
+    assert parse_args(argv) == cfg
 
 
 # -- the installed entry point -------------------------------------------------------------

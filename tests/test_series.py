@@ -1,6 +1,5 @@
-"""Tests for the generating-function DSL, expansion, and identity proofs."""
+"""Tests for series expression trees, expansion, and identity proofs."""
 
-import os
 from fractions import Fraction
 
 import pytest
@@ -9,14 +8,11 @@ from hypothesis import strategies as st
 
 from dualcount.errors import NotCoveredError
 from dualcount.grouprep import GroupSpec
-from dualcount import series
 from dualcount.series import (
     Avg,
     Binom,
-    Div,
     GaussSeries,
     Num,
-    ParseError,
     QPow,
     Prod,
     Root,
@@ -24,7 +20,6 @@ from dualcount.series import (
     builtin_genfun,
     canonical_params,
     cleared_difference_degree,
-    coeff,
     expand,
     identity_trees,
     mainA_instantiation,
@@ -32,12 +27,11 @@ from dualcount.series import (
     mknum,
     mkprod,
     mksum,
-    parse_genexpr,
     parse_identity_params,
     prove_identity,
     random_identity_params,
-    to_text,
 )
+from genexpr_text import ParseError, parse_genexpr, to_text
 
 ALL_GROUPS = (
     [GroupSpec.cyclic(m) for m in range(1, 8)]
@@ -190,17 +184,6 @@ class FractionSeries:
             cur = nxt
         return FractionSeries(self.order, cur)
 
-    def inverse(self) -> "FractionSeries":
-        inv0 = self.coeffs[0].inverse()
-        out = [inv0] + [GaussRat() for _ in range(self.order)]
-        for j in range(1, self.order + 1):
-            acc = GaussRat()
-            for t in range(1, j + 1):
-                if self.coeffs[t]:
-                    acc = acc + self.coeffs[t] * out[j - t]
-            out[j] = -inv0 * acc
-        return FractionSeries(self.order, out)
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -231,8 +214,6 @@ def oracle_expand(node, order: int, env: dict | None = None) -> FractionSeries:
             s = oracle_expand(term, order, env)
             acc = acc + s if sign > 0 else acc - s
         return acc
-    if isinstance(node, Div):
-        return oracle_expand(node.num, order, env) * oracle_expand(node.den, order, env).inverse()
     if isinstance(node, Avg):
         acc = FractionSeries(order)
         for v in range(node.hi + 1):
@@ -260,10 +241,6 @@ def _oracle_flatten(node, env: dict) -> list:
     if isinstance(node, Sum):
         return [(s if sign > 0 else -s, shift, fac) for sign, term in node.terms
                 for s, shift, fac in _oracle_flatten(term, env)]
-    if isinstance(node, Div):
-        (s, shift, fac), = _oracle_flatten(node.den, env)
-        inv = (s.inverse(), -shift, {key: -e for key, e in fac.items()})
-        return [_oracle_merge(t, inv) for t in _oracle_flatten(node.num, env)]
     if isinstance(node, Avg):
         w = GaussRat(Fraction(1, node.hi + 1))
         return [(s * w, shift, fac) for v in range(node.hi + 1)
@@ -332,7 +309,7 @@ def test_gauss_rat_arithmetic():
 def test_gauss_series_ring_ops():
     one = GaussSeries.one(8)
     t = GaussSeries.term(8, 1, 1)
-    geo = (one - t).inverse()
+    geo = one.apply_binom(0, 1, -1)
     assert geo.integer_coeffs() == [1] * 9
     assert (geo * (one - t)) == one
     sq = geo * geo
@@ -354,14 +331,17 @@ def test_apply_binom_matches_explicit_product():
 @pytest.mark.parametrize("k", [1, 2, 5])
 @pytest.mark.parametrize("e", [-3, -1, 1, 2])
 def test_apply_binom_matches_the_fraction_route(c, k, e):
-    start = expand(parse_genexpr("(1 - i q)^-1 (1 - (-1)^a q^2)^2 + (1/3) q"), 30,
-                   env={"a": 1})
+    # (1 - i q)^-1 (1 - (-1)^a q^2)^2 + (1/3) q
+    tree = mksum(
+        (1, mkprod(Binom(make_lin(1), 1, -1), Binom(make_lin(0, [("a", 2)]), 2, 2))),
+        (1, mkprod(mknum(Fraction(1, 3)), QPow(1))))
+    start = expand(tree, 30, env={"a": 1})
     via = start.apply_binom(c, k, e)
     old = FractionSeries(30, _gauss_coeffs(start)).apply_binom(GaussRat.i_power(c), k, e)
     assert _gauss_coeffs(via) == old.coeffs
 
 
-# -- parsing and printing ------------------------------------------------------
+# -- the text form of trees (tests/genexpr_text.py) ------------------------------
 
 
 SAMPLE_TEXTS = [
@@ -374,7 +354,6 @@ SAMPLE_TEXTS = [
     "2 q (1 - q^4)^-1",
     "(1/2) (1 - q^2)^-1",
     "q - q^2 + 3 q^3",
-    "(1 - q) / (1 - q^3)",
     "avg(a in 0..1) (-1)^a (1 - (-1)^a q)^-1",
     "avg(b in 0..3) i^b (1 - i^b q^2)^-1",
     "avg(a in 0..1) avg(b in 0..3) (1 - (-1)^a i^b q)^-1",
@@ -424,6 +403,7 @@ def test_parse_print_round_trip_on_identity_sides(identity, params):
         "(2 - q)^-1",
         "i^q",
         "q / / q",
+        "(1 - q) / (1 - q^3)",
     ],
 )
 def test_parse_errors(text):
@@ -447,41 +427,32 @@ def test_non_integer_scalars_print_parenthesized():
 
 
 def test_expand_geometric_series():
-    tree = parse_genexpr("(1 - q^2)^-1")
+    tree = Binom(make_lin(), 2, -1)  # (1 - q^2)^-1
     s = expand(tree, 10)
     assert s.integer_coeffs() == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
 def test_expand_average_kills_odd_powers():
     # averaging (1 - (-1)^a q)^-1 over a = 0, 1 keeps even powers only
-    tree = parse_genexpr("avg(a in 0..1) (1 - (-1)^a q)^-1")
+    tree = Avg("a", 1, Binom(make_lin(0, [("a", 2)]), 1, -1))
     s = expand(tree, 8)
     assert s.integer_coeffs() == [1, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
 def test_expand_quarter_average_picks_multiples_of_four():
-    tree = parse_genexpr("avg(b in 0..3) (1 - i^b q)^-1")
+    tree = Avg("b", 3, Binom(make_lin(0, [("b", 1)]), 1, -1))
     s = expand(tree, 8)
     assert s.integer_coeffs() == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 def test_avg_equals_mean_of_substitutions():
-    body = parse_genexpr("(1 - (-1)^a q)^-1 (1 - q^2)^-1")
+    # (1 - (-1)^a q)^-1 (1 - q^2)^-1
+    body = mkprod(Binom(make_lin(0, [("a", 2)]), 1, -1), Binom(make_lin(), 2, -1))
     wrapped = Avg("a", 1, body)
     direct = expand(wrapped, 12)
     parts = [expand(body, 12, env={"a": val}) for val in (0, 1)]
     mean = (parts[0] + parts[1]).scale(Fraction(1, 2))
     assert direct == mean
-
-
-def test_coeff_respects_order_cap(monkeypatch):
-    tree = parse_genexpr("(1 - q)^-1")
-    monkeypatch.setenv("DUALCOUNT_MAX_ORDER", "10")
-    assert coeff(tree, 10) == 1
-    with pytest.raises(ValueError, match="DUALCOUNT_MAX_ORDER"):
-        coeff(tree, 11)
-    monkeypatch.delenv("DUALCOUNT_MAX_ORDER")
-    assert coeff(tree, 64) == 1
 
 
 def test_coeff_rejects_fractional_result_only_when_nonintegral():
@@ -492,7 +463,7 @@ def test_coeff_rejects_fractional_result_only_when_nonintegral():
 @given(st.integers(1, 5), st.integers(1, 4))
 @settings(max_examples=20, deadline=None)
 def test_shift_matches_qpow_product(k, e):
-    base = parse_genexpr(f"(1 - q^{k})^-{e}")
+    base = Binom(make_lin(), k, -e)  # (1 - q^k)^-e
     shifted = mkprod(QPow(3), base)
     a = expand(shifted, 12)
     b = expand(base, 12) * GaussSeries.term(12, 1, 3)
@@ -508,7 +479,7 @@ def test_tetrahedral_sp_series_anchor():
 
 
 def test_octahedral_sp_coefficient_anchor():
-    assert coeff(builtin_genfun(GroupSpec.binary_octahedral(), "Sp"), 2) == 4
+    assert expand(builtin_genfun(GroupSpec.binary_octahedral(), "Sp"), 2).coeff(2) == 4
 
 
 def test_cyclic_so_series_anchor():
@@ -533,8 +504,8 @@ def test_sp_series_vanish_in_odd_degree_and_so_in_even():
 
 def test_refined_sector_anchors():
     oct_ = GroupSpec.binary_octahedral()
-    assert coeff(builtin_genfun(oct_, "refined:0,1:Sp"), 2) == 2
-    assert coeff(builtin_genfun(oct_, "refined:0,1:Spin"), 3) == 2
+    assert expand(builtin_genfun(oct_, "refined:0,1:Sp"), 2).coeff(2) == 2
+    assert expand(builtin_genfun(oct_, "refined:0,1:Spin"), 3).coeff(3) == 2
     y00 = expand(builtin_genfun(oct_, "refined:0,0:Sp"), 8)
     assert y00.integer_coeffs() == [1, 0, 2, 0, 8, 0, 15, 0, 38]
     y00s = expand(builtin_genfun(oct_, "refined:0,0:Spin"), 9)
@@ -594,30 +565,30 @@ def test_named_propositions_prove(identity):
     assert report["params"] == ""
 
 
-def test_prove_identity_series_method():
-    report = prove_identity("KF1", "1;1;1;1", method="series", order=40)
-    assert report == {
-        "identity": "KF1",
-        "params": "1;1;1;1",
-        "method": "series",
-        "degree_or_order": 40,
+def test_vanishing_proposition_clears_exactly():
+    # the (1,1) Spin sector series is a finite sum of rational functions whose
+    # cleared numerator has degree 16 and vanishes
+    assert prove_identity("PropY") == {
+        "identity": "PropY",
+        "params": "",
+        "method": "cleared",
+        "degree_or_order": 16,
         "verdict": "proven",
     }
 
 
 def test_vanishing_proposition_by_series_to_order_200():
-    report = prove_identity("PropY", method="series", order=200)
-    assert report["verdict"] == "proven"
-    assert report["degree_or_order"] == 200
+    lhs, rhs = identity_trees("PropY", None)
+    assert expand(lhs, 200) == expand(rhs, 200)
 
 
 def test_cleared_difference_reports_failure_degree():
-    lhs = parse_genexpr("(1 - q)^-1")
-    rhs = parse_genexpr("(1 - q^2)^-1")
+    lhs = Binom(make_lin(), 1, -1)  # (1 - q)^-1
+    rhs = Binom(make_lin(), 2, -1)  # (1 - q^2)^-1
     holds, degree = cleared_difference_degree(lhs, rhs)
     assert not holds
     assert degree >= 1
-    ok, _ = cleared_difference_degree(lhs, parse_genexpr("(1 - q)^-1"))
+    ok, _ = cleared_difference_degree(lhs, Binom(make_lin(), 1, -1))
     assert ok
 
 
@@ -692,9 +663,9 @@ def test_random_two_factor_average_tuples_prove(k, dk, v0, v1):
 
 def test_series_and_cleared_methods_agree():
     for identity, params in (("KF1", "2;2,5;1;3"), ("KF2", "2;2;2,1;1,3;2")):
-        a = prove_identity(identity, params, method="cleared")
-        b = prove_identity(identity, params, method="series", order=80)
-        assert a["verdict"] == b["verdict"] == "proven"
+        lhs, rhs = identity_trees(identity, params)
+        assert prove_identity(identity, params)["verdict"] == "proven"
+        assert expand(lhs, 80) == expand(rhs, 80)
 
 
 @pytest.mark.parametrize("identity", ["KF1", "KF2", "KF3", "KF4"])
@@ -785,17 +756,3 @@ def test_expand_routes_agree_on_the_vanishing_series_to_order_200():
     new = expand(lhs, 200)
     assert new == GaussSeries(200)
     assert _gauss_coeffs(new) == oracle_expand(lhs, 200).coeffs
-
-
-def test_division_by_a_non_unit_constant_term_stays_exact():
-    tree = parse_genexpr("(1 - i q) / (2 - q)")
-    assert isinstance(tree, Div)
-    s = expand(tree, 30)
-    # 1/(2 - q) = sum q^j / 2^(j+1)
-    geo = [GaussRat(Fraction(1, 2 ** (j + 1))) for j in range(31)]
-    want = [geo[0]] + [geo[j] - GaussRat(0, 1) * geo[j - 1] for j in range(1, 31)]
-    assert _gauss_coeffs(s) == want == oracle_expand(tree, 30).coeffs
-    assert expand(parse_genexpr("1 / (2 - q)"), 30).coeff(30) == Fraction(1, 2 ** 31)
-    # a Gaussian constant term: 1/(1 + i - q) times (1 + i - q) is one
-    den = parse_genexpr("1 + i - q")
-    assert expand(den, 12) * expand(den, 12).inverse() == GaussSeries.one(12)
