@@ -1,0 +1,18 @@
+"""Size bounds that the command line checks before it loads the layer they bound.
+
+`series.MAX_ORDER` and `lattice.MAX_RANK` are these same values, so a
+command that never expands a series or counts a Weyl orbit still checks
+its sizes without loading either module.
+"""
+
+# Largest truncation order that genfun --order or DUALCOUNT_MAX_ORDER may ask
+# for.  The built-in series expand in linear time: the costliest, Ohat
+# refined:1,1:Spin, takes about 0.04 ms per order on a 2-CPU machine, 0.75 s
+# at this bound and 1.3 s for the whole genfun command.
+MAX_ORDER = 20_000
+
+# Largest rank lattice.cartan_data accepts.  Kac data take about rank**3
+# steps: 0.5 s for A, B, C and D together at this bound on a 2-CPU machine,
+# and a sweep builds every rank up to its own (zn-lattice --max-rank 100
+# --max-n 2: 32 s).
+MAX_RANK = 100

@@ -14,26 +14,54 @@ same command are byte-identical.  Exit codes:
 
 The environment variable DUALCOUNT_MAX_ORDER sets genfun's truncation order
 when --order is not given (GENFUN_ORDER when unset).  Every command checks it
-up front: like --order it is held to series.MAX_ORDER.
+up front: like --order it is held to bounds.MAX_ORDER.
+
+A command loads only the layers it uses: affine, lattice, mckay and series
+are registered lazily, and a module's body runs when a command first reads
+one of its attributes.  A count runs none of them, except that a cyclic
+group into PSp or Spin loads lattice alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
+import math
+import operator
 import os
 import random
 import sys
 from dataclasses import dataclass
 
-from . import affine, lattice, series
+from .bounds import MAX_ORDER, MAX_RANK
 from .counting import (Target, count_homs, count_row, sector_row,
                        verify_swap_equivalence)
 from .errors import InvariantError, NotCoveredError
 from .grouprep import CYCLIC, GroupSpec, irrep_table_json
-from .mckay import mckay_json
+
+
+def _lazy_layer(name: str):
+    """The module dualcount.<name>, whose body runs on its first attribute
+    access.  It is entered in sys.modules and set on the package at once, so
+    `from . import name` and sys.modules lookups find it without running it;
+    a module already imported is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+affine, lattice, mckay, series = map(
+    _lazy_layer, ("affine", "lattice", "mckay", "series"))
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,7 +77,7 @@ EXIT_INTERNAL = 4
 # over 12 slots graded by Z12, about 1728 n cells, some 1.7e7 at this bound,
 # about a second and a few MB of rows on a 2-CPU machine.  A sweep to
 # --max-n runs n + 1 counts per pair and group, so its cost is quadratic in
-# the bound.  Cyclic PSp and Spin sizes are ranks, held to lattice.MAX_RANK.
+# the bound.  Cyclic PSp and Spin sizes are ranks, held to bounds.MAX_RANK.
 MAX_N = 10_000
 
 # genfun's truncation order when neither --order nor DUALCOUNT_MAX_ORDER is set
@@ -254,8 +282,9 @@ def _env_order() -> int | None:
 
 def _cyclic_rank(cfg: RunConfig) -> int:
     """The largest n at which a run counts a cyclic group into PSp or Spin,
-    which are Weyl orbits of rank n; 0 when it counts none.  The suites'
-    default sizes lie far below lattice.MAX_RANK."""
+    which are Weyl orbits of rank n; 0 when it counts none.  It reads only
+    the command line, so the check against bounds.MAX_RANK loads no lattice;
+    the suites' default sizes lie far below that bound."""
     if cfg.gamma is None or GroupSpec.from_label(cfg.gamma).family != CYCLIC:
         return 0
     if cfg.command == "count" and cfg.target in ("PSp", "Spin_odd"):
@@ -280,10 +309,10 @@ def parse_args(argv=None) -> RunConfig:
              "oracle": MAX_ORACLE_N}.get(values.get("suite"))
     sizes = [("--n", values.get("n"), MAX_N),
              ("--n-range", n_range and n_range[1], MAX_N),
-             ("--order", values.get("order"), series.MAX_ORDER),
-             ("DUALCOUNT_MAX_ORDER", env_order, series.MAX_ORDER),
+             ("--order", values.get("order"), MAX_ORDER),
+             ("DUALCOUNT_MAX_ORDER", env_order, MAX_ORDER),
              ("--max-n", values.get("max_n"), max_n),
-             ("--max-rank", values.get("max_rank"), lattice.MAX_RANK),
+             ("--max-rank", values.get("max_rank"), MAX_RANK),
              ("--random", values.get("random_draws"), MAX_RANDOM_DRAWS),
              ("--level", values.get("level"), None)]
     for flag, size, bound in sizes:
@@ -306,10 +335,10 @@ def parse_args(argv=None) -> RunConfig:
             f"parsed options missing from RunConfig: {sorted(unknown)}")
     cfg = RunConfig(**values)
     rank = _cyclic_rank(cfg)
-    if rank > lattice.MAX_RANK:
+    if rank > MAX_RANK:
         raise UsageError(
             f"{cfg.gamma} into PSp or Spin at n {rank} needs rank {rank}, over "
-            f"the largest supported rank {lattice.MAX_RANK}")
+            f"the largest supported rank {MAX_RANK}")
     if cfg.suite == "zn-lattice":
         pairs, top = _zn_sweep(cfg)
         cells = lattice.zn_sweep_cells(pairs, top)
@@ -343,7 +372,7 @@ def _run_irreps(cfg: RunConfig):
 
 def _run_mckay(cfg: RunConfig):
     g = GroupSpec.from_label(cfg.gamma)
-    return {"command": "mckay", "gamma": g.label, **mckay_json(g)}, EXIT_OK
+    return {"command": "mckay", "gamma": g.label, **mckay.mckay_json(g)}, EXIT_OK
 
 
 def _run_genfun(cfg: RunConfig):
@@ -571,14 +600,21 @@ def run(cfg: RunConfig):
 
 
 def _round_floats(obj):
+    """obj with every float rounded to twelve digits and -0.0 made 0.0.  A
+    float or a list or tuple that this leaves unchanged is returned itself,
+    not copied, so a payload rounded already (an S-matrix's L**2 entries)
+    is never held twice."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return round(obj, 12) + 0.0
+        rounded = round(obj, 12) + 0.0
+        unchanged = rounded == obj and (obj or math.copysign(1.0, obj) > 0)
+        return obj if unchanged else rounded
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        items = [_round_floats(v) for v in obj]
+        return obj if all(map(operator.is_, items, obj)) else items
     return obj
 
 

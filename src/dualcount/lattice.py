@@ -23,6 +23,7 @@ from itertools import product
 from math import gcd, prod
 
 from .abgroup import AbGroup
+from .bounds import MAX_RANK
 from .counting import FRepCharacter, graded_compositions
 from .counting import _orbits as _cycles
 from .cyclotomic import Cyc
@@ -47,17 +48,12 @@ __all__ = [
     "zn_sweep_cells",
 ]
 
-# Largest rank cartan_data accepts.  Kac data take about rank**3 steps: 0.5 s
-# for A, B, C and D together at this bound on a 2-CPU machine, and a sweep
-# builds every rank up to its own (zn-lattice --max-rank 100 --max-n 2: 32 s).
-MAX_RANK = 100
-
 # Bound on one zn-lattice sweep, checked before any orbit is counted; see
 # zn_sweep_cells.  On a 2-CPU machine a row costs about 70 ns per estimated
 # cell at rank 100 (SU(101)/PU(101) at n = 256: 0.38 s) and 400 ns at rank 4
 # (SU(5)/PU(5) at n = 10000: 0.2 s), where short grade rows leave the per-row
 # overhead on top; the Kac data of each pair come on top of that, once per
-# pair (MAX_RANK above).  The bound admits the default rank 4 up to the
+# pair (bounds.MAX_RANK).  The bound admits the default rank 4 up to the
 # --max-n bound cli.MAX_N (3.0e10 cells, hours at that rate) and rank 100 up
 # to n = 143, and refuses a sweep that grows past both, such as rank 100 to
 # n = 10000 (1.9e14 cells).

@@ -20,16 +20,11 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import add, sub
 
+from .bounds import MAX_ORDER  # re-exported: the bound on truncation orders
 from .errors import NotCoveredError
 from .grouprep import CYCLIC, DIHEDRAL, ICOSAHEDRAL, OCTAHEDRAL, TETRAHEDRAL, GroupSpec
 
 IDENTITIES = ("KF1", "KF2", "KF3", "KF4", "PropX", "PropY", "PropA")
-
-# Largest truncation order that genfun --order or DUALCOUNT_MAX_ORDER may ask
-# for.  The built-in series expand in linear time: the costliest, Ohat
-# refined:1,1:Spin, takes about 0.04 ms per order on a 2-CPU machine, 0.75 s
-# at this bound and 1.3 s for the whole genfun command.
-MAX_ORDER = 20_000
 
 
 # -- truncated series ---------------------------------------------------------

@@ -350,7 +350,8 @@ def test_cli_import_loads_no_scipy():
 ])
 def test_cli_import_and_count_load_no_numpy(argv):
     # numpy is imported inside the affine functions that use it, so only the
-    # S-matrix commands pay for it; the affine module itself still loads
+    # S-matrix commands pay for it; dualcount.affine is registered in
+    # sys.modules, but its body does not run (see the lazy-layer test below)
     code = ("import sys\nfrom dualcount import cli\n"
             f"status = cli.main({argv!r}) if {argv!r} else 0\n"
             "print(status, 'dualcount.affine' in sys.modules,"
@@ -369,6 +370,64 @@ def test_smatrix_command_still_loads_numpy():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1] == "0 True"
+
+
+LAYERS = ("affine", "lattice", "mckay", "series")
+
+
+@pytest.mark.parametrize("argv,ran", [
+    ([], []),
+    (["count", "--gamma", "Ihat", "--target", "PU", "--n", "3"], []),
+    (["count", "--gamma", "Ohat", "--target", "Spin_odd", "--n", "3"], []),
+    (["count", "--gamma", "Z:5", "--target", "PSp", "--n", "4"], ["lattice"]),
+    (["genfun", "--gamma", "Ohat"], ["series"]),
+    (["verify", "identities"], ["series"]),
+    (["verify", "zn-lattice"], ["lattice"]),
+])
+def test_each_command_runs_only_the_layer_modules_it_uses(argv, ran):
+    # every layer is registered, as a package attribute too, but loads lazily:
+    # reading its __dict__ through object.__getattribute__ does not load it,
+    # and a module whose body ran holds the __builtins__ that exec put there
+    code = ("import sys\nimport dualcount\nfrom dualcount import cli\n"
+            f"status = cli.main({argv!r}) if {argv!r} else 0\n"
+            f"mods = {{m: sys.modules['dualcount.' + m] for m in {LAYERS!r}}}\n"
+            "print(status,"
+            " all(getattr(dualcount, m) is mod for m, mod in mods.items()),"
+            " [m for m, mod in mods.items() if '__builtins__' in"
+            " object.__getattribute__(mod, '__dict__')])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == f"0 True {ran!r}"
+
+
+def test_perfbench_tracer_wraps_the_lazy_layers():
+    # perfbench/child.py imports dualcount.cli, looks up every traced function
+    # through sys.modules and rebinds each module attribute bound to it; the
+    # lazy layers must resolve there, and their callers must reach the wrappers
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    code = ("import importlib.util, sys\n"
+            "spec = importlib.util.spec_from_file_location("
+            f"'child', {str(child)!r})\n"
+            "child = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(child)\n"
+            "from dualcount import cli\n"
+            "print(all(callable(getattr(sys.modules['dualcount.' + m], f))"
+            " for m, f, _ in child.TRACED))\n"
+            "tracer = child.Tracer()\n"
+            "tracer.install()\n"
+            "status = [cli.main(['verify', s]) for s in"
+            " ('identities', 'zn-lattice')]\n"
+            "spans = [s[0] for s in tracer.spans]\n"
+            "print(status, spans.count('series.prove_identity'),"
+            " spans.count('lattice.weyl_orbit_count') > 0)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    traced, wrapped = lines[0], lines[-1]
+    assert traced == "True"
+    assert wrapped == f"[0, 0] {len(cli.identity_runs())} True"
 
 
 # -- negative sizes, the group parameter and the zn-lattice sweep -----------------
@@ -625,6 +684,17 @@ def test_smatrix_frozen_entries(capsys):
     h = 0.707106781187
     assert report["entries"] == [[[h, 0.0], [h, 0.0]], [[h, 0.0], [-h, 0.0]]]
     assert report["nodes"] == ["0", "1"]
+
+
+def test_rounding_keeps_a_rounded_payload_and_rounds_the_rest():
+    # an S-matrix payload comes rounded to twelve digits, so the output step
+    # must not hold a second copy of its L**2 entries
+    entries = affine.smatrix_json(affine.s_matrix("A2", 3))["entries"]
+    assert cli._round_floats(entries) is entries
+    kept = (1, True, "x", 0.25)
+    rounded = cli._round_floats([0.1 + 0.2, -0.0, kept, {"a": [-1e-13]}])
+    assert rounded[2] is kept
+    assert json.dumps(rounded) == '[0.3, 0.0, [1, true, "x", 0.25], {"a": [0.0]}]'
 
 
 def test_csv_format(capsys):
