@@ -5,15 +5,20 @@ of the partner subgroup's McKay graph, with node 0 the affine (trivial-irrep)
 node, ordered descending-lexicographically so the vacuum weight comes first.
 The S-matrix is the Kac-Peterson Weyl-alternating sum over the finite Weyl
 group at argument (w(lam+rho), mu+rho)/k, k = n + g with g the sum of all
-comarks, normalized to a unitary matrix.  The Weyl group is enumerated once
-per type, by length layers from rho.  Every entry is first collected
-exactly, as the signed count of Weyl group elements per residue of the
-integer pairing den*(w(lam+rho), mu+rho) modulo den*k (den the denominator
-of the inverse Cartan matrix), and then turned into a float by one dot
-product with the den*k-th roots of unity; so rounding enters once per entry
-and S comes out exactly symmetric.  A request is refused before any weight
-is enumerated when its weight count or its pairings exceed MAX_WEIGHTS or
-MAX_WORK.
+comarks, normalized to a unitary matrix.  No Weyl group is enumerated: the
+sum is a determinant (Kac-Peterson, Adv. Math. 53 (1984); Kac,
+Infinite-Dimensional Lie Algebras, ch. 13).  For A_r it is
+e(|x||y| / (r+1)k) det[e(-x_i y_j / k)] in epsilon coordinates, for D_r
+(det[2 cos theta_ij] + det[-2i sin theta_ij]) / 2 with
+theta_ij = 2 pi x_i y_j / k in orthonormal coordinates, and for E_r a sum
+of D_(r-1) terms over the 27, 126 or 2160 cosets of the parabolic subgroup
+W(D_(r-1)) (minimal coset representatives; Humphreys, Reflection Groups
+and Coxeter Groups).  Every phase is an exact integer index into one table
+of roots of unity, the upper triangle is computed and mirrored, so S comes
+out exactly symmetric, and its printed digits match the exact residue
+counts that the tests keep as the oracle.  A request is refused before any
+weight is enumerated when its weight count or its determinant work exceeds
+MAX_WEIGHTS or MAX_WORK.
 
 This is the package's only approximate-arithmetic module.  The working
 tolerance is 1e-9, and any entry of magnitude >= 1e-6 counts as genuinely
@@ -26,14 +31,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import lattice
 from .abgroup import AbGroup
 from .counting import _iter_vectors, graded_compositions
 from .cyclotomic import Cyc
-from .errors import InvariantError, NotCoveredError
+from .errors import InvariantError
 from .grouprep import GroupSpec, abelianization, det_char
 from .mckay import a_action, mckay_graph
 
@@ -77,12 +81,14 @@ def parse_ade_type(text: str) -> tuple[str, int]:
 
 
 def mckay_partner(ade_type: str) -> GroupSpec:
-    """The finite SU(2) subgroup whose McKay graph is the extended diagram."""
+    """The finite SU(2) subgroup whose McKay graph is the extended diagram.
+    Its parameter is held to grouprep.MAX_GROUP_PARAM like any group label,
+    which bounds the A and D ranks (ValueError)."""
     letter, rank = parse_ade_type(ade_type)
     if letter == "A":
-        return GroupSpec.cyclic(rank + 1)
+        return GroupSpec.from_label(f"Z:{rank + 1}")
     if letter == "D":
-        return GroupSpec.binary_dihedral(rank - 2)
+        return GroupSpec.from_label(f"Dhat:{rank - 2}")
     return {
         6: GroupSpec.binary_tetrahedral(),
         7: GroupSpec.binary_octahedral(),
@@ -198,53 +204,6 @@ def _weyl_order(letter: str, rank: int) -> int:
     return {6: 51840, 7: 2903040, 8: 696729600}[rank]
 
 
-@lru_cache(maxsize=None)
-def _weyl_group(ade_type: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every Weyl group element as an int8 matrix acting on weight
-    coordinates by x -> x @ m, and its sign; the sign +1 elements come first.
-
-    The elements are enumerated by length from rho.  For w of length l, the
-    element s_i w has length l + 1 exactly when coordinate i of w(rho) is
-    positive, so each layer is reached from the one before by those steps
-    alone, and duplicates can only occur within the new layer.  rho is
-    regular, so w(rho) identifies w; its coordinates are root heights, below
-    64 in absolute value, and are encoded in base 128.
-    """
-    import numpy as np
-    letter, rank = parse_ade_type(ade_type)
-    c, _, _ = _finite_structure(ade_type)
-    if rank > 8:
-        raise InvariantError("the rho-image encoding supports rank <= 8")
-    cart = np.asarray(c.cartan, dtype=np.int8)
-    powers = (128 ** np.arange(rank)).astype(np.int64)
-    mats = np.eye(rank, dtype=np.int8)[None]
-    images = np.ones((1, rank), dtype=np.int64)
-    layers = [mats]
-    while len(images):
-        # x @ s_i = x - x_i * (row i of the Cartan matrix)
-        src, gen = np.nonzero(images > 0)
-        cand = images[src] - images[src, gen][:, None] * cart[gen]
-        if cand.size and int(np.abs(cand).max()) >= 64:
-            raise InvariantError("rho-image coordinates exceed the encoding range")
-        _, first = np.unique((cand + 64) @ powers, return_index=True)
-        src, gen, images = src[first], gen[first], cand[first]
-        mats = mats[src] - mats[src, :, gen][:, :, None] * cart[gen][:, None, :]
-        layers.append(mats)
-    even, odd = layers[0::2], layers[1::2]
-    n_even, n_odd = sum(map(len, even)), sum(map(len, odd))
-    if n_even + n_odd != _weyl_order(letter, rank):
-        raise InvariantError(
-            f"enumerated {n_even + n_odd} Weyl group elements of {ade_type}, "
-            f"expected {_weyl_order(letter, rank)}")
-    if n_even != n_odd:
-        raise InvariantError("the Weyl group signs must sum to zero")
-    mats = np.concatenate(even + odd)
-    signs = np.repeat(np.asarray([1, -1], dtype=np.int8), [n_even, n_odd])
-    # every caller shares the cached arrays
-    mats.flags.writeable = signs.flags.writeable = False
-    return mats, signs
-
-
 # -- the S-matrix --------------------------------------------------------------
 
 
@@ -272,72 +231,116 @@ class SMatrix:
         return np.asarray(self.values, dtype=np.complex128)
 
 
-_RANK_CAP = {"A": 6, "D": 6}
-
 # Bounds on one S-matrix request, checked before any weight is enumerated.
-# With L weights and K = den * k residues, the residue route evaluates
-# |W| * L**2 integer pairings and then reduces L**2 * K residue counts
-# against the K roots of unity, at about 15 ns per pairing or cell on a
-# 2-CPU machine, so MAX_WORK is about 15 s (A1 at level 792 takes 14 s
-# with its JSON, E6 at level 5 5 s); W itself is built once per type, 4 s
-# for E7.  Each matrix is held as L**2 Python complex numbers and printed as
-# JSON, and verification multiplies dense L x L matrices; at MAX_WEIGHTS
-# (A2 at level 43, L = 990) `smatrix` takes about 9 s and 470 MB.  A sweep
-# over levels is bounded as if its levels were one matrix: weights and work
-# are summed.
+# With L weights the route evaluates the L (L + 1) / 2 entries of the upper
+# triangle, each a sum over `cosets` determinant sums of size m
+# (_determinant_shape), so its work is counted as
+# L (L + 1) / 2 * cosets * m**3 units.  Type E costs the most per unit, and
+# at MAX_WORK it takes about 15 s on a 2-CPU machine: E6 at level 10
+# (1.25e9 units) 16.6 s, E7 at level 9 11 s and E8 at level 8 10 s, against
+# about 1 ns per unit for A and D of rank 20 and more.  Each matrix is held
+# as L**2 Python complex numbers and printed as JSON, and verification
+# multiplies dense L x L matrices; at MAX_WEIGHTS (A2 at level 43, L = 990)
+# the matrix takes under a second and `smatrix` about 7 s.  A sweep over
+# levels is bounded as if its levels were one matrix: weights and work are
+# summed.
 MAX_WEIGHTS = 1000
-MAX_WORK = 10 ** 9
+MAX_WORK = 15 * 10 ** 8
 
-# row blocks hold at most this many residue-count cells, and each numpy
-# step evaluates at most this many pairings (or one cell block's worth).
-# A step's float64 copy of its Weyl chunk is the largest temporary: at
-# 1 << 16 pairings `verify smatrix` peaks 6.5 MB lower than at 1 << 17 (E6 at
-# level 1 sets the peak), at the same speed on a 2-CPU machine.
-_COUNT_CELLS = 1 << 18
-_PAIRINGS = 1 << 16
+# each batched determinant call holds at most this many matrix entries (at
+# least one entry pair's worth), so its index and phase arrays stay a few MB
+_DET_CELLS = 1 << 16
+
+
+def _determinant_shape(letter: str, rank: int) -> tuple[int, int]:
+    """(m, cosets): one S entry is a sum over `cosets` determinant sums of
+    size m, r + 1 for A_r and r for D_r; E_r sums D_(r-1) terms over the
+    cosets of W(D_(r-1)) in W(E_r)."""
+    if letter == "E":
+        return rank - 1, _weyl_order("E", rank) // _weyl_order("D", rank - 1)
+    return (rank + 1 if letter == "A" else rank), 1
+
+
+@dataclass(frozen=True)
+class _Cosets:
+    """The cosets w_p W_J of W(E_r) by its parabolic subgroup W_J of type
+    D_(r-1), J the nodes 1..r-1.
+
+    inverses[p] is w_p^-1 acting on Dynkin labels by y -> y @ M and signs[p]
+    the sign of w_p; gram is den * C^-1 of E_r, and j_nodes lists the E node
+    of each D_(r-1) node.
+    """
+
+    inverses: np.ndarray
+    signs: np.ndarray
+    gram: np.ndarray
+    den: int
+    j_nodes: tuple
 
 
 @lru_cache(maxsize=None)
-def _scaled_inverse(ade_type: str) -> tuple[int, np.ndarray]:
-    """(den, den * C^-1) with den the denominator of the inverse Cartan
-    matrix, so that den * (x, y) is an integer for weights x and y."""
+def _e_cosets(ade_type: str) -> _Cosets:
+    """One w per coset, reached from the fundamental weight omega_0.
+
+    The cosets are the W-orbit of omega_0, whose stabilizer is W_J.  The
+    orbit is walked down from omega_0: a point v with v_i > 0 steps to
+    s_i v, and every orbit point is reached so.  The element that reaches v,
+    whichever it is, represents the coset of v.
+    """
     import numpy as np
     c, _, _ = _finite_structure(ade_type)
+    rank = c.rank
+    j_nodes = tuple(range(rank - 1, 0, -1))
+    sub = tuple(tuple(c.cartan[i][j] for j in j_nodes) for i in j_nodes)
+    if sub != lattice.cartan_data("D", rank - 1).cartan:
+        raise InvariantError(f"nodes 1..{rank - 1} of E{rank} do not form D{rank - 1}")
+    cart = np.asarray(c.cartan, dtype=np.int64)
+    points = np.eye(rank, dtype=np.int64)[:1]
+    mats = np.eye(rank, dtype=np.int64)[None]
+    layers = []
+    while len(points):
+        layers.append(mats)
+        # s_i v = v - v_i * (row i of the Cartan matrix) lies one layer down,
+        # so a point can only recur within its own layer
+        src, gen = np.nonzero(points > 0)
+        cand = points[src] - points[src, gen][:, None] * cart[gen]
+        _, first = np.unique(cand, axis=0, return_index=True)
+        src, gen, points = src[first], gen[first], cand[first]
+        # (s_i w)^-1 = w^-1 s_i: row i of w^-1's matrix loses cart[i] @ it
+        mats = mats[src].copy()
+        mats[np.arange(len(src)), gen] -= np.einsum("bj,bjk->bk", cart[gen], mats)
+    signs = np.concatenate([np.full(len(m), (-1) ** d) for d, m in enumerate(layers)])
+    if len(signs) * _weyl_order("D", rank - 1) != _weyl_order("E", rank):
+        raise InvariantError(
+            f"found {len(signs)} cosets of W(D{rank - 1}) in W(E{rank}), "
+            f"expected |W(E{rank})| / |W(D{rank - 1})|")
     inv = lattice._frac_inverse(c.cartan)
     den = math.lcm(*(x.denominator for row in inv for x in row))
-    gram = np.asarray([[int(x * den) for x in row] for row in inv])
-    gram.flags.writeable = False
-    return den, gram
+    data = _Cosets(np.concatenate(layers), signs,
+                   np.asarray([[int(x * den) for x in row] for row in inv]),
+                   den, j_nodes)
+    for arr in (data.inverses, data.signs, data.gram):
+        arr.flags.writeable = False
+    return data
 
 
-def _residue_modulus(ade_type: str, n: int) -> int:
-    """den * k, the modulus of the scaled pairings at level n, k = n + h."""
-    h = sum(mckay_graph(mckay_partner(ade_type)).comarks)
-    return _scaled_inverse(ade_type)[0] * (n + h)
+def check_levels(ade_type: str, levels) -> None:
+    """Refuse a request over MAX_WEIGHTS or MAX_WORK, or whose McKay partner
+    is past grouprep.MAX_GROUP_PARAM (ValueError), before any weight is
+    enumerated.
 
-
-def check_levels(ade_type: str, levels, *, enable_e7: bool = False) -> None:
-    """Refuse a request outside the covered types (NotCoveredError) or over
-    MAX_WEIGHTS or MAX_WORK (ValueError), before any weight is enumerated.
-
-    Weights are counted with the composition kernel.  Every covered type has
-    two comark-1 nodes, so level n has at least n + 1 weights, and a level
-    that alone breaks MAX_WEIGHTS is refused without counting.
+    Weights are counted with the composition kernel.  Every type but E8 has
+    two comark-1 nodes, and E8 one comark-1 and two comark-2 nodes, so at
+    every level n >= 8 there are at least n + 1 weights, and a level that
+    alone breaks MAX_WEIGHTS is refused without counting.
     """
     letter, rank = parse_ade_type(ade_type)
-    if letter == "E" and rank == 8:
-        raise NotCoveredError(
-            "not covered: the E8 Weyl sum (697M terms) is out of budget")
-    if letter == "E" and rank == 7 and not enable_e7:
-        raise NotCoveredError(
-            "not covered by default: the E7 Weyl sum has 2.9M terms; "
-            "pass enable_e7=True to force it")
-    if letter in _RANK_CAP and rank > _RANK_CAP[letter]:
-        raise NotCoveredError(
-            f"not covered: rank {rank} exceeds the supported cap for type {letter}")
-    slots = [(m, ()) for m in mckay_graph(mckay_partner(ade_type)).comarks]
+    mckay_partner(ade_type)  # refuses a partner past grouprep.MAX_GROUP_PARAM
+    size, cosets = _determinant_shape(letter, rank)
+    # the marks of the highest root are the comarks in another node order
+    # (_finite_structure checks this), so no character table is built here
+    slots = [(m, ()) for m in lattice._kac_data(letter, rank)[0]]
     ungraded = AbGroup(())
-    order = _weyl_order(letter, rank)
     weights = work = 0
     for n in levels:
         if not isinstance(n, int) or n < 1:
@@ -347,84 +350,113 @@ def check_levels(ade_type: str, levels, *, enable_e7: bool = False) -> None:
                              f"{MAX_WEIGHTS} weights, the supported bound")
         count = graded_compositions(slots, ungraded, n)[()]
         weights += count
-        work += count * count * (order + _residue_modulus(ade_type, n))
+        work += count * (count + 1) // 2 * cosets * size ** 3
         if weights > MAX_WEIGHTS:
             raise ValueError(f"{ade_type} at levels up to {n} has {weights} "
                              f"weights, over the supported bound {MAX_WEIGHTS}")
         if work > MAX_WORK:
             raise ValueError(
-                f"{ade_type} at levels up to {n} needs {work} Weyl pairings "
-                f"and residue cells, over the supported bound {MAX_WORK}")
+                f"{ade_type} at levels up to {n} needs {work} units of "
+                f"determinant work, over the supported bound {MAX_WORK}")
 
 
-def _residue_count_blocks(ade_type: str, n: int):
-    """Exact residue counts of the Weyl-alternating sum, by blocks of rows.
-
-    Yields (lo, counts) with counts[a - lo, b, r] the signed number of w in
-    W with den * (w(lam_a + rho), lam_b + rho) = r mod den * k.
-    """
+def _a_coords(labels):
+    """epsilon coordinates of A_r weights from Dynkin labels: x_i is the
+    sum of the labels j >= i, and x_r = 0."""
     import numpy as np
-    lw = level_weights(ade_type, n)
-    c, idx, _ = _finite_structure(ade_type)
-    modulus = _residue_modulus(ade_type, n)
-    shifted = np.ones((lw.count, c.rank))
-    for a, w in enumerate(lw.weights):
-        for node, j in idx.items():
-            shifted[a, j] += w[node]
-    # float64 products of these small integers are exact
-    right = _scaled_inverse(ade_type)[1] @ shifted.T
-    mats, signs = _weyl_group(ade_type)
-    split = int((signs > 0).sum())
-    size, rank = lw.count, c.rank
-    rows = max(1, _COUNT_CELLS // (size * modulus))
-    for lo in range(0, size, rows):
-        block = shifted[lo:lo + rows]
-        cells = len(block) * size * modulus
-        base = (np.arange(len(block))[:, None, None] * size
-                + np.arange(size)) * modulus
-        # at least one pairing per cell, so clearing the counts never dominates
-        step = max(_PAIRINGS // (len(block) * size), modulus)
-        counts = np.zeros(cells, dtype=np.int64)
-        for start, stop, sign in ((0, split, 1), (split, len(mats), -1)):
-            for w0 in range(start, stop, step):
-                chunk = mats[w0:min(w0 + step, stop)]
-                # w(lam + rho) for every row and w in one product, and then
-                # the pairings, indexed (row, w, column)
-                flat = chunk.transpose(1, 0, 2).reshape(rank, -1)
-                images = (block @ flat.astype(np.float64)).reshape(-1, rank)
-                res = (images @ right).astype(np.int64)
-                res = res.reshape(len(block), len(chunk), size)
-                res %= modulus
-                res += base
-                counts += sign * np.bincount(res.ravel(), minlength=cells)
-        yield lo, counts.reshape(len(block), size, modulus)
+    x = np.zeros(labels.shape[:-1] + (labels.shape[-1] + 1,), dtype=np.int64)
+    x[..., :-1] = np.cumsum(labels[..., ::-1], axis=-1)[..., ::-1]
+    return x
+
+
+def _d_coords(labels):
+    """Twice the orthonormal coordinates of D_m weights from Dynkin labels,
+    with the spin nodes m - 2 and m - 1 both linked to node m - 3."""
+    import numpy as np
+    spin = labels[..., -2] + labels[..., -1]
+    x = np.empty(labels.shape, dtype=np.int64)
+    x[..., :-2] = (2 * np.cumsum(labels[..., -3::-1], axis=-1)[..., ::-1]
+                   + spin[..., None])
+    x[..., -2] = spin
+    x[..., -1] = labels[..., -1] - labels[..., -2]
+    return x
+
+
+def _d_sums(x, y, step, modulus, table):
+    """The D_m Weyl sum of doubled coordinates x and y (..., m): with
+    theta_ij = 2 pi x_i y_j / 4k, it is (det[2 cos theta] +
+    det[-2i sin theta]) / 2; `step` is modulus / 4k."""
+    import numpy as np
+    # the table holds exp(-i theta) = cos theta - i sin theta
+    phases = table[(step * x[..., :, None] * y[..., None, :]) % modulus]
+    m = x.shape[-1]
+    return 2.0 ** (m - 1) * (np.linalg.det(phases.real)
+                             + 1j ** (m % 4) * np.linalg.det(phases.imag))
+
+
+def _pair_sums(ade_type, k, modulus, table, x, y):
+    """Unnormalized S entries for rows x and columns y, the Dynkin labels
+    of lam + rho and mu + rho, each of shape (pairs, rank)."""
+    import numpy as np
+    letter, rank = parse_ade_type(ade_type)
+    if letter == "A":
+        xa, ya = _a_coords(x), _a_coords(y)
+        idx = ((rank + 1) * xa[:, :, None] * ya[:, None, :]) % modulus
+        shift = (-xa.sum(axis=1) * ya.sum(axis=1)) % modulus
+        return table[shift] * np.linalg.det(table[idx])
+    if letter == "D":
+        return _d_sums(_d_coords(x), _d_coords(y), 1, modulus, table)
+    # z = w_p^-1 (mu + rho) for every coset p; the term of coset p is
+    # sign(w_p) e(-[(x, z) - (x_J, z_J)] / k) times the D sum over W_J
+    cos = _e_cosets(ade_type)
+    z = np.einsum("bi,pij->bpj", y, cos.inverses)
+    xj = _d_coords(x[:, cos.j_nodes])[:, None, :]
+    zj = _d_coords(z[..., cos.j_nodes])
+    outer = np.einsum("bi,ij,bpj->bp", x, cos.gram, z)
+    inner = (xj * zj).sum(axis=-1)
+    step = modulus // (4 * k)
+    idx = ((modulus // (k * cos.den)) * outer - step * inner) % modulus
+    terms = cos.signs * table[idx] * _d_sums(xj, zj, step, modulus, table)
+    return terms.sum(axis=1)
 
 
 @lru_cache(maxsize=4)
 def _s_matrix(ade_type: str, n: int) -> SMatrix:
     import numpy as np
     lw = level_weights(ade_type, n)
-    _, _, npos = _finite_structure(ade_type)
-    modulus = _residue_modulus(ade_type, n)
+    c, idx, npos = _finite_structure(ade_type)
+    letter, rank = parse_ade_type(ade_type)
+    k = n + sum(lw.comarks)
+    # every phase index is an integer modulo this multiple of k
+    modulus = k * ({"A": rank + 1, "D": 4}.get(letter)
+                   or math.lcm(_e_cosets(ade_type).den, 4))
     # exp(-2 pi i r / modulus), at angles reduced to [-pi, pi]
     r = np.arange(modulus)
     r = np.where(2 * r > modulus, r - modulus, r)
-    phases = np.exp(-2j * np.pi * r / modulus)
-    table = np.stack([phases.real, phases.imag], axis=1)
+    table = np.exp(-2j * np.pi * r / modulus)
+    shifted = np.ones((lw.count, c.rank), dtype=np.int64)
+    for a, w in enumerate(lw.weights):
+        for node, j in idx.items():
+            shifted[a, j] += w[node]
+    rows, cols = np.triu_indices(lw.count)
     u = np.zeros((lw.count, lw.count), dtype=np.complex128)
-    for lo, counts in _residue_count_blocks(ade_type, n):
-        part = counts.astype(np.float64) @ table
-        u[lo:lo + len(counts)] = part[..., 0] + 1j * part[..., 1]
+    size, cosets = _determinant_shape(letter, rank)
+    step = max(1, _DET_CELLS // (cosets * size ** 2))
+    for lo in range(0, len(rows), step):
+        a, b = rows[lo:lo + step], cols[lo:lo + step]
+        u[a, b] = _pair_sums(ade_type, k, modulus, table, shifted[a], shifted[b])
+    # the lower triangle mirrors the upper, so S is exactly symmetric
+    u[cols, rows] = u[rows, cols]
     scale = (1j ** (npos % 4)) / math.sqrt(float((np.abs(u) ** 2).sum()) / lw.count)
     values = tuple(tuple(complex(z) for z in row) for row in u * scale)
     return SMatrix(weights=lw, values=values)
 
 
-def s_matrix(ade_type: str, n: int, *, enable_e7: bool = False) -> SMatrix:
-    """The S-matrix at level n, after the coverage and size checks.  The
-    few most recent matrices are kept, so the checks of one grid point share
-    a single computation."""
-    check_levels(ade_type, (n,), enable_e7=enable_e7)
+def s_matrix(ade_type: str, n: int) -> SMatrix:
+    """The S-matrix at level n, after the size checks.  The few most recent
+    matrices are kept, so the checks of one grid point share a single
+    computation."""
+    check_levels(ade_type, (n,))
     return _s_matrix(ade_type, n)
 
 
@@ -468,29 +500,36 @@ def charge_conjugation(sm: SMatrix):
 # -- determinant classes, two routes -------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _center_coefficients(ade_type: str) -> tuple:
+    """(d, coefficients) per elementary-divisor generator of the center: the
+    class coordinate of a weight is the sum of its node multiplicities
+    times the coefficients, mod d.  The coefficient of a node is
+    d * (C^-1 gen)_j for its simple root j (0 for the affine node), and each
+    must be an integer, since the generator has order d."""
+    c, idx, _ = _finite_structure(ade_type)
+    cinv = lattice._frac_inverse(c.cartan)
+    out = []
+    for d, gen in zip(c.center_moduli, c.center_gens):
+        coefs = [0] * (len(idx) + 1)
+        for node, j in idx.items():
+            val = d * sum(cinv[j][t] * gen[t] for t in range(c.rank))
+            if val.denominator != 1:
+                raise InvariantError("center values must be d-th roots of unity")
+            coefs[node] = int(val)
+        out.append((d, tuple(coefs)))
+    return tuple(out)
+
+
 def det_classes_from_center(lw: LevelWeights) -> tuple[tuple[int, ...], ...]:
     """Center character of each weight, from the lattice geometry.
 
     Coordinate j of a class says the j-th elementary-divisor generator of
     the center acts on the highest-weight line by exp(2*pi*i * c_j / d_j).
     """
-    c, idx, _ = _finite_structure(lw.ade_type)
-    cinv = lattice._frac_inverse(c.cartan)
-    out = []
-    for w in lw.weights:
-        coords = []
-        for d, gen in zip(c.center_moduli, c.center_gens):
-            val = Fraction(0)
-            for node, j in idx.items():
-                if w[node]:
-                    val += w[node] * sum(
-                        cinv[j][t] * gen[t] for t in range(c.rank))
-            scaled = val * d
-            if scaled.denominator != 1:
-                raise InvariantError("center values must be d-th roots of unity")
-            coords.append(int(scaled) % d)
-        out.append(tuple(coords))
-    return tuple(out)
+    coefs = _center_coefficients(lw.ade_type)
+    return tuple(tuple(sum(m * x for m, x in zip(w, row)) % d for d, row in coefs)
+                 for w in lw.weights)
 
 
 def det_classes_from_reps(lw: LevelWeights) -> tuple[tuple[int, ...], ...]:
@@ -533,7 +572,7 @@ def det_route_report(ade_type: str, n: int) -> dict:
 # -- conjugating the two actions -----------------------------------------------
 
 
-def verify_s_conjugation(ade_type: str, n: int, *, enable_e7: bool = False) -> dict:
+def verify_s_conjugation(ade_type: str, n: int) -> dict:
     """Check that S diagonalizes every diagram-symmetry permutation.
 
     For each element a of the symmetry group A (the node permutations
@@ -543,7 +582,7 @@ def verify_s_conjugation(ade_type: str, n: int, *, enable_e7: bool = False) -> d
     no preferred phi, so all of them are tried and every success reported.
     """
     import numpy as np
-    sm = s_matrix(ade_type, n, enable_e7=enable_e7)
+    sm = s_matrix(ade_type, n)
     lw = sm.weights
     g = mckay_partner(ade_type)
     act = a_action(g)

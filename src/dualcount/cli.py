@@ -29,8 +29,6 @@ import csv
 import importlib.util
 import io
 import json
-import math
-import operator
 import os
 import random
 import sys
@@ -79,6 +77,10 @@ EXIT_INTERNAL = 4
 # --max-n runs n + 1 counts per pair and group, so its cost is quadratic in
 # the bound.  Cyclic PSp and Spin sizes are ranks, held to bounds.MAX_RANK.
 MAX_N = 10_000
+
+# Largest smatrix --digits: the entries are accurate to about 1e-15, and every
+# float of a report is printed at twelve digits at most
+MAX_DIGITS = 12
 
 # genfun's truncation order when neither --order nor DUALCOUNT_MAX_ORDER is set
 GENFUN_ORDER = 24
@@ -129,7 +131,8 @@ FIXED_IDENTITY_RUNS = (
     ("KF4", "1,2;1;2"),
 )
 
-# default grid for the S-matrix suite; E7 is opt-in and E8 out of range
+# default grid for the S-matrix suite, unchanged so that its report stays the
+# same; `verify smatrix --type T` reaches every other type, E7 and E8 too
 SMATRIX_GRID = tuple(
     [(f"A{r}", n) for r in range(1, 5) for n in range(1, 5)]
     + [(t, n) for t in ("D4", "D5") for n in (1, 2)]
@@ -186,7 +189,6 @@ class RunConfig:
     max_rank: int | None = None
     random_draws: int | None = None
     seed: int = 0
-    enable_e7_smatrix: bool = False
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -236,9 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("smatrix", "modular S-matrix of an affine algebra at a level")
     p.add_argument("--type", dest="ade_type", required=True, help="e.g. A3, D4, E6")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--digits", type=int, default=12)
-    p.add_argument("--enable-e7-smatrix", action="store_true",
-                   help="allow the large E7 Weyl sums")
+    p.add_argument("--digits", type=int, default=12,
+                   help="decimal places of each entry, 1 to 12 (default 12)")
 
     p = add("verify", "run a verification suite")
     p.add_argument("suite", choices=SUITES)
@@ -253,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", dest="max_n", type=int)
     p.add_argument("--max-rank", dest="max_rank", type=int)
     p.add_argument("--type", dest="ade_type", help="smatrix: restrict to one type")
-    p.add_argument("--enable-e7-smatrix", action="store_true")
     return parser
 
 
@@ -327,6 +327,9 @@ def parse_args(argv=None) -> RunConfig:
             GroupSpec.from_label(values["gamma"])
         except ValueError as e:
             raise UsageError(str(e)) from None
+    digits = values.get("digits")
+    if digits is not None and not 1 <= digits <= MAX_DIGITS:
+        raise UsageError(f"--digits {digits} is outside 1 to {MAX_DIGITS}")
     if ns.command == "genfun" and values["order"] is None:
         values["order"] = GENFUN_ORDER if env_order is None else env_order
     unknown = set(values) - set(RunConfig.__dataclass_fields__)
@@ -384,9 +387,9 @@ def _run_genfun(cfg: RunConfig):
 
 
 def _run_smatrix(cfg: RunConfig):
-    sm = affine.s_matrix(cfg.ade_type, cfg.level,
-                         enable_e7=cfg.enable_e7_smatrix)
-    payload = affine.smatrix_json(sm, digits=cfg.digits or 12)
+    sm = affine.s_matrix(cfg.ade_type, cfg.level)
+    payload = affine.smatrix_json(sm, digits=cfg.digits)
+    payload["entries"] = _Rounded(payload["entries"])
     return {"command": "smatrix", **payload}, EXIT_OK
 
 
@@ -497,19 +500,17 @@ def _suite_zn(cfg: RunConfig):
 def _suite_smatrix(cfg: RunConfig):
     if cfg.ade_type:
         levels = range(1, (cfg.max_n if cfg.max_n is not None else 2) + 1)
-        # refuse an uncovered type or an oversized sweep before any work
-        affine.check_levels(cfg.ade_type, levels,
-                            enable_e7=cfg.enable_e7_smatrix)
+        # refuse an oversized sweep or partner group before any work
+        affine.check_levels(cfg.ade_type, levels)
         grid = [(cfg.ade_type, n) for n in levels]
     else:
         grid = SMATRIX_GRID
     checks = 0
     failures = []
     for ade_type, level in grid:
-        sm = affine.s_matrix(ade_type, level, enable_e7=cfg.enable_e7_smatrix)
+        sm = affine.s_matrix(ade_type, level)
         _, _, conj_err = affine.charge_conjugation(sm)
-        rep = affine.verify_s_conjugation(ade_type, level,
-                                          enable_e7=cfg.enable_e7_smatrix)
+        rep = affine.verify_s_conjugation(ade_type, level)
         errors = {
             "unitarity": affine.unitarity_error(sm),
             "symmetry": affine.symmetry_error(sm),
@@ -599,22 +600,21 @@ def run(cfg: RunConfig):
 # -- output -------------------------------------------------------------
 
 
+class _Rounded(list):
+    """A list whose floats are rounded already, such as an S-matrix's L**2
+    entries: _round_floats passes it through, so each is rounded once."""
+
+
 def _round_floats(obj):
-    """obj with every float rounded to twelve digits and -0.0 made 0.0.  A
-    float or a list or tuple that this leaves unchanged is returned itself,
-    not copied, so a payload rounded already (an S-matrix's L**2 entries)
-    is never held twice."""
-    if isinstance(obj, bool):
+    """obj with every float rounded to twelve digits and -0.0 made 0.0."""
+    if isinstance(obj, (bool, _Rounded)):
         return obj
     if isinstance(obj, float):
-        rounded = round(obj, 12) + 0.0
-        unchanged = rounded == obj and (obj or math.copysign(1.0, obj) > 0)
-        return obj if unchanged else rounded
+        return round(obj, 12) + 0.0
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        items = [_round_floats(v) for v in obj]
-        return obj if all(map(operator.is_, items, obj)) else items
+        return [_round_floats(v) for v in obj]
     return obj
 
 

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,9 +29,10 @@ from dualcount.affine import (
 )
 from dualcount.counting import Target, count_homs
 from dualcount.cyclotomic import Cyc
-from dualcount.errors import NotCoveredError
 from dualcount.grouprep import det_char
 from dualcount.mckay import a_action
+from weyl_residue import (residue_counts, residue_modulus, residue_s_matrix,
+                          weyl_group)
 
 # the grid the desk-scale budget is committed to
 S_GRID = (
@@ -193,15 +195,66 @@ def test_charge_conjugation_is_trivial_for_d4():
     assert perm == (0, 1, 2, 3)
 
 
-# -- unsupported-type rejections --------------------------------------------------
+# -- types beyond the reach of a Weyl group enumeration ---------------------------
 
 
-@pytest.mark.parametrize("ade_type", ["E7", "E8", "A7", "D7"])
-def test_large_types_rejected_by_default(ade_type):
-    with pytest.raises(NotCoveredError):
-        s_matrix(ade_type, 1)
-    with pytest.raises(NotCoveredError):
-        verify_s_conjugation(ade_type, 1)
+@pytest.mark.parametrize("ade_type, levels", [
+    ("E7", (1, 2, 3)), ("E8", (1, 2, 3)), ("A7", (1,)), ("D7", (1,)),
+    ("A12", (2,)), ("D12", (2,)),
+], ids=["E7", "E8", "A7", "D7", "A12", "D12"])
+def test_large_types_run_without_the_weyl_group(ade_type, levels):
+    for n in levels:
+        sm = s_matrix(ade_type, n)
+        assert unitarity_error(sm) <= 1e-12
+        assert symmetry_error(sm) == 0
+        assert charge_conjugation(sm)[2] < TOLERANCE
+        assert verify_s_conjugation(ade_type, n)["holds"]
+
+
+def test_e8_level_1_is_the_unit_matrix():
+    assert np.abs(s_matrix("E8", 1).array() - np.eye(1)).max() < 1e-15
+
+
+def test_e7_level_1_is_the_hadamard_matrix():
+    want = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    assert np.abs(s_matrix("E7", 1).array() - want).max() < 1e-15
+
+
+def test_e8_level_2_is_the_ising_matrix():
+    sm = s_matrix("E8", 2)
+    r = math.sqrt(2)
+    want = np.array([[1, r, 1], [r, 0, -r], [1, -r, 1]]) / 2
+    # the vacuum, then the two comark-2 nodes in McKay order
+    assert sm.weights.weights[0] == (2,) + (0,) * 8
+    assert np.abs(sm.array() - want).max() < 1e-15
+
+
+@pytest.mark.parametrize("ade_type, count", [("E6", 27), ("E7", 126), ("E8", 2160)])
+def test_coset_counts(ade_type, count):
+    cos = affine._e_cosets(ade_type)
+    assert len(cos.signs) == count == affine._determinant_shape("E", int(ade_type[1]))[1]
+    reps = np.rint(np.linalg.inv(cos.inverses.astype(np.float64))).astype(np.int64)
+    # row 0 of w_p is w_p(omega_0), the orbit point of coset p, and the
+    # sign of w_p is its determinant
+    assert len({tuple(w[0]) for w in reps}) == count
+    dets = np.rint(np.linalg.det(reps.astype(np.float64))).astype(np.int64)
+    assert (dets == cos.signs).all()
+
+
+@pytest.mark.parametrize("ade_type", ["A1", "A5", "D4", "D7"])
+def test_determinant_coordinates_keep_the_inner_product(ade_type):
+    letter, rank = parse_ade_type(ade_type)
+    cinv = lattice._frac_inverse(lattice.cartan_data(letter, rank).cartan)
+    rng = np.random.default_rng(rank)
+    x, y = rng.integers(-3, 6, size=(2, rank))
+    want = sum(int(x[i]) * cinv[i][j] * int(y[j])
+               for i in range(rank) for j in range(rank))
+    if letter == "A":
+        xa, ya = affine._a_coords(x), affine._a_coords(y)
+        got = int(xa @ ya) - Fraction(int(xa.sum()) * int(ya.sum()), rank + 1)
+    else:
+        got = Fraction(int(affine._d_coords(x) @ affine._d_coords(y)), 4)
+    assert got == want
 
 
 def test_weights_still_available_beyond_the_s_matrix_cap():
@@ -367,24 +420,30 @@ def _per_row_weyl_sum(ade_type, n):
     return u * scale
 
 
-def _residue_counts(ade_type, n):
-    return np.concatenate([c for _, c in affine._residue_count_blocks(ade_type, n)])
-
-
 @pytest.mark.parametrize("ade_type, n", S_GRID)
 def test_residue_route_matches_the_per_row_weyl_sum(ade_type, n):
     want = _per_row_weyl_sum(ade_type, n)
-    assert np.abs(s_matrix(ade_type, n).array() - want).max() < 1e-12
+    assert np.abs(residue_s_matrix(ade_type, n) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("ade_type, n", S_GRID + [
+    ("A5", 2), ("A6", 2), ("D6", 2), ("E6", 3), ("E7", 1)])
+def test_determinant_route_matches_the_residue_route(ade_type, n):
+    got = s_matrix(ade_type, n).array()
+    want = residue_s_matrix(ade_type, n)
+    assert np.abs(got - want).max() < 1e-13
+    for part in (np.real, np.imag):
+        assert (np.round(part(got), 12) == np.round(part(want), 12)).all()
 
 
 @pytest.mark.parametrize("ade_type, n", S_GRID)
 def test_residue_counts_are_exactly_symmetric(ade_type, n):
-    counts = _residue_counts(ade_type, n)
+    counts = residue_counts(ade_type, n)
     size = level_weights(ade_type, n).count
-    assert counts.shape == (size, size, affine._residue_modulus(ade_type, n))
+    assert counts.shape == (size, size, residue_modulus(ade_type, n))
     assert (counts == counts.transpose(1, 0, 2)).all()
     # every row and column pair sees each Weyl group element once
-    order = len(affine._weyl_group(ade_type)[0])
+    order = len(weyl_group(ade_type)[0])
     assert (np.abs(counts).sum(axis=2) <= order).all()
 
 
@@ -394,7 +453,7 @@ def test_residue_counts_are_exactly_symmetric(ade_type, n):
     ("E6", 51840),
 ])
 def test_weyl_group_order_and_signs(ade_type, order):
-    mats, signs = affine._weyl_group(ade_type)
+    mats, signs = weyl_group(ade_type)
     assert mats.dtype == np.int8 and mats.shape[0] == order
     assert int(signs.astype(np.int64).sum()) == 0
     # the sign is the determinant, and rho has as many images as elements
@@ -415,7 +474,7 @@ def test_s_matrix_is_computed_once_per_grid_point():
 
 def _fsum_s_matrix(ade_type, n):
     """S from the exact residue counts, each entry summed with math.fsum."""
-    counts = _residue_counts(ade_type, n)
+    counts = residue_counts(ade_type, n)
     size, _, modulus = counts.shape
     angles = [-2 * math.pi * r / modulus for r in range(modulus)]
     u = np.asarray([[complex(
@@ -442,7 +501,7 @@ def test_e6_level_2_json_is_symmetric_and_correctly_rounded():
 
 def test_e6_level_2_entries_are_within_1e_15_of_40_digit_values():
     mp = pytest.importorskip("mpmath")
-    counts = _residue_counts("E6", 2)
+    counts = residue_counts("E6", 2)
     size, _, modulus = counts.shape
     with mp.workdps(40):
         roots = [mp.expjpi(mp.mpf(-2 * r) / modulus) for r in range(modulus)]

@@ -67,15 +67,40 @@ def test_usage_errors_exit_1(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["count", "--gamma", "Dhat:3", "--target", "PSp", "--n", "2"],
     ["sectors", "--gamma", "That", "--family", "Sp", "--n", "1"],
-    ["smatrix", "--type", "E7", "--level", "1"],
-    ["smatrix", "--type", "E8", "--level", "1", "--enable-e7-smatrix"],
-    ["verify", "smatrix", "--type", "E7"],
+    ["count", "--gamma", "Dhat:5", "--target", "Spin_odd", "--n", "2"],
+    ["sectors", "--gamma", "Ihat", "--family", "Spin_odd", "--n", "1"],
+    ["genfun", "--gamma", "Z:3", "--token", "refined:0,1:Sp"],
     ["genfun", "--gamma", "Ohat", "--token", "Bogus"],
 ])
 def test_not_covered_exit_3(argv, capsys):
     status, _, err = invoke(argv, capsys)
     assert status == 3
     assert "not covered" in err
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["verify", "smatrix", "--type", "E7", "--max-n", "3"], 3),
+    (["verify", "smatrix", "--type", "E8", "--max-n", "3"], 3),
+    (["verify", "smatrix", "--type", "A12"], 2),
+    (["verify", "smatrix", "--type", "D12"], 2),
+])
+def test_smatrix_suite_reaches_e7_e8_and_rank_12(argv, checks, capsys):
+    status, out, _ = invoke(argv, capsys)
+    assert status == 0
+    assert json.loads(out)["checks"] == checks
+
+
+def test_e7_and_e8_smatrix_commands_run(capsys):
+    status, out, _ = invoke(["smatrix", "--type", "E8", "--level", "1"], capsys)
+    assert status == 0
+    assert json.loads(out)["entries"] == [[[1.0, 0.0]]]
+    status, out, _ = invoke(["smatrix", "--type", "E7", "--level", "1"], capsys)
+    assert status == 0
+    h = 0.707106781187
+    assert json.loads(out)["entries"] == [[[h, 0.0], [h, 0.0]], [[h, 0.0], [-h, 0.0]]]
+    status, _, err = invoke(["smatrix", "--type", "E7", "--level", "1",
+                             "--enable-e7-smatrix"], capsys)
+    assert status == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -129,13 +154,13 @@ def test_invariant_failure_exits_4_under_optimize():
 
 
 def test_broken_weyl_group_check_exits_4_under_optimize():
-    # a Weyl group that does not have the known order must stop an S-matrix
-    # run even with asserts stripped
+    # E-type cosets whose count disagrees with the known Weyl group orders
+    # must stop an S-matrix run even with asserts stripped
     code = (
         "import sys\n"
         "from dualcount import affine, cli\n"
         "affine._weyl_order = lambda letter, rank: 7\n"
-        "sys.exit(cli.main(['smatrix', '--type', 'A2', '--level', '1']))\n")
+        "sys.exit(cli.main(['smatrix', '--type', 'E6', '--level', '1']))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 4
@@ -529,17 +554,21 @@ def _largest(accepted):
     return n
 
 
-# A1 at level n: n + 1 weights, |W| = 2 and den * k = 2 (n + 2) residues
-A1_LEVEL = _largest(lambda n: (n + 1) ** 2 * (2 + 2 * (n + 2)) <= affine.MAX_WORK
-                    and n + 1 <= affine.MAX_WEIGHTS)
+# A1 at level n: n + 1 weights, and 2 x 2 determinants, far below MAX_WORK
+A1_LEVEL = _largest(lambda n: n + 1 <= affine.MAX_WEIGHTS)
 # a sweep over A1 levels 1..n holds sum(k + 1) weights
 A1_SWEEP = _largest(lambda n: n * (n + 3) // 2 <= affine.MAX_WEIGHTS)
 # A2 at level n has (n + 2)(n + 1)/2 weights
 A2_LEVEL = _largest(lambda n: (n + 2) * (n + 1) // 2 <= affine.MAX_WEIGHTS)
+# E8 at level n: L weights make L (L + 1) / 2 entries, each 2160 cosets of
+# 7 x 7 determinants
+E8_LEVEL = _largest(lambda n: (lambda L: L * (L + 1) // 2 * 2160 * 7 ** 3)(
+    affine.level_weights("E8", n).count) <= affine.MAX_WORK)
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (["smatrix", "--type", "A1", "--level", str(A1_LEVEL + 1)], affine.MAX_WORK),
+    (["smatrix", "--type", "A1", "--level", str(A1_LEVEL + 1)],
+     affine.MAX_WEIGHTS),
     (["smatrix", "--type", "A2", "--level", str(A2_LEVEL + 1)],
      affine.MAX_WEIGHTS),
     (["smatrix", "--type", "A1", "--level", str(10 ** 9)], affine.MAX_WEIGHTS),
@@ -548,6 +577,9 @@ A2_LEVEL = _largest(lambda n: (n + 2) * (n + 1) // 2 <= affine.MAX_WEIGHTS)
     (["verify", "smatrix", "--type", "A2", "--max-n", "70"], affine.MAX_WEIGHTS),
     (["verify", "smatrix", "--type", "A1", "--max-n", str(10 ** 9)],
      affine.MAX_WEIGHTS),
+    (["smatrix", "--type", "E8", "--level", str(E8_LEVEL + 1)], affine.MAX_WORK),
+    (["verify", "smatrix", "--type", "E8", "--max-n", str(E8_LEVEL)],
+     affine.MAX_WORK),
 ])
 def test_smatrix_sizes_over_the_bound_are_refused(argv, bound, capsys):
     status, out, err = invoke(argv, capsys)
@@ -556,10 +588,32 @@ def test_smatrix_sizes_over_the_bound_are_refused(argv, bound, capsys):
     assert re.search(rf"\b{bound}\b", err)
 
 
+@pytest.mark.parametrize("ade_type", ["A48", "D51", "A101"])
+def test_smatrix_rank_past_the_partner_group_bound_is_refused(ade_type, capsys):
+    # A_r and D_r need the McKay partners Z:(r + 1) and Dhat:(r - 2), whose
+    # character tables are not built past grouprep.MAX_GROUP_PARAM
+    status, out, err = invoke(["smatrix", "--type", ade_type, "--level", "1"],
+                              capsys)
+    assert status == 1
+    assert out == ""
+    assert str(MAX_GROUP_PARAM) in err
+
+
+def test_smatrix_sizes_are_refused_before_any_character_table(monkeypatch):
+    def no_table(g):
+        raise AssertionError("a McKay graph was built")
+    monkeypatch.setattr(affine, "mckay_graph", no_table)
+    with pytest.raises(ValueError, match=str(affine.MAX_WEIGHTS)):
+        affine.check_levels("A47", [2])
+    with pytest.raises(ValueError, match=str(affine.MAX_WORK)):
+        affine.check_levels("E8", [E8_LEVEL + 1])
+
+
 @pytest.mark.parametrize("ade_type, levels", [
     ("A1", [A1_LEVEL]),
     ("A2", [A2_LEVEL]),
     ("A1", range(1, A1_SWEEP + 1)),
+    ("E8", [E8_LEVEL]),
 ])
 def test_smatrix_sizes_at_the_bound_are_accepted(ade_type, levels):
     affine.check_levels(ade_type, levels)
@@ -687,14 +741,43 @@ def test_smatrix_frozen_entries(capsys):
 
 
 def test_rounding_keeps_a_rounded_payload_and_rounds_the_rest():
-    # an S-matrix payload comes rounded to twelve digits, so the output step
-    # must not hold a second copy of its L**2 entries
-    entries = affine.smatrix_json(affine.s_matrix("A2", 3))["entries"]
+    # an S-matrix payload comes rounded to --digits, so the output step
+    # neither rounds its L**2 entries again nor copies them
+    report, _ = cli.run(parse_args(["smatrix", "--type", "A2", "--level", "3",
+                                    "--digits", "3"]))
+    entries = report["entries"]
     assert cli._round_floats(entries) is entries
-    kept = (1, True, "x", 0.25)
-    rounded = cli._round_floats([0.1 + 0.2, -0.0, kept, {"a": [-1e-13]}])
-    assert rounded[2] is kept
+    assert entries == affine.smatrix_json(affine.s_matrix("A2", 3), 3)["entries"]
+    rounded = cli._round_floats([0.1 + 0.2, -0.0, (1, True, "x", 0.25),
+                                 {"a": [-1e-13]}])
     assert json.dumps(rounded) == '[0.3, 0.0, [1, true, "x", 0.25], {"a": [0.0]}]'
+
+
+@pytest.mark.parametrize("digits", ["1", "5", "12"])
+def test_smatrix_digits_round_each_entry_once(digits, capsys):
+    status, out, _ = invoke(["smatrix", "--type", "A2", "--level", "3",
+                             "--digits", digits], capsys)
+    assert status == 0
+    sm = affine.s_matrix("A2", 3)
+    want = [[[round(z.real, int(digits)) + 0.0, round(z.imag, int(digits)) + 0.0]
+             for z in row] for row in sm.values]
+    assert json.loads(out)["entries"] == want
+
+
+def test_smatrix_default_digits_are_twelve(capsys):
+    _, default, _ = invoke(["smatrix", "--type", "D4", "--level", "2"], capsys)
+    _, twelve, _ = invoke(["smatrix", "--type", "D4", "--level", "2",
+                           "--digits", "12"], capsys)
+    assert default == twelve
+
+
+@pytest.mark.parametrize("digits", ["-3", "0", "13", "15"])
+def test_smatrix_digits_outside_1_to_12_are_refused(digits, capsys):
+    status, out, err = invoke(["smatrix", "--type", "A2", "--level", "3",
+                               "--digits", digits], capsys)
+    assert status == 1
+    assert out == ""
+    assert "--digits" in err
 
 
 def test_csv_format(capsys):
@@ -748,9 +831,8 @@ ROUND_TRIP_CONFIGS = [
      RunConfig(command="genfun", gamma="Z:3", token="Sp", order=cli.GENFUN_ORDER)),
     ("smatrix --type E6 --level 2 --digits 8",
      RunConfig(command="smatrix", ade_type="E6", level=2, digits=8)),
-    ("smatrix --type E7 --level 1 --digits 12 --enable-e7-smatrix",
-     RunConfig(command="smatrix", ade_type="E7", level=1, digits=12,
-               enable_e7_smatrix=True)),
+    ("smatrix --type E7 --level 1 --digits 12",
+     RunConfig(command="smatrix", ade_type="E7", level=1, digits=12)),
     ("verify duality --pair sp-so --max-n 12",
      RunConfig(command="verify", suite="duality", pair="sp-so", max_n=12)),
     ("verify identities --prop KF1 --params 1;1;3;1,1,1",
