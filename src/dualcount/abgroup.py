@@ -88,18 +88,31 @@ class AbGroup:
 
     # -- characters ----------------------------------------------------------
 
-    def pairing(self, chi, x, conductor: int | None = None) -> Cyc:
+    def pairing(self, chi, x) -> Cyc:
         """Value of the character indexed by chi on x, as a root of unity.
 
         chi lives in the dual group, identified with A itself via the
-        standard coordinates: chi(x) = prod_i zeta_{d_i}^{chi_i * x_i}.
+        standard coordinates: chi(x) = prod_i zeta_{d_i}^{chi_i * x_i}, one
+        power of zeta_e for e the exponent.
         """
-        n = conductor if conductor is not None else max(self.exponent, 1)
-        val = Cyc.from_rational(1, n)
-        for c, a, d in zip(chi, x, self.moduli):
-            if c * a % d:
-                val = val * Cyc.zeta(n, (c * a % d) * (n // d))
-        return val
+        e = self.exponent
+        return Cyc.zeta(e, sum(c * a % d * (e // d)
+                               for c, a, d in zip(chi, x, self.moduli)))
+
+    # -- actions -------------------------------------------------------------
+
+    def action(self, generator_perms, size: int) -> dict:
+        """Permutation of range(size) for every element, from an action whose
+        generators (one per cyclic factor) act by generator_perms: each
+        element's permutation is composed from the generators' powers."""
+        table = {}
+        for x in self.elements():
+            perm = tuple(range(size))
+            for gen, power in zip(generator_perms, x):
+                for _ in range(power):
+                    perm = tuple(gen[j] for j in perm)
+            table[x] = perm
+        return table
 
     # -- homomorphisms -------------------------------------------------------
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 from . import lattice
 from .abgroup import AbGroup
-from .counting import _iter_vectors, graded_compositions
+from .counting import graded_compositions, iter_vectors
 from .cyclotomic import Cyc
 from .errors import InvariantError
 from .grouprep import GroupSpec, abelianization, det_char
@@ -124,7 +124,7 @@ def level_weights(ade_type: str, n: int) -> LevelWeights:
     if not isinstance(n, int) or n < 1:
         raise ValueError("level must be a positive integer")
     graph = mckay_graph(mckay_partner(ade_type))
-    vecs = tuple(sorted(_iter_vectors(graph.comarks, n), reverse=True))
+    vecs = tuple(sorted(iter_vectors(graph.comarks, n), reverse=True))
     return LevelWeights(ade_type=ade_type, level=n, node_names=graph.node_names,
                         comarks=graph.comarks, weights=vecs)
 

@@ -12,11 +12,13 @@ of prod_i 1/(1 - t^(w_i) x^(g_i)).  The dynamic-programming kernel
 `graded_compositions` extracts it in slots x size x |grading group| steps
 without listing a single vector.  Counts up to a symmetry (PU, the classes an
 involution fixes, the finite character tables) run the same kernel on
-weights collapsed along permutation orbits, because a fixed vector is
-constant on each orbit.  Only character data enters, no Lie-theoretic input;
-closed-form series live in a separate module precisely so the two routes stay
-independent checks of each other.  `multiplicity_vectors` still lists the
-vectors themselves, as the enumeration oracle the tests compare against.
+collapsed slots: a composition that a permutation of the slots fixes is
+constant on each cycle, so `_fixed_slots` makes each cycle one slot, and
+`orbit_compositions` averages those fixed counts over a group of slot
+permutations (Burnside); `FRepCharacter.from_counts` pairs them, per grade,
+with the characters of the grading group.  Only character data enters, no
+Lie-theoretic input; closed-form series live in a separate module precisely
+so the two routes stay independent checks of each other.
 
 The binary octahedral group is the one exceptional case with a nontrivial
 two-torsion refinement: its symplectic and orthogonal counts split into
@@ -36,7 +38,6 @@ from .errors import InvariantError, NotCoveredError
 from .grouprep import (
     COMPLEX,
     CYCLIC,
-    DIHEDRAL,
     ICOSAHEDRAL,
     OCTAHEDRAL,
     PSEUDOREAL,
@@ -127,23 +128,56 @@ def _count_weights(weights, total) -> int:
     return graded_compositions([(w, ()) for w in weights], _UNGRADED, total)[()]
 
 
-def _orbits(perm):
-    """Cycles of a permutation of range(len(perm)), as lists of indices."""
-    seen = set()
+def _fixed_slots(slots, perm, group: AbGroup) -> list:
+    """Slots whose compositions are those of slots that perm fixes.
+
+    A fixed composition is constant on each cycle of perm, so each cycle
+    becomes one slot carrying the cycle's summed weight and grade; a 1-cycle
+    keeps its slot unchanged.
+    """
     out = []
-    for start in range(len(perm)):
-        orbit = []
-        j = start
-        while j not in seen:
-            seen.add(j)
-            orbit.append(j)
+    seen = [False] * len(slots)
+    for start, slot in enumerate(slots):
+        if seen[start]:
+            continue
+        seen[start] = True
+        j = perm[start]
+        if j == start:
+            out.append(slot)
+            continue
+        weight, grades = slot[0], [slot[1]]
+        while not seen[j]:
+            seen[j] = True
+            weight += slots[j][0]
+            grades.append(slots[j][1])
             j = perm[j]
-        if orbit:
-            out.append(orbit)
+        out.append((weight, group.reduce(map(sum, zip(*grades)))))
     return out
 
 
-def _iter_vectors(weights, total):
+def orbit_compositions(slots, group: AbGroup, total: int, perms,
+                       order: int) -> dict:
+    """Per grade, the compositions counted by `graded_compositions` up to a
+    group of slot permutations that keep every weight and grade.
+
+    perms lists the group's permutations of range(len(slots)), one per
+    element, and order is the group's order, which the caller knows: by
+    Burnside the orbits are the fixed counts summed over the group, divided
+    by its order.  A sum that order does not divide raises InvariantError.
+    """
+    sums = dict.fromkeys(group.elements(), 0)
+    for perm in perms:
+        fixed = graded_compositions(_fixed_slots(slots, perm, group), group,
+                                    total)
+        for grade, count in fixed.items():
+            sums[grade] += count
+    if any(v % order for v in sums.values()):
+        raise InvariantError(f"a Burnside sum in {sorted(sums.values())} is "
+                             f"not a multiple of the group order {order}")
+    return {grade: v // order for grade, v in sums.items()}
+
+
+def iter_vectors(weights, total):
     """Nonnegative integer vectors v with sum(v[i] * weights[i]) == total.
 
     Lists what `graded_compositions` counts: affine weights, and the tests.
@@ -236,77 +270,13 @@ def _orthogonal_slots(g: GroupSpec):
     return _build_slots(irreps(g), abelianization(g).group, PSEUDOREAL)
 
 
-def _vector_as_dict(slots, vec) -> dict[str, int]:
-    mv = {}
-    for slot, c in zip(slots, vec):
-        if not c:
-            continue
-        for name in slot.names:
-            mv[name] = mv.get(name, 0) + slot.step * c
-    return mv
-
-
-def _vector_det(group_ab, slots, vec):
-    acc = group_ab.identity
-    for slot, c in zip(slots, vec):
-        if c:
-            acc = group_ab.add(acc, group_ab.scale(c, slot.det))
-    return acc
-
-
-def multiplicity_vectors(g: GroupSpec, t: Target):
-    """Enumerate solution vectors as name -> multiplicity dicts.
-
-    Covers the families whose classes are plain constrained multiplicity
-    vectors (U, SU, Sp, O_odd, SO_odd); the quotient and covering-group
-    families count orbits or sectors instead of vectors.
-    """
-    ab = abelianization(g)
-    if t.family in ("U", "SU"):
-        infos = irreps(g)
-        weights = tuple(i.dim for i in infos)
-        for vec in _iter_vectors(weights, t.n):
-            if t.family == "SU":
-                det = ab.group.identity
-                for info, c in zip(infos, vec):
-                    if c:
-                        det = ab.group.add(det, ab.group.scale(c, info.det_element))
-                if det != ab.group.identity:
-                    continue
-            yield {i.name: c for i, c in zip(infos, vec) if c}
-        return
-    if t.family == "Sp":
-        slots = _symplectic_slots(g)
-        for vec in _iter_vectors(tuple(s.weight for s in slots), 2 * t.n):
-            yield _vector_as_dict(slots, vec)
-        return
-    if t.family in ("O_odd", "SO_odd"):
-        slots = _orthogonal_slots(g)
-        for vec in _iter_vectors(tuple(s.weight for s in slots), 2 * t.n + 1):
-            if t.family == "SO_odd":
-                if _vector_det(ab.group, slots, vec) != ab.group.identity:
-                    continue
-            yield _vector_as_dict(slots, vec)
-        return
-    raise NotCoveredError(
-        f"not covered: {t.family} classes are not plain multiplicity vectors")
-
-
 def _pu_count(g: GroupSpec, n: int) -> int:
     # Burnside over the character group acting on unitary solutions by
-    # tensoring: fixed vectors are constant on each permutation orbit, so
-    # they are counted directly on orbit-collapsed weights.
-    order = abelianization(g).group.order
-    infos = irreps(g)
-    total = sum(
-        _count_weights([sum(infos[j].dim for j in orbit)
-                        for orbit in _orbits(perm)], n)
-        for perm in onedim_permutations(g).values())
-    if total % order:
-        raise InvariantError(
-            f"Burnside sum {total} for {g.label} in PU({n}) is not a "
-            f"multiple of the group order {order}")
-    return total // order
+    # tensoring, which permutes the irreps
+    slots = [(info.dim, ()) for info in irreps(g)]
+    return orbit_compositions(slots, _UNGRADED, n,
+                              onedim_permutations(g).values(),
+                              abelianization(g).group.order)[()]
 
 
 # -- octahedral sector machinery -------------------------------------------------
@@ -355,18 +325,17 @@ def _oct_sp_sector(n: int, w: int) -> SectorCount:
                 raise InvariantError(
                     f"the twist does not preserve the slot {slot.names}")
         return SectorCount(1, _count_weights([s.weight for s in slots], 2 * n), 0)
-    # the involution tensors with 1'; the solutions it fixes are constant on
-    # its orbits of slots
-    slots = _symplectic_slots(g)
+    # the involution tensors with 1', which permutes the slots
+    sp_slots = _symplectic_slots(g)
     names = [info.name for info in irreps(g)]
     irrep_perm = onedim_permutations(g)[abelianization(g).element_of["1'"]]
     tensored = {names[i]: names[j] for i, j in enumerate(irrep_perm)}
-    slot_of = {nm: k for k, s in enumerate(slots) for nm in s.names}
-    perm = [slot_of[tensored[s.names[0]]] for s in slots]
-    weights = [s.weight for s in slots]
-    total = _count_weights(weights, 2 * n)
-    fixed = _count_weights(
-        [sum(weights[k] for k in orbit) for orbit in _orbits(perm)], 2 * n)
+    slot_of = {nm: k for k, s in enumerate(sp_slots) for nm in s.names}
+    perm = [slot_of[tensored[s.names[0]]] for s in sp_slots]
+    slots = [(s.weight, ()) for s in sp_slots]
+    total = graded_compositions(slots, _UNGRADED, 2 * n)[()]
+    fixed = graded_compositions(
+        _fixed_slots(slots, perm, _UNGRADED), _UNGRADED, 2 * n)[()]
     return SectorCount(0, fixed, total - fixed)
 
 
@@ -535,6 +504,29 @@ class FRepCharacter:
     grading_moduli: tuple[int, ...]
     values: tuple[tuple[Cyc, ...], ...]
 
+    @classmethod
+    def from_counts(cls, label: str, center_moduli: tuple[int, ...],
+                    grading_moduli: tuple[int, ...],
+                    counts: dict) -> "FRepCharacter":
+        """The table whose entry (z, w-hat) is sum_w w-hat(w) * counts[z][w].
+
+        counts maps each element z of AbGroup(grading_moduli) to the
+        solutions that z fixes, counted per grade w of that same group.
+        """
+        group = AbGroup(grading_moduli)
+        els = group.elements()
+        chars = {what: {w: group.pairing(what, w) for w in els} for what in els}
+        # the characters' values live in Q(zeta_e), e the exponent; summing
+        # there scales by integers and promotes nothing
+        zero = Cyc.from_rational(0, group.exponent)
+        values = tuple(
+            tuple(
+                sum((chars[what][w] * c for w, c in counts[z].items() if c),
+                    zero)
+                for what in els)
+            for z in els)
+        return cls(label, center_moduli, grading_moduli, values)
+
     def grading_group(self) -> AbGroup:
         return AbGroup(self.grading_moduli)
 
@@ -553,52 +545,28 @@ def _su_f_rep(g: GroupSpec, n: int) -> FRepCharacter:
     ab = abelianization(g)
     A = ab.group
     gcds = tuple(gcd(d, n) for d in A.moduli)
-    G0 = AbGroup(gcds)
     qmod, reps, _ = A.quotient_by_scaling(n)
     if qmod != gcds:
         raise InvariantError(f"A/nA has moduli {qmod}, expected {gcds}")
-    z_elements = G0.elements()
     perms = onedim_permutations(g)
-    infos = irreps(g)
+    slots = [(info.dim, info.det_element) for info in irreps(g)]
     counts = {}
-    for z in z_elements:
-        # unitary solutions fixed by tensoring with z are constant on its
-        # orbits, and an orbit adds its summed dimension and determinant
+    for z in AbGroup(gcds).elements():
+        # the unitary solutions fixed by tensoring with z, graded by det
         embedded = tuple(zi * (d // gi) for zi, d, gi in zip(z, A.moduli, gcds))
-        slots = []
-        for orbit in _orbits(perms[embedded]):
-            det = A.identity
-            for j in orbit:
-                det = A.add(det, infos[j].det_element)
-            slots.append((sum(infos[j].dim for j in orbit), det))
-        by_det = graded_compositions(slots, A, n)
+        by_det = graded_compositions(_fixed_slots(slots, perms[embedded], A),
+                                     A, n)
         counts[z] = {w: by_det[w] for w in reps}
-    values = tuple(
-        tuple(
-            sum(
-                (G0.pairing(what, w) * Cyc.from_rational(c)
-                 for w, c in counts[z].items() if c),
-                Cyc.from_rational(0),
-            )
-            for what in z_elements
-        )
-        for z in z_elements
-    )
-    return FRepCharacter("su", (n,), gcds, values)
+    return FRepCharacter.from_counts("su", (n,), gcds, counts)
 
 
 def _two_torsion_f_rep(label: str, sectors: dict[int, SectorCount]) -> FRepCharacter:
-    values = []
-    for eps in (0, 1):
-        row = []
-        for delta in (0, 1):
-            acc = 0
-            for m, s in sectors.items():
-                weight = -1 if (delta * m) % 2 else 1
-                acc += weight * (s.fixed if eps else s.fixed + s.moved)
-            row.append(Cyc.from_rational(acc))
-        values.append(tuple(row))
-    return FRepCharacter(label, (2,), (2,), tuple(values))
+    # the identity fixes every solution of a sector, the involution its fixed
+    # ones
+    counts = {(eps,): {(w,): s.fixed if eps else s.fixed + s.moved
+                       for w, s in sectors.items()}
+              for eps in (0, 1)}
+    return FRepCharacter.from_counts(label, (2,), (2,), counts)
 
 
 def f_rep_character(g: GroupSpec, side: str, n: int) -> FRepCharacter:

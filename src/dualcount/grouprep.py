@@ -642,14 +642,7 @@ def onedim_permutations(g: GroupSpec) -> MappingProxyType:
     generator_perms = [
         tuple(index[tensor_with_onedim(g, name, gen)] for name in names)
         for gen in ab.generator_names]
-    table = {}
-    for x in ab.group.elements():
-        perm = tuple(range(len(names)))
-        for gen_perm, power in zip(generator_perms, x):
-            for _ in range(power):
-                perm = tuple(gen_perm[j] for j in perm)
-        table[x] = perm
-    return MappingProxyType(table)
+    return MappingProxyType(ab.group.action(generator_perms, len(names)))
 
 
 def decompose_defining_tensor(g: GroupSpec, name: str) -> dict[str, int]:

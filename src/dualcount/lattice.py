@@ -5,10 +5,11 @@ lattices M* between the coroots Q and the coweights P are given by integer
 basis matrices.  The Weyl orbits on (1/n)M*/M* are the points of the alcove
 at level n, compositions of n weighted by the marks of the extended diagram
 with grade in M*/Q, up to the diagram symmetries of M*/Q (Djokovic, Proc.
-AMS 80 (1980)); Burnside turns each count into `counting.graded_compositions`
-calls.  The refined variant grades (1/n)P/M* by Z = P/M* and packages the
-result as the character-table type of the direct constraint enumeration,
-so the two routes can be compared point for point.  The torus grids of
+AMS 80 (1980)); each count is one `counting.orbit_compositions` call, the
+Burnside average over M*/Q acting on the extended diagram's nodes.  The
+refined variant grades (1/n)P/M* by Z = P/M* and packages the result with
+`FRepCharacter.from_counts`, as the character-table type of the direct
+constraint enumeration, so the two routes can be compared point for point.  The torus grids of
 n**rank points (`lattice_quotient`, `_orbits`, `graded_orbits`) remain only
 as the tests' oracle.
 """
@@ -24,9 +25,7 @@ from math import gcd, prod
 
 from .abgroup import AbGroup
 from .bounds import MAX_RANK
-from .counting import FRepCharacter, graded_compositions
-from .counting import _orbits as _cycles
-from .cyclotomic import Cyc
+from .counting import FRepCharacter, orbit_compositions
 from .errors import InvariantError
 
 __all__ = [
@@ -294,14 +293,7 @@ def _kac_data(letter: str, rank: int):
         if sorted(kac) != list(range(1, rank + 2)):
             raise InvariantError("a diagram symmetry must permute the Kac coordinates")
         gens.append(tuple(kac.index(i + 1) for i in range(rank + 1)))
-    omega = {}
-    for z in AbGroup(c.center_moduli).elements():
-        perm = tuple(range(rank + 1))
-        for zk, gen in zip(z, gens):
-            for _ in range(zk):
-                perm = tuple(gen[p] for p in perm)
-        omega[z] = perm
-    return marks, omega
+    return marks, AbGroup(c.center_moduli).action(gens, rank + 1)
 
 
 # -- lattice choices --------------------------------------------------------------
@@ -400,19 +392,14 @@ def _fixed_orbits(c: CartanData, n: int, choice: str, shift) -> dict:
         raise ValueError("modulus must be positive")
     zmods, zrows, _, sub = _center_grading(c, choice)
     marks, omega = _kac_data(c.type[0], c.rank)
-    center, zgroup = AbGroup(c.center_moduli), AbGroup(zmods)
-    total = dict.fromkeys(zgroup.elements(), 0)
-    for h in sub:
-        slots = [(marks[cycle[0]] * len(cycle),
-                  tuple(sum(row[i - 1] for i in cycle if i) % d
-                        for row, d in zip(zrows, zmods)))
-                 for cycle in _cycles(omega[center.add(shift, h)])]
-        for z, v in graded_compositions(slots, zgroup, n).items():
-            total[z] += v
-    if any(v % len(sub) for v in total.values()):
-        raise InvariantError(f"a Burnside sum in {sorted(total.values())} "
-                             f"is not a multiple of |M*/Q| = {len(sub)}")
-    return {z: v // len(sub) for z, v in total.items()}
+    zgroup = AbGroup(zmods)
+    # node 0 is the affine node, of grade 0; node i > 0 is simple root i - 1
+    slots = [(marks[0], zgroup.identity)] + [
+        (a, tuple(row[i] % d for row, d in zip(zrows, zmods)))
+        for i, a in enumerate(marks[1:])]
+    center = AbGroup(c.center_moduli)
+    perms = [omega[center.add(shift, h)] for h in sub]
+    return orbit_compositions(slots, zgroup, n, perms, len(sub))
 
 
 def weyl_orbit_count(c: CartanData, lattice: str, n: int) -> int:
@@ -592,7 +579,6 @@ def refined_zn_characters(letter: str, rank: int, sublattice: str,
     zmods = _center_grading(c, sublattice)[0]
     counts = _refined_counts(c, sublattice, n)
     gs_mods = tuple(gcd(d, n) for d in zmods)
-    K = AbGroup(gs_mods)
 
     # the grade distribution repeats along nZ-cosets; keep one transversal
     def coset_rep(z):
@@ -603,20 +589,10 @@ def refined_zn_characters(letter: str, rank: int, sublattice: str,
         raise InvariantError("the grade counts must repeat along nZ-cosets")
 
     reps = [z for z in AbGroup(zmods).elements() if z == coset_rep(z)]
-    values = tuple(
-        tuple(
-            sum(
-                (K.pairing(what, coset_rep(z), conductor=n)
-                 * Cyc.from_rational(counts[kel][z])
-                 for z in reps if counts[kel][z]),
-                Cyc.from_rational(0),
-            )
-            for what in K.elements()
-        )
-        for kel in K.elements()
-    )
-    return FRepCharacter(
-        f"{c.type}:{sublattice}", tuple(zmods), gs_mods, values)
+    return FRepCharacter.from_counts(
+        f"{c.type}:{sublattice}", zmods, gs_mods,
+        {kel: {z: per_grade[z] for z in reps}
+         for kel, per_grade in counts.items()})
 
 
 # -- dual-pair catalog ---------------------------------------------------------------

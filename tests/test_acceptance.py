@@ -14,11 +14,11 @@ import pytest
 
 from dualcount import affine, lattice, series
 from dualcount.counting import (Target, count_homs, count_twisted,
-                                multiplicity_vectors, sector_of_so_rep,
-                                verify_swap_equivalence)
+                                sector_of_so_rep, verify_swap_equivalence)
 from dualcount.errors import NotCoveredError
 from dualcount.grouprep import GroupSpec, abelianization, irreps
 from dualcount.mckay import ade_type_of, mckay_graph
+from enumeration import multiplicity_vectors
 
 ALL_GAMMAS = (
     [GroupSpec.cyclic(m) for m in range(1, 13)]

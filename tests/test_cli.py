@@ -704,6 +704,20 @@ def test_json_runs_are_byte_identical(capsys):
     assert json.dumps(parsed, sort_keys=True) + "\n" == first
 
 
+def test_benchmark_reference_outputs_are_reproduced(capsys):
+    # every command the benchmark can run, replayed in process: each must
+    # exit 0 with exactly the stdout bytes stored in its reference file
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                            / "reference.json").read_text())
+    assert len(reference) >= 300
+    differing = []
+    for command, expected in sorted(reference.items()):
+        status, out, _ = invoke(command.split(), capsys)
+        if (status, out) != (0, expected):
+            differing.append(command)
+    assert differing == []
+
+
 def test_genfun_known_coefficients(capsys):
     status, out, _ = invoke(["genfun", "--gamma", "Ohat", "--order", "6"],
                             capsys)

@@ -1,6 +1,6 @@
 """Tests for constraint enumeration, sector counts, and swap reports."""
 
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,19 +13,19 @@ from dualcount.counting import (
     SectorCount,
     Target,
     _build_slots,
-    _iter_vectors,
     count_homs,
     count_row,
     count_twisted,
     f_rep_character,
     graded_compositions,
-    multiplicity_vectors,
+    iter_vectors,
+    orbit_compositions,
     sector_of_so_rep,
     sector_row,
     tables_swap_equivalent,
     verify_swap_equivalence,
 )
-from dualcount.errors import NotCoveredError
+from dualcount.errors import InvariantError, NotCoveredError
 from dualcount.grouprep import (
     PSEUDOREAL,
     REAL,
@@ -36,6 +36,7 @@ from dualcount.grouprep import (
     tensor_with_onedim,
     twisted_irreps,
 )
+from enumeration import multiplicity_vectors
 
 Z = GroupSpec.cyclic
 DH = GroupSpec.binary_dihedral
@@ -121,6 +122,57 @@ def test_graded_compositions_small_case():
     assert graded_compositions([(1, (1,)), (2, (0,))], A, 3) == {(0,): 0, (1,): 2}
     assert graded_compositions([(1, (1,))], A, 0) == {(0,): 1, (1,): 0}
     assert graded_compositions([], A, 2) == {(0,): 0, (1,): 0}
+
+
+@st.composite
+def _symmetric_slots(draw):
+    """(m, slots graded in Z_m, a generator permuting them, its order).
+
+    Each block of slots shares one weight and grade, and the generator
+    rotates every block; the slots are then relabelled at random."""
+    m = draw(st.integers(1, 4))
+    blocks = draw(st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, m - 1)),
+        min_size=1, max_size=4).filter(lambda bs: sum(b[0] for b in bs) <= 6))
+    slots, gen = [], []
+    for length, weight, grade in blocks:
+        start = len(slots)
+        slots += [(weight, (grade,))] * length
+        gen += [start + (j + 1) % length for j in range(length)]
+    label = draw(st.permutations(range(len(slots))))
+    new_slots, new_gen = [None] * len(slots), [None] * len(slots)
+    for i, j in enumerate(label):
+        new_slots[j] = slots[i]
+        new_gen[j] = label[gen[i]]
+    return m, new_slots, tuple(new_gen), lcm(*(b[0] for b in blocks))
+
+
+@given(_symmetric_slots(), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_orbit_compositions_match_listed_orbits(case, total):
+    m, slots, gen, order = case
+    perms, perm = [], tuple(range(len(slots)))
+    for _ in range(order):
+        perms.append(perm)
+        perm = tuple(gen[j] for j in perm)
+    assert list(AbGroup((order,)).action([gen], len(slots)).values()) == perms
+    group = AbGroup((m,))
+    expected = dict.fromkeys(group.elements(), 0)
+    seen = set()
+    for vec in iter_vectors([w for w, _ in slots], total):
+        if vec not in seen:
+            seen |= {tuple(vec[j] for j in p) for p in perms}
+            expected[(sum(c * g for c, (_, (g,)) in zip(vec, slots)) % m,)] += 1
+    assert orbit_compositions(slots, group, total, perms, order) == expected
+
+
+def test_orbit_compositions_refuse_a_partial_group():
+    # the swap of two unit slots has two orbits on the compositions of 2, but
+    # the identity alone fixes all three, which two does not divide
+    slots, ungraded = [(1, ()), (1, ())], AbGroup(())
+    assert orbit_compositions(slots, ungraded, 2, [(0, 1), (1, 0)], 2) == {(): 2}
+    with pytest.raises(InvariantError):
+        orbit_compositions(slots, ungraded, 2, [(0, 1)], 2)
 
 
 @pytest.mark.parametrize("g", CATALOGUE, ids=lambda g: g.label)
@@ -259,14 +311,14 @@ def _enumerated_sector(family, n, w):
     if family == "Sp" and w == 1:
         slots = _build_slots(twisted_irreps(OCT), A, REAL)
         weights = tuple(s.weight for s in slots)
-        return SectorCount(1, sum(1 for _ in _iter_vectors(weights, 2 * n)), 0)
+        return SectorCount(1, sum(1 for _ in iter_vectors(weights, 2 * n)), 0)
     if family == "Sp":
         # the involution tensors with 1'; fixed vectors equal their image
         slots = _build_slots(irreps(OCT), A, REAL)
         slot_of = {s.names[0]: k for k, s in enumerate(slots)}
         perm = [slot_of[tensor_with_onedim(OCT, s.names[0], "1'")] for s in slots]
         fixed = moved = 0
-        for vec in _iter_vectors(tuple(s.weight for s in slots), 2 * n):
+        for vec in iter_vectors(tuple(s.weight for s in slots), 2 * n):
             if all(vec[k] == vec[perm[k]] for k in range(len(vec))):
                 fixed += 1
             else:
