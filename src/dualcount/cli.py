@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=("Sp", "Spin_odd"))
     p.add_argument("--n", type=int, required=True)
 
-    p = add("irreps", "irreducible character table of a source group")
+    p = add("irreps", "irreducibles of a source group: dimension, reality, "
+                     "conjugate partner and determinant")
     p.add_argument("--gamma", required=True)
 
     p = add("mckay", "McKay graph of a source group")

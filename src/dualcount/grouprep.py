@@ -1,14 +1,19 @@
 """Finite subgroups of SU(2) and their exact representation theory.
 
 Covers the cyclic, binary dihedral, binary tetrahedral, binary octahedral and
-binary icosahedral groups.  Everything downstream (McKay graphs, counting,
-sector refinements) is driven by the exact character tables built here.
+binary icosahedral groups.  Downstream code (McKay graphs, counting, sector
+refinements) reads only the combinatorics of the irreducibles: dimensions,
+reality types, conjugate partners, determinant characters and the action of
+the 1-dim characters by tensoring.
 
-Derived data is computed, not transcribed: reality types come from the
-Frobenius-Schur indicator, determinant characters from Newton's identities,
-and conjugate partners from matching conjugated characters.  Table builders
-validate orthogonality and inversion consistency, so a transcription error in
-a hard-coded table fails loudly at first use.
+For the two infinite families, Z:m and Dhat:m, that data is written in closed
+form (McKay, *Graphs, singularities and finite groups*, 1980); no character
+value is computed.  For That, Ohat and Ihat it is derived from exact
+character tables: reality types come from the Frobenius-Schur indicator,
+determinant characters from Newton's identities, and conjugate partners from
+matching conjugated characters.  Table builders validate orthogonality and
+inversion consistency, so a transcription error in a hard-coded table fails
+loudly at first use.
 """
 
 from __future__ import annotations
@@ -35,15 +40,11 @@ ICOSAHEDRAL = "binary_icosahedral"
 
 _EXCEPTIONAL_ORDERS = {TETRAHEDRAL: 24, OCTAHEDRAL: 48, ICOSAHEDRAL: 120}
 
-# Largest m that a Z:m or Dhat:m label may name.  The first use of a group
-# builds and validates its exact character table: the orthogonality checks
-# alone take |classes|^3 / 2 products in Q(zeta_N), N the conductor (m for
-# Z:m, lcm(2m, 4) for Dhat:m), each costing up to phi(N)^2 integer products.
-# The cost peaks at primes, where phi(N) is largest.  First calls of
-# `count --target SU --n 2` on a 2-CPU machine: Z:24 0.5 s, Z:32 1.0 s,
-# Z:47 3.7 s, Z:48 2.1 s, Dhat:47 5.6 s, Dhat:48 3.1 s; above the bound Z:61
-# takes 8.8 s, Dhat:61 14 s and Z:96 about 20 s, and the growth is close to
-# the fifth power of m.
+# Largest m that a Z:m or Dhat:m label may name.  Their irreducibles are
+# closed forms with m + O(1) entries, so the bound no longer stands for any
+# set-up cost.  It stays until counts are bounded by the work they ask of
+# the composition kernel (about m^2 * n cells for SU(n)); through
+# affine.mckay_partner it also caps A/D S-matrices at A47 and D50.
 MAX_GROUP_PARAM = 48
 
 
@@ -122,7 +123,8 @@ class GroupSpec:
 
 
 def _parse_param(text: str, tail: str) -> int:
-    if not tail.isdigit():
+    # str.isdigit alone admits other scripts' digits and superscripts
+    if not (tail.isascii() and tail.isdigit()):
         raise ValueError(f"unrecognized group label {text!r}")
     if int(tail) > MAX_GROUP_PARAM:
         raise ValueError(f"{text} exceeds the largest supported group "
@@ -149,6 +151,7 @@ class CharTable:
         self.chars = chars
         self.defining_name = defining_name
         self._name_by_char = {chars[n]: n for n in irrep_names}
+        self._duals = {}
 
     @property
     def n_classes(self) -> int:
@@ -166,18 +169,26 @@ class CharTable:
     def inverse_class(self, c: int) -> int:
         return self.power_class[c][-1 % self.class_orders[c]]
 
-    def inner(self, u, v) -> Fraction:
+    def multiplicity(self, vec, name: str) -> Fraction:
+        """The inner product of a class function with the irreducible name;
+        its conjugated, class-weighted character is computed once per table."""
+        dual = self._duals.get(name)
+        if dual is None:
+            dual = self._duals[name] = tuple(
+                v.conjugate() * size
+                for v, size in zip(self.chars[name], self.class_sizes))
         acc = Cyc.from_rational(0, self.conductor)
-        for c in range(self.n_classes):
-            acc = acc + u[c] * v[c].conjugate() * self.class_sizes[c]
+        for u, w in zip(vec, dual):
+            acc = acc + u * w
         return acc.rational() / self.group.order
 
     def decompose(self, vec) -> dict[str, int]:
         out = {}
         for name in self.irrep_names:
-            m = self.inner(vec, self.chars[name])
+            m = self.multiplicity(vec, name)
             if m.denominator != 1:
-                raise ValueError("character vector is not a virtual character")
+                # only derived characters reach here, never user input
+                raise InvariantError("character vector is not a virtual character")
             if m:
                 out[name] = int(m)
         return out
@@ -188,7 +199,7 @@ class CharTable:
     def name_of_char(self, vec) -> str:
         name = self._name_by_char.get(tuple(vec))
         if name is None:
-            raise ValueError("character does not match any irreducible")
+            raise InvariantError("character does not match any irreducible")
         return name
 
     def fs_indicator(self, name: str) -> int:
@@ -232,7 +243,7 @@ def _validate_table(t: CharTable):
     for i, a in enumerate(t.irrep_names):
         for b in t.irrep_names[i:]:
             expect = Fraction(1 if a == b else 0)
-            if t.inner(t.chars[a], t.chars[b]) != expect:
+            if t.multiplicity(t.chars[a], b) != expect:
                 raise InvariantError(f"orthogonality fails for ({a}, {b})")
     for c in range(t.n_classes):
         if t.power_class[c][0] != 0:
@@ -249,128 +260,6 @@ def _validate_table(t: CharTable):
             oc = t.class_orders[t.power_class[c][p]]
             if oc != t.class_orders[c] // gcd(t.class_orders[c], p or t.class_orders[c]):
                 raise InvariantError("power map order bookkeeping is wrong")
-
-
-# -- cyclic tables -----------------------------------------------------------
-
-
-def _cyclic_table(g: GroupSpec) -> CharTable:
-    n = g.param
-    names = [str(k) for k in range(n)]
-    chars = {}
-    for k in range(n):
-        chars[str(k)] = tuple(Cyc.zeta(n, j * k) for j in range(n))
-    power_class = [[(j * p) % n for p in range(n // gcd(j, n) if j else 1)] for j in range(n)]
-    t = CharTable(
-        group=g,
-        conductor=n,
-        class_names=[str(j) for j in range(n)],
-        class_sizes=[1] * n,
-        class_orders=[n // gcd(j, n) if j else 1 for j in range(n)],
-        power_class=power_class,
-        irrep_names=names,
-        chars=chars,
-        defining_name=None,
-    )
-    return t
-
-
-def _cyclic_defining_char(g: GroupSpec):
-    n = g.param
-    return tuple(Cyc.zeta(n, j) + Cyc.zeta(n, -j % n) for j in range(n))
-
-
-# -- binary dihedral tables ---------------------------------------------------
-
-
-def _dihedral_mult(m):
-    # elements (t, j) = b^t a^j in <a, b | a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1>
-    def mult(x, y):
-        t, j = x
-        s, k = y
-        if t == 0 and s == 0:
-            return (0, (j + k) % (2 * m))
-        if t == 0 and s == 1:
-            return (1, (k - j) % (2 * m))
-        if t == 1 and s == 0:
-            return (1, (j + k) % (2 * m))
-        return (0, (m + k - j) % (2 * m))
-
-    return mult
-
-
-def _dihedral_table(g: GroupSpec) -> CharTable:
-    m = g.param
-    mult = _dihedral_mult(m)
-    elements = [(t, j) for t in (0, 1) for j in range(2 * m)]
-    order = {}
-    for x in elements:
-        k, y = 1, x
-        while y != (0, 0):
-            y = mult(y, x)
-            k += 1
-        order[x] = k
-    inverse = {x: next(y for y in elements if mult(x, y) == (0, 0)) for x in elements}
-    # conjugacy classes, keyed by minimal member
-    class_of = {}
-    classes = []
-    for x in elements:
-        if x in class_of:
-            continue
-        orbit = {mult(mult(h, x), inverse[h]) for h in elements}
-        rep = min(orbit)
-        idx = len(classes)
-        classes.append(sorted(orbit))
-        for y in orbit:
-            class_of[y] = idx
-    reps = [min(c) for c in classes]
-    conductor = 2 * m * 4 // gcd(2 * m, 4)  # lcm(2m, 4)
-    power_class = []
-    for rep in reps:
-        row, y = [], (0, 0)
-        for _ in range(order[rep]):
-            row.append(class_of[y])
-            y = mult(y, rep)
-        power_class.append(row)
-
-    zeta = lambda k: Cyc.zeta(conductor, k % conductor)
-    alpha = conductor // (2 * m)  # zeta^alpha is a primitive 2m-th root
-    quart = conductor // 4  # zeta^quart = i
-
-    def onedim(avals, bval_exp):
-        # a -> zeta^avals (0 or m*alpha), b -> zeta^bval_exp
-        vals = []
-        for t, j in reps:
-            vals.append(zeta(bval_exp * t + avals * j))
-        return tuple(vals)
-
-    names = ["1"] + [f"2_{k}" for k in range(1, m)] + ["1'''", "1'", "1''"]
-    chars = {}
-    chars["1"] = onedim(0, 0)
-    chars["1'"] = onedim(0, 2 * quart)  # b -> -1
-    chars["1''"] = onedim(m * alpha, quart * m)  # a -> -1, b -> i^m
-    chars["1'''"] = onedim(m * alpha, quart * m + 2 * quart)  # a -> -1, b -> -i^m
-    for k in range(1, m):
-        vals = []
-        for t, j in reps:
-            if t:
-                vals.append(Cyc.from_rational(0, conductor))
-            else:
-                vals.append(zeta(alpha * k * j) + zeta(-alpha * k * j))
-        chars[f"2_{k}"] = tuple(vals)
-
-    t = CharTable(
-        group=g,
-        conductor=conductor,
-        class_names=[f"({a},{b})" for a, b in reps],
-        class_sizes=[len(c) for c in classes],
-        class_orders=[order[r] for r in reps],
-        power_class=power_class,
-        irrep_names=names,
-        chars=chars,
-        defining_name="2_1",
-    )
-    return t
 
 
 # -- exceptional tables -------------------------------------------------------
@@ -490,28 +379,26 @@ def _icosahedral_table(g: GroupSpec) -> CharTable:
     )
 
 
+_TABLE_BUILDERS = {
+    TETRAHEDRAL: _tetrahedral_table,
+    OCTAHEDRAL: _octahedral_table,
+    ICOSAHEDRAL: _icosahedral_table,
+}
+
+
 @lru_cache(maxsize=None)
 def character_table(g: GroupSpec) -> CharTable:
-    if g.family == CYCLIC:
-        t = _cyclic_table(g)
-    elif g.family == DIHEDRAL:
-        t = _dihedral_table(g)
-    elif g.family == TETRAHEDRAL:
-        t = _tetrahedral_table(g)
-    elif g.family == OCTAHEDRAL:
-        t = _octahedral_table(g)
-    else:
-        t = _icosahedral_table(g)
+    """The validated exact character table of That, Ohat or Ihat.
+
+    Z:m and Dhat:m have closed-form irreducibles and no table (ValueError).
+    """
+    build = _TABLE_BUILDERS.get(g.family)
+    if build is None:
+        raise ValueError(f"{g.label} has closed-form irreducibles and no "
+                         f"character table")
+    t = build(g)
     _validate_table(t)
     return t
-
-
-def defining_char(g: GroupSpec):
-    """Character of the 2-dim representation given by the embedding in SU(2)."""
-    t = character_table(g)
-    if g.family == CYCLIC:
-        return _cyclic_defining_char(g)
-    return t.chars[t.defining_name]
 
 
 # -- irreducible representation info -----------------------------------------
@@ -538,26 +425,49 @@ class Abelianization:
     element_of: dict
 
 
+def _named_abelianization(ab: AbGroup, gens, name_of: dict) -> Abelianization:
+    element_of = {v: k for k, v in name_of.items()}
+    if len(element_of) != ab.order:
+        raise InvariantError("chosen generators do not generate the character group")
+    return Abelianization(group=ab, generator_names=tuple(gens), name_of=name_of,
+                          element_of=element_of)
+
+
+# the character group of Dhat:m is Z4 generated by 1'' for odd m (indexed
+# here by the power of 1''), and Z2 x Z2 generated by 1' and 1''' for even m
+_DIHEDRAL_ODD_ONEDIMS = ("1", "1''", "1'", "1'''")
+_DIHEDRAL_EVEN_ONEDIMS = {(0, 0): "1", (0, 1): "1'''", (1, 0): "1'", (1, 1): "1''"}
+
+_TABLE_GENERATORS = {
+    TETRAHEDRAL: ((3,), ("1'",)),
+    OCTAHEDRAL: ((2,), ("1'",)),
+    ICOSAHEDRAL: ((), ()),
+}
+
+
 @lru_cache(maxsize=None)
 def abelianization(g: GroupSpec) -> Abelianization:
-    t = character_table(g)
     if g.family == CYCLIC:
-        moduli = (g.param,)
-        gens = ("1",) if g.param > 1 else ()
-    elif g.family == DIHEDRAL:
+        ab = AbGroup((g.param,))
+        return _named_abelianization(ab, ("1",) if g.param > 1 else (),
+                                     {x: str(x[0]) for x in ab.elements()})
+    if g.family == DIHEDRAL:
         if g.param % 2:
-            moduli, gens = (4,), ("1''",)
-        else:
-            moduli, gens = (2, 2), ("1'", "1'''")
-    elif g.family == TETRAHEDRAL:
-        moduli, gens = (3,), ("1'",)
-    elif g.family == OCTAHEDRAL:
-        moduli, gens = (2,), ("1'",)
-    else:
-        moduli, gens = (), ()
+            ab = AbGroup((4,))
+            return _named_abelianization(
+                ab, ("1''",), {x: _DIHEDRAL_ODD_ONEDIMS[x[0]] for x in ab.elements()})
+        ab = AbGroup((2, 2))
+        return _named_abelianization(
+            ab, ("1'", "1'''"), {x: _DIHEDRAL_EVEN_ONEDIMS[x] for x in ab.elements()})
+    moduli, gens = _TABLE_GENERATORS[g.family]
+    return _table_abelianization(character_table(g), moduli, gens)
+
+
+def _table_abelianization(t: CharTable, moduli, gens) -> Abelianization:
+    """The abelianization read off a character table: each element is named
+    by the 1-dim character equal to that product of generator characters."""
     ab = AbGroup(moduli)
-    onedims = t.onedim_names()
-    if ab.order != len(onedims):
+    if ab.order != len(t.onedim_names()):
         raise InvariantError("abelianization order mismatch")
     name_of = {}
     for x in ab.elements():
@@ -567,19 +477,46 @@ def abelianization(g: GroupSpec) -> Abelianization:
             for _ in range(power):
                 vec = t.product(vec, gen_char)
         name_of[x] = t.name_of_char(vec)
-    if len(set(name_of.values())) != ab.order:
-        raise InvariantError("chosen generators do not generate the character group")
-    element_of = {v: k for k, v in name_of.items()}
-    return Abelianization(group=ab, generator_names=tuple(gens), name_of=name_of,
-                          element_of=element_of)
+    return _named_abelianization(ab, gens, name_of)
 
 
-@lru_cache(maxsize=None)
-def _irrep_data(g: GroupSpec):
-    t = character_table(g)
-    ab = abelianization(g)
-    infos = []
-    for node, name in enumerate(t.irrep_names):
+# Each irrep is first a row (name, dim, reality, partner, det name), in the
+# canonical order; _irrep_infos numbers the nodes and adds det elements.
+
+
+def _cyclic_irreps(m: int) -> list[tuple]:
+    """Irrep k of Z:m sends the generator to zeta_m^k: it is its own
+    determinant, and real exactly when zeta_m^k = zeta_m^-k."""
+    return [(str(k), 1, REAL, None, str(k)) if 2 * k % m == 0
+            else (str(k), 1, COMPLEX, str(-k % m), str(k))
+            for k in range(m)]
+
+
+def _dihedral_irreps(m: int) -> list[tuple]:
+    """Irreps of Dhat:m in McKay order: 1, 2_1 .. 2_(m-1), 1''', 1', 1''.
+
+    2_k is induced from the character a -> zeta_2m^k of the cyclic subgroup:
+    pseudoreal with trivial determinant for odd k, real with determinant 1'
+    for even k.  1'' and 1''' send b to +-i^m, a complex pair for odd m.
+    """
+    rows = [("1", 1, REAL, None, "1")]
+    for k in range(1, m):
+        rows.append((f"2_{k}", 2, PSEUDOREAL, None, "1") if k % 2
+                    else (f"2_{k}", 2, REAL, None, "1'"))
+    if m % 2:
+        rows.append(("1'''", 1, COMPLEX, "1''", "1'''"))
+        rows.append(("1'", 1, REAL, None, "1'"))
+        rows.append(("1''", 1, COMPLEX, "1'''", "1''"))
+    else:
+        rows.extend((name, 1, REAL, None, name) for name in ("1'''", "1'", "1''"))
+    return rows
+
+
+def _table_irreps(t: CharTable) -> list[tuple]:
+    """Rows read off a character table: reality from the Frobenius-Schur
+    indicator, partners by conjugation, determinants by Newton's identities."""
+    rows = []
+    for name in t.irrep_names:
         fs = t.fs_indicator(name)
         if fs == 1:
             reality, partner = REAL, None
@@ -590,17 +527,26 @@ def _irrep_data(g: GroupSpec):
             reality, partner = COMPLEX, t.name_of_char(conj)
             if partner == name:
                 raise InvariantError("complex irrep cannot be self-conjugate")
-        det_name = t.name_of_char(t.det_vector(name))
-        infos.append(IrrepInfo(
-            name=name,
-            dim=t.dim(name),
-            reality=reality,
-            partner=partner,
-            det=det_name,
-            det_element=ab.element_of[det_name],
-            node=node,
-        ))
-    return tuple(infos)
+        rows.append((name, t.dim(name), reality, partner,
+                     t.name_of_char(t.det_vector(name))))
+    return rows
+
+
+def _irrep_infos(rows, ab: Abelianization) -> tuple[IrrepInfo, ...]:
+    return tuple(IrrepInfo(name=name, dim=dim, reality=reality, partner=partner,
+                           det=det, det_element=ab.element_of[det], node=node)
+                 for node, (name, dim, reality, partner, det) in enumerate(rows))
+
+
+@lru_cache(maxsize=None)
+def _irrep_data(g: GroupSpec):
+    if g.family == CYCLIC:
+        rows = _cyclic_irreps(g.param)
+    elif g.family == DIHEDRAL:
+        rows = _dihedral_irreps(g.param)
+    else:
+        rows = _table_irreps(character_table(g))
+    return _irrep_infos(rows, abelianization(g))
 
 
 def irreps(g: GroupSpec) -> tuple[IrrepInfo, ...]:
@@ -620,11 +566,36 @@ def det_char(g: GroupSpec, name: str) -> tuple[int, ...]:
     return irrep_by_name(g, name).det_element
 
 
-def tensor_with_onedim(g: GroupSpec, name: str, onedim: str) -> str:
-    """The irreducible name ⊗ onedim (always irreducible)."""
-    t = character_table(g)
-    vec = t.product(t.chars[name], t.chars[onedim])
-    return t.name_of_char(vec)
+def _closed_form_generator_perms(g: GroupSpec, ab: Abelianization, names):
+    """Node permutations of tensoring with each generator, for Z:m and Dhat:m.
+
+    1-dim irreps multiply in the abelianization.  1'' and 1''' are -1 on the
+    index-2 cyclic subgroup of Dhat:m, so they send 2_k to 2_(m-k); 1' fixes
+    every 2_k.
+    """
+    index = {name: k for k, name in enumerate(names)}
+    perms = []
+    for gen in ab.generator_names:
+        e = ab.element_of[gen]
+        flip = gen in ("1''", "1'''")
+
+        def image(name):
+            x = ab.element_of.get(name)
+            if x is not None:
+                return ab.name_of[ab.group.add(x, e)]
+            return f"2_{g.param - int(name[2:])}" if flip else name
+
+        perms.append(tuple(index[image(name)] for name in names))
+    return perms
+
+
+def _table_generator_perms(t: CharTable, ab: Abelianization, names):
+    """Node permutations of tensoring with each generator, from character
+    products."""
+    index = {name: k for k, name in enumerate(names)}
+    return [tuple(index[t.name_of_char(t.product(t.chars[name], t.chars[gen]))]
+                  for name in names)
+            for gen in ab.generator_names]
 
 
 @lru_cache(maxsize=None)
@@ -633,23 +604,23 @@ def onedim_permutations(g: GroupSpec) -> MappingProxyType:
     canonical irrep indices given by tensoring with that 1-dim character.
 
     Tensoring with 1-dim characters is an action of the character group, so
-    only the generators' permutations come from character products; every
-    other element's permutation is composed from those.
+    only the generators' permutations are derived, in closed form for Z:m
+    and Dhat:m and from character products otherwise; every other element's
+    permutation is composed from those.
     """
     ab = abelianization(g)
-    names = character_table(g).irrep_names
-    index = {name: k for k, name in enumerate(names)}
-    generator_perms = [
-        tuple(index[tensor_with_onedim(g, name, gen)] for name in names)
-        for gen in ab.generator_names]
+    names = [info.name for info in irreps(g)]
+    if g.family in (CYCLIC, DIHEDRAL):
+        generator_perms = _closed_form_generator_perms(g, ab, names)
+    else:
+        generator_perms = _table_generator_perms(character_table(g), ab, names)
     return MappingProxyType(ab.group.action(generator_perms, len(names)))
 
 
 def decompose_defining_tensor(g: GroupSpec, name: str) -> dict[str, int]:
-    """Multiplicities of name ⊗ (defining 2-dim rep)."""
+    """Multiplicities of name ⊗ (defining 2-dim rep), for That, Ohat and Ihat."""
     t = character_table(g)
-    vec = t.product(t.chars[name], defining_char(g))
-    return t.decompose(vec)
+    return t.decompose(t.product(t.chars[name], t.chars[t.defining_name]))
 
 
 def irrep_table_json(g: GroupSpec) -> dict:

@@ -1,10 +1,14 @@
 """McKay graphs of the finite SU(2) subgroups.
 
-Nodes are the irreducibles in canonical order; edges come from decomposing
-(irrep ⊗ defining 2-dim rep).  The computed adjacency is compared against an
-independently written table of extended Dynkin diagram shapes, so the two
-routes validate each other.  The node marked `affine_node` is the trivial
-irrep, and comarks are the irrep dimensions.
+Nodes are the irreducibles in canonical order, and the node marked
+`affine_node` is the trivial irrep; comarks are the irrep dimensions.  For
+Z:m and Dhat:m the edges are the extended Dynkin diagrams A(m-1) and D(m+2)
+themselves, in the closed-form node order of grouprep.  For That, Ohat and
+Ihat they come from decomposing (irrep ⊗ defining 2-dim rep) with the
+character table, and that adjacency is compared against the independently
+written diagram shapes, so the two routes validate each other.  Every
+adjacency must satisfy the McKay dimension identity sum_j a_ij dim_j =
+2 dim_i and be symmetric.
 """
 
 from __future__ import annotations
@@ -85,16 +89,29 @@ def _expected_edges(g: GroupSpec) -> list[tuple[int, int]]:
     return [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
 
 
+def _adjacency(g: GroupSpec, names) -> list[list[int]]:
+    """Adjacency matrix of the McKay graph; a loop counts once on the
+    diagonal, as it does in the decomposition of irrep ⊗ defining rep."""
+    adj = [[0] * len(names) for _ in names]
+    if g.family in (CYCLIC, DIHEDRAL):
+        for i, j in _expected_edges(g):
+            adj[i][j] += 1
+            if i != j:
+                adj[j][i] += 1
+        return adj
+    node_of = {n: i for i, n in enumerate(names)}
+    for i, name in enumerate(names):
+        for other, mult in decompose_defining_tensor(g, name).items():
+            adj[i][node_of[other]] = mult
+    return adj
+
+
 @lru_cache(maxsize=None)
 def mckay_graph(g: GroupSpec) -> McKayGraph:
     infos = irreps(g)
     names = [i.name for i in infos]
     dims = [i.dim for i in infos]
-    node_of = {n: i for i, n in enumerate(names)}
-    adj = [[0] * len(names) for _ in names]
-    for i, name in enumerate(names):
-        for other, mult in decompose_defining_tensor(g, name).items():
-            adj[i][node_of[other]] = mult
+    adj = _adjacency(g, names)
     for i in range(len(names)):
         if sum(adj[i][j] * dims[j] for j in range(len(names))) != 2 * dims[i]:
             raise InvariantError("adjacency violates the dimension identity")

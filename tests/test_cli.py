@@ -199,6 +199,56 @@ def test_corrupted_character_table_exits_4_under_optimize():
     assert "internal error" in proc.stderr
 
 
+def test_unmatched_derived_character_exits_4_under_optimize():
+    # determinant characters are derived, never typed in: one that matches
+    # no irreducible is a defect (exit 4), not a usage error (exit 1)
+    code = (
+        "import sys\n"
+        "from dualcount import cli, grouprep\n"
+        "det_vector = grouprep.CharTable.det_vector\n"
+        "grouprep.CharTable.det_vector = lambda self, name: tuple(\n"
+        "    v + v for v in det_vector(self, name))\n"
+        "sys.exit(cli.main(['count', '--gamma', 'Ohat', '--target', 'SU',"
+        " '--n', '2']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "internal error" in proc.stderr
+
+
+def test_closed_form_families_build_no_character_table():
+    # Z:m and Dhat:m take their irreducibles, tensoring permutations and
+    # McKay graphs from closed forms; only That, Ohat and Ihat have tables
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from dualcount import cli, grouprep\n"
+        "table = grouprep.character_table\n"
+        "def exceptional_only(g):\n"
+        "    if g.family in (grouprep.CYCLIC, grouprep.DIHEDRAL):\n"
+        "        raise RuntimeError('character table of ' + g.label)\n"
+        "    return table(g)\n"
+        "grouprep.character_table = exceptional_only\n"
+        "statuses = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        statuses.append(cli.main(argv))\n"
+        "print(json.dumps(statuses))\n")
+    runs = [["count", "--gamma", "Z:12", "--target", target, "--n", "3"]
+            for target in ("SU", "PU", "Sp", "SO_odd")]
+    runs += [
+        ["verify", "duality", "--gamma", "Dhat:6", "--max-n", "3"],
+        ["verify", "refined", "--gamma", "Z:12", "--max-n", "4"],
+        ["irreps", "--gamma", "Dhat:5"],
+        ["mckay", "--gamma", "Z:7"],
+        ["smatrix", "--type", "D5", "--level", "1"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(runs), proc.stderr
+
+
 # -- lattice and series sizes ---------------------------------------------------
 
 
@@ -485,6 +535,17 @@ def test_group_parameter_over_the_bound_is_refused(label, capsys):
     assert str(MAX_GROUP_PARAM) in err
 
 
+@pytest.mark.parametrize("label", ["Z:\u0663", "Dhat:\uff10\uff14", "Z:\u00b2"])
+def test_group_parameter_takes_ascii_digits_only(label, capsys):
+    # Arabic-Indic three, fullwidth 04 and superscript two all pass
+    # str.isdigit; none of them is a group label
+    status, out, err = invoke(["count", "--gamma", label, "--target", "SU",
+                               "--n", "2"], capsys)
+    assert status == 1
+    assert out == ""
+    assert "unrecognized group label" in err
+
+
 @pytest.mark.parametrize("label", [f"Z:{MAX_GROUP_PARAM}",
                                    f"Dhat:{MAX_GROUP_PARAM}"])
 def test_group_parameter_at_the_bound_is_accepted(label):
@@ -590,8 +651,8 @@ def test_smatrix_sizes_over_the_bound_are_refused(argv, bound, capsys):
 
 @pytest.mark.parametrize("ade_type", ["A48", "D51", "A101"])
 def test_smatrix_rank_past_the_partner_group_bound_is_refused(ade_type, capsys):
-    # A_r and D_r need the McKay partners Z:(r + 1) and Dhat:(r - 2), whose
-    # character tables are not built past grouprep.MAX_GROUP_PARAM
+    # A_r and D_r need the McKay partners Z:(r + 1) and Dhat:(r - 2), and
+    # no group label is accepted past grouprep.MAX_GROUP_PARAM
     status, out, err = invoke(["smatrix", "--type", ade_type, "--level", "1"],
                               capsys)
     assert status == 1

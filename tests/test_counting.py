@@ -33,9 +33,9 @@ from dualcount.grouprep import (
     abelianization,
     irrep_by_name,
     irreps,
-    tensor_with_onedim,
     twisted_irreps,
 )
+from char_tables import tensor_with_onedim
 from enumeration import multiplicity_vectors
 
 Z = GroupSpec.cyclic
