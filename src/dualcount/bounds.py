@@ -5,10 +5,10 @@ command that never expands a series or counts a Weyl orbit still checks
 its sizes without loading either module.
 """
 
-# Largest truncation order that genfun --order or DUALCOUNT_MAX_ORDER may ask
-# for.  The built-in series expand in linear time: the costliest, Ohat
-# refined:1,1:Spin, takes about 0.04 ms per order on a 2-CPU machine, 0.75 s
-# at this bound and 1.3 s for the whole genfun command.
+# Largest truncation order that genfun --order may ask for.  The built-in
+# series expand in about linear time: the costliest, Dhat:48 SO_odd, takes
+# about 0.04 ms per order on a 2-CPU machine, 0.76 s at this bound and about
+# 1 s for the whole genfun command.
 MAX_ORDER = 20_000
 
 # Largest rank lattice.cartan_data accepts.  Kac data take about rank**3

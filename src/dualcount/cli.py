@@ -12,10 +12,6 @@ same command are byte-identical.  Exit codes:
     4   an internal consistency check failed: a defect in the program,
         never a property of the input
 
-The environment variable DUALCOUNT_MAX_ORDER sets genfun's truncation order
-when --order is not given (GENFUN_ORDER when unset).  Every command checks it
-up front: like --order it is held to bounds.MAX_ORDER.
-
 A command loads only the layers it uses: affine, lattice, mckay and series
 are registered lazily, and a module's body runs when a command first reads
 one of its attributes.  A count runs none of them, except that a cyclic
@@ -29,7 +25,6 @@ import csv
 import importlib.util
 import io
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -82,7 +77,7 @@ MAX_N = 10_000
 # float of a report is printed at twelve digits at most
 MAX_DIGITS = 12
 
-# genfun's truncation order when neither --order nor DUALCOUNT_MAX_ORDER is set
+# genfun's truncation order when --order is not given
 GENFUN_ORDER = 24
 
 # Largest --max-n of verify oracle.  Its counts, not its series, set the cost:
@@ -99,6 +94,9 @@ MAX_RANDOM_DRAWS = 10_000
 
 SUITES = ("duality", "refined", "identities", "zn-lattice", "smatrix", "oracle")
 FORMATS = ("json", "csv", "text")
+
+# commands whose report has no rows or failures, which is what csv writes
+ROWLESS_COMMANDS = ("irreps", "mckay", "genfun", "smatrix")
 
 DUALITY_PAIRS = {
     "sp-so": ("Sp", "SO_odd"),
@@ -233,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", required=True)
     p.add_argument("--token", default="Sp",
                    help="series token: Sp, SO_odd, or refined:e,m:Sp|Spin")
-    p.add_argument("--order", type=int,
-                   help="truncation order (default DUALCOUNT_MAX_ORDER, else 24)")
+    p.add_argument("--order", type=int, default=GENFUN_ORDER,
+                   help="truncation order (default %(default)s)")
 
     p = add("smatrix", "modular S-matrix of an affine algebra at a level")
     p.add_argument("--type", dest="ade_type", required=True, help="e.g. A3, D4, E6")
@@ -269,18 +267,6 @@ def _parse_pair_of_ints(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _env_order() -> int | None:
-    """DUALCOUNT_MAX_ORDER as an integer, or None when it is unset or empty."""
-    text = os.environ.get("DUALCOUNT_MAX_ORDER")
-    if not text:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(
-            f"DUALCOUNT_MAX_ORDER {text!r} is not an integer") from None
-
-
 def _cyclic_rank(cfg: RunConfig) -> int:
     """The largest n at which a run counts a cyclic group into PSp or Spin,
     which are Weyl orbits of rank n; 0 when it counts none.  It reads only
@@ -299,7 +285,13 @@ def _cyclic_rank(cfg: RunConfig) -> int:
 def parse_args(argv=None) -> RunConfig:
     ns = build_parser().parse_args(argv)
     values = vars(ns)
-    env_order = _env_order()
+    if values["fmt"] == "csv" and ns.command in ROWLESS_COMMANDS:
+        raise UsageError(f"{ns.command} has no rows to write as csv; "
+                         f"use --format json or text")
+    if values.get("params") is not None and values.get("prop") is None:
+        raise UsageError("--params needs --prop")
+    if values.get("prop") is not None and values.get("random_draws") is not None:
+        raise UsageError("--prop runs one identity; it does not take --random")
     if values.get("n_range") is not None:
         values["n_range"] = _parse_pair_of_ints(values["n_range"])
     if ns.command == "count":
@@ -311,7 +303,6 @@ def parse_args(argv=None) -> RunConfig:
     sizes = [("--n", values.get("n"), MAX_N),
              ("--n-range", n_range and n_range[1], MAX_N),
              ("--order", values.get("order"), MAX_ORDER),
-             ("DUALCOUNT_MAX_ORDER", env_order, MAX_ORDER),
              ("--max-n", values.get("max_n"), max_n),
              ("--max-rank", values.get("max_rank"), MAX_RANK),
              ("--random", values.get("random_draws"), MAX_RANDOM_DRAWS),
@@ -331,8 +322,6 @@ def parse_args(argv=None) -> RunConfig:
     digits = values.get("digits")
     if digits is not None and not 1 <= digits <= MAX_DIGITS:
         raise UsageError(f"--digits {digits} is outside 1 to {MAX_DIGITS}")
-    if ns.command == "genfun" and values["order"] is None:
-        values["order"] = GENFUN_ORDER if env_order is None else env_order
     unknown = set(values) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise InvariantError(

@@ -5,11 +5,13 @@ counting identities need: rational scalars, powers of q, phases i^(linear
 form), binomial factors (1 - i^L q^k)^e, products, signed sums, and averaging
 operators avg(v in 0..n) that substitute v = 0..n and divide by n + 1.
 
-Expansion is exact over Gaussian integers with one shared rational scale:
-every phase is a power of i, so a binomial factor is applied by integer
-additions and quarter turns, and only scalars and averages move the scale.
-Every truncation order comes from the caller.  Identities have one proof
-route: clear all denominators and compare polynomials exactly.
+One route leads from a tree to coefficients.  `_flatten` multiplies a tree
+out into flat terms, each a scalar times a power of q times binomial
+factors, and `_sum_terms` adds them exactly over one integer scale, the lcm
+of their denominators: every phase is a power of i, so a binomial factor is
+applied by integer additions and quarter turns.  `expand` sums through a
+truncation order from the caller; `cleared_difference_degree` proves an
+identity by clearing all denominators and checking that the sum vanishes.
 """
 
 from __future__ import annotations
@@ -79,19 +81,6 @@ class GaussSeries:
             re, im, den = [x // g for x in re], [y // g for y in im], den // g
         self.order, self.re, self.im, self.den = order, re, im, den
 
-    @staticmethod
-    def one(order: int) -> "GaussSeries":
-        return GaussSeries(order, [1])
-
-    @staticmethod
-    def term(order: int, scalar, shift: int) -> "GaussSeries":
-        """scalar * q^shift for a rational scalar."""
-        scalar = Fraction(scalar)
-        if not 0 <= shift <= order:
-            return GaussSeries(order)
-        return GaussSeries(order, [0] * shift + [scalar.numerator], (),
-                           scalar.denominator)
-
     def coeff(self, k: int) -> Fraction:
         """The coefficient of q^k, which must be real."""
         if not 0 <= k <= self.order:
@@ -99,54 +88,6 @@ class GaussSeries:
         if self.im[k]:
             raise ValueError(f"coefficient {k} is not real")
         return Fraction(self.re[k], self.den)
-
-    def _check(self, other: "GaussSeries"):
-        if self.order != other.order:
-            raise ValueError("series orders differ")
-
-    def _combine(self, other: "GaussSeries", sign: int) -> "GaussSeries":
-        self._check(other)
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
-        return GaussSeries(self.order, [a * x + b * y for x, y in zip(self.re, other.re)],
-                           [a * x + b * y for x, y in zip(self.im, other.im)], den)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __mul__(self, other):
-        self._check(other)
-        n = self.order
-        re, im = [0] * (n + 1), [0] * (n + 1)
-        nonzero = [(j, x, y) for j, (x, y) in enumerate(zip(other.re, other.im)) if x or y]
-        for i, (a, b) in enumerate(zip(self.re, self.im)):
-            if not (a or b):
-                continue
-            for j, x, y in nonzero:
-                if i + j > n:
-                    break
-                re[i + j] += a * x - b * y
-                im[i + j] += a * y + b * x
-        return GaussSeries(n, re, im, self.den * other.den)
-
-    def scale(self, c) -> "GaussSeries":
-        """Multiply by a rational number."""
-        c = Fraction(c)
-        return GaussSeries(self.order, [x * c.numerator for x in self.re],
-                           [y * c.numerator for y in self.im], self.den * c.denominator)
-
-    def apply_binom(self, c: int, k: int, e: int) -> "GaussSeries":
-        """Multiply by (1 - i^c q^k)^e, one factor at a time."""
-        if k < 1:
-            raise ValueError("binomial factor needs a positive q power")
-        re, im = list(self.re), list(self.im)
-        step = _times_binom if e > 0 else _over_binom
-        for _ in range(abs(e)):
-            step(re, im, c % 4, k)
-        return GaussSeries(self.order, re, im, self.den)
 
     def integer_coeffs(self) -> list[int]:
         if any(self.im):
@@ -304,57 +245,7 @@ def mksum(*signed_terms):
     return Sum(tuple(flat))
 
 
-# -- expansion ----------------------------------------------------------------
-
-
-def expand(node, order: int, env: dict | None = None) -> GaussSeries:
-    """Exact series expansion of node through q^order."""
-    return _expand(node, order, env or {})
-
-
-def _expand(node, order: int, env: dict) -> GaussSeries:
-    if isinstance(node, Num):
-        return GaussSeries.term(order, node.value, 0)
-    if isinstance(node, QPow):
-        return GaussSeries.term(order, 1, node.k)
-    if isinstance(node, Root):
-        re, im = _I_POWERS[node.lin.evaluate(env)]
-        return GaussSeries(order, [re], [im])
-    if isinstance(node, Binom):
-        return GaussSeries.one(order).apply_binom(node.phase.evaluate(env), node.k, node.e)
-    if isinstance(node, Prod):
-        acc = GaussSeries.one(order)
-        for f in node.factors:
-            # binomial factors apply by recurrence instead of full products
-            if isinstance(f, Binom):
-                acc = acc.apply_binom(f.phase.evaluate(env), f.k, f.e)
-            else:
-                acc = acc * _expand(f, order, env)
-        return acc
-    if isinstance(node, Sum):
-        acc = GaussSeries(order)
-        for sign, term in node.terms:
-            s = _expand(term, order, env)
-            acc = acc + s if sign > 0 else acc - s
-        return acc
-    if isinstance(node, Avg):
-        acc = GaussSeries(order)
-        for v in range(node.hi + 1):
-            acc = acc + _expand(node.body, order, {**env, node.var: v})
-        return acc.scale(Fraction(1, node.hi + 1))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# -- flattening and exact identity proofs --------------------------------------
-
-
-# Largest cleared work of an identity proof: the sum over its flattened terms
-# of degree x (1 + binomial steps), known before any expansion.  A unit is one
-# integer addition, 90-110 ns with the loop overhead on a 2-CPU machine, so a
-# proof at the bound takes about 2 s: KF4 1,2890 (degree 98252) 1.9 s, KF1 with
-# one k = 370000 (degree 2.2e6, the sparsest family) 2.2 s and 147 MB peak.
-# The random draws of verify identities take at most about 5.4e4.
-MAX_CLEARED_WORK = 20_000_000
+# -- flat terms: the one route from a tree to coefficients ----------------------
 
 
 @dataclass
@@ -405,15 +296,62 @@ def _merge_terms(a: _FlatTerm, b: _FlatTerm) -> _FlatTerm:
                      a.den * b.den, a.qshift + b.qshift, factors)
 
 
+def _sum_terms(terms: list[_FlatTerm], top: int) -> tuple[list, list, int]:
+    """The sum of flat terms through q^top, as (re, im, scale) with the
+    coefficient of q^j equal to (re[j] + i*im[j]) / scale.
+
+    The scale is the lcm of the terms' denominators.  Each term is expanded
+    as a list of Gaussian integers: a positive power grows the list only to
+    the term's own polynomial degree, a negative power fills it to top.
+    """
+    scale = lcm(*(t.den for t in terms))
+    total_re, total_im = [0] * (top + 1), [0] * (top + 1)
+    for t in terms:
+        size = top + 1 - t.qshift
+        if size <= 0:
+            continue
+        re, im = [1], [0]
+        for (c, k), e in t.factors.items():
+            for _ in range(e):
+                grow = min(len(re) + k, size) - len(re)
+                re += [0] * grow
+                im += [0] * grow
+                _times_binom(re, im, c, k)
+        if any(e < 0 for e in t.factors.values()):
+            re += [0] * (size - len(re))
+            im += [0] * (size - len(im))
+            for (c, k), e in t.factors.items():
+                for _ in range(-e):
+                    _over_binom(re, im, c, k)
+        a, b = t.re * (scale // t.den), t.im * (scale // t.den)
+        seg = slice(t.qshift, t.qshift + len(re))
+        total_re[seg] = [u + a * x - b * y for u, x, y in zip(total_re[seg], re, im)]
+        total_im[seg] = [v + a * y + b * x for v, x, y in zip(total_im[seg], re, im)]
+    return total_re, total_im, scale
+
+
+def expand(node, order: int, env: dict | None = None) -> GaussSeries:
+    """Exact series expansion of node through q^order."""
+    return GaussSeries(order, *_sum_terms(_flatten(node, env or {}), order))
+
+
+# Largest cleared work of an identity proof: the sum over its flattened terms
+# of degree x (1 + binomial steps), known before any expansion.  A unit is one
+# integer addition, 90-110 ns with the loop overhead on a 2-CPU machine, so a
+# proof at the bound takes about 2 s: KF4 1,2890 (degree 98252) 1.9 s, KF1 with
+# one k = 370000 (degree 2.2e6, the sparsest family) 2.2 s and 147 MB peak.
+# The random draws of verify identities take at most about 5.4e4.
+MAX_CLEARED_WORK = 20_000_000
+
+
 def cleared_difference_degree(lhs, rhs) -> tuple[bool, int]:
     """Prove lhs == rhs by clearing denominators; returns (holds, degree).
 
     Every term of lhs - rhs is multiplied by the binomial factors that clear
     all denominators and by one power of q that makes every shift
-    nonnegative, so its degree is known before any expansion.  The terms are
-    brought to one common scale, and each is expanded as an integer
-    polynomial up to its own degree and added into the cleared difference,
-    which must vanish.
+    nonnegative, so it is a polynomial whose degree is known before any
+    expansion.  The cleared terms are summed through the largest degree,
+    and the sum must vanish.
     """
     terms = _flatten(lhs, {}) + [
         _FlatTerm(-t.re, -t.im, t.den, t.qshift, t.factors) for t in _flatten(rhs, {})]
@@ -424,31 +362,20 @@ def cleared_difference_degree(lhs, rhs) -> tuple[bool, int]:
         for key, e in t.factors.items():
             need[key] = max(need.get(key, 0), -e)
     base_shift = -min(min(t.qshift for t in terms), 0)
-    plans = []  # per term: shift, [(factor, exponent)], degree
+    cleared, degrees = [], []
     for t in terms:
-        steps = [(key, t.factors.get(key, 0) + extra) for key, extra in need.items()
-                 if t.factors.get(key, 0) + extra]
+        steps = {key: t.factors.get(key, 0) + extra for key, extra in need.items()
+                 if t.factors.get(key, 0) + extra}
         shift = t.qshift + base_shift
-        plans.append((shift, steps, shift + sum(e * key[1] for key, e in steps)))
-    degree = max(d for _, _, d in plans)
-    work = sum(d * (1 + sum(e for _, e in steps)) for _, steps, d in plans)
+        cleared.append(_FlatTerm(t.re, t.im, t.den, shift, steps))
+        degrees.append(shift + sum(e * key[1] for key, e in steps.items()))
+    degree = max(degrees)
+    work = sum(d * (1 + sum(t.factors.values())) for t, d in zip(cleared, degrees))
     if work > MAX_CLEARED_WORK:
         raise ValueError(f"clearing this identity takes {work} steps, over the "
                          f"largest supported work {MAX_CLEARED_WORK}")
-    scale = lcm(*(t.den for t in terms))
-    total_re, total_im = [0] * (degree + 1), [0] * (degree + 1)
-    for t, (shift, steps, d) in zip(terms, plans):
-        re, im = [1], [0]
-        for (c, k), e in steps:
-            for _ in range(e):
-                re += [0] * k
-                im += [0] * k
-                _times_binom(re, im, c, k)
-        a, b = t.re * (scale // t.den), t.im * (scale // t.den)
-        seg = slice(shift, d + 1)
-        total_re[seg] = [u + a * x - b * y for u, x, y in zip(total_re[seg], re, im)]
-        total_im[seg] = [v + a * y + b * x for v, x, y in zip(total_im[seg], re, im)]
-    return not any(total_re) and not any(total_im), degree
+    re, im, _ = _sum_terms(cleared, degree)
+    return not any(re) and not any(im), degree
 
 
 # -- built-in generating functions ---------------------------------------------

@@ -64,6 +64,21 @@ def test_usage_errors_exit_1(argv, capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    # --params is read only together with --prop
+    (["verify", "identities", "--params", "1;1;0;"], "--params"),
+    # --prop runs the one named identity, so no draw would be made
+    (["verify", "identities", "--prop", "PropX", "--random", "3"], "--random"),
+], ids=["params-without-prop", "prop-with-random"])
+def test_identity_flags_that_would_be_ignored_are_refused(argv, flag, capsys):
+    with pytest.raises(UsageError):
+        parse_args(argv)
+    status, out, err = invoke(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert flag in err
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--gamma", "Dhat:3", "--target", "PSp", "--n", "2"],
     ["sectors", "--gamma", "That", "--family", "Sp", "--n", "1"],
@@ -341,25 +356,26 @@ def test_genfun_at_the_order_bound_runs(capsys):
     assert coeffs[MAX_ORDER] == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["genfun", "--gamma", "Z:1"],
-    ["verify", "identities"],
-])
-def test_env_order_over_the_bound_is_refused(argv, monkeypatch, capsys):
-    monkeypatch.setenv("DUALCOUNT_MAX_ORDER", str(MAX_ORDER + 1))
-    status, out, err = invoke(argv, capsys)
-    assert status == 1
-    assert out == ""
-    assert str(MAX_ORDER) in err
-
-
-def test_env_order_at_the_bound_runs(monkeypatch, capsys):
-    monkeypatch.setenv("DUALCOUNT_MAX_ORDER", str(MAX_ORDER))
-    status, out, _ = invoke(["genfun", "--gamma", "Z:1"], capsys)
-    assert status == 0
-    report = json.loads(out)
-    assert report["order"] == MAX_ORDER
-    assert report["coefficients"][MAX_ORDER] == 1
+def test_dualcount_max_order_changes_no_result(monkeypatch, capsys):
+    # no command reads the variable: genfun keeps its default order, and no
+    # value of it, however malformed or large, is checked or refused
+    commands = [
+        ["count", "--gamma", "Z:2", "--target", "SU", "--n", "1"],
+        ["sectors", "--family", "Sp", "--n", "1"],
+        ["irreps", "--gamma", "Z:3"],
+        ["mckay", "--gamma", "Dhat:2"],
+        ["genfun", "--gamma", "Ohat"],
+        ["smatrix", "--type", "A1", "--level", "1"],
+        ["verify", "identities", "--prop", "PropY"],
+        ["verify", "smatrix", "--type", "A1", "--max-n", "1"],
+    ]
+    monkeypatch.delenv("DUALCOUNT_MAX_ORDER", raising=False)
+    unset = [invoke(argv, capsys) for argv in commands]
+    assert [status for status, _, _ in unset] == [0] * len(commands)
+    assert json.loads(unset[4][1])["order"] == cli.GENFUN_ORDER
+    for value in ("6", "abc", "-1", str(MAX_ORDER + 1)):
+        monkeypatch.setenv("DUALCOUNT_MAX_ORDER", value)
+        assert [invoke(argv, capsys) for argv in commands] == unset, value
 
 
 def test_random_draws_over_the_bound_are_refused(capsys):
@@ -789,15 +805,6 @@ def test_genfun_known_coefficients(capsys):
     assert json.loads(out)["coefficients"] == [0, 1, 0, 2, 0, 3, 0, 4]
 
 
-def test_env_var_caps_default_order(monkeypatch, capsys):
-    monkeypatch.setenv("DUALCOUNT_MAX_ORDER", "6")
-    status, out, _ = invoke(["genfun", "--gamma", "Ohat"], capsys)
-    assert status == 0
-    report = json.loads(out)
-    assert report["order"] == 6
-    assert len(report["coefficients"]) == 7
-
-
 def test_sectors_rows(capsys):
     status, out, _ = invoke(["sectors", "--family", "Sp", "--n", "1"], capsys)
     assert status == 0
@@ -863,6 +870,26 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "count,gamma,n,target"
     assert lines[1:] == ["1,Ohat,0,Sp", "4,Ohat,1,Sp", "12,Ohat,2,Sp"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["irreps", "--gamma", "Z:3"],
+    ["mckay", "--gamma", "Z:3"],
+    ["genfun", "--gamma", "Z:2"],
+    ["smatrix", "--type", "A1", "--level", "1"],
+], ids=lambda argv: argv[0])
+def test_csv_of_a_report_without_rows_is_refused(argv, monkeypatch, capsys):
+    # refused before any work: the S-matrix is never computed
+    def boom(*_):
+        raise AssertionError("computed before the format was checked")
+
+    monkeypatch.setattr(affine, "s_matrix", boom)
+    status, out, err = invoke(argv + ["--format", "csv"], capsys)
+    assert status == 1
+    assert out == ""
+    assert "csv" in err
+    monkeypatch.undo()
+    assert invoke(argv + ["--format", "text"], capsys)[0] == 0
 
 
 def test_text_format(capsys):

@@ -306,38 +306,42 @@ def test_gauss_rat_arithmetic():
 # -- Gaussian integer series -----------------------------------------------------
 
 
+ONE_MINUS_Q = mksum((1, mknum(1)), (-1, QPow(1)))
+
+
 def test_gauss_series_ring_ops():
-    one = GaussSeries.one(8)
-    t = GaussSeries.term(8, 1, 1)
-    geo = one.apply_binom(0, 1, -1)
-    assert geo.integer_coeffs() == [1] * 9
-    assert (geo * (one - t)) == one
-    sq = geo * geo
-    assert sq.integer_coeffs() == list(range(1, 10))
+    geo = Binom(make_lin(), 1, -1)  # 1/(1 - q)
+    assert expand(geo, 8).integer_coeffs() == [1] * 9
+    assert expand(Prod((geo, ONE_MINUS_Q)), 8) == expand(mknum(1), 8)
+    assert expand(Prod((geo, geo)), 8).integer_coeffs() == list(range(1, 10))
+    # a product of sums multiplies out term by term: (1 + q)(1 - q) = 1 - q^2
+    one_plus_q = mksum((1, mknum(1)), (1, QPow(1)))
+    assert expand(Prod((one_plus_q, ONE_MINUS_Q)), 8).integer_coeffs() == [
+        1, 0, -1, 0, 0, 0, 0, 0, 0]
+    assert expand(mksum((1, geo), (-1, geo)), 8) == GaussSeries(8)
 
 
 def test_apply_binom_matches_explicit_product():
-    # (1 - q)^3 applied via the recurrence equals multiplying out by hand
-    base = GaussSeries.one(6)
-    via = base.apply_binom(0, 1, 3)
-    poly = GaussSeries.one(6) - GaussSeries.term(6, 1, 1)
-    explicit = base * poly * poly * poly
+    # (1 - q)^3 as one binomial factor equals multiplying out by hand
+    via = expand(Binom(make_lin(), 1, 3), 6)
+    explicit = expand(Prod((ONE_MINUS_Q,) * 3), 6)
     assert via == explicit
-    # inverse direction undoes it
-    assert via.apply_binom(0, 1, -3) == base
+    assert via.integer_coeffs() == [1, -3, 3, -1, 0, 0, 0]
+    # the inverse factor undoes it on every shifted term
+    undone = Prod((ONE_MINUS_Q,) * 3 + (Binom(make_lin(), 1, -3),))
+    assert expand(undone, 6) == expand(mknum(1), 6)
 
 
 @pytest.mark.parametrize("c", range(4))
 @pytest.mark.parametrize("k", [1, 2, 5])
 @pytest.mark.parametrize("e", [-3, -1, 1, 2])
 def test_apply_binom_matches_the_fraction_route(c, k, e):
-    # (1 - i q)^-1 (1 - (-1)^a q^2)^2 + (1/3) q
+    # ((1 - i q)^-1 (1 - (-1)^a q^2)^2 + (1/3) q) (1 - i^c q^k)^e
     tree = mksum(
         (1, mkprod(Binom(make_lin(1), 1, -1), Binom(make_lin(0, [("a", 2)]), 2, 2))),
         (1, mkprod(mknum(Fraction(1, 3)), QPow(1))))
-    start = expand(tree, 30, env={"a": 1})
-    via = start.apply_binom(c, k, e)
-    old = FractionSeries(30, _gauss_coeffs(start)).apply_binom(GaussRat.i_power(c), k, e)
+    via = expand(mkprod(tree, Binom(make_lin(c), k, e)), 30, env={"a": 1})
+    old = oracle_expand(tree, 30, env={"a": 1}).apply_binom(GaussRat.i_power(c), k, e)
     assert _gauss_coeffs(via) == old.coeffs
 
 
@@ -451,8 +455,8 @@ def test_avg_equals_mean_of_substitutions():
     wrapped = Avg("a", 1, body)
     direct = expand(wrapped, 12)
     parts = [expand(body, 12, env={"a": val}) for val in (0, 1)]
-    mean = (parts[0] + parts[1]).scale(Fraction(1, 2))
-    assert direct == mean
+    mean = [(parts[0].coeff(j) + parts[1].coeff(j)) / 2 for j in range(13)]
+    assert [direct.coeff(j) for j in range(13)] == mean
 
 
 def test_coeff_rejects_fractional_result_only_when_nonintegral():
@@ -465,9 +469,9 @@ def test_coeff_rejects_fractional_result_only_when_nonintegral():
 def test_shift_matches_qpow_product(k, e):
     base = Binom(make_lin(), k, -e)  # (1 - q^k)^-e
     shifted = mkprod(QPow(3), base)
-    a = expand(shifted, 12)
-    b = expand(base, 12) * GaussSeries.term(12, 1, 3)
-    assert a == b
+    a = expand(shifted, 12).integer_coeffs()
+    b = expand(base, 12).integer_coeffs()
+    assert a == [0, 0, 0] + b[:10]
 
 
 # -- built-in series anchors ---------------------------------------------------
@@ -534,12 +538,13 @@ def test_sector_series_sums():
     # simply-connected-form count (2 at q^1, 4 at q^3)
     oct_ = GroupSpec.binary_octahedral()
     n = 12
-    y00 = expand(builtin_genfun(oct_, "refined:0,0:Sp"), n)
-    y01 = expand(builtin_genfun(oct_, "refined:0,1:Sp"), n)
-    assert (y00 + y01).integer_coeffs()[:4] == [2, 0, 4, 0]
-    z00 = expand(builtin_genfun(oct_, "refined:0,0:Spin"), n)
-    z01 = expand(builtin_genfun(oct_, "refined:0,1:Spin"), n)
-    assert (z00 + z01).integer_coeffs()[:8] == [0, 2, 0, 4, 0, 12, 0, 22]
+
+    def sector_sum(side):
+        return expand(mksum(*[(1, builtin_genfun(oct_, f"refined:0,{m}:{side}"))
+                              for m in (0, 1)]), n).integer_coeffs()
+
+    assert sector_sum("Sp")[:4] == [2, 0, 4, 0]
+    assert sector_sum("Spin")[:8] == [0, 2, 0, 4, 0, 12, 0, 22]
 
 
 def test_vanishing_sector_series_is_zero_to_high_order():
@@ -756,3 +761,74 @@ def test_expand_routes_agree_on_the_vanishing_series_to_order_200():
     new = expand(lhs, 200)
     assert new == GaussSeries(200)
     assert _gauss_coeffs(new) == oracle_expand(lhs, 200).coeffs
+
+
+# -- random trees: the flat-term sum against both oracles ------------------------
+
+
+TREE_VARS = ("a", "b")
+
+
+@st.composite
+def _phases(draw):
+    """A constant phase, or one variable's multiple plus a constant."""
+    var = draw(st.sampled_from((None,) + TREE_VARS))
+    terms = [(var, draw(st.integers(1, 3)))] if var else []
+    return make_lin(draw(st.integers(0, 3)), terms)
+
+
+@st.composite
+def _binoms(draw, max_k):
+    e = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    return Binom(draw(_phases()), draw(st.integers(1, max_k)), e)
+
+
+@st.composite
+def _trees(draw, depth, max_k, max_shift):
+    """A tree whose free variables are among TREE_VARS."""
+    if depth == 0 or draw(st.booleans()):
+        kind = draw(st.sampled_from(("num", "qpow", "root", "binom")))
+        if kind == "num":
+            return mknum(Fraction(draw(st.integers(0, 5)), draw(st.integers(1, 4))))
+        if kind == "qpow":
+            return QPow(draw(st.integers(1, max_shift)))
+        if kind == "root":
+            if draw(st.booleans()):
+                return Root(make_lin(draw(st.sampled_from((1, 3)))))
+            var = draw(st.sampled_from(TREE_VARS))
+            return Root(make_lin(draw(st.integers(0, 3)), [(var, draw(st.integers(1, 3)))]))
+        return draw(_binoms(max_k))
+    inner = _trees(depth - 1, max_k, max_shift)
+    kind = draw(st.sampled_from(("prod", "sum", "avg", "cancel")))
+    if kind == "prod":
+        return Prod(tuple(draw(st.lists(inner, min_size=2, max_size=3))))
+    if kind == "sum":
+        signs = st.sampled_from((1, -1))
+        return Sum(tuple(draw(st.lists(st.tuples(signs, inner), min_size=2, max_size=3))))
+    if kind == "avg":
+        return Avg(draw(st.sampled_from(TREE_VARS)), draw(st.sampled_from((1, 3))),
+                   draw(inner))
+    # a factor and its inverse, which cancel when the terms are merged
+    b = draw(_binoms(max_k))
+    return Prod((draw(inner), b, Binom(b.phase, b.k, -b.e)))
+
+
+def _closed(tree):
+    """The tree with its variables bound: averaged over 2 and 4 values."""
+    return Avg("a", 1, Avg("b", 3, tree))
+
+
+@given(_trees(3, 6, 45), st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_expand_matches_the_oracle_on_random_trees(tree, order):
+    tree = _closed(tree)
+    assert _gauss_coeffs(expand(tree, order)) == oracle_expand(tree, order).coeffs
+
+
+@given(_trees(2, 4, 12), st.one_of(st.none(), _trees(2, 4, 12)))
+@settings(max_examples=40, deadline=None)
+def test_cleared_difference_matches_the_oracle_on_random_pairs(lhs, rhs):
+    # rhs None: the tree against itself, an identity that holds
+    lhs = _closed(lhs)
+    rhs = lhs if rhs is None else _closed(rhs)
+    assert cleared_difference_degree(lhs, rhs) == oracle_cleared_difference_degree(lhs, rhs)
