@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from dualcount.cli import DEFAULT_GAMMAS, DUALITY_PAIRS, UsageError, parse_args
-from dualcount.counting import Target, count_homs
+from dualcount.counting import count_table
 from dualcount.errors import NotCoveredError
 from dualcount.grouprep import GroupSpec
 
@@ -40,11 +40,12 @@ def main():
     bad = 0
     for label in labels:
         g = GroupSpec.from_label(label)
+        lefts = count_table(g, left, args.max_n)
+        rights = count_table(g, right, args.max_n)
         cells = []
         for n in range(args.max_n + 1):
             try:
-                a = count_homs(g, Target(left, n))
-                b = count_homs(g, Target(right, n))
+                a, b = lefts[n], rights[n]
             except NotCoveredError:
                 cells.append("-")
                 continue

@@ -30,8 +30,8 @@ import sys
 from dataclasses import dataclass
 
 from .bounds import MAX_ORDER, MAX_RANK
-from .counting import (Target, count_homs, count_row, sector_row,
-                       verify_swap_equivalence)
+from .counting import (Target, count_homs, count_rows, count_table,
+                       sector_row, verify_swap_equivalence)
 from .errors import InvariantError, NotCoveredError
 from .grouprep import CYCLIC, GroupSpec, irrep_table_json
 
@@ -63,14 +63,17 @@ EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
 
 # Largest target size n that count, sectors and the duality and refined
-# suites accept, and the zn-lattice suite's largest modulus.  One count costs
-# slots x (2n + 1) x |grading group| cells of the counting kernel, each row
-# one Python int per grade.  Over the catalogue the costliest single call is
-# the refined suite's table for Z:12 at n divisible by 12: twelve kernel runs
-# over 12 slots graded by Z12, about 1728 n cells, some 1.7e7 at this bound,
-# about a second and a few MB of rows on a 2-CPU machine.  A sweep to
-# --max-n runs n + 1 counts per pair and group, so its cost is quadratic in
-# the bound.  Cyclic PSp and Spin sizes are ranks, held to bounds.MAX_RANK.
+# suites accept, and the zn-lattice suite's largest modulus.  A count table
+# to n costs slots x (2n + 1) x |grading group| cells of the counting kernel,
+# each row one Python int per grade, and holds every size up to n.  Over the
+# catalogue the costliest single call is the refined suite's table for Z:12
+# at n divisible by 12: twelve kernel runs over 12 slots graded by Z12, about
+# 1728 n cells, some 1.7e7 at this bound, about a second and a few MB of rows
+# on a 2-CPU machine.  A duality sweep reads one table per group and family,
+# so its cost is linear in the bound: on a 2-CPU machine `verify duality
+# --max-n 10000` takes 4.5 s with --pair sp-so, 5.9 s with su-pu and 1.3 s
+# with psp-spin.  The refined and zn-lattice suites still count one n at a
+# time.  Cyclic PSp and Spin sizes are ranks, held to bounds.MAX_RANK.
 MAX_N = 10_000
 
 # Largest smatrix --digits: the entries are accurate to about 1e-15, and every
@@ -80,10 +83,9 @@ MAX_DIGITS = 12
 # genfun's truncation order when --order is not given
 GENFUN_ORDER = 24
 
-# Largest --max-n of verify oracle.  Its counts, not its series, set the cost:
-# 9 groups x 2 families x (max_n + 1) counts, each linear in n, so the suite is
-# quadratic in the bound; `verify oracle --max-n 499` takes 27 s on a 2-CPU
-# machine, 0.07 s of it in series expansion.
+# Largest --max-n of verify oracle.  Its counts read one table per group and
+# family and its series expand once per group, so the suite is linear in the
+# bound: `verify oracle --max-n 499` takes 0.2 s on a 2-CPU machine.
 MAX_ORACLE_N = 499
 
 # Largest --random of verify identities, in draws per KF family.  Every draw
@@ -93,6 +95,21 @@ MAX_ORACLE_N = 499
 MAX_RANDOM_DRAWS = 10_000
 
 SUITES = ("duality", "refined", "identities", "zn-lattice", "smatrix", "oracle")
+
+# the verify flags, by RunConfig field, and the suites whose runners read each
+# one; any other suite refuses the flag rather than ignore it
+SUITE_FLAGS = {
+    "gamma": ("--gamma", ("duality", "refined")),
+    "pair": ("--pair", ("duality", "zn-lattice")),
+    "prop": ("--prop", ("identities",)),
+    "params": ("--params", ("identities",)),
+    "random_draws": ("--random", ("identities",)),
+    "seed": ("--seed", ("identities",)),
+    "max_n": ("--max-n", ("duality", "refined", "zn-lattice", "smatrix", "oracle")),
+    "max_rank": ("--max-rank", ("zn-lattice",)),
+    "ade_type": ("--type", ("smatrix",)),
+}
+
 FORMATS = ("json", "csv", "text")
 
 # commands whose report has no rows or failures, which is what csv writes
@@ -186,7 +203,7 @@ class RunConfig:
     max_n: int | None = None
     max_rank: int | None = None
     random_draws: int | None = None
-    seed: int = 0
+    seed: int | None = None
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -249,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="identities: parameter string for --prop")
     p.add_argument("--random", dest="random_draws", type=int,
                    help="identities: random draws per parametrized family")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="identities: seed of the --random draws (default 0)")
     p.add_argument("--max-n", dest="max_n", type=int)
     p.add_argument("--max-rank", dest="max_rank", type=int)
     p.add_argument("--type", dest="ade_type", help="smatrix: restrict to one type")
@@ -282,16 +300,34 @@ def _cyclic_rank(cfg: RunConfig) -> int:
     return 0
 
 
+def _refuse_unread_flags(values: dict):
+    """UsageError for a verify flag that the suite would not read."""
+    suite = values["suite"]
+    given = [field for field in SUITE_FLAGS if values[field] is not None]
+    for field in given:
+        flag, suites = SUITE_FLAGS[field]
+        if suite not in suites:
+            raise UsageError(f"verify {suite} does not read {flag}")
+    if "params" in given and "prop" not in given:
+        raise UsageError("--params needs --prop")
+    if "prop" in given and "random_draws" in given:
+        raise UsageError("--prop runs one identity; it does not take --random")
+    if "seed" in given and "random_draws" not in given:
+        raise UsageError("--seed needs --random: only random draws are seeded")
+    if suite == "smatrix" and "max_n" in given and "ade_type" not in given:
+        raise UsageError("verify smatrix reads --max-n only with --type")
+    if suite == "zn-lattice" and "pair" in given and "max_rank" in given:
+        raise UsageError("verify zn-lattice reads --max-rank only without --pair")
+
+
 def parse_args(argv=None) -> RunConfig:
     ns = build_parser().parse_args(argv)
     values = vars(ns)
     if values["fmt"] == "csv" and ns.command in ROWLESS_COMMANDS:
         raise UsageError(f"{ns.command} has no rows to write as csv; "
                          f"use --format json or text")
-    if values.get("params") is not None and values.get("prop") is None:
-        raise UsageError("--params needs --prop")
-    if values.get("prop") is not None and values.get("random_draws") is not None:
-        raise UsageError("--prop runs one identity; it does not take --random")
+    if ns.command == "verify":
+        _refuse_unread_flags(values)
     if values.get("n_range") is not None:
         values["n_range"] = _parse_pair_of_ints(values["n_range"])
     if ns.command == "count":
@@ -348,8 +384,7 @@ def parse_args(argv=None) -> RunConfig:
 def _run_count(cfg: RunConfig):
     g = GroupSpec.from_label(cfg.gamma)
     ns = [cfg.n] if cfg.n is not None else range(cfg.n_range[0], cfg.n_range[1] + 1)
-    rows = [count_row(g, Target(cfg.target, n)) for n in ns]
-    return {"command": "count", "rows": rows}, EXIT_OK
+    return {"command": "count", "rows": count_rows(g, cfg.target, ns)}, EXIT_OK
 
 
 def _run_sectors(cfg: RunConfig):
@@ -403,10 +438,11 @@ def _suite_duality(cfg: RunConfig):
         gammas = (cfg.gamma,) if cfg.gamma else PAIR_DEFAULT_GAMMAS[name]
         for glabel in gammas:
             g = GroupSpec.from_label(glabel)
+            lefts = count_table(g, left_family, max_n)
+            rights = count_table(g, right_family, max_n)
             for n in range(0, max_n + 1):
                 try:
-                    left = count_homs(g, Target(left_family, n))
-                    right = count_homs(g, Target(right_family, n))
+                    left, right = lefts[n], rights[n]
                 except NotCoveredError:
                     skipped += 1
                     continue
@@ -456,7 +492,7 @@ def _suite_identities(cfg: RunConfig):
     if cfg.prop:
         runs = [(cfg.prop, cfg.params)]
     else:
-        runs = identity_runs(cfg.random_draws, cfg.seed)
+        runs = identity_runs(cfg.random_draws, cfg.seed or 0)
     checks = 0
     failures = []
     for name, params in runs:
@@ -543,10 +579,11 @@ def _suite_oracle(cfg: RunConfig):
         except NotCoveredError:
             skipped += 1
             continue
+        sp_counts = count_table(g, "Sp", max_n)
+        so_counts = count_table(g, "SO_odd", max_n)
         for n in range(max_n + 1):
-            record(glabel, "Sp", n, count_homs(g, Target("Sp", n)), sp[2 * n])
-            record(glabel, "SO_odd", n,
-                   count_homs(g, Target("SO_odd", n)), so[2 * n + 1])
+            record(glabel, "Sp", n, sp_counts[n], sp[2 * n])
+            record(glabel, "SO_odd", n, so_counts[n], so[2 * n + 1])
         # the two series live on opposite parities
         record(glabel, "Sp", -1, [0] * max_n, [sp[2 * i + 1] for i in range(max_n)])
         record(glabel, "SO_odd", -1, [0] * (max_n + 1),

@@ -9,16 +9,20 @@ determinant condition again for SO.  Each constraint set is a list of free
 slots, each with a dimension weight w and a grade g in a finite abelian group
 (the determinant, or a sector congruence), so every count is one coefficient
 of prod_i 1/(1 - t^(w_i) x^(g_i)).  The dynamic-programming kernel
-`graded_compositions` extracts it in slots x size x |grading group| steps
-without listing a single vector.  Counts up to a symmetry (PU, the classes an
+`composition_rows` fills the coefficients of every size up to a bound in
+slots x size x |grading group| steps without listing a single vector, so one
+table serves every n up to it: `count_table` gives N(g, family(n)) for
+n = 0..max_n from one kernel table per group and family, and `count_homs`
+reads its last entry.  Counts up to a symmetry (PU, the classes an
 involution fixes, the finite character tables) run the same kernel on
 collapsed slots: a composition that a permutation of the slots fixes is
 constant on each cycle, so `_fixed_slots` makes each cycle one slot, and
-`orbit_compositions` averages those fixed counts over a group of slot
-permutations (Burnside); `FRepCharacter.from_counts` pairs them, per grade,
-with the characters of the grading group.  Only character data enters, no
-Lie-theoretic input; closed-form series live in a separate module precisely
-so the two routes stay independent checks of each other.
+`orbit_composition_rows` averages those fixed counts over a group of slot
+permutations (Burnside), checking every size; `FRepCharacter.from_counts`
+pairs them, per grade, with the characters of the grading group.  Only
+character data enters, no Lie-theoretic input; closed-form series live in a
+separate module precisely so the two routes stay independent checks of each
+other.
 
 The binary octahedral group is the one exceptional case with a nontrivial
 two-torsion refinement: its symplectic and orthogonal counts split into
@@ -97,15 +101,17 @@ class Target:
             raise ValueError(f"cannot parse target {text!r}: {exc}") from None
 
 
-def graded_compositions(slots, group: AbGroup, total: int) -> dict:
-    """Coefficient of t**total in prod_i 1/(1 - t**w_i * x**g_i), per grade.
+def composition_rows(slots, group: AbGroup, total: int) -> list:
+    """Coefficients of t**0 .. t**total in prod_i 1/(1 - t**w_i * x**g_i).
 
     slots is a sequence of (w_i, g_i) pairs: a positive integer weight and
-    an element of the finite abelian group.  The result maps every element
-    of the group to the number of nonnegative integer vectors v with
-    sum(v_i * w_i) == total and sum(v_i * g_i) equal to that element.  Rows
-    0..total each hold one count per grade, and every slot is one forward
-    pass over them, so the cost is len(slots) * total * group.order cells.
+    an element of the finite abelian group.  Row t lists, for every element
+    of group.elements() in that order (the identity first), the number of
+    nonnegative integer vectors v with sum(v_i * w_i) == t and
+    sum(v_i * g_i) equal to that element.  Every slot is one forward pass
+    over the rows, so the cost is len(slots) * total * group.order cells,
+    and a table to total holds the table to every smaller total as its
+    prefix.
     """
     els = group.elements()
     index = {e: k for k, e in enumerate(els)}
@@ -117,15 +123,23 @@ def graded_compositions(slots, group: AbGroup, total: int) -> dict:
         for t in range(weight, total + 1):
             prev = rows[t - weight]
             rows[t] = [x + prev[j] for x, j in zip(rows[t], source)]
-    return dict(zip(els, rows[total]))
+    return rows
+
+
+def graded_compositions(slots, group: AbGroup, total: int) -> dict:
+    """Row total of `composition_rows`, as a map from each grade to its count."""
+    row = composition_rows(slots, group, total)[total]
+    return dict(zip(group.elements(), row))
 
 
 _UNGRADED = AbGroup(())
 
 
-def _count_weights(weights, total) -> int:
-    """Number of nonnegative integer vectors v with sum(v[i] * weights[i]) == total."""
-    return graded_compositions([(w, ()) for w in weights], _UNGRADED, total)[()]
+def _weight_rows(weights, total) -> list:
+    """Per t = 0..total, the nonnegative integer vectors v with
+    sum(v[i] * weights[i]) == t."""
+    rows = composition_rows([(w, ()) for w in weights], _UNGRADED, total)
+    return [row[0] for row in rows]
 
 
 def _fixed_slots(slots, perm, group: AbGroup) -> list:
@@ -155,26 +169,35 @@ def _fixed_slots(slots, perm, group: AbGroup) -> list:
     return out
 
 
-def orbit_compositions(slots, group: AbGroup, total: int, perms,
-                       order: int) -> dict:
-    """Per grade, the compositions counted by `graded_compositions` up to a
-    group of slot permutations that keep every weight and grade.
+def orbit_composition_rows(slots, group: AbGroup, total: int, perms,
+                           order: int, start: int = 0) -> list:
+    """Rows start..total of `composition_rows`, counted up to a group of slot
+    permutations that keep every weight and grade.
 
     perms lists the group's permutations of range(len(slots)), one per
     element, and order is the group's order, which the caller knows: by
     Burnside the orbits are the fixed counts summed over the group, divided
-    by its order.  A sum that order does not divide raises InvariantError.
+    by its order.  A sum that order does not divide, in any returned row,
+    raises InvariantError.
     """
-    sums = dict.fromkeys(group.elements(), 0)
+    sums = [[0] * group.order for _ in range(start, total + 1)]
     for perm in perms:
-        fixed = graded_compositions(_fixed_slots(slots, perm, group), group,
-                                    total)
-        for grade, count in fixed.items():
-            sums[grade] += count
-    if any(v % order for v in sums.values()):
-        raise InvariantError(f"a Burnside sum in {sorted(sums.values())} is "
-                             f"not a multiple of the group order {order}")
-    return {grade: v // order for grade, v in sums.items()}
+        fixed = composition_rows(_fixed_slots(slots, perm, group), group, total)
+        sums = [[a + b for a, b in zip(acc, row)]
+                for acc, row in zip(sums, fixed[start:])]
+    for row in sums:
+        if any(v % order for v in row):
+            raise InvariantError(f"a Burnside sum in {sorted(row)} is not a "
+                                 f"multiple of the group order {order}")
+    return [[v // order for v in row] for row in sums]
+
+
+def orbit_compositions(slots, group: AbGroup, total: int, perms,
+                       order: int) -> dict:
+    """Row total of `orbit_composition_rows`, as a map from each grade to its
+    count."""
+    row, = orbit_composition_rows(slots, group, total, perms, order, start=total)
+    return dict(zip(group.elements(), row))
 
 
 def iter_vectors(weights, total):
@@ -270,13 +293,14 @@ def _orthogonal_slots(g: GroupSpec):
     return _build_slots(irreps(g), abelianization(g).group, PSEUDOREAL)
 
 
-def _pu_count(g: GroupSpec, n: int) -> int:
+def _pu_rows(g: GroupSpec, max_n: int) -> list:
     # Burnside over the character group acting on unitary solutions by
     # tensoring, which permutes the irreps
     slots = [(info.dim, ()) for info in irreps(g)]
-    return orbit_compositions(slots, _UNGRADED, n,
-                              onedim_permutations(g).values(),
-                              abelianization(g).group.order)[()]
+    rows = orbit_composition_rows(slots, _UNGRADED, max_n,
+                                  onedim_permutations(g).values(),
+                                  abelianization(g).group.order)
+    return [row[0] for row in rows]
 
 
 # -- octahedral sector machinery -------------------------------------------------
@@ -313,7 +337,8 @@ def _require_octahedral(g: GroupSpec, what: str):
         raise NotCoveredError(f"not covered: {what} requires Ohat, got {g.label}")
 
 
-def _oct_sp_sector(n: int, w: int) -> SectorCount:
+def _oct_sp_sector_rows(max_n: int, w: int) -> list[SectorCount]:
+    """Sector w of the symplectic Ohat count for n = 0..max_n."""
     g = GroupSpec.binary_octahedral()
     if w == 1:
         # twisted solutions; the involution relabels within matched pairs,
@@ -324,7 +349,8 @@ def _oct_sp_sector(n: int, w: int) -> SectorCount:
             if {action[nm] for nm in slot.names} != set(slot.names):
                 raise InvariantError(
                     f"the twist does not preserve the slot {slot.names}")
-        return SectorCount(1, _count_weights([s.weight for s in slots], 2 * n), 0)
+        counts = _weight_rows([s.weight for s in slots], 2 * max_n)
+        return [SectorCount(1, c, 0) for c in counts[::2]]
     # the involution tensors with 1', which permutes the slots
     sp_slots = _symplectic_slots(g)
     names = [info.name for info in irreps(g)]
@@ -332,11 +358,11 @@ def _oct_sp_sector(n: int, w: int) -> SectorCount:
     tensored = {names[i]: names[j] for i, j in enumerate(irrep_perm)}
     slot_of = {nm: k for k, s in enumerate(sp_slots) for nm in s.names}
     perm = [slot_of[tensored[s.names[0]]] for s in sp_slots]
-    slots = [(s.weight, ()) for s in sp_slots]
-    total = graded_compositions(slots, _UNGRADED, 2 * n)[()]
-    fixed = graded_compositions(
-        _fixed_slots(slots, perm, _UNGRADED), _UNGRADED, 2 * n)[()]
-    return SectorCount(0, fixed, total - fixed)
+    weights = [s.weight for s in sp_slots]
+    cycles = _fixed_slots([(weight, ()) for weight in weights], perm, _UNGRADED)
+    total = _weight_rows(weights, 2 * max_n)
+    fixed = _weight_rows([weight for weight, _ in cycles], 2 * max_n)
+    return [SectorCount(0, f, t - f) for t, f in zip(total[::2], fixed[::2])]
 
 
 # coefficients of the mod-4 congruence c = m(1') - m(3') + m(2'') whose half
@@ -344,7 +370,8 @@ def _oct_sp_sector(n: int, w: int) -> SectorCount:
 _OCT_CONGRUENCE = {"1'": 1, "3'": -1, "2''": 1}
 
 
-def _oct_spin_sectors(n: int) -> dict[int, SectorCount]:
+def _oct_spin_sector_rows(max_n: int) -> list[dict[int, SectorCount]]:
+    """Both sectors of the special orthogonal Ohat count for n = 0..max_n."""
     # Orthogonal solutions graded by (determinant, c) in A x Z4.  A solution
     # is moved (its class splits in pairs) exactly when it avoids 2'' and one
     # of {1, 3} and {1', 3'}; inclusion-exclusion over the slot sets that
@@ -352,6 +379,7 @@ def _oct_spin_sectors(n: int) -> dict[int, SectorCount]:
     g = GroupSpec.binary_octahedral()
     A = abelianization(g).group
     graded = AbGroup(A.moduli + (4,))
+    index = {e: k for k, e in enumerate(graded.elements())}
     slots = []
     for s in _orthogonal_slots(g):
         c = s.step * sum(_OCT_CONGRUENCE.get(nm, 0) for nm in s.names)
@@ -359,20 +387,23 @@ def _oct_spin_sectors(n: int) -> dict[int, SectorCount]:
 
     def count(avoided):
         kept = [slot for names, slot in slots if not names & avoided]
-        return graded_compositions(kept, graded, 2 * n + 1)
+        # the odd totals 2n + 1 are the orthogonal dimensions
+        return composition_rows(kept, graded, 2 * max_n + 1)[1::2]
 
-    total = count(set())
-    avoid_13 = count({"2''", "1", "3"})
-    avoid_13p = count({"2''", "1'", "3'"})
-    avoid_both = count({"2''", "1", "3", "1'", "3'"})
-    if total[A.identity + (1,)] or total[A.identity + (3,)]:
-        raise InvariantError(
-            "a special orthogonal Ohat vector has an odd congruence class")
-    out = {}
-    for w in (0, 1):
-        key = A.identity + (2 * w,)
-        moved = avoid_13[key] + avoid_13p[key] - avoid_both[key]
-        out[w] = SectorCount(w, total[key] - moved, 2 * moved)
+    avoiding = [count(set()), count({"2''", "1", "3"}),
+                count({"2''", "1'", "3'"}), count({"2''", "1", "3", "1'", "3'"})]
+    odd = [index[A.identity + (c,)] for c in (1, 3)]
+    keys = [index[A.identity + (2 * w,)] for w in (0, 1)]
+    out = []
+    for total, avoid_13, avoid_13p, avoid_both in zip(*avoiding):
+        if any(total[k] for k in odd):
+            raise InvariantError(
+                "a special orthogonal Ohat vector has an odd congruence class")
+        sectors = {}
+        for w, key in enumerate(keys):
+            moved = avoid_13[key] + avoid_13p[key] - avoid_both[key]
+            sectors[w] = SectorCount(w, total[key] - moved, 2 * moved)
+        out.append(sectors)
     return out
 
 
@@ -386,8 +417,8 @@ def count_twisted(g: GroupSpec, family: str, n: int, w: int) -> SectorCount:
     if n < 0:
         raise ValueError("size must be nonnegative")
     if family == "Sp":
-        return _oct_sp_sector(n, w)
-    return _oct_spin_sectors(n)[w]
+        return _oct_sp_sector_rows(n, w)[n]
+    return _oct_spin_sector_rows(n)[n][w]
 
 
 def sector_of_so_rep(mv: dict[str, int]) -> int:
@@ -426,64 +457,100 @@ def sector_of_so_rep(mv: dict[str, int]) -> int:
 # -- main counting entry -----------------------------------------------------------
 
 
-def count_homs(g: GroupSpec, t: Target) -> int:
-    """Number of conjugacy classes of homomorphisms from g into the target."""
-    if t.family == "U":
-        return _count_weights([info.dim for info in irreps(g)], t.n)
-    ab = abelianization(g)
-    if t.family == "SU":
+class CountTable:
+    """N(g, family(n)) for n = 0..max_n, read as table[n].
+
+    The composition-kernel routes fill every entry from one kernel table per
+    group and family when the table is made.  The Kac route of cyclic PSp and
+    Spin, whose rank grows with n, counts a size when it is read, and a size
+    that no route covers raises NotCoveredError when it is read, so a sweep
+    can skip that size and go on.
+    """
+
+    def __init__(self, max_n: int, entry):
+        self.max_n = max_n
+        self._entry = entry
+
+    def __getitem__(self, n: int) -> int:
+        if not 0 <= n <= self.max_n:
+            raise IndexError(f"size {n} is outside the table's 0..{self.max_n}")
+        return self._entry(n)
+
+
+def count_table(g: GroupSpec, family: str, max_n: int) -> CountTable:
+    """Numbers of conjugacy classes of homomorphisms from g into the target
+    family at every size n = 0..max_n."""
+    Target(family, max_n)  # refuses an unknown family or a bad size
+    if family in ("Spin_odd", "PSp"):
+        return CountTable(max_n, _cover_entry(g, family, max_n))
+    return CountTable(max_n, _kernel_rows(g, family, max_n).__getitem__)
+
+
+def _kernel_rows(g: GroupSpec, family: str, max_n: int) -> list:
+    """N(g, family(n)) for n = 0..max_n, each family one kernel table."""
+    if family == "U":
+        return _weight_rows([info.dim for info in irreps(g)], max_n)
+    if family == "PU":
+        return _pu_rows(g, max_n)
+    if family == "Sp":
+        return _weight_rows([s.weight for s in _symplectic_slots(g)],
+                            2 * max_n)[::2]
+    if family == "O_odd":
+        return _weight_rows([s.weight for s in _orthogonal_slots(g)],
+                            2 * max_n + 1)[1::2]
+    # the special families read the determinant's identity, each row's first
+    # grade
+    group = abelianization(g).group
+    if family == "SU":
         slots = [(info.dim, info.det_element) for info in irreps(g)]
-        return graded_compositions(slots, ab.group, t.n)[ab.group.identity]
-    if t.family == "Sp":
-        return _count_weights([s.weight for s in _symplectic_slots(g)], 2 * t.n)
-    if t.family == "O_odd":
-        return _count_weights(
-            [s.weight for s in _orthogonal_slots(g)], 2 * t.n + 1)
-    if t.family == "SO_odd":
+        rows = composition_rows(slots, group, max_n)
+    elif family == "SO_odd":
         slots = [(s.weight, s.det) for s in _orthogonal_slots(g)]
-        return graded_compositions(
-            slots, ab.group, 2 * t.n + 1)[ab.group.identity]
-    if t.family == "PU":
-        return _pu_count(g, t.n)
-    if t.family == "Spin_odd":
-        if t.n == 0:
-            # Spin(1) is the two-element group
-            return len(ab.group.kernel_of_scaling(2))
-        if g.family == CYCLIC:
+        rows = composition_rows(slots, group, 2 * max_n + 1)[1::2]
+    else:
+        raise InvariantError(f"no counting route for the family {family!r}")
+    return [row[0] for row in rows]
+
+
+def _cover_entry(g: GroupSpec, family: str, max_n: int):
+    """n -> N(g, family(n)) for Spin_odd and PSp, n <= max_n."""
+    group = abelianization(g).group
+    if family == "Spin_odd":
+        # Spin(1) is the two-element group
+        at_zero = len(group.kernel_of_scaling(2))
+        letter, choice, cover = "B", "sc", "Spin"
+    else:
+        at_zero = len(group.quotient_by_scaling(2)[1])
+        letter, choice, cover = "C", "adj", "PSp"
+    if g.family == CYCLIC:
+        def rest(n):
             from . import lattice
 
             return lattice.weyl_orbit_count(
-                lattice.cartan_data("B", t.n), "sc", g.param)
-        if g.family in (TETRAHEDRAL, ICOSAHEDRAL):
-            # no two-torsion obstruction: covers add nothing
-            return count_homs(g, Target("SO_odd", t.n))
-        if g.family == OCTAHEDRAL:
-            s = _oct_spin_sectors(t.n)[0]
-            return s.fixed + s.moved
-        raise NotCoveredError(
-            f"not covered: Spin counts for {g.label} need the dihedral "
-            "refinement, which is out of scope")
-    if t.family == "PSp":
-        if t.n == 0:
-            qmod, reps, _ = ab.group.quotient_by_scaling(2)
-            return len(reps)
-        if g.family == CYCLIC:
-            from . import lattice
+                lattice.cartan_data(letter, n), choice, g.param)
+    elif g.family in (TETRAHEDRAL, ICOSAHEDRAL):
+        # no two-torsion obstruction: covers add nothing
+        rest = _kernel_rows(g, "SO_odd" if family == "Spin_odd" else "Sp",
+                            max_n).__getitem__
+    elif g.family == OCTAHEDRAL and family == "Spin_odd":
+        rest = [s[0].fixed + s[0].moved
+                for s in _oct_spin_sector_rows(max_n)].__getitem__
+    elif g.family == OCTAHEDRAL:
+        rest = [a.fixed + a.moved // 2 + b.fixed + b.moved // 2
+                for a, b in zip(_oct_sp_sector_rows(max_n, 0),
+                                _oct_sp_sector_rows(max_n, 1))].__getitem__
+    else:
+        def rest(n):
+            raise NotCoveredError(
+                f"not covered: {cover} counts for {g.label} need the dihedral "
+                "refinement, which is out of scope")
+    return lambda n: at_zero if n == 0 else rest(n)
 
-            return lattice.weyl_orbit_count(
-                lattice.cartan_data("C", t.n), "adj", g.param)
-        if g.family in (TETRAHEDRAL, ICOSAHEDRAL):
-            return count_homs(g, Target("Sp", t.n))
-        if g.family == OCTAHEDRAL:
-            total = 0
-            for w in (0, 1):
-                s = _oct_sp_sector(t.n, w)
-                total += s.fixed + s.moved // 2
-            return total
-        raise NotCoveredError(
-            f"not covered: PSp counts for {g.label} need the dihedral "
-            "refinement, which is out of scope")
-    raise InvariantError(f"no counting route for the family {t.family!r}")
+
+def count_homs(g: GroupSpec, t: Target) -> int:
+    """Number of conjugacy classes of homomorphisms from g into the target:
+    the last entry of its count_table."""
+    return count_table(g, t.family, t.n)[t.n]
 
 
 # -- finite character tables and the swap report -----------------------------------
@@ -582,10 +649,10 @@ def f_rep_character(g: GroupSpec, side: str, n: int) -> FRepCharacter:
     if side == "sp":
         _require_octahedral(g, "the symplectic-side table")
         return _two_torsion_f_rep(
-            "sp", {w: _oct_sp_sector(n, w) for w in (0, 1)})
+            "sp", {w: _oct_sp_sector_rows(n, w)[n] for w in (0, 1)})
     if side == "spin":
         _require_octahedral(g, "the orthogonal-side table")
-        return _two_torsion_f_rep("spin", _oct_spin_sectors(n))
+        return _two_torsion_f_rep("spin", _oct_spin_sector_rows(n)[n])
     raise ValueError("side must be 'su', 'sp' or 'spin'")
 
 
@@ -688,9 +755,11 @@ def verify_swap_equivalence(g: GroupSpec, pair, n: int) -> dict:
 # -- JSON-friendly rows -------------------------------------------------------------
 
 
-def count_row(g: GroupSpec, t: Target) -> dict:
-    return {"gamma": g.label, "target": t.family, "n": t.n,
-            "count": count_homs(g, t)}
+def count_rows(g: GroupSpec, family: str, ns) -> list[dict]:
+    """One row per size in ns, all read from one count_table."""
+    table = count_table(g, family, max(ns))
+    return [{"gamma": g.label, "target": family, "n": n, "count": table[n]}
+            for n in ns]
 
 
 def sector_row(g: GroupSpec, family: str, n: int, w: int) -> dict:

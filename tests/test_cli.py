@@ -79,6 +79,73 @@ def test_identity_flags_that_would_be_ignored_are_refused(argv, flag, capsys):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "oracle", "--max-n", "1", "--random", "5", "--max-rank", "3",
+      "--type", "A2", "--pair", "sp-so"], "--pair"),
+    (["verify", "oracle", "--gamma", "Z:3"], "--gamma"),
+    (["verify", "smatrix", "--max-n", "5"], "--type"),
+    (["verify", "smatrix", "--type", "A1", "--seed", "3"], "--seed"),
+    (["verify", "zn-lattice", "--pair", "Sp(2)/SO(5)", "--max-rank", "9"],
+     "--max-rank"),
+    (["verify", "zn-lattice", "--gamma", "Z:3"], "--gamma"),
+    (["verify", "duality", "--max-rank", "3"], "--max-rank"),
+    (["verify", "duality", "--type", "A2"], "--type"),
+    (["verify", "refined", "--pair", "sp-so"], "--pair"),
+    (["verify", "identities", "--max-n", "3"], "--max-n"),
+    (["verify", "identities", "--seed", "4"], "--seed"),
+    (["verify", "identities", "--prop", "PropX", "--seed", "4"], "--seed"),
+])
+def test_verify_flags_the_suite_does_not_read_are_refused(argv, flag, capsys):
+    with pytest.raises(UsageError):
+        parse_args(argv)
+    status, out, err = invoke(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert flag in err
+
+
+def _cfg_fields_read(tree, name, seen):
+    """The RunConfig fields that cli function name reads from cfg, directly
+    or through the cli functions it passes cfg to."""
+    import ast
+
+    seen.add(name)
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    fields = set()
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "cfg"):
+            fields.add(node.attr)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id not in seen
+                and any(isinstance(a, ast.Name) and a.id == "cfg"
+                        for a in node.args)):
+            fields |= _cfg_fields_read(tree, node.func.id, seen)
+    return fields
+
+
+def test_suite_flag_map_is_what_each_suite_reads():
+    import ast
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for suite, runner in cli._SUITE_RUNNERS.items():
+        read = _cfg_fields_read(tree, runner.__name__, set())
+        mapped = {field for field, (_, suites) in cli.SUITE_FLAGS.items()
+                  if suite in suites}
+        assert read & set(cli.SUITE_FLAGS) == mapped, suite
+
+
+def test_benchmark_verify_commands_stay_accepted():
+    reference = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
+        .read_text())
+    commands = [key.split() for key in reference if key.startswith("verify ")]
+    assert len(commands) == 10
+    for argv in commands:
+        parse_args(argv)
+
+
 @pytest.mark.parametrize("argv", [
     ["count", "--gamma", "Dhat:3", "--target", "PSp", "--n", "2"],
     ["sectors", "--gamma", "That", "--family", "Sp", "--n", "1"],
@@ -741,6 +808,62 @@ def test_random_identities_counts_all_families(capsys):
                              "--seed", "11"], capsys)
     assert status == 0
     assert json.loads(out)["checks"] == 8
+
+
+def test_dihedral_psp_count_range_stops_at_the_first_uncovered_size(capsys):
+    # n = 0 is counted, n = 1 is not covered, so the range exits 3
+    status, out, err = invoke(["count", "--gamma", "Dhat:3", "--target", "PSp",
+                               "--n-range", "0:2"], capsys)
+    assert status == 3
+    assert out == ""
+    assert err == ("not covered: PSp counts for Dhat:3 need the dihedral "
+                   "refinement, which is out of scope\n")
+
+
+def test_corrupted_tensoring_stops_the_duality_sweep_under_optimize():
+    # the PU table checks its Burnside sums at every size; a tensoring
+    # permutation that is no group action leaves one indivisible, and the
+    # sweep must stop with asserts stripped, never floor the sum
+    code = (
+        "import sys\n"
+        "from dualcount import cli, counting\n"
+        "real = counting.onedim_permutations\n"
+        "def corrupted(g):\n"
+        "    perms = dict(real(g))\n"
+        "    if g.label == 'Z:4':\n"
+        "        perms[(2,)] = (1, 0, 2, 3)\n"
+        "    return perms\n"
+        "counting.onedim_permutations = corrupted\n"
+        "sys.exit(cli.main(['verify', 'duality', '--pair', 'su-pu']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "internal error" in proc.stderr
+
+
+def test_duality_sweep_builds_one_kernel_table_per_group_and_family(
+        monkeypatch, capsys):
+    # the work of a sweep is one table per (group, family), whatever max-n:
+    # counted in kernel calls, not timed
+    from dualcount import counting
+
+    calls = []
+    kernel = counting.composition_rows
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(counting, "composition_rows", counted)
+    work = {}
+    for max_n in (7, 14):
+        calls.clear()
+        status, _, _ = invoke(["verify", "duality", "--max-n", str(max_n)],
+                              capsys)
+        assert status == 0
+        work[max_n] = len(calls)
+    assert work[7] == work[14] > 0
 
 
 def test_dihedral_psp_rows_are_skipped_not_failed(capsys):

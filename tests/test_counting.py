@@ -7,14 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcount.abgroup import AbGroup
-from dualcount.cli import DEFAULT_GAMMAS
+from dualcount import series
+from dualcount.cli import DEFAULT_GAMMAS, ORACLE_GENFUN_GAMMAS
 from dualcount.counting import (
+    TARGET_FAMILIES,
     FRepCharacter,
     SectorCount,
     Target,
-    _build_slots,
     count_homs,
-    count_row,
+    count_rows,
+    count_table,
+    composition_rows,
+    orbit_composition_rows,
     count_twisted,
     f_rep_character,
     graded_compositions,
@@ -33,10 +37,9 @@ from dualcount.grouprep import (
     abelianization,
     irrep_by_name,
     irreps,
-    twisted_irreps,
 )
-from char_tables import tensor_with_onedim
-from enumeration import multiplicity_vectors
+from enumeration import (enumerated_count, enumerated_sector,
+                         multiplicity_vectors, unitary_orbits)
 
 Z = GroupSpec.cyclic
 DH = GroupSpec.binary_dihedral
@@ -175,6 +178,95 @@ def test_orbit_compositions_refuse_a_partial_group():
         orbit_compositions(slots, ungraded, 2, [(0, 1)], 2)
 
 
+@given(st.integers(1, 4), st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)),
+                                   max_size=5), st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_every_kernel_row_is_the_count_at_its_total(m, drawn, total):
+    # a table to total holds the table to every smaller total as its prefix,
+    # and each row counts what iter_vectors lists at that total
+    group = AbGroup((m,))
+    slots = [(w, (g % m,)) for w, g in drawn]
+    rows = composition_rows(slots, group, total)
+    assert len(rows) == total + 1
+    for t, row in enumerate(rows):
+        assert dict(zip(group.elements(), row)) == graded_compositions(
+            slots, group, t)
+        listed = dict.fromkeys(group.elements(), 0)
+        for vec in iter_vectors([w for w, _ in slots], t):
+            listed[(sum(c * g for c, (_, (g,)) in zip(vec, slots)) % m,)] += 1
+        assert dict(zip(group.elements(), row)) == listed
+
+
+@given(_symmetric_slots(), st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_every_orbit_row_is_the_orbit_count_at_its_total(case, total):
+    m, slots, gen, order = case
+    perms = list(AbGroup((order,)).action([gen], len(slots)).values())
+    group = AbGroup((m,))
+    rows = orbit_composition_rows(slots, group, total, perms, order)
+    for t, row in enumerate(rows):
+        assert dict(zip(group.elements(), row)) == orbit_compositions(
+            slots, group, t, perms, order)
+    assert orbit_composition_rows(slots, group, total, perms, order,
+                                  start=total) == rows[-1:]
+
+
+def test_burnside_prefix_checks_every_total():
+    # the identity alone is half of the swap group: at total 1 its two fixed
+    # compositions are divisible by 2, but the one at total 0 is not
+    slots, ungraded = [(1, ()), (1, ())], AbGroup(())
+    with pytest.raises(InvariantError):
+        orbit_composition_rows(slots, ungraded, 1, [(0, 1)], 2)
+    assert orbit_composition_rows(slots, ungraded, 1, [(0, 1)], 2,
+                                  start=1) == [[1]]
+
+
+@pytest.mark.parametrize("family", TARGET_FAMILIES)
+@pytest.mark.parametrize("g", CATALOGUE, ids=lambda g: g.label)
+def test_count_table_matches_enumeration(g, family):
+    table = count_table(g, family, 4)
+    assert table.max_n == 4
+    for n in range(5):
+        try:
+            expected = enumerated_count(g, family, n)
+        except NotCoveredError:
+            with pytest.raises(NotCoveredError):
+                table[n]
+            continue
+        assert table[n] == expected == count_homs(g, Target(family, n)), n
+    with pytest.raises(IndexError):
+        table[5]
+
+
+@pytest.mark.parametrize("glabel", ORACLE_GENFUN_GAMMAS)
+def test_count_table_matches_the_series_to_n_60(glabel):
+    # the built-in generating functions are the independent closed-form route
+    g = GroupSpec.from_label(glabel)
+    top = 60
+    sp = series.expand(series.builtin_genfun(g, "Sp"), 2 * top).integer_coeffs()
+    so = series.expand(series.builtin_genfun(g, "SO_odd"),
+                       2 * top + 1).integer_coeffs()
+    sp_table, so_table = count_table(g, "Sp", top), count_table(g, "SO_odd", top)
+    assert [sp_table[n] for n in range(top + 1)] == list(sp[::2])
+    assert [so_table[n] for n in range(top + 1)] == list(so[1::2])
+
+
+def test_cyclic_cover_tables_count_only_the_sizes_read():
+    # the Kac route's rank grows with n, so it counts a size when it is read:
+    # a table far past lattice.MAX_RANK still reads its small sizes
+    for family in ("PSp", "Spin_odd"):
+        table = count_table(Z(3), family, 10 ** 6)
+        assert [table[n] for n in range(3)] == [
+            count_homs(Z(3), Target(family, n)) for n in range(3)]
+
+
+def test_count_table_refuses_bad_requests():
+    with pytest.raises(ValueError):
+        count_table(Z(2), "Bogus", 3)
+    with pytest.raises(ValueError):
+        count_table(Z(2), "Sp", -1)
+
+
 @pytest.mark.parametrize("g", CATALOGUE, ids=lambda g: g.label)
 def test_kernel_counts_match_enumeration(g):
     # the kernel counts what multiplicity_vectors lists, over the whole
@@ -234,24 +326,7 @@ def test_pu_count_agrees_with_explicit_orbit_count():
     # independent route: group enumerated unitary vectors into orbits under
     # tensoring by all 1-dim characters
     for g, n in [(Z(4), 3), (Z(6), 2), (DH(3), 3), (TET, 4), (OCT, 3)]:
-        ab = abelianization(g)
-        names = [i.name for i in irreps(g)]
-        vectors = {
-            tuple(mv.get(nm, 0) for nm in names)
-            for mv in multiplicity_vectors(g, Target("U", n))
-        }
-        orbits = set()
-        for vec in vectors:
-            orbit = []
-            for a in ab.group.elements():
-                onedim = ab.name_of[a]
-                moved = {}
-                for nm, c in zip(names, vec):
-                    if c:
-                        moved[tensor_with_onedim(g, nm, onedim)] = c
-                orbit.append(tuple(moved.get(nm, 0) for nm in names))
-            orbits.add(frozenset(orbit))
-        assert count_homs(g, Target("PU", n)) == len(orbits)
+        assert count_homs(g, Target("PU", n)) == len(unitary_orbits(g, n))
 
 
 # -- dualities at unit-test scale ------------------------------------------------
@@ -305,44 +380,11 @@ def test_sector_count_anchors():
     assert count_twisted(OCT, "Spin_odd", 1, 1) == SectorCount(1, 2, 0)
 
 
-def _enumerated_sector(family, n, w):
-    """Fixed/moved counts of one Ohat sector by listing solution vectors."""
-    A = abelianization(OCT).group
-    if family == "Sp" and w == 1:
-        slots = _build_slots(twisted_irreps(OCT), A, REAL)
-        weights = tuple(s.weight for s in slots)
-        return SectorCount(1, sum(1 for _ in iter_vectors(weights, 2 * n)), 0)
-    if family == "Sp":
-        # the involution tensors with 1'; fixed vectors equal their image
-        slots = _build_slots(irreps(OCT), A, REAL)
-        slot_of = {s.names[0]: k for k, s in enumerate(slots)}
-        perm = [slot_of[tensor_with_onedim(OCT, s.names[0], "1'")] for s in slots]
-        fixed = moved = 0
-        for vec in iter_vectors(tuple(s.weight for s in slots), 2 * n):
-            if all(vec[k] == vec[perm[k]] for k in range(len(vec))):
-                fixed += 1
-            else:
-                moved += 1
-        return SectorCount(0, fixed, moved)
-    fixed = moved = 0
-    for mv in multiplicity_vectors(OCT, Target("SO_odd", n)):
-        c = (mv.get("1'", 0) - mv.get("3'", 0) + mv.get("2''", 0)) % 4
-        assert c % 2 == 0
-        if c // 2 != w:
-            continue
-        if mv.get("2''", 0) or (mv.get("1", 0) + mv.get("3", 0)
-                                and mv.get("1'", 0) + mv.get("3'", 0)):
-            fixed += 1
-        else:
-            moved += 2
-    return SectorCount(w, fixed, moved)
-
-
 @pytest.mark.parametrize("family", ["Sp", "Spin_odd"])
 def test_sector_counts_match_enumeration(family):
     for n in range(0, 9):
         for w in (0, 1):
-            assert count_twisted(OCT, family, n, w) == _enumerated_sector(
+            assert count_twisted(OCT, family, n, w) == enumerated_sector(
                 family, n, w), (n, w)
 
 
@@ -539,8 +581,8 @@ def test_tables_swap_equivalent_detects_mismatch():
 
 
 def test_count_row_shape():
-    row = count_row(OCT, Target("Sp", 1))
-    assert row == {"gamma": "Ohat", "target": "Sp", "n": 1, "count": 4}
+    rows = count_rows(OCT, "Sp", [1])
+    assert rows == [{"gamma": "Ohat", "target": "Sp", "n": 1, "count": 4}]
 
 
 def test_sector_row_shape():
