@@ -8,12 +8,11 @@ before any count, so the CLI's size bounds hold here too.
 """
 
 import argparse
+import itertools
 import sys
 
-from dualcount.cli import DEFAULT_GAMMAS, DUALITY_PAIRS, UsageError, parse_args
-from dualcount.counting import count_table
-from dualcount.errors import NotCoveredError
-from dualcount.grouprep import GroupSpec
+from dualcount.cli import (DEFAULT_GAMMAS, DUALITY_PAIRS, UsageError,
+                           duality_cells, parse_args)
 
 
 def main():
@@ -33,28 +32,22 @@ def main():
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    left, right = DUALITY_PAIRS[args.pair]
     header = ["gamma".ljust(8)] + [f"n={n}" for n in range(args.max_n + 1)]
     print("  ".join(h.rjust(6) for h in header))
 
     bad = 0
+    cells = duality_cells(args.pair, labels, args.max_n)
     for label in labels:
-        g = GroupSpec.from_label(label)
-        lefts = count_table(g, left, args.max_n)
-        rights = count_table(g, right, args.max_n)
-        cells = []
-        for n in range(args.max_n + 1):
-            try:
-                a, b = lefts[n], rights[n]
-            except NotCoveredError:
-                cells.append("-")
-                continue
-            if a == b:
-                cells.append(str(a))
+        shown = []
+        for passed, row in itertools.islice(cells, args.max_n + 1):
+            if passed is None:
+                shown.append("-")
+            elif passed:
+                shown.append(str(row["left"]))
             else:
-                cells.append(f"{a}!={b}")
+                shown.append(f"{row['left']}!={row['right']}")
                 bad += 1
-        print("  ".join([label.ljust(8).rjust(6)] + [c.rjust(6) for c in cells]))
+        print("  ".join([label.ljust(8).rjust(6)] + [c.rjust(6) for c in shown]))
 
     if bad:
         print(f"{bad} mismatches", file=sys.stderr)

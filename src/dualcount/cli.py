@@ -1,5 +1,12 @@
 """Command-line driver: counting runs, verification suites, and data dumps.
 
+Every command, and every suite of `verify`, has its own argparse subparser
+that declares only the flags its runner reads, so argparse refuses any other
+flag and checks each size, group label and fixed choice as it parses.  A
+suite's flags follow its name: `dualcount verify SUITE --help` lists them.
+Each suite yields one (passed, row) pair per check, and `verify` tallies
+them into one report.
+
 Every command prints a single report.  JSON output is deterministic
 (sorted keys, floats rounded to twelve digits), so repeated runs of the
 same command are byte-identical.  Exit codes:
@@ -65,15 +72,18 @@ EXIT_INTERNAL = 4
 # Largest target size n that count, sectors and the duality and refined
 # suites accept, and the zn-lattice suite's largest modulus.  A count table
 # to n costs slots x (2n + 1) x |grading group| cells of the counting kernel,
-# each row one Python int per grade, and holds every size up to n.  Over the
-# catalogue the costliest single call is the refined suite's table for Z:12
-# at n divisible by 12: twelve kernel runs over 12 slots graded by Z12, about
-# 1728 n cells, some 1.7e7 at this bound, about a second and a few MB of rows
-# on a 2-CPU machine.  A duality sweep reads one table per group and family,
-# so its cost is linear in the bound: on a 2-CPU machine `verify duality
-# --max-n 10000` takes 4.5 s with --pair sp-so, 5.9 s with su-pu and 1.3 s
-# with psp-spin.  The refined and zn-lattice suites still count one n at a
-# time.  Cyclic PSp and Spin sizes are ranks, held to bounds.MAX_RANK.
+# each row one Python int per grade, and holds every size up to n.  Single
+# counts at this bound take about 2 s on a 2-CPU machine: 1.9-2.4 s for
+# `count --gamma Z:48 --target SU --n 10000`, 1.9-2.9 s with --target PU,
+# and 1.0-1.2 s for `count --gamma Dhat:48 --target SO_odd --n 10000`.  A
+# duality sweep reads one table per group and family, so its cost is linear
+# in the bound: `verify duality --max-n 10000` takes 4.5 s with --pair sp-so,
+# 5.9 s with su-pu and 1.3 s with psp-spin.  The refined suite still counts
+# one n at a time, so its cost grows with the square of the bound: `verify
+# refined --max-n 400` takes 7.3-8.4 s for Ohat and 4.0-5.1 s for Ihat, and
+# the accepted --max-n 10000 would run for over an hour.  Cyclic PSp and Spin
+# sizes are ranks, held to bounds.MAX_RANK, which also keeps cyclic refined
+# runs to n <= 100.
 MAX_N = 10_000
 
 # Largest smatrix --digits: the entries are accurate to about 1e-15, and every
@@ -83,10 +93,12 @@ MAX_DIGITS = 12
 # genfun's truncation order when --order is not given
 GENFUN_ORDER = 24
 
-# Largest --max-n of verify oracle.  Its counts read one table per group and
+# Largest --max-n of verify oracle: its series expand to order 2 max_n + 1,
+# which bounds.MAX_ORDER bounds.  Its counts read one table per group and
 # family and its series expand once per group, so the suite is linear in the
-# bound: `verify oracle --max-n 499` takes 0.2 s on a 2-CPU machine.
-MAX_ORACLE_N = 499
+# bound: `verify oracle --max-n 9999` makes 180033 checks in 2.0-2.3 s on a
+# 2-CPU machine.
+MAX_ORACLE_N = (MAX_ORDER - 1) // 2
 
 # Largest --random of verify identities, in draws per KF family.  Every draw
 # keeps to k, v <= 6 and at most 3 v values per list, and clears in at most
@@ -94,26 +106,7 @@ MAX_ORACLE_N = 499
 # bound take about a minute and a half.
 MAX_RANDOM_DRAWS = 10_000
 
-SUITES = ("duality", "refined", "identities", "zn-lattice", "smatrix", "oracle")
-
-# the verify flags, by RunConfig field, and the suites whose runners read each
-# one; any other suite refuses the flag rather than ignore it
-SUITE_FLAGS = {
-    "gamma": ("--gamma", ("duality", "refined")),
-    "pair": ("--pair", ("duality", "zn-lattice")),
-    "prop": ("--prop", ("identities",)),
-    "params": ("--params", ("identities",)),
-    "random_draws": ("--random", ("identities",)),
-    "seed": ("--seed", ("identities",)),
-    "max_n": ("--max-n", ("duality", "refined", "zn-lattice", "smatrix", "oracle")),
-    "max_rank": ("--max-rank", ("zn-lattice",)),
-    "ade_type": ("--type", ("smatrix",)),
-}
-
 FORMATS = ("json", "csv", "text")
-
-# commands whose report has no rows or failures, which is what csv writes
-ROWLESS_COMMANDS = ("irreps", "mckay", "genfun", "smatrix")
 
 DUALITY_PAIRS = {
     "sp-so": ("Sp", "SO_odd"),
@@ -217,72 +210,142 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _size(high: int | None = None, low: int = 0):
+    """An argparse type: an int from low to high, or from low up when high is
+    None."""
+    def size(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{value} is negative" if low == 0 else f"{value} is below {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"{value} exceeds the largest supported size {high}")
+        return value
+    return size
+
+
+def _n_range(text: str) -> tuple[int, int]:
+    """An argparse type: the inclusive range lo:hi of count --n-range."""
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"could not parse range {text!r}; expected lo:hi") from None
+    if not 0 <= lo <= hi:
+        raise argparse.ArgumentTypeError("range must satisfy 0 <= lo <= hi")
+    if hi > MAX_N:
+        raise argparse.ArgumentTypeError(
+            f"{hi} exceeds the largest supported size {MAX_N}")
+    return lo, hi
+
+
+def _group_label(text: str) -> str:
+    """An argparse type: a group label, refused when it names no group or a
+    Z:m or Dhat:m over grouprep.MAX_GROUP_PARAM."""
+    try:
+        GroupSpec.from_label(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command line: one subparser per command and per verify suite, each
+    declaring only the flags its runner reads, so argparse refuses the rest."""
     parser = _Parser(prog="dualcount", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", dest="fmt", choices=FORMATS, default="json")
+    def add(subparsers, name, help_text, formats=FORMATS):
+        p = subparsers.add_parser(name, help=help_text, description=help_text)
+        p.add_argument("--format", dest="fmt", choices=formats, default="json")
         return p
 
-    p = add("count", "count conjugacy classes of homomorphisms")
-    p.add_argument("--gamma", required=True, help="source group, e.g. Z:7, Dhat:3, Ohat")
+    # irreps, mckay, genfun and smatrix reports have no rows for csv to write
+    rowless = ("json", "text")
+
+    p = add(sub, "count", "count conjugacy classes of homomorphisms")
+    p.add_argument("--gamma", required=True, type=_group_label,
+                   help="source group, e.g. Z:7, Dhat:3, Ohat")
     p.add_argument("--target", required=True, help="target family, e.g. Sp, SO_odd, PU")
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-range", dest="n_range", help="inclusive range lo:hi")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--n", type=_size(MAX_N))
+    size.add_argument("--n-range", dest="n_range", type=_n_range,
+                      help="inclusive range lo:hi")
 
-    p = add("sectors", "fixed/moved class counts of the two-torsion sectors")
-    p.add_argument("--gamma", default="Ohat")
+    p = add(sub, "sectors", "fixed/moved class counts of the two-torsion sectors")
+    p.add_argument("--gamma", default="Ohat", type=_group_label)
     p.add_argument("--family", required=True, choices=("Sp", "Spin_odd"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size(MAX_N), required=True)
 
-    p = add("irreps", "irreducibles of a source group: dimension, reality, "
-                     "conjugate partner and determinant")
-    p.add_argument("--gamma", required=True)
+    p = add(sub, "irreps", "irreducibles of a source group: dimension, reality, "
+                           "conjugate partner and determinant", rowless)
+    p.add_argument("--gamma", required=True, type=_group_label)
 
-    p = add("mckay", "McKay graph of a source group")
-    p.add_argument("--gamma", required=True)
+    p = add(sub, "mckay", "McKay graph of a source group", rowless)
+    p.add_argument("--gamma", required=True, type=_group_label)
 
-    p = add("genfun", "coefficients of a built-in generating function")
-    p.add_argument("--gamma", required=True)
+    p = add(sub, "genfun", "coefficients of a built-in generating function", rowless)
+    p.add_argument("--gamma", required=True, type=_group_label)
     p.add_argument("--token", default="Sp",
                    help="series token: Sp, SO_odd, or refined:e,m:Sp|Spin")
-    p.add_argument("--order", type=int, default=GENFUN_ORDER,
+    p.add_argument("--order", type=_size(MAX_ORDER), default=GENFUN_ORDER,
                    help="truncation order (default %(default)s)")
 
-    p = add("smatrix", "modular S-matrix of an affine algebra at a level")
+    p = add(sub, "smatrix", "modular S-matrix of an affine algebra at a level",
+            rowless)
     p.add_argument("--type", dest="ade_type", required=True, help="e.g. A3, D4, E6")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--digits", type=int, default=12,
+    p.add_argument("--level", type=_size(), required=True)
+    p.add_argument("--digits", type=_size(MAX_DIGITS, low=1), default=12,
                    help="decimal places of each entry, 1 to 12 (default 12)")
 
-    p = add("verify", "run a verification suite")
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("--gamma", help="restrict to one source group")
-    p.add_argument("--pair", help="duality: sp-so, su-pu, psp-spin or all; "
-                                  "zn-lattice: a pair label like Sp(2)/SO(5)")
-    p.add_argument("--prop", help="identities: run a single named identity")
-    p.add_argument("--params", help="identities: parameter string for --prop")
-    p.add_argument("--random", dest="random_draws", type=int,
-                   help="identities: random draws per parametrized family")
-    p.add_argument("--seed", type=int,
-                   help="identities: seed of the --random draws (default 0)")
-    p.add_argument("--max-n", dest="max_n", type=int)
-    p.add_argument("--max-rank", dest="max_rank", type=int)
-    p.add_argument("--type", dest="ade_type", help="smatrix: restrict to one type")
+    verify = sub.add_parser("verify", help="run a verification suite",
+                            description="run a verification suite; "
+                            "`verify SUITE --help` lists its flags")
+    suites = verify.add_subparsers(dest="suite", required=True)
+
+    p = add(suites, "duality", "Sp/SO, SU/PU and PSp/Spin count equality")
+    p.add_argument("--gamma", type=_group_label, help="restrict to one source group")
+    p.add_argument("--pair", choices=(*DUALITY_PAIRS, "all"))
+    p.add_argument("--max-n", dest="max_n", type=_size(MAX_N), default=10,
+                   help="largest n (default %(default)s)")
+
+    p = add(suites, "refined", "two-torsion and unitary swap equivalences")
+    p.add_argument("--gamma", type=_group_label, help="restrict to one source group")
+    p.add_argument("--max-n", dest="max_n", type=_size(MAX_N), default=6,
+                   help="largest n (default %(default)s)")
+
+    p = add(suites, "identities", "exact proofs of the generating-function identities")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--prop", help="run a single named identity")
+    one.add_argument("--random", dest="random_draws", type=_size(MAX_RANDOM_DRAWS),
+                     help="random draws per parametrized family")
+    p.add_argument("--params", help="parameter string for --prop")
+    p.add_argument("--seed", type=int, help="seed of the --random draws (default 0)")
+
+    p = add(suites, "zn-lattice", "Weyl-orbit counts across each dual pair")
+    # no default for --max-rank: argparse takes a flag of an exclusive group
+    # as given only when its value is not the default
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--pair", help="a pair label like Sp(2)/SO(5)")
+    one.add_argument("--max-rank", dest="max_rank", type=_size(MAX_RANK),
+                     help="largest rank of the swept pairs (default 4)")
+    p.add_argument("--max-n", dest="max_n", type=_size(MAX_N), default=4,
+                   help="largest modulus (default %(default)s)")
+
+    p = add(suites, "smatrix", "S-matrix unitarity, symmetry and conjugation")
+    p.add_argument("--type", dest="ade_type", help="restrict to one type")
+    p.add_argument("--max-n", dest="max_n", type=_size(),
+                   help="with --type: largest level (default 2)")
+
+    p = add(suites, "oracle", "reference counts and series-vs-count agreement")
+    p.add_argument("--max-n", dest="max_n", type=_size(MAX_ORACLE_N), default=8,
+                   help="largest n (default %(default)s)")
     return parser
-
-
-def _parse_pair_of_ints(text: str) -> tuple[int, int]:
-    try:
-        lo_text, hi_text = text.split(":")
-        lo, hi = int(lo_text), int(hi_text)
-    except ValueError:
-        raise UsageError(f"could not parse range {text!r}; expected lo:hi") from None
-    if lo < 0 or hi < lo:
-        raise UsageError("range must satisfy 0 <= lo <= hi")
-    return lo, hi
 
 
 def _cyclic_rank(cfg: RunConfig) -> int:
@@ -296,73 +359,25 @@ def _cyclic_rank(cfg: RunConfig) -> int:
         return cfg.n if cfg.n is not None else cfg.n_range[1]
     if cfg.suite == "refined" or (
             cfg.suite == "duality" and cfg.pair in (None, "all", "psp-spin")):
-        return cfg.max_n or 0
+        return cfg.max_n
     return 0
 
 
-def _refuse_unread_flags(values: dict):
-    """UsageError for a verify flag that the suite would not read."""
-    suite = values["suite"]
-    given = [field for field in SUITE_FLAGS if values[field] is not None]
-    for field in given:
-        flag, suites = SUITE_FLAGS[field]
-        if suite not in suites:
-            raise UsageError(f"verify {suite} does not read {flag}")
-    if "params" in given and "prop" not in given:
-        raise UsageError("--params needs --prop")
-    if "prop" in given and "random_draws" in given:
-        raise UsageError("--prop runs one identity; it does not take --random")
-    if "seed" in given and "random_draws" not in given:
-        raise UsageError("--seed needs --random: only random draws are seeded")
-    if suite == "smatrix" and "max_n" in given and "ade_type" not in given:
-        raise UsageError("verify smatrix reads --max-n only with --type")
-    if suite == "zn-lattice" and "pair" in given and "max_rank" in given:
-        raise UsageError("verify zn-lattice reads --max-rank only without --pair")
-
-
 def parse_args(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    values = vars(ns)
-    if values["fmt"] == "csv" and ns.command in ROWLESS_COMMANDS:
-        raise UsageError(f"{ns.command} has no rows to write as csv; "
-                         f"use --format json or text")
-    if ns.command == "verify":
-        _refuse_unread_flags(values)
-    if values.get("n_range") is not None:
-        values["n_range"] = _parse_pair_of_ints(values["n_range"])
-    if ns.command == "count":
-        if (values.get("n") is None) == (values.get("n_range") is None):
-            raise UsageError("count needs exactly one of --n and --n-range")
-    n_range = values.get("n_range")
-    max_n = {"duality": MAX_N, "refined": MAX_N, "zn-lattice": MAX_N,
-             "oracle": MAX_ORACLE_N}.get(values.get("suite"))
-    sizes = [("--n", values.get("n"), MAX_N),
-             ("--n-range", n_range and n_range[1], MAX_N),
-             ("--order", values.get("order"), MAX_ORDER),
-             ("--max-n", values.get("max_n"), max_n),
-             ("--max-rank", values.get("max_rank"), MAX_RANK),
-             ("--random", values.get("random_draws"), MAX_RANDOM_DRAWS),
-             ("--level", values.get("level"), None)]
-    for flag, size, bound in sizes:
-        if size is not None and size < 0:
-            raise UsageError(f"{flag} {size} is negative")
-        if size is not None and bound is not None and size > bound:
-            raise UsageError(
-                f"{flag} {size} exceeds the largest supported size {bound}")
-    if values.get("gamma") is not None:
-        # a bad label, or a Z:m or Dhat:m over grouprep.MAX_GROUP_PARAM
-        try:
-            GroupSpec.from_label(values["gamma"])
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-    digits = values.get("digits")
-    if digits is not None and not 1 <= digits <= MAX_DIGITS:
-        raise UsageError(f"--digits {digits} is outside 1 to {MAX_DIGITS}")
+    """The RunConfig of a command line; UsageError for a line that argparse
+    refuses or that breaks a rule between flags."""
+    values = vars(build_parser().parse_args(argv))
     unknown = set(values) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise InvariantError(
             f"parsed options missing from RunConfig: {sorted(unknown)}")
     cfg = RunConfig(**values)
+    if cfg.params is not None and cfg.prop is None:
+        raise UsageError("--params needs --prop")
+    if cfg.seed is not None and cfg.random_draws is None:
+        raise UsageError("--seed needs --random: only random draws are seeded")
+    if cfg.suite == "smatrix" and cfg.max_n is not None and cfg.ade_type is None:
+        raise UsageError("verify smatrix reads --max-n only with --type")
     rank = _cyclic_rank(cfg)
     if rank > MAX_RANK:
         raise UsageError(
@@ -421,59 +436,44 @@ def _run_smatrix(cfg: RunConfig):
 # -- verification suites -------------------------------------------------------------
 
 
+def duality_cells(pair: str, gammas, max_n: int):
+    """(passed, row) for each group label of gammas and n = 0..max_n: whether
+    the pair's two counts agree, or None where a count is not covered."""
+    left_family, right_family = DUALITY_PAIRS[pair]
+    for glabel in gammas:
+        g = GroupSpec.from_label(glabel)
+        lefts = count_table(g, left_family, max_n)
+        rights = count_table(g, right_family, max_n)
+        for n in range(max_n + 1):
+            row = {"suite": "duality", "pair": pair, "gamma": g.label, "n": n}
+            try:
+                row["left"], row["right"] = lefts[n], rights[n]
+            except NotCoveredError:
+                yield None, row
+                continue
+            yield row["left"] == row["right"], row
+
+
 def _suite_duality(cfg: RunConfig):
-    if cfg.pair in (None, "all"):
-        names = tuple(DUALITY_PAIRS)
-    elif cfg.pair in DUALITY_PAIRS:
-        names = (cfg.pair,)
-    else:
-        raise ValueError(
-            f"unknown duality pair {cfg.pair!r}; choose from "
-            f"{tuple(DUALITY_PAIRS)} or all")
-    max_n = cfg.max_n if cfg.max_n is not None else 10
-    checks = skipped = 0
-    failures = []
-    for name in names:
-        left_family, right_family = DUALITY_PAIRS[name]
+    for name in DUALITY_PAIRS if cfg.pair in (None, "all") else (cfg.pair,):
         gammas = (cfg.gamma,) if cfg.gamma else PAIR_DEFAULT_GAMMAS[name]
-        for glabel in gammas:
-            g = GroupSpec.from_label(glabel)
-            lefts = count_table(g, left_family, max_n)
-            rights = count_table(g, right_family, max_n)
-            for n in range(0, max_n + 1):
-                try:
-                    left, right = lefts[n], rights[n]
-                except NotCoveredError:
-                    skipped += 1
-                    continue
-                checks += 1
-                if left != right:
-                    failures.append({"suite": "duality", "pair": name,
-                                     "gamma": g.label, "n": n,
-                                     "left": left, "right": right})
-    return checks, skipped, failures
+        yield from duality_cells(name, gammas, cfg.max_n)
 
 
 def _suite_refined(cfg: RunConfig):
     gammas = (cfg.gamma,) if cfg.gamma else ("Ohat",)
-    max_n = cfg.max_n if cfg.max_n is not None else 6
-    checks = skipped = 0
-    failures = []
     for glabel in gammas:
         g = GroupSpec.from_label(glabel)
         # the unitary refinement needs a nonempty weight lattice, so n >= 1
         plans = [(("Sp", "Spin_odd"), 0), (("SU", "PU"), 1)]
         for pair, start in plans:
-            for n in range(start, max_n + 1):
+            for n in range(start, cfg.max_n + 1):
                 try:
                     rep = verify_swap_equivalence(g, pair, n)
                 except NotCoveredError:
-                    skipped += 1
+                    yield None, None
                     continue
-                checks += 1
-                if not rep["equivalent"]:
-                    failures.append({"suite": "refined", **rep})
-    return checks, skipped, failures
+                yield rep["equivalent"], {"suite": "refined", **rep}
 
 
 def identity_runs(random_draws: int = 0, seed: int = 0) -> list:
@@ -493,34 +493,23 @@ def _suite_identities(cfg: RunConfig):
         runs = [(cfg.prop, cfg.params)]
     else:
         runs = identity_runs(cfg.random_draws, cfg.seed or 0)
-    checks = 0
-    failures = []
     for name, params in runs:
         rep = series.prove_identity(name, params)
-        checks += 1
-        if rep["verdict"] != "proven":
-            failures.append({"suite": "identities", **rep})
-    return checks, 0, failures
+        yield rep["verdict"] == "proven", {"suite": "identities", **rep}
 
 
 def _zn_sweep(cfg: RunConfig):
     """The pairs and the largest modulus of a zn-lattice run."""
     max_rank = cfg.max_rank if cfg.max_rank is not None else 4
-    max_n = cfg.max_n if cfg.max_n is not None else 4
-    return (cfg.pair,) if cfg.pair else lattice.dual_pairs(max_rank), max_n
+    return (cfg.pair,) if cfg.pair else lattice.dual_pairs(max_rank), cfg.max_n
 
 
 def _suite_zn(cfg: RunConfig):
     pairs, max_n = _zn_sweep(cfg)
-    checks = 0
-    failures = []
     for pair in pairs:
         for n in range(1, max_n + 1):
             row = lattice.zn_duality_row(pair, n)
-            checks += 1
-            if not row["equal"]:
-                failures.append({"suite": "zn-lattice", **row})
-    return checks, 0, failures
+            yield row["equal"], {"suite": "zn-lattice", **row}
 
 
 def _suite_smatrix(cfg: RunConfig):
@@ -531,8 +520,6 @@ def _suite_smatrix(cfg: RunConfig):
         grid = [(cfg.ade_type, n) for n in levels]
     else:
         grid = SMATRIX_GRID
-    checks = 0
-    failures = []
     for ade_type, level in grid:
         sm = affine.s_matrix(ade_type, level)
         _, _, conj_err = affine.charge_conjugation(sm)
@@ -543,30 +530,23 @@ def _suite_smatrix(cfg: RunConfig):
             "conjugation_permutation": conj_err,
             "center_action": rep["max_abs_error"],
         }
-        checks += 1
-        if not rep["holds"] or max(errors.values()) >= affine.TOLERANCE:
-            failures.append({"suite": "smatrix", "type": ade_type,
-                             "level": level, "holds": rep["holds"],
-                             "errors": {k: float(v) for k, v in errors.items()}})
-    return checks, 0, failures
+        failed = not rep["holds"] or max(errors.values()) >= affine.TOLERANCE
+        yield not failed, {"suite": "smatrix", "type": ade_type, "level": level,
+                       "holds": rep["holds"],
+                       "errors": {k: float(v) for k, v in errors.items()}}
 
 
 def _suite_oracle(cfg: RunConfig):
-    max_n = cfg.max_n if cfg.max_n is not None else 8
-    checks = skipped = 0
-    failures = []
+    max_n = cfg.max_n
 
-    def record(glabel, token, n, expected, got):
-        nonlocal checks
-        checks += 1
-        if expected != got:
-            failures.append({"suite": "oracle", "gamma": glabel,
-                             "target": token, "n": n,
-                             "expected": expected, "got": got})
+    def check(glabel, token, n, expected, got):
+        return expected == got, {"suite": "oracle", "gamma": glabel,
+                                 "target": token, "n": n,
+                                 "expected": expected, "got": got}
 
     for glabel, family, n, expected in ORACLE_COUNTS:
         g = GroupSpec.from_label(glabel)
-        record(glabel, family, n, expected, count_homs(g, Target(family, n)))
+        yield check(glabel, family, n, expected, count_homs(g, Target(family, n)))
 
     # generating function coefficients against direct enumeration
     for glabel in ORACLE_GENFUN_GAMMAS:
@@ -577,20 +557,22 @@ def _suite_oracle(cfg: RunConfig):
             so = series.expand(series.builtin_genfun(g, "SO_odd"),
                                2 * max_n + 1).integer_coeffs()
         except NotCoveredError:
-            skipped += 1
+            yield None, None
             continue
         sp_counts = count_table(g, "Sp", max_n)
         so_counts = count_table(g, "SO_odd", max_n)
         for n in range(max_n + 1):
-            record(glabel, "Sp", n, sp_counts[n], sp[2 * n])
-            record(glabel, "SO_odd", n, so_counts[n], so[2 * n + 1])
+            yield check(glabel, "Sp", n, sp_counts[n], sp[2 * n])
+            yield check(glabel, "SO_odd", n, so_counts[n], so[2 * n + 1])
         # the two series live on opposite parities
-        record(glabel, "Sp", -1, [0] * max_n, [sp[2 * i + 1] for i in range(max_n)])
-        record(glabel, "SO_odd", -1, [0] * (max_n + 1),
-               [so[2 * i] for i in range(max_n + 1)])
-    return checks, skipped, failures
+        yield check(glabel, "Sp", -1, [0] * max_n,
+                    [sp[2 * i + 1] for i in range(max_n)])
+        yield check(glabel, "SO_odd", -1, [0] * (max_n + 1),
+                    [so[2 * i] for i in range(max_n + 1)])
 
 
+# each suite's runner yields (passed, row) per check: passed is None for a
+# skipped check, and the row of a failed one is reported
 _SUITE_RUNNERS = {
     "duality": _suite_duality,
     "refined": _suite_refined,
@@ -602,7 +584,15 @@ _SUITE_RUNNERS = {
 
 
 def _run_verify(cfg: RunConfig):
-    checks, skipped, failures = _SUITE_RUNNERS[cfg.suite](cfg)
+    checks = skipped = 0
+    failures = []
+    for passed, row in _SUITE_RUNNERS[cfg.suite](cfg):
+        if passed is None:
+            skipped += 1
+            continue
+        checks += 1
+        if not passed:
+            failures.append(row)
     report = {"command": "verify", "suite": cfg.suite, "checks": checks,
               "skipped": skipped, "failures": failures}
     return report, (EXIT_OK if not failures else EXIT_FAIL)

@@ -125,15 +125,58 @@ def _cfg_fields_read(tree, name, seen):
     return fields
 
 
+def _suite_parsers():
+    """The argparse subparser of each verify suite, by suite name."""
+    import argparse
+
+    def subparsers(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    return subparsers(subparsers(cli.build_parser())["verify"])
+
+
 def test_suite_flag_map_is_what_each_suite_reads():
+    # each suite declares exactly the RunConfig fields its runner reads, so
+    # argparse refuses every flag the suite would ignore
     import ast
 
     tree = ast.parse(Path(cli.__file__).read_text())
+    parsers = _suite_parsers()
+    assert set(parsers) == set(cli._SUITE_RUNNERS)
     for suite, runner in cli._SUITE_RUNNERS.items():
         read = _cfg_fields_read(tree, runner.__name__, set())
-        mapped = {field for field, (_, suites) in cli.SUITE_FLAGS.items()
-                  if suite in suites}
-        assert read & set(cli.SUITE_FLAGS) == mapped, suite
+        declared = {a.dest for a in parsers[suite]._actions} - {"help", "fmt"}
+        assert declared == read, suite
+        assert read <= set(RunConfig.__dataclass_fields__), suite
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-n", "2", "duality"],
+    ["verify", "--format", "csv", "duality"],
+    ["verify", "--gamma", "Ohat", "refined"],
+    ["verify", "--type", "A1", "smatrix"],
+])
+def test_verify_flags_before_the_suite_name_are_refused(argv, capsys):
+    # flags follow the suite name; one written before it is never dropped
+    # or overwritten by the suite's default
+    status, out, err = invoke(argv, capsys)
+    assert status == 1
+    assert out == ""
+    assert err.strip()
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITE_RUNNERS))
+def test_suite_help_lists_only_its_own_flags(suite, capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["verify", suite, "--help"])
+    assert exited.value.code == 0
+    out = capsys.readouterr().out
+    listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out))
+    declared = {flag for action in _suite_parsers()[suite]._actions
+                for flag in action.option_strings if flag.startswith("--")}
+    assert listed == declared
+    assert "--format" in listed
 
 
 def test_benchmark_verify_commands_stay_accepted():
@@ -881,10 +924,12 @@ def test_verification_failure_exits_2(monkeypatch, capsys):
     bad_row = {"suite": "oracle", "gamma": "Z:1", "n": 0,
                "expected": 1, "got": 0}
     monkeypatch.setitem(cli._SUITE_RUNNERS, "oracle",
-                        lambda cfg: (1, 0, [bad_row]))
+                        lambda cfg: iter([(False, bad_row)]))
     status, out, err = invoke(["verify", "oracle"], capsys)
     assert status == 2
-    assert json.loads(out)["failures"] == [bad_row]
+    report = json.loads(out)
+    assert report["failures"] == [bad_row]
+    assert (report["checks"], report["skipped"]) == (1, 0)
 
     status, _, err = invoke(["verify", "oracle", "--format", "text"], capsys)
     assert status == 2
