@@ -7,22 +7,21 @@ package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
 
-from .cyclotomic import Cyc
+from .record import Record
 
 
-@dataclass(frozen=True)
-class AbGroup:
+class AbGroup(Record):
     """Z_{d1} x ... x Z_{dk}; moduli () gives the trivial group."""
 
-    moduli: tuple[int, ...]
+    __slots__ = ("moduli",)
 
-    def __post_init__(self):
-        if any(d < 1 for d in self.moduli):
+    def __init__(self, moduli: tuple[int, ...]):
+        if any(d < 1 for d in moduli):
             raise ValueError("moduli must be positive")
+        super().__init__(moduli)
 
     @property
     def order(self) -> int:
@@ -88,13 +87,18 @@ class AbGroup:
 
     # -- characters ----------------------------------------------------------
 
-    def pairing(self, chi, x) -> Cyc:
-        """Value of the character indexed by chi on x, as a root of unity.
+    def pairing(self, chi, x):
+        """Value of the character indexed by chi on x, as a root of unity
+        (a cyclotomic.Cyc).
 
         chi lives in the dual group, identified with A itself via the
         standard coordinates: chi(x) = prod_i zeta_{d_i}^{chi_i * x_i}, one
-        power of zeta_e for e the exponent.
+        power of zeta_e for e the exponent.  Only the finite character tables
+        and the S-matrix checks need it, so cyclotomic is imported here and
+        not by a count.
         """
+        from .cyclotomic import Cyc
+
         e = self.exponent
         return Cyc.zeta(e, sum(c * a % d * (e // d)
                                for c, a, d in zip(chi, x, self.moduli)))

@@ -22,8 +22,8 @@ MAX_WEIGHTS or MAX_WORK.
 
 This is the package's only approximate-arithmetic module.  The working
 tolerance is 1e-9, and any entry of magnitude >= 1e-6 counts as genuinely
-nonzero; nothing may fall in between.  Type A1 additionally gets an exact
-cyclotomic cross-check, since its entries live in a degree-2 field.
+nonzero; nothing may fall in between.  The tests also check type A1 against
+its exact cyclotomic entries, which live in a degree-2 field.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from functools import lru_cache
 from . import lattice
 from .abgroup import AbGroup
 from .counting import graded_compositions, iter_vectors
-from .cyclotomic import Cyc
 from .errors import InvariantError
 from .grouprep import GroupSpec, abelianization, det_char
 from .mckay import a_action, mckay_graph
@@ -48,7 +47,6 @@ __all__ = [
     "ZERO_FLOOR",
     "LevelWeights",
     "SMatrix",
-    "a1_exact_sine_table",
     "charge_conjugation",
     "check_levels",
     "det_classes_from_center",
@@ -634,23 +632,7 @@ def verify_s_conjugation(ade_type: str, n: int) -> dict:
     }
 
 
-# -- exact A1 cross-check and JSON ----------------------------------------------
-
-
-def a1_exact_sine_table(n: int):
-    """A1 entries at level n, exactly: row j, column k holds
-    zeta^((j+1)(k+1)) - zeta^(-(j+1)(k+1)) at conductor 2(n+2), which is
-    2*i*sin(pi*(j+1)*(k+1)/(n+2)); the numeric matrix must equal this table
-    divided by 2i and scaled by sqrt(2/(n+2))."""
-    m0 = n + 2
-    rows = []
-    for j in range(n + 1):
-        row = []
-        for k in range(n + 1):
-            e = (j + 1) * (k + 1) % (2 * m0)
-            row.append(Cyc.zeta(2 * m0, e) - Cyc.zeta(2 * m0, (-e) % (2 * m0)))
-        rows.append(tuple(row))
-    return tuple(rows)
+# -- JSON ----------------------------------------------------------------------
 
 
 def _fixed(x: float, digits: int) -> float:

@@ -22,7 +22,11 @@ same command are byte-identical.  Exit codes:
 A command loads only the layers it uses: affine, lattice, mckay and series
 are registered lazily, and a module's body runs when a command first reads
 one of its attributes.  A count runs none of them, except that a cyclic
-group into PSp or Spin loads lattice alone.
+group into PSp or Spin loads lattice alone.  Neither a count nor `verify
+duality` imports dataclasses or cyclotomic, or builds a character table:
+the irreducibles are closed forms or literal data, the records are plain
+classes, and only the finite character tables of `verify refined` (and
+the S-matrix checks) need cyclotomic.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from .bounds import MAX_ORDER, MAX_RANK
 from .counting import (Target, count_homs, count_rows, count_table,
@@ -171,32 +174,6 @@ ORACLE_GENFUN_GAMMAS = ("Z:1", "Z:2", "Z:3", "Z:4", "Dhat:2", "Dhat:3",
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation does, as plain data."""
-
-    command: str
-    fmt: str = "json"
-    gamma: str | None = None
-    target: str | None = None
-    n: int | None = None
-    n_range: tuple[int, int] | None = None
-    family: str | None = None
-    token: str | None = None
-    order: int | None = None
-    ade_type: str | None = None
-    level: int | None = None
-    digits: int | None = None
-    suite: str | None = None
-    pair: str | None = None
-    prop: str | None = None
-    params: str | None = None
-    max_n: int | None = None
-    max_rank: int | None = None
-    random_draws: int | None = None
-    seed: int | None = None
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -348,42 +325,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cyclic_rank(cfg: RunConfig) -> int:
+def _cyclic_rank(cfg: argparse.Namespace, suite: str | None) -> int:
     """The largest n at which a run counts a cyclic group into PSp or Spin,
     which are Weyl orbits of rank n; 0 when it counts none.  It reads only
     the command line, so the check against bounds.MAX_RANK loads no lattice;
     the suites' default sizes lie far below that bound."""
-    if cfg.gamma is None or GroupSpec.from_label(cfg.gamma).family != CYCLIC:
+    gamma = getattr(cfg, "gamma", None)
+    if gamma is None or GroupSpec.from_label(gamma).family != CYCLIC:
         return 0
     if cfg.command == "count" and cfg.target in ("PSp", "Spin_odd"):
         return cfg.n if cfg.n is not None else cfg.n_range[1]
-    if cfg.suite == "refined" or (
-            cfg.suite == "duality" and cfg.pair in (None, "all", "psp-spin")):
+    if suite == "refined" or (
+            suite == "duality" and cfg.pair in (None, "all", "psp-spin")):
         return cfg.max_n
     return 0
 
 
-def parse_args(argv=None) -> RunConfig:
-    """The RunConfig of a command line; UsageError for a line that argparse
-    refuses or that breaks a rule between flags."""
-    values = vars(build_parser().parse_args(argv))
-    unknown = set(values) - set(RunConfig.__dataclass_fields__)
-    if unknown:
-        raise InvariantError(
-            f"parsed options missing from RunConfig: {sorted(unknown)}")
-    cfg = RunConfig(**values)
-    if cfg.params is not None and cfg.prop is None:
-        raise UsageError("--params needs --prop")
-    if cfg.seed is not None and cfg.random_draws is None:
-        raise UsageError("--seed needs --random: only random draws are seeded")
-    if cfg.suite == "smatrix" and cfg.max_n is not None and cfg.ade_type is None:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The parsed command line: `command`, `fmt`, `suite` for verify, and the
+    dest of each flag that the command or suite declares.  UsageError for a
+    line that argparse refuses or that breaks a rule between flags."""
+    cfg = build_parser().parse_args(argv)
+    suite = getattr(cfg, "suite", None)
+    if suite == "identities":
+        if cfg.params is not None and cfg.prop is None:
+            raise UsageError("--params needs --prop")
+        if cfg.seed is not None and cfg.random_draws is None:
+            raise UsageError("--seed needs --random: only random draws are seeded")
+    if suite == "smatrix" and cfg.max_n is not None and cfg.ade_type is None:
         raise UsageError("verify smatrix reads --max-n only with --type")
-    rank = _cyclic_rank(cfg)
+    rank = _cyclic_rank(cfg, suite)
     if rank > MAX_RANK:
         raise UsageError(
             f"{cfg.gamma} into PSp or Spin at n {rank} needs rank {rank}, over "
             f"the largest supported rank {MAX_RANK}")
-    if cfg.suite == "zn-lattice":
+    if suite == "zn-lattice":
         pairs, top = _zn_sweep(cfg)
         cells = lattice.zn_sweep_cells(pairs, top)
         if cells > lattice.MAX_ZN_CELLS:
@@ -396,29 +372,29 @@ def parse_args(argv=None) -> RunConfig:
 # -- commands -------------------------------------------------------------
 
 
-def _run_count(cfg: RunConfig):
+def _run_count(cfg: argparse.Namespace):
     g = GroupSpec.from_label(cfg.gamma)
     ns = [cfg.n] if cfg.n is not None else range(cfg.n_range[0], cfg.n_range[1] + 1)
     return {"command": "count", "rows": count_rows(g, cfg.target, ns)}, EXIT_OK
 
 
-def _run_sectors(cfg: RunConfig):
+def _run_sectors(cfg: argparse.Namespace):
     g = GroupSpec.from_label(cfg.gamma)
     rows = [sector_row(g, cfg.family, cfg.n, w) for w in (0, 1)]
     return {"command": "sectors", "family": cfg.family, "rows": rows}, EXIT_OK
 
 
-def _run_irreps(cfg: RunConfig):
+def _run_irreps(cfg: argparse.Namespace):
     g = GroupSpec.from_label(cfg.gamma)
     return {"command": "irreps", **irrep_table_json(g)}, EXIT_OK
 
 
-def _run_mckay(cfg: RunConfig):
+def _run_mckay(cfg: argparse.Namespace):
     g = GroupSpec.from_label(cfg.gamma)
     return {"command": "mckay", "gamma": g.label, **mckay.mckay_json(g)}, EXIT_OK
 
 
-def _run_genfun(cfg: RunConfig):
+def _run_genfun(cfg: argparse.Namespace):
     g = GroupSpec.from_label(cfg.gamma)
     tree = series.builtin_genfun(g, cfg.token)
     coeffs = series.expand(tree, cfg.order).integer_coeffs()
@@ -426,7 +402,7 @@ def _run_genfun(cfg: RunConfig):
             "order": cfg.order, "coefficients": list(coeffs)}, EXIT_OK
 
 
-def _run_smatrix(cfg: RunConfig):
+def _run_smatrix(cfg: argparse.Namespace):
     sm = affine.s_matrix(cfg.ade_type, cfg.level)
     payload = affine.smatrix_json(sm, digits=cfg.digits)
     payload["entries"] = _Rounded(payload["entries"])
@@ -454,13 +430,13 @@ def duality_cells(pair: str, gammas, max_n: int):
             yield row["left"] == row["right"], row
 
 
-def _suite_duality(cfg: RunConfig):
+def _suite_duality(cfg: argparse.Namespace):
     for name in DUALITY_PAIRS if cfg.pair in (None, "all") else (cfg.pair,):
         gammas = (cfg.gamma,) if cfg.gamma else PAIR_DEFAULT_GAMMAS[name]
         yield from duality_cells(name, gammas, cfg.max_n)
 
 
-def _suite_refined(cfg: RunConfig):
+def _suite_refined(cfg: argparse.Namespace):
     gammas = (cfg.gamma,) if cfg.gamma else ("Ohat",)
     for glabel in gammas:
         g = GroupSpec.from_label(glabel)
@@ -488,7 +464,7 @@ def identity_runs(random_draws: int = 0, seed: int = 0) -> list:
                                         ("PropY", None)]
 
 
-def _suite_identities(cfg: RunConfig):
+def _suite_identities(cfg: argparse.Namespace):
     if cfg.prop:
         runs = [(cfg.prop, cfg.params)]
     else:
@@ -498,13 +474,13 @@ def _suite_identities(cfg: RunConfig):
         yield rep["verdict"] == "proven", {"suite": "identities", **rep}
 
 
-def _zn_sweep(cfg: RunConfig):
+def _zn_sweep(cfg: argparse.Namespace):
     """The pairs and the largest modulus of a zn-lattice run."""
     max_rank = cfg.max_rank if cfg.max_rank is not None else 4
     return (cfg.pair,) if cfg.pair else lattice.dual_pairs(max_rank), cfg.max_n
 
 
-def _suite_zn(cfg: RunConfig):
+def _suite_zn(cfg: argparse.Namespace):
     pairs, max_n = _zn_sweep(cfg)
     for pair in pairs:
         for n in range(1, max_n + 1):
@@ -512,7 +488,7 @@ def _suite_zn(cfg: RunConfig):
             yield row["equal"], {"suite": "zn-lattice", **row}
 
 
-def _suite_smatrix(cfg: RunConfig):
+def _suite_smatrix(cfg: argparse.Namespace):
     if cfg.ade_type:
         levels = range(1, (cfg.max_n if cfg.max_n is not None else 2) + 1)
         # refuse an oversized sweep or partner group before any work
@@ -536,7 +512,7 @@ def _suite_smatrix(cfg: RunConfig):
                        "errors": {k: float(v) for k, v in errors.items()}}
 
 
-def _suite_oracle(cfg: RunConfig):
+def _suite_oracle(cfg: argparse.Namespace):
     max_n = cfg.max_n
 
     def check(glabel, token, n, expected, got):
@@ -583,7 +559,7 @@ _SUITE_RUNNERS = {
 }
 
 
-def _run_verify(cfg: RunConfig):
+def _run_verify(cfg: argparse.Namespace):
     checks = skipped = 0
     failures = []
     for passed, row in _SUITE_RUNNERS[cfg.suite](cfg):
@@ -609,7 +585,7 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig):
+def run(cfg: argparse.Namespace):
     """Execute a configuration; returns (report, exit_status)."""
     return _COMMANDS[cfg.command](cfg)
 

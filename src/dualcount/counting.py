@@ -33,11 +33,9 @@ finite character tables used by the swap-equivalence report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .abgroup import AbGroup
-from .cyclotomic import Cyc
 from .errors import InvariantError, NotCoveredError
 from .grouprep import (
     COMPLEX,
@@ -55,28 +53,28 @@ from .grouprep import (
     twisted_irreps,
     twisted_x_action,
 )
+from .record import Record
 
 TARGET_FAMILIES = ("U", "SU", "PU", "Sp", "O_odd", "SO_odd", "Spin_odd", "PSp")
 _ODD_FAMILIES = ("O_odd", "SO_odd", "Spin_odd")
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(Record):
     """A target group family with its size parameter.
 
     For the odd orthogonal families the matrix size is 2n + 1; for the
     unitary families it is n; for Sp and PSp, n is the quaternionic rank.
     """
 
-    family: str
-    n: int
+    __slots__ = ("family", "n")
 
-    def __post_init__(self):
-        if self.family not in TARGET_FAMILIES:
+    def __init__(self, family: str, n: int):
+        if family not in TARGET_FAMILIES:
             raise ValueError(
-                f"unknown target family {self.family!r}; choose from {TARGET_FAMILIES}")
-        if not isinstance(self.n, int) or self.n < 0:
+                f"unknown target family {family!r}; choose from {TARGET_FAMILIES}")
+        if not isinstance(n, int) or n < 0:
             raise ValueError("target size must be a nonnegative integer")
+        super().__init__(family, n)
 
     @property
     def label(self) -> str:
@@ -235,12 +233,11 @@ def iter_vectors(weights, total):
 # standard and the twisted irreducibles.
 
 
-@dataclass(frozen=True)
-class _Slot:
-    names: tuple[str, ...]
-    step: int  # multiplicity added to each named irrep per unit
-    weight: int  # dimension contributed per unit
-    det: tuple[int, ...] | None
+class _Slot(Record):
+    # names: the irreps it raises; step: the multiplicity it adds to each
+    # per unit; weight: the dimension it adds per unit; det: its determinant
+    # per unit, None for twisted irreps
+    __slots__ = ("names", "step", "weight", "det")
 
 
 def _slot_det(group_ab, info, copies: int):
@@ -306,8 +303,7 @@ def _pu_rows(g: GroupSpec, max_n: int) -> list:
 # -- octahedral sector machinery -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SectorCount:
+class SectorCount(Record):
     """Solution counts in one two-torsion sector.
 
     fixed counts classes fixed by the relabeling involution, moved counts the
@@ -315,13 +311,12 @@ class SectorCount:
     in double covers' class pairs on the orthogonal side).
     """
 
-    w: int
-    fixed: int
-    moved: int
+    __slots__ = ("w", "fixed", "moved")
 
-    def __post_init__(self):
-        if self.moved % 2:
+    def __init__(self, w: int, fixed: int, moved: int):
+        if moved % 2:
             raise ValueError("moved classes must pair up")
+        super().__init__(w, fixed, moved)
 
     @property
     def dim_v0(self) -> int:
@@ -556,20 +551,18 @@ def count_homs(g: GroupSpec, t: Target) -> int:
 # -- finite character tables and the swap report -----------------------------------
 
 
-@dataclass(frozen=True)
-class FRepCharacter:
+class FRepCharacter(Record):
     """Character table of the finite grading symmetries on a counting space.
 
     Rows are twisting elements z (kernel of n-scaling on the relevant
     character group), columns are sector characters w-hat; both are indexed
     by the elements of AbGroup(grading_moduli) in canonical order, and the
     isomorphism types of the two gradings coincide for every covered case.
+    values[z][w-hat] is a cyclotomic.Cyc, so only these tables load that
+    module.
     """
 
-    label: str
-    center_moduli: tuple[int, ...]
-    grading_moduli: tuple[int, ...]
-    values: tuple[tuple[Cyc, ...], ...]
+    __slots__ = ("label", "center_moduli", "grading_moduli", "values")
 
     @classmethod
     def from_counts(cls, label: str, center_moduli: tuple[int, ...],
@@ -580,6 +573,8 @@ class FRepCharacter:
         counts maps each element z of AbGroup(grading_moduli) to the
         solutions that z fixes, counted per grade w of that same group.
         """
+        from .cyclotomic import Cyc
+
         group = AbGroup(grading_moduli)
         els = group.elements()
         chars = {what: {w: group.pairing(what, w) for w in els} for what in els}
@@ -597,7 +592,7 @@ class FRepCharacter:
     def grading_group(self) -> AbGroup:
         return AbGroup(self.grading_moduli)
 
-    def value(self, z, w) -> Cyc:
+    def value(self, z, w):
         els = self.grading_group().elements()
         return self.values[els.index(tuple(z))][els.index(tuple(w))]
 

@@ -17,7 +17,6 @@ as the tests' oracle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -27,6 +26,7 @@ from .abgroup import AbGroup
 from .bounds import MAX_RANK
 from .counting import FRepCharacter, orbit_compositions
 from .errors import InvariantError
+from .record import Record
 
 __all__ = [
     "MAX_RANK",
@@ -163,8 +163,7 @@ def _smith_normal_form(mat):
 # -- Cartan data ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(Record):
     """A simple type on the fundamental-coweight basis.
 
     cartan[i][j] is the pairing of simple root i with simple coroot j.
@@ -173,12 +172,8 @@ class CartanData:
     coordinate k of the class of a coweight.
     """
 
-    type: str
-    rank: int
-    cartan: tuple
-    center_moduli: tuple
-    center_gens: tuple
-    center_rows: tuple
+    __slots__ = ("type", "rank", "cartan", "center_moduli", "center_gens",
+                 "center_rows")
 
     @property
     def reflections(self) -> tuple:
@@ -244,12 +239,12 @@ def cartan_data(letter: str, rank: int) -> CartanData:
     U, D, Uinv = _smith_normal_form(C)
     keep = [i for i in range(rank) if D[i][i] != 1]
     return CartanData(
-        type=f"{letter}{rank}",
-        rank=rank,
-        cartan=tuple(tuple(row) for row in C),
-        center_moduli=tuple(D[i][i] for i in keep),
-        center_gens=tuple(tuple(row[i] for row in Uinv) for i in keep),
-        center_rows=tuple(tuple(U[i]) for i in keep),
+        f"{letter}{rank}",
+        rank,
+        tuple(tuple(row) for row in C),
+        tuple(D[i][i] for i in keep),  # center_moduli
+        tuple(tuple(row[i] for row in Uinv) for i in keep),  # center_gens
+        tuple(tuple(U[i]) for i in keep),  # center_rows
     )
 
 
@@ -337,15 +332,10 @@ def _basis_reflections(c: CartanData, basis):
     return out
 
 
-@dataclass(frozen=True)
-class LatticeQuotient:
+class LatticeQuotient(Record):
     """(Z/moduli)^rank with the Weyl generators reduced to integer matrices."""
 
-    type: str
-    lattice: str
-    n: int
-    moduli: tuple
-    generators: tuple
+    __slots__ = ("type", "lattice", "n", "moduli", "generators")
 
     def points(self):
         return product(*[range(m) for m in self.moduli])
@@ -488,14 +478,10 @@ def symmetric_orbit_count(k: int, n: int) -> int:
 # -- refined center grading ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedOrbitSet:
+class GradedOrbitSet(Record):
     """Grid Weyl orbits, their N*/M*-grades and the n-torsion translations."""
 
-    quotient: LatticeQuotient
-    orbits: tuple
-    grades: tuple
-    translations: dict
+    __slots__ = ("quotient", "orbits", "grades", "translations")
 
 
 def _torsion_lifts(c: CartanData, sublattice: str, n: int) -> dict:

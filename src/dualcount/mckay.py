@@ -1,14 +1,13 @@
 """McKay graphs of the finite SU(2) subgroups.
 
 Nodes are the irreducibles in canonical order, and the node marked
-`affine_node` is the trivial irrep; comarks are the irrep dimensions.  For
-Z:m and Dhat:m the edges are the extended Dynkin diagrams A(m-1) and D(m+2)
-themselves, in the closed-form node order of grouprep.  For That, Ohat and
-Ihat they come from decomposing (irrep ⊗ defining 2-dim rep) with the
-character table, and that adjacency is compared against the independently
-written diagram shapes, so the two routes validate each other.  Every
-adjacency must satisfy the McKay dimension identity sum_j a_ij dim_j =
-2 dim_i and be symmetric.
+`affine_node` is the trivial irrep; comarks are the irrep dimensions.  The
+edges are the extended Dynkin diagrams themselves (McKay 1980): A(m-1) for
+Z:m, D(m+2) for Dhat:m and E6, E7, E8 for That, Ohat and Ihat, in the node
+order of grouprep.  The tests compare them with the decompositions of
+irrep ⊗ defining 2-dim rep read off the character tables.  Every graph must
+satisfy the McKay dimension identity sum_j a_ij dim_j = 2 dim_i, which ties
+the edges to grouprep's dimensions.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .grouprep import (
     TETRAHEDRAL,
     GroupSpec,
     abelianization,
-    decompose_defining_tensor,
     irreps,
     onedim_permutations,
 )
@@ -65,8 +63,9 @@ def ade_type_of(g: GroupSpec) -> str:
     return {TETRAHEDRAL: "E6", OCTAHEDRAL: "E7", ICOSAHEDRAL: "E8"}[g.family]
 
 
-def _expected_edges(g: GroupSpec) -> list[tuple[int, int]]:
-    """Extended Dynkin diagram shapes, written out independently."""
+def _diagram_edges(g: GroupSpec) -> list[tuple[int, int]]:
+    """The extended Dynkin diagram of g, on grouprep's node order; a loop
+    appears once per unit of its multiplicity."""
     if g.family == CYCLIC:
         n = g.param
         if n == 1:
@@ -89,49 +88,24 @@ def _expected_edges(g: GroupSpec) -> list[tuple[int, int]]:
     return [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
 
 
-def _adjacency(g: GroupSpec, names) -> list[list[int]]:
-    """Adjacency matrix of the McKay graph; a loop counts once on the
-    diagonal, as it does in the decomposition of irrep ⊗ defining rep."""
-    adj = [[0] * len(names) for _ in names]
-    if g.family in (CYCLIC, DIHEDRAL):
-        for i, j in _expected_edges(g):
-            adj[i][j] += 1
-            if i != j:
-                adj[j][i] += 1
-        return adj
-    node_of = {n: i for i, n in enumerate(names)}
-    for i, name in enumerate(names):
-        for other, mult in decompose_defining_tensor(g, name).items():
-            adj[i][node_of[other]] = mult
-    return adj
-
-
 @lru_cache(maxsize=None)
 def mckay_graph(g: GroupSpec) -> McKayGraph:
-    infos = irreps(g)
-    names = [i.name for i in infos]
-    dims = [i.dim for i in infos]
-    adj = _adjacency(g, names)
-    for i in range(len(names)):
-        if sum(adj[i][j] * dims[j] for j in range(len(names))) != 2 * dims[i]:
-            raise InvariantError("adjacency violates the dimension identity")
-        for j in range(len(names)):
-            if adj[i][j] != adj[j][i]:
-                raise InvariantError("adjacency is not symmetric")
-    edges = []
-    for i in range(len(names)):
-        for _ in range(adj[i][i]):
-            edges.append((i, i))
-        for j in range(i + 1, len(names)):
-            edges.extend([(i, j)] * adj[i][j])
-    if sorted(edges) != sorted(_expected_edges(g)):
+    dims = [i.dim for i in irreps(g)]
+    edges = sorted(_diagram_edges(g))
+    # sum_j a_ij dim_j over the edges at i, a loop counted once
+    around = [0] * len(dims)
+    for i, j in edges:
+        around[i] += dims[j]
+        if i != j:
+            around[j] += dims[i]
+    if around != [2 * d for d in dims]:
         raise InvariantError(
-            f"computed adjacency for {g.label} does not match the expected diagram")
+            f"the McKay graph of {g.label} violates the dimension identity")
     return McKayGraph(
         ade_type=ade_type_of(g),
-        node_names=tuple(names),
+        node_names=tuple(i.name for i in irreps(g)),
         comarks=tuple(dims),
-        edges=tuple(sorted(edges)),
+        edges=tuple(edges),
         affine_node=0,
     )
 

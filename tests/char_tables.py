@@ -1,14 +1,14 @@
-"""The character-table oracle for Z:m and Dhat:m.
+"""The character-table oracle for every covered group.
 
-The library writes the irreducibles of the two infinite families, their
-abelianizations, tensoring permutations and McKay graphs in closed form
-(dualcount.grouprep, dualcount.mckay) and builds no character table for
-them.  This module builds their exact tables in Q(zeta_N), validates them
-with the library's table checks, and derives the same data from character
-values: reality by Frobenius-Schur indicators, determinants by Newton's
-identities, tensoring by character products and McKay edges by decomposing
-irrep ⊗ defining rep.  The tests compare the two routes.  For That, Ohat and
-Ihat it returns the library's own tables.
+The library writes the irreducibles, abelianizations, tensoring permutations
+and McKay graphs of Z:m and Dhat:m in closed form, and those of That, Ohat
+and Ihat as literal data (dualcount.grouprep, dualcount.mckay); it reads no
+character value.  This module builds the exact tables of Z:m and Dhat:m in
+Q(zeta_N), takes those of That, Ohat and Ihat from grouprep.character_table,
+validates them with the library's table checks, and derives the same data
+from character values: reality by Frobenius-Schur indicators, determinants
+by Newton's identities, tensoring by character products and McKay edges by
+decomposing irrep ⊗ defining rep.  The tests compare the two routes.
 """
 
 from functools import lru_cache
@@ -16,8 +16,13 @@ from math import gcd
 from types import MappingProxyType
 
 from dualcount import grouprep
+from dualcount.abgroup import AbGroup
+from dualcount.chartable import CharTable, validate_table
 from dualcount.cyclotomic import Cyc
-from dualcount.grouprep import CYCLIC, DIHEDRAL, CharTable, GroupSpec
+from dualcount.errors import InvariantError
+from dualcount.grouprep import (COMPLEX, CYCLIC, DIHEDRAL, ICOSAHEDRAL,
+                                OCTAHEDRAL, PSEUDOREAL, REAL, TETRAHEDRAL,
+                                GroupSpec)
 from dualcount.mckay import ade_type_of
 
 
@@ -153,7 +158,7 @@ def character_table(g: GroupSpec) -> CharTable:
         t = dihedral_table(g)
     else:
         return grouprep.character_table(g)
-    grouprep._validate_table(t)
+    validate_table(t)
     return t
 
 
@@ -171,17 +176,65 @@ def _generators(g: GroupSpec):
         return (g.param,), ("1",) if g.param > 1 else ()
     if g.family == DIHEDRAL:
         return ((4,), ("1''",)) if g.param % 2 else ((2, 2), ("1'", "1'''"))
-    return grouprep._TABLE_GENERATORS[g.family]
+    return {TETRAHEDRAL: ((3,), ("1'",)),
+            OCTAHEDRAL: ((2,), ("1'",)),
+            ICOSAHEDRAL: ((), ())}[g.family]
+
+
+def table_abelianization(t: CharTable, moduli, gens) -> grouprep.Abelianization:
+    """The abelianization read off a character table: each element is named
+    by the 1-dim character equal to that product of generator characters."""
+    ab = AbGroup(moduli)
+    if ab.order != len(t.onedim_names()):
+        raise InvariantError("abelianization order mismatch")
+    names = []
+    for x in ab.elements():
+        vec = tuple(Cyc.from_rational(1, t.conductor) for _ in t.class_names)
+        for gen_name, power in zip(gens, x):
+            gen_char = t.chars[gen_name]
+            for _ in range(power):
+                vec = t.product(vec, gen_char)
+        names.append(t.name_of_char(vec))
+    return grouprep._named_abelianization(ab, gens, names)
+
+
+def table_irreps(t: CharTable) -> list[tuple]:
+    """Rows read off a character table: reality from the Frobenius-Schur
+    indicator, partners by conjugation, determinants by Newton's identities."""
+    rows = []
+    for name in t.irrep_names:
+        fs = t.fs_indicator(name)
+        if fs == 1:
+            reality, partner = REAL, None
+        elif fs == -1:
+            reality, partner = PSEUDOREAL, None
+        else:
+            conj = tuple(v.conjugate() for v in t.chars[name])
+            reality, partner = COMPLEX, t.name_of_char(conj)
+            if partner == name:
+                raise InvariantError("complex irrep cannot be self-conjugate")
+        rows.append((name, t.dim(name), reality, partner,
+                     t.name_of_char(t.det_vector(name))))
+    return rows
+
+
+def table_generator_perms(t: CharTable, ab: grouprep.Abelianization, names):
+    """Node permutations of tensoring with each generator, from character
+    products."""
+    index = {name: k for k, name in enumerate(names)}
+    return [tuple(index[t.name_of_char(t.product(t.chars[name], t.chars[gen]))]
+                  for name in names)
+            for gen in ab.generator_names]
 
 
 @lru_cache(maxsize=None)
 def abelianization(g: GroupSpec) -> grouprep.Abelianization:
-    return grouprep._table_abelianization(character_table(g), *_generators(g))
+    return table_abelianization(character_table(g), *_generators(g))
 
 
 @lru_cache(maxsize=None)
 def irreps(g: GroupSpec) -> tuple[grouprep.IrrepInfo, ...]:
-    return grouprep._irrep_infos(grouprep._table_irreps(character_table(g)),
+    return grouprep._irrep_infos(g, table_irreps(character_table(g)),
                                  abelianization(g))
 
 
@@ -189,7 +242,7 @@ def irreps(g: GroupSpec) -> tuple[grouprep.IrrepInfo, ...]:
 def onedim_permutations(g: GroupSpec) -> MappingProxyType:
     t = character_table(g)
     ab = abelianization(g)
-    perms = grouprep._table_generator_perms(t, ab, t.irrep_names)
+    perms = table_generator_perms(t, ab, t.irrep_names)
     return MappingProxyType(ab.group.action(perms, len(t.irrep_names)))
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from dualcount import affine, lattice
 from dualcount.affine import (
     TOLERANCE,
-    a1_exact_sine_table,
     charge_conjugation,
     det_classes_from_center,
     det_classes_from_reps,
@@ -146,6 +145,22 @@ def test_a1_matches_the_sine_formula(n):
     want = np.array([[math.sqrt(2 / m0) * math.sin(math.pi * (j + 1) * (k + 1) / m0)
                       for k in range(n + 1)] for j in range(n + 1)])
     assert np.abs(s - want).max() < 1e-12
+
+
+def a1_exact_sine_table(n: int):
+    """A1 entries at level n, exactly: row j, column k holds
+    zeta^((j+1)(k+1)) - zeta^(-(j+1)(k+1)) at conductor 2(n+2), which is
+    2*i*sin(pi*(j+1)*(k+1)/(n+2)); the numeric matrix must equal this table
+    divided by 2i and scaled by sqrt(2/(n+2))."""
+    m0 = n + 2
+    rows = []
+    for j in range(n + 1):
+        row = []
+        for k in range(n + 1):
+            e = (j + 1) * (k + 1) % (2 * m0)
+            row.append(Cyc.zeta(2 * m0, e) - Cyc.zeta(2 * m0, (-e) % (2 * m0)))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -4,14 +4,15 @@ import json
 import re
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualcount import affine, cli, lattice, series
-from dualcount.cli import (MAX_N, MAX_ORACLE_N, MAX_RANDOM_DRAWS, RunConfig,
-                           UsageError, parse_args)
+from dualcount.cli import (MAX_N, MAX_ORACLE_N, MAX_RANDOM_DRAWS, UsageError,
+                           parse_args)
 from dualcount.grouprep import MAX_GROUP_PARAM
 from dualcount.series import MAX_ORDER
 
@@ -105,7 +106,7 @@ def test_verify_flags_the_suite_does_not_read_are_refused(argv, flag, capsys):
 
 
 def _cfg_fields_read(tree, name, seen):
-    """The RunConfig fields that cli function name reads from cfg, directly
+    """The parsed options that cli function name reads from cfg, directly
     or through the cli functions it passes cfg to."""
     import ast
 
@@ -137,7 +138,7 @@ def _suite_parsers():
 
 
 def test_suite_flag_map_is_what_each_suite_reads():
-    # each suite declares exactly the RunConfig fields its runner reads, so
+    # each suite declares exactly the options its runner reads, so
     # argparse refuses every flag the suite would ignore
     import ast
 
@@ -148,7 +149,6 @@ def test_suite_flag_map_is_what_each_suite_reads():
         read = _cfg_fields_read(tree, runner.__name__, set())
         declared = {a.dest for a in parsers[suite]._actions} - {"help", "fmt"}
         assert declared == read, suite
-        assert read <= set(RunConfig.__dataclass_fields__), suite
 
 
 @pytest.mark.parametrize("argv", [
@@ -310,12 +310,14 @@ def test_corrupted_diagram_symmetry_exits_4_under_optimize():
 
 
 def test_corrupted_character_table_exits_4_under_optimize():
-    # a character table whose dimensions do not square to the group order
+    # irreducible data whose dimensions do not square to the group order
     # must stop the run even with asserts stripped
     code = (
         "import sys\n"
         "from dualcount import cli, grouprep\n"
-        "grouprep.CharTable.dim = lambda self, name: 1\n"
+        "rows = grouprep._EXCEPTIONAL_IRREPS\n"
+        "rows[grouprep.TETRAHEDRAL] = tuple(\n"
+        "    (name, 1, *more) for name, _, *more in rows[grouprep.TETRAHEDRAL])\n"
         "sys.exit(cli.main(['irreps', '--gamma', 'That']))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
@@ -325,14 +327,14 @@ def test_corrupted_character_table_exits_4_under_optimize():
 
 
 def test_unmatched_derived_character_exits_4_under_optimize():
-    # determinant characters are derived, never typed in: one that matches
-    # no irreducible is a defect (exit 4), not a usage error (exit 1)
+    # determinant characters are data, never user input: one that matches
+    # no 1-dim irreducible is a defect (exit 4), not a usage error (exit 1)
     code = (
         "import sys\n"
         "from dualcount import cli, grouprep\n"
-        "det_vector = grouprep.CharTable.det_vector\n"
-        "grouprep.CharTable.det_vector = lambda self, name: tuple(\n"
-        "    v + v for v in det_vector(self, name))\n"
+        "rows = grouprep._EXCEPTIONAL_IRREPS\n"
+        "rows[grouprep.OCTAHEDRAL] = tuple(\n"
+        "    row[:4] + ('2',) for row in rows[grouprep.OCTAHEDRAL])\n"
         "sys.exit(cli.main(['count', '--gamma', 'Ohat', '--target', 'SU',"
         " '--n', '2']))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
@@ -548,19 +550,29 @@ def test_cli_import_loads_no_scipy():
 @pytest.mark.parametrize("argv", [
     [],
     ["count", "--gamma", "Ihat", "--target", "PU", "--n", "3"],
+    ["count", "--gamma", "Ohat", "--target", "Spin_odd", "--n", "3"],
+    ["verify", "duality", "--max-n", "2"],
 ])
 def test_cli_import_and_count_load_no_numpy(argv):
     # numpy is imported inside the affine functions that use it, so only the
     # S-matrix commands pay for it; dualcount.affine is registered in
-    # sys.modules, but its body does not run (see the lazy-layer test below)
-    code = ("import sys\nfrom dualcount import cli\n"
-            f"status = cli.main({argv!r}) if {argv!r} else 0\n"
-            "print(status, 'dualcount.affine' in sys.modules,"
-            " [m for m in sys.modules if m.split('.')[0] == 'numpy'])")
+    # sys.modules, but its body does not run (see the lazy-layer test below).
+    # The records on the count path are plain classes, cyclotomic loads only
+    # for the finite character tables, and every group's irreducibles are
+    # closed forms or literal data, so no count imports dataclasses or
+    # cyclotomic or builds a character table; the bare import loads no
+    # fractions either
+    unwanted = ["dataclasses", "dualcount.cyclotomic"] + ([] if argv else ["fractions"])
+    code = ("import contextlib, io, json, sys\nfrom dualcount import cli, grouprep\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = cli.main({argv!r}) if {argv!r} else 0\n"
+            "print(json.dumps([status, 'dualcount.affine' in sys.modules,"
+            " [m for m in sys.modules if m.split('.')[0] == 'numpy'"
+            f" or m in {unwanted!r}], grouprep.character_table.cache_info().misses]))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout.strip().splitlines()[-1] == "0 True []"
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, True, [], 0]
 
 
 def test_smatrix_command_still_loads_numpy():
@@ -1083,39 +1095,49 @@ def test_irreps_and_mckay_dumps(capsys):
 # -- config round-trips -------------------------------------------------------------
 
 
-# each command line with the configuration it parses to
+# each command line with the namespace it parses to: its command, format,
+# suite, and the dest of every flag its subparser declares
 ROUND_TRIP_CONFIGS = [
     ("count --gamma Z:7 --target Sp --n 3",
-     RunConfig(command="count", gamma="Z:7", target="Sp", n=3)),
+     Namespace(command="count", fmt="json", gamma="Z:7", target="Sp", n=3,
+               n_range=None)),
     ("count --gamma Dhat:5 --target SO_odd --n-range 0:12 --format csv",
-     RunConfig(command="count", gamma="Dhat:5", target="SO_odd",
-               n_range=(0, 12), fmt="csv")),
+     Namespace(command="count", fmt="csv", gamma="Dhat:5", target="SO_odd",
+               n=None, n_range=(0, 12))),
     ("sectors --gamma Ohat --n 2 --family Spin_odd",
-     RunConfig(command="sectors", gamma="Ohat", family="Spin_odd", n=2)),
+     Namespace(command="sectors", fmt="json", gamma="Ohat", family="Spin_odd",
+               n=2)),
     ("irreps --gamma Ihat --format text",
-     RunConfig(command="irreps", gamma="Ihat", fmt="text")),
-    ("mckay --gamma That", RunConfig(command="mckay", gamma="That")),
+     Namespace(command="irreps", fmt="text", gamma="Ihat")),
+    ("mckay --gamma That", Namespace(command="mckay", fmt="json", gamma="That")),
     ("genfun --gamma Ohat --token refined:0,1:Sp --order 10",
-     RunConfig(command="genfun", gamma="Ohat", token="refined:0,1:Sp", order=10)),
+     Namespace(command="genfun", fmt="json", gamma="Ohat",
+               token="refined:0,1:Sp", order=10)),
     ("genfun --gamma Z:3",
-     RunConfig(command="genfun", gamma="Z:3", token="Sp", order=cli.GENFUN_ORDER)),
+     Namespace(command="genfun", fmt="json", gamma="Z:3", token="Sp",
+               order=cli.GENFUN_ORDER)),
     ("smatrix --type E6 --level 2 --digits 8",
-     RunConfig(command="smatrix", ade_type="E6", level=2, digits=8)),
+     Namespace(command="smatrix", fmt="json", ade_type="E6", level=2, digits=8)),
     ("smatrix --type E7 --level 1 --digits 12",
-     RunConfig(command="smatrix", ade_type="E7", level=1, digits=12)),
+     Namespace(command="smatrix", fmt="json", ade_type="E7", level=1,
+               digits=12)),
     ("verify duality --pair sp-so --max-n 12",
-     RunConfig(command="verify", suite="duality", pair="sp-so", max_n=12)),
+     Namespace(command="verify", suite="duality", fmt="json", gamma=None,
+               pair="sp-so", max_n=12)),
     ("verify identities --prop KF1 --params 1;1;3;1,1,1",
-     RunConfig(command="verify", suite="identities", prop="KF1",
-               params="1;1;3;1,1,1")),
+     Namespace(command="verify", suite="identities", fmt="json", prop="KF1",
+               params="1;1;3;1,1,1", random_draws=None, seed=None)),
     ("verify identities --random 5 --seed 42",
-     RunConfig(command="verify", suite="identities", random_draws=5, seed=42)),
+     Namespace(command="verify", suite="identities", fmt="json", prop=None,
+               params=None, random_draws=5, seed=42)),
     ("verify zn-lattice --max-n 6 --max-rank 8",
-     RunConfig(command="verify", suite="zn-lattice", max_rank=8, max_n=6)),
+     Namespace(command="verify", suite="zn-lattice", fmt="json", pair=None,
+               max_rank=8, max_n=6)),
     ("verify smatrix --type A3 --max-n 4",
-     RunConfig(command="verify", suite="smatrix", ade_type="A3", max_n=4)),
+     Namespace(command="verify", suite="smatrix", fmt="json", ade_type="A3",
+               max_n=4)),
     ("verify oracle --max-n 8 --format text",
-     RunConfig(command="verify", suite="oracle", max_n=8, fmt="text")),
+     Namespace(command="verify", suite="oracle", fmt="text", max_n=8)),
 ]
 
 
@@ -1128,11 +1150,14 @@ def test_round_trip(line, cfg):
 @pytest.mark.parametrize("argv,cfg", [
     (["count", "--gamma", "Ohat", "--target", "PU", "--n", "4",
       "--format", "text"],
-     RunConfig(command="count", gamma="Ohat", target="PU", n=4, fmt="text")),
+     Namespace(command="count", fmt="text", gamma="Ohat", target="PU", n=4,
+               n_range=None)),
     (["verify", "refined", "--gamma", "Z:6", "--max-n", "3"],
-     RunConfig(command="verify", suite="refined", gamma="Z:6", max_n=3)),
+     Namespace(command="verify", suite="refined", fmt="json", gamma="Z:6",
+               max_n=3)),
     (["verify", "identities", "--random", "2", "--seed", "7"],
-     RunConfig(command="verify", suite="identities", random_draws=2, seed=7)),
+     Namespace(command="verify", suite="identities", fmt="json", prop=None,
+               params=None, random_draws=2, seed=7)),
 ], ids=["argv0", "argv1", "argv2"])
 def test_parse_then_rebuild_is_stable(argv, cfg):
     # parsing leaves argv as it was, so a second parse gives the same config

@@ -1,8 +1,9 @@
-"""Closed-form irreps of Z:m and Dhat:m against the character-table oracle.
+"""The library's irreducible data against the character-table oracle.
 
-The library builds no character table for the two infinite families; every
-piece of data it derives for them must equal what the exact tables in
-char_tables give, for both parities of m.
+The library reads no character table: Z:m and Dhat:m have closed forms and
+That, Ohat and Ihat literal data.  Every piece of that data must equal what
+the exact tables in char_tables give, for both parities of m and for the
+three exceptional groups.
 """
 
 import json
@@ -17,7 +18,9 @@ from dualcount.mckay import a_action, mckay_graph, mckay_json
 # m <= 24 covers both parities of m; the same check up to
 # grouprep.MAX_GROUP_PARAM passes as well, but takes about 100 s
 FAMILIES = ([GroupSpec.cyclic(m) for m in range(1, 25)]
-            + [GroupSpec.binary_dihedral(m) for m in range(2, 25)])
+            + [GroupSpec.binary_dihedral(m) for m in range(2, 25)]
+            + [GroupSpec.binary_tetrahedral(), GroupSpec.binary_octahedral(),
+               GroupSpec.binary_icosahedral()])
 
 
 @pytest.mark.parametrize("g", FAMILIES, ids=lambda g: g.label)
