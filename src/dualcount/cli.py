@@ -26,7 +26,8 @@ group into PSp or Spin loads lattice alone.  Neither a count nor `verify
 duality` imports dataclasses or cyclotomic, or builds a character table:
 the irreducibles are closed forms or literal data, the records are plain
 classes, and only the finite character tables of `verify refined` (and
-the S-matrix checks) need cyclotomic.
+the S-matrix checks) need cyclotomic.  `verify identities` imports no
+dataclasses either, and an orbit count no fractions.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import sys
 
 from .bounds import MAX_ORDER, MAX_RANK
 from .counting import (Target, count_homs, count_rows, count_table,
-                       sector_row, verify_swap_equivalence)
+                       sector_row, swap_equivalence_table)
 from .errors import InvariantError, NotCoveredError
 from .grouprep import CYCLIC, GroupSpec, irrep_table_json
 
@@ -81,12 +82,12 @@ EXIT_INTERNAL = 4
 # and 1.0-1.2 s for `count --gamma Dhat:48 --target SO_odd --n 10000`.  A
 # duality sweep reads one table per group and family, so its cost is linear
 # in the bound: `verify duality --max-n 10000` takes 4.5 s with --pair sp-so,
-# 5.9 s with su-pu and 1.3 s with psp-spin.  The refined suite still counts
-# one n at a time, so its cost grows with the square of the bound: `verify
-# refined --max-n 400` takes 7.3-8.4 s for Ohat and 4.0-5.1 s for Ihat, and
-# the accepted --max-n 10000 would run for over an hour.  Cyclic PSp and Spin
-# sizes are ranks, held to bounds.MAX_RANK, which also keeps cyclic refined
-# runs to n <= 100.
+# 5.9 s with su-pu and 1.3 s with psp-spin.  The refined suite reads one
+# table per side too: `verify refined --max-n 10000` takes 2.3 s for Ohat,
+# 0.8 s for Ihat and 1.3 s for That, and `verify zn-lattice --max-n 10000`
+# 2.0 s.  Cyclic PSp and Spin sizes are ranks, held to bounds.MAX_RANK,
+# which also keeps cyclic refined runs to n <= 100; their refined Sp/Spin
+# rows are still counted one rank at a time.
 MAX_N = 10_000
 
 # Largest smatrix --digits: the entries are accurate to about 1e-15, and every
@@ -443,9 +444,10 @@ def _suite_refined(cfg: argparse.Namespace):
         # the unitary refinement needs a nonempty weight lattice, so n >= 1
         plans = [(("Sp", "Spin_odd"), 0), (("SU", "PU"), 1)]
         for pair, start in plans:
+            reports = swap_equivalence_table(g, pair, cfg.max_n)
             for n in range(start, cfg.max_n + 1):
                 try:
-                    rep = verify_swap_equivalence(g, pair, n)
+                    rep = reports[n]
                 except NotCoveredError:
                     yield None, None
                     continue
@@ -483,8 +485,10 @@ def _zn_sweep(cfg: argparse.Namespace):
 def _suite_zn(cfg: argparse.Namespace):
     pairs, max_n = _zn_sweep(cfg)
     for pair in pairs:
-        for n in range(1, max_n + 1):
-            row = lattice.zn_duality_row(pair, n)
+        # largest modulus first: each side's orbit table to max_n then holds
+        # every smaller modulus
+        rows = [lattice.zn_duality_row(pair, n) for n in range(max_n, 0, -1)]
+        for row in reversed(rows):
             yield row["equal"], {"suite": "zn-lattice", **row}
 
 

@@ -13,10 +13,12 @@ of prod_i 1/(1 - t^(w_i) x^(g_i)).  The dynamic-programming kernel
 slots x size x |grading group| steps without listing a single vector, so one
 table serves every n up to it: `count_table` gives N(g, family(n)) for
 n = 0..max_n from one kernel table per group and family, and `count_homs`
-reads its last entry.  Counts up to a symmetry (PU, the classes an
-involution fixes, the finite character tables) run the same kernel on
-collapsed slots: a composition that a permutation of the slots fixes is
-constant on each cycle, so `_fixed_slots` makes each cycle one slot, and
+reads its last entry; `f_rep_table` and `swap_equivalence_table` give the
+finite character tables and swap reports of every n the same way.  Counts
+up to a symmetry (PU, the classes an involution fixes, the finite character
+tables) run the same kernel on collapsed slots: a composition that a
+permutation of the slots fixes is constant on each cycle, so `_fixed_slots`
+makes each cycle one slot, and
 `orbit_composition_rows` averages those fixed counts over a group of slot
 permutations (Burnside), checking every size; `FRepCharacter.from_counts`
 pairs them, per grade, with the characters of the grading group.  Only
@@ -452,12 +454,14 @@ def sector_of_so_rep(mv: dict[str, int]) -> int:
 # -- main counting entry -----------------------------------------------------------
 
 
-class CountTable:
-    """N(g, family(n)) for n = 0..max_n, read as table[n].
+class SizeTable:
+    """One value per size n = 0..max_n, read as table[n]: N(g, family(n))
+    for `count_table`, a finite character table for `f_rep_table`, a swap
+    report for `swap_equivalence_table`.
 
-    The composition-kernel routes fill every entry from one kernel table per
-    group and family when the table is made.  The Kac route of cyclic PSp and
-    Spin, whose rank grows with n, counts a size when it is read, and a size
+    The kernel tables behind the values are made once, to max_n.  What
+    grows with n in another way, such as the Kac route of cyclic PSp and
+    Spin whose rank is n, is computed when its size is read, and a size
     that no route covers raises NotCoveredError when it is read, so a sweep
     can skip that size and go on.
     """
@@ -472,13 +476,13 @@ class CountTable:
         return self._entry(n)
 
 
-def count_table(g: GroupSpec, family: str, max_n: int) -> CountTable:
+def count_table(g: GroupSpec, family: str, max_n: int) -> SizeTable:
     """Numbers of conjugacy classes of homomorphisms from g into the target
     family at every size n = 0..max_n."""
     Target(family, max_n)  # refuses an unknown family or a bad size
     if family in ("Spin_odd", "PSp"):
-        return CountTable(max_n, _cover_entry(g, family, max_n))
-    return CountTable(max_n, _kernel_rows(g, family, max_n).__getitem__)
+        return SizeTable(max_n, _cover_entry(g, family, max_n))
+    return SizeTable(max_n, _kernel_rows(g, family, max_n).__getitem__)
 
 
 def _kernel_rows(g: GroupSpec, family: str, max_n: int) -> list:
@@ -603,23 +607,38 @@ class FRepCharacter(Record):
         return int(v)
 
 
-def _su_f_rep(g: GroupSpec, n: int) -> FRepCharacter:
-    ab = abelianization(g)
-    A = ab.group
-    gcds = tuple(gcd(d, n) for d in A.moduli)
-    qmod, reps, _ = A.quotient_by_scaling(n)
-    if qmod != gcds:
-        raise InvariantError(f"A/nA has moduli {qmod}, expected {gcds}")
+def _su_f_rep_entry(g: GroupSpec, max_n: int):
+    """n -> the "su" table at n, for n = 1..max_n.
+
+    Its counts at z are the unitary solutions fixed by tensoring with the
+    element a of the abelianization A that z embeds as, graded by the
+    determinant: one kernel table to max_n per a, made when the first size n
+    with n * a = 0 reads it.
+    """
+    A = abelianization(g).group
+    els = A.elements()
     perms = onedim_permutations(g)
     slots = [(info.dim, info.det_element) for info in irreps(g)]
-    counts = {}
-    for z in AbGroup(gcds).elements():
-        # the unitary solutions fixed by tensoring with z, graded by det
-        embedded = tuple(zi * (d // gi) for zi, d, gi in zip(z, A.moduli, gcds))
-        by_det = graded_compositions(_fixed_slots(slots, perms[embedded], A),
-                                     A, n)
-        counts[z] = {w: by_det[w] for w in reps}
-    return FRepCharacter.from_counts("su", (n,), gcds, counts)
+    fixed = {}
+
+    def entry(n):
+        if n < 1:
+            raise ValueError("size out of range")
+        gcds = tuple(gcd(d, n) for d in A.moduli)
+        qmod, reps, _ = A.quotient_by_scaling(n)
+        if qmod != gcds:
+            raise InvariantError(f"A/nA has moduli {qmod}, expected {gcds}")
+        counts = {}
+        for z in AbGroup(gcds).elements():
+            a = tuple(zi * (d // gi) for zi, d, gi in zip(z, A.moduli, gcds))
+            if a not in fixed:
+                fixed[a] = composition_rows(_fixed_slots(slots, perms[a], A),
+                                            A, max_n)
+            by_det = dict(zip(els, fixed[a][n]))
+            counts[z] = {w: by_det[w] for w in reps}
+        return FRepCharacter.from_counts("su", (n,), gcds, counts)
+
+    return entry
 
 
 def _two_torsion_f_rep(label: str, sectors: dict[int, SectorCount]) -> FRepCharacter:
@@ -631,24 +650,31 @@ def _two_torsion_f_rep(label: str, sectors: dict[int, SectorCount]) -> FRepChara
     return FRepCharacter.from_counts(label, (2,), (2,), counts)
 
 
+def f_rep_table(g: GroupSpec, side: str, max_n: int) -> SizeTable:
+    """`f_rep_character(g, side, n)` for n = 0..max_n, read as table[n]."""
+    if max_n < 0:
+        raise ValueError("size out of range")
+    if side == "su":
+        return SizeTable(max_n, _su_f_rep_entry(g, max_n))
+    if side == "sp":
+        _require_octahedral(g, "the symplectic-side table")
+        sp = [_oct_sp_sector_rows(max_n, w) for w in (0, 1)]
+        return SizeTable(max_n, lambda n: _two_torsion_f_rep(
+            "sp", {w: rows[n] for w, rows in enumerate(sp)}))
+    if side == "spin":
+        _require_octahedral(g, "the orthogonal-side table")
+        spin = _oct_spin_sector_rows(max_n)
+        return SizeTable(max_n, lambda n: _two_torsion_f_rep("spin", spin[n]))
+    raise ValueError("side must be 'su', 'sp' or 'spin'")
+
+
 def f_rep_character(g: GroupSpec, side: str, n: int) -> FRepCharacter:
     """Finite character table acting on the graded counting space.
 
     side "su": any group, center Z_n gauged inside U(n); side "sp" and
     "spin": the octahedral two-torsion refinement of Sp(n) and Spin(2n+1).
     """
-    if n < 0 or (side == "su" and n < 1):
-        raise ValueError("size out of range")
-    if side == "su":
-        return _su_f_rep(g, n)
-    if side == "sp":
-        _require_octahedral(g, "the symplectic-side table")
-        return _two_torsion_f_rep(
-            "sp", {w: _oct_sp_sector_rows(n, w)[n] for w in (0, 1)})
-    if side == "spin":
-        _require_octahedral(g, "the orthogonal-side table")
-        return _two_torsion_f_rep("spin", _oct_spin_sector_rows(n)[n])
-    raise ValueError("side must be 'su', 'sp' or 'spin'")
+    return f_rep_table(g, side, n)[n]
 
 
 def _matrix_map(mat, moduli):
@@ -703,6 +729,61 @@ def tables_swap_equivalent(t1: FRepCharacter, t2: FRepCharacter):
     return None
 
 
+def swap_equivalence_table(g: GroupSpec, pair, max_n: int) -> SizeTable:
+    """`verify_swap_equivalence(g, pair, n)` for n = 0..max_n, read as
+    table[n].
+
+    Each side's kernel tables are made once, to max_n: for (SU, PU) one per
+    element of the abelianization, for Ohat the sector rows, for That and
+    Ihat one count_table per family.  A cyclic group's (Sp, Spin_odd) tables
+    are Weyl orbits of rank n, counted when their size is read.
+    """
+    pair = tuple(pair)
+    if max_n < 0:
+        raise ValueError("size out of range")
+    if pair == ("SU", "PU"):
+        su = f_rep_table(g, "su", max_n)
+
+        def identify(n):
+            return tables_swap_equivalent(su[n], su[n])
+    elif pair != ("Sp", "Spin_odd"):
+        raise ValueError("pair must be (SU, PU) or (Sp, Spin_odd)")
+    elif g.family == OCTAHEDRAL:
+        sp, spin = f_rep_table(g, "sp", max_n), f_rep_table(g, "spin", max_n)
+
+        def identify(n):
+            return tables_swap_equivalent(sp[n], spin[n])
+    elif g.family in (TETRAHEDRAL, ICOSAHEDRAL):
+        # no two-torsion grading: the tables are the single numbers
+        # N(Sp(n)) and N(Spin(2n+1))
+        sp, spin, psp, so = (count_table(g, family, max_n)
+                             for family in ("Sp", "Spin_odd", "PSp", "SO_odd"))
+
+        def identify(n):
+            return "trivial" if sp[n] == spin[n] and psp[n] == so[n] else None
+    elif g.family == CYCLIC:
+        def identify(n):
+            if n == 0:
+                raise NotCoveredError(
+                    "not covered: rank-zero targets have no lattice model")
+            from . import lattice
+
+            return tables_swap_equivalent(
+                lattice.refined_zn_characters("C", n, "sc", g.param),
+                lattice.refined_zn_characters("B", n, "sc", g.param))
+    else:
+        def identify(n):
+            raise NotCoveredError(
+                "not covered: the dihedral two-torsion refinement is out of scope")
+
+    def report(n):
+        ident = identify(n)
+        return {"gamma": g.label, "pair": "/".join(pair), "n": n,
+                "equivalent": ident is not None, "identification": ident}
+
+    return SizeTable(max_n, report)
+
+
 def verify_swap_equivalence(g: GroupSpec, pair, n: int) -> dict:
     """Compare the two sides' finite character tables under the swap.
 
@@ -711,40 +792,7 @@ def verify_swap_equivalence(g: GroupSpec, pair, n: int) -> dict:
     ("standard", the inv-composed variant, or an alternative Klein-four
     pairing), or None on failure.
     """
-    pair = tuple(pair)
-    report = {"gamma": g.label, "pair": "/".join(pair), "n": n}
-    if pair == ("SU", "PU"):
-        table = f_rep_character(g, "su", n)
-        ident = tables_swap_equivalent(table, table)
-    elif pair == ("Sp", "Spin_odd"):
-        if g.family == OCTAHEDRAL:
-            ident = tables_swap_equivalent(
-                f_rep_character(g, "sp", n), f_rep_character(g, "spin", n))
-        elif g.family in (TETRAHEDRAL, ICOSAHEDRAL):
-            # no two-torsion grading: the tables are the single numbers
-            # N(Sp(n)) and N(Spin(2n+1))
-            same = (
-                count_homs(g, Target("Sp", n)) == count_homs(g, Target("Spin_odd", n))
-                and count_homs(g, Target("PSp", n))
-                == count_homs(g, Target("SO_odd", n)))
-            ident = "trivial" if same else None
-        elif g.family == CYCLIC:
-            if n == 0:
-                raise NotCoveredError(
-                    "not covered: rank-zero targets have no lattice model")
-            from . import lattice
-
-            sp = lattice.refined_zn_characters("C", n, "sc", g.param)
-            spin = lattice.refined_zn_characters("B", n, "sc", g.param)
-            ident = tables_swap_equivalent(sp, spin)
-        else:
-            raise NotCoveredError(
-                "not covered: the dihedral two-torsion refinement is out of scope")
-    else:
-        raise ValueError("pair must be (SU, PU) or (Sp, Spin_odd)")
-    report["equivalent"] = ident is not None
-    report["identification"] = ident
-    return report
+    return swap_equivalence_table(g, pair, n)[n]
 
 
 # -- JSON-friendly rows -------------------------------------------------------------

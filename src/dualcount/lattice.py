@@ -5,11 +5,13 @@ lattices M* between the coroots Q and the coweights P are given by integer
 basis matrices.  The Weyl orbits on (1/n)M*/M* are the points of the alcove
 at level n, compositions of n weighted by the marks of the extended diagram
 with grade in M*/Q, up to the diagram symmetries of M*/Q (Djokovic, Proc.
-AMS 80 (1980)); each count is one `counting.orbit_compositions` call, the
-Burnside average over M*/Q acting on the extended diagram's nodes.  The
-refined variant grades (1/n)P/M* by Z = P/M* and packages the result with
-`FRepCharacter.from_counts`, as the character-table type of the direct
-constraint enumeration, so the two routes can be compared point for point.  The torus grids of
+AMS 80 (1980)); the counts of every level up to n are one
+`counting.orbit_composition_rows` table, the Burnside average over M*/Q
+acting on the extended diagram's nodes, so a sweep over the modulus builds
+one table per side.  The refined variant grades (1/n)P/M* by Z = P/M* and
+packages the result with `FRepCharacter.from_counts`, as the character-table
+type of the direct constraint enumeration, so the two routes can be compared
+point for point.  The torus grids of
 n**rank points (`lattice_quotient`, `_orbits`, `graded_orbits`) remain only
 as the tests' oracle.
 """
@@ -17,14 +19,13 @@ as the tests' oracle.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, prod
 
 from .abgroup import AbGroup
 from .bounds import MAX_RANK
-from .counting import FRepCharacter, orbit_compositions
+from .counting import FRepCharacter, orbit_composition_rows
 from .errors import InvariantError
 from .record import Record
 
@@ -48,14 +49,15 @@ __all__ = [
 ]
 
 # Bound on one zn-lattice sweep, checked before any orbit is counted; see
-# zn_sweep_cells.  On a 2-CPU machine a row costs about 70 ns per estimated
-# cell at rank 100 (SU(101)/PU(101) at n = 256: 0.38 s) and 400 ns at rank 4
-# (SU(5)/PU(5) at n = 10000: 0.2 s), where short grade rows leave the per-row
-# overhead on top; the Kac data of each pair come on top of that, once per
-# pair (bounds.MAX_RANK).  The bound admits the default rank 4 up to the
-# --max-n bound cli.MAX_N (3.0e10 cells, hours at that rate) and rank 100 up
-# to n = 143, and refuses a sweep that grows past both, such as rank 100 to
-# n = 10000 (1.9e14 cells).
+# zn_sweep_cells.  The bound admits the default rank 4 up to the --max-n
+# bound cli.MAX_N (3.0e10 estimated cells) and rank 100 up to n = 143, and
+# refuses a sweep that grows past both, such as rank 100 to n = 10000
+# (1.9e14 cells).  The estimate is quadratic in the modulus, but a sweep
+# builds one table per side, so its cost is linear: on a 2-CPU machine
+# `verify zn-lattice --max-n 10000` takes 2.0 s, SU(101)/PU(101) to
+# n = 1979, the largest the bound admits, 1.4 s, and --max-rank 8 to
+# n = 2000 1.2 s.  The Kac data of each pair come on top, once per pair
+# (bounds.MAX_RANK): --max-rank 100 --max-n 2 takes 12 s.
 MAX_ZN_CELLS = 4 * 10 ** 10
 
 
@@ -80,6 +82,10 @@ def _mat_vec(a, v):
 
 def _frac_inverse(mat):
     """Exact inverse of an integer matrix, as Fractions."""
+    # only the tests' grid oracle inverts a matrix, so an orbit count never
+    # loads fractions
+    from fractions import Fraction
+
     r = len(mat)
     work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(r)]
             for i, row in enumerate(mat)]
@@ -372,12 +378,15 @@ def _center_grading(c: CartanData, choice: str):
     return zmods, zrows, [[row[i] for row in Uinv] for i in keep], sub
 
 
-def _fixed_orbits(c: CartanData, n: int, choice: str, shift) -> dict:
-    """Per grade in Z = P/M*, the Weyl orbits on (1/n)P/M* fixed by the
-    translation by a coweight of class shift in P/Q: the level-n Kac points
-    up to the symmetries of H = M*/Q, on which the translation is the
-    symmetry of shift, so Burnside on the coset shift + H averages the
-    points fixed by shift + h, the compositions constant on its cycles."""
+def _fixed_orbit_rows(c: CartanData, n: int, choice: str, shift,
+                      start: int) -> list:
+    """Rows start..n, each listing per grade in Z = P/M* (in the order of
+    its elements, grade 0 first) the Weyl orbits on (1/k)P/M* at level k
+    fixed by the translation by a coweight of class shift in P/Q: the
+    level-k Kac points up to the symmetries of H = M*/Q, on which the
+    translation is the symmetry of shift, so Burnside on the coset shift + H
+    averages the points fixed by shift + h, the compositions constant on its
+    cycles."""
     if n < 1:
         raise ValueError("modulus must be positive")
     zmods, zrows, _, sub = _center_grading(c, choice)
@@ -389,14 +398,32 @@ def _fixed_orbits(c: CartanData, n: int, choice: str, shift) -> dict:
         for i, a in enumerate(marks[1:])]
     center = AbGroup(c.center_moduli)
     perms = [omega[center.add(shift, h)] for h in sub]
-    return orbit_compositions(slots, zgroup, n, perms, len(sub))
+    return orbit_composition_rows(slots, zgroup, n, perms, len(sub), start)
+
+
+def _fixed_orbits(c: CartanData, n: int, choice: str, shift) -> dict:
+    """Row n of `_fixed_orbit_rows`, as a map from each grade to its count."""
+    row, = _fixed_orbit_rows(c, n, choice, shift, n)
+    return dict(zip(AbGroup(_center_grading(c, choice)[0]).elements(), row))
+
+
+# Grade-0 orbit counts per (type, lattice) for every modulus 0..top, top the
+# largest modulus asked so far.  A table to n holds every smaller modulus, so
+# a sweep that asks its largest modulus first runs the kernel once per side;
+# a larger modulus builds the table again.
+_ORBIT_COUNTS: dict = {}
 
 
 def weyl_orbit_count(c: CartanData, lattice: str, n: int) -> int:
     """Number of Weyl orbits on (1/n)M*/M* for the chosen lattice M*: the
     level-n Kac points of grade in M*/Q, up to the symmetries of M*/Q."""
-    counts = _fixed_orbits(c, n, lattice, (0,) * len(c.center_moduli))
-    return counts[(0,) * len(_center_grading(c, lattice)[0])]
+    if n < 1:
+        raise ValueError("modulus must be positive")
+    counts = _ORBIT_COUNTS.get((c.type, lattice), ())
+    if n >= len(counts):
+        rows = _fixed_orbit_rows(c, n, lattice, (0,) * len(c.center_moduli), 0)
+        counts = _ORBIT_COUNTS[(c.type, lattice)] = [row[0] for row in rows]
+    return counts[n]
 
 
 def _orbits(generators, moduli, order=None):
@@ -692,11 +719,15 @@ def _pair_sides(pair):
 
 
 def zn_sweep_cells(pairs, max_n: int) -> int:
-    """Estimated kernel cells of zn_duality_row for each pair at n = 1..max_n.
+    """Estimated kernel cells of zn_duality_row for each pair at n = 1..max_n,
+    counted as if each modulus built its own tables.
 
     Each side of a rank-r pair at modulus n runs the composition kernel on at
     most r + 1 slots over n rows, and its fixed-point sectors and grades
     number at most r + 1 together, so it costs at most (r + 1)**2 * n cells.
+    A sweep builds each side's table once, to max_n, so this sum over n
+    overstates its cost by about a factor max_n / 2; MAX_ZN_CELLS is still
+    set against it.
     """
     ranks = [_pair_sides(pair)[0][1] for pair in pairs]
     return sum((r + 1) ** 2 for r in ranks) * max_n * (max_n + 1)

@@ -16,7 +16,6 @@ identity by clearing all denominators and checking that the sum vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -25,6 +24,7 @@ from operator import add, sub
 from .bounds import MAX_ORDER  # re-exported: the bound on truncation orders
 from .errors import NotCoveredError
 from .grouprep import CYCLIC, DIHEDRAL, ICOSAHEDRAL, OCTAHEDRAL, TETRAHEDRAL, GroupSpec
+from .record import Record
 
 IDENTITIES = ("KF1", "KF2", "KF3", "KF4", "PropX", "PropY", "PropA")
 
@@ -107,12 +107,11 @@ class GaussSeries:
 # -- linear forms modulo 4 ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinForm:
-    """const + sum(coeff * var) with everything taken mod 4."""
+class LinForm(Record):
+    """const + sum(coeff * var) with everything taken mod 4; terms is a
+    tuple of (var, coeff) pairs."""
 
-    const: int
-    terms: tuple[tuple[str, int], ...]
+    __slots__ = ("const", "terms")
 
     def evaluate(self, env: dict) -> int:
         total = self.const
@@ -134,83 +133,79 @@ def make_lin(const: int = 0, terms=()) -> LinForm:
 # -- expression nodes ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(Record):
+    __slots__ = ("value",)  # a nonnegative Fraction
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value: Fraction):
+        if value < 0:
             raise ValueError("negative scalars are expressed through sums")
+        super().__init__(value)
 
 
-@dataclass(frozen=True)
-class QPow:
-    k: int
+class QPow(Record):
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int):
+        if k < 1:
             raise ValueError("q exponent must be positive")
+        super().__init__(k)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Record):
     """i raised to a linear form: a constant or a single-variable phase."""
 
-    lin: LinForm
+    __slots__ = ("lin",)
 
-    def __post_init__(self):
-        if len(self.lin.terms) > 1:
+    def __init__(self, lin: LinForm):
+        if len(lin.terms) > 1:
             raise ValueError("phase factors carry at most one variable")
-        if not self.lin.terms and self.lin.const not in (1, 3):
+        if not lin.terms and lin.const not in (1, 3):
             raise ValueError("constant phase must be i or i^3")
+        super().__init__(lin)
 
 
-@dataclass(frozen=True)
-class Binom:
+class Binom(Record):
     """(1 - i^phase q^k)^e."""
 
-    phase: LinForm
-    k: int
-    e: int
+    __slots__ = ("phase", "k", "e")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, phase: LinForm, k: int, e: int):
+        if k < 1:
             raise ValueError("q exponent must be positive")
-        if self.e == 0:
+        if e == 0:
             raise ValueError("binomial exponent must be nonzero")
+        super().__init__(phase, k, e)
 
 
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple
+class Prod(Record):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if len(self.factors) < 2:
+    def __init__(self, factors: tuple):
+        if len(factors) < 2:
             raise ValueError("products need at least two factors")
+        super().__init__(factors)
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # of (sign, node) with sign +-1
+class Sum(Record):
+    __slots__ = ("terms",)  # a tuple of (sign, node) with sign +-1
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple):
+        if not terms:
             raise ValueError("sums need at least one term")
-        if len(self.terms) == 1 and self.terms[0][0] == 1:
+        if len(terms) == 1 and terms[0][0] == 1:
             raise ValueError("a one-term positive sum must be unwrapped")
+        super().__init__(terms)
 
 
-@dataclass(frozen=True)
-class Avg:
+class Avg(Record):
     """(1/(hi+1)) * sum over var = 0..hi of the body."""
 
-    var: str
-    hi: int
-    body: object
+    __slots__ = ("var", "hi", "body")
 
-    def __post_init__(self):
-        if self.hi < 0:
+    def __init__(self, var: str, hi: int, body):
+        if hi < 0:
             raise ValueError("avg upper bound must be nonnegative")
+        super().__init__(var, hi, body)
 
 
 def mknum(value) -> Num:
@@ -248,15 +243,14 @@ def mksum(*signed_terms):
 # -- flat terms: the one route from a tree to coefficients ----------------------
 
 
-@dataclass
 class _FlatTerm:
     """(re + i*im) / den * q^qshift * prod (1 - i^c q^k)^e, den > 0."""
 
-    re: int
-    im: int
-    den: int
-    qshift: int
-    factors: dict  # (phase const mod 4, k) -> exponent
+    __slots__ = ("re", "im", "den", "qshift", "factors")
+
+    def __init__(self, re: int, im: int, den: int, qshift: int, factors: dict):
+        self.re, self.im, self.den, self.qshift = re, im, den, qshift
+        self.factors = factors  # (phase const mod 4, k) -> exponent
 
 
 def _flatten(node, env: dict) -> list[_FlatTerm]:

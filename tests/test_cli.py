@@ -614,6 +614,41 @@ def test_each_command_runs_only_the_layer_modules_it_uses(argv, ran):
     assert proc.stdout.strip().splitlines()[-1] == f"0 True {ran!r}"
 
 
+@pytest.mark.parametrize("argv,unused", [
+    (["verify", "identities"], "dataclasses"),
+    (["verify", "zn-lattice"], "fractions"),
+    (["count", "--gamma", "Z:5", "--target", "PSp", "--n", "3"], "fractions"),
+])
+def test_series_and_lattice_runs_skip_the_modules_they_do_not_use(argv, unused):
+    # the series records are plain classes, and only the tests' grid oracle
+    # inverts a matrix in Fractions
+    code = ("import contextlib, io, sys\nfrom dualcount import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = cli.main({argv!r})\n"
+            f"print(status, {unused!r} in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("argv,checks", [
+    # every pair of the default rank-4 catalogue at each modulus 1..MAX_N
+    (["verify", "zn-lattice", "--max-n", str(MAX_N)],
+     len(lattice.dual_pairs(4)) * MAX_N),
+    # Ohat's Sp/Spin rows at n = 0..2000 and its SU/PU rows at n = 1..2000
+    (["verify", "refined", "--max-n", "2000"], 4001),
+])
+def test_zn_and_refined_sweeps_at_scale_finish(argv, checks):
+    # about 2 s and 0.5 s on a 2-CPU machine; a sweep that counted one n at
+    # a time would run for hours
+    proc = subprocess.run([sys.executable, "-m", "dualcount", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["checks"], report["failures"]) == (checks, [])
+
+
 def test_perfbench_tracer_wraps_the_lazy_layers():
     # perfbench/child.py imports dualcount.cli, looks up every traced function
     # through sys.modules and rebinds each module attribute bound to it; the
@@ -916,6 +951,44 @@ def test_duality_sweep_builds_one_kernel_table_per_group_and_family(
         calls.clear()
         status, _, _ = invoke(["verify", "duality", "--max-n", str(max_n)],
                               capsys)
+        assert status == 0
+        work[max_n] = len(calls)
+    assert work[7] == work[14] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "zn-lattice"],
+    *(["verify", "refined", "--gamma", g] for g in ("Ohat", "Ihat", "Dhat:4", "Z:6")),
+])
+def test_zn_and_refined_sweeps_build_each_kernel_table_once(
+        argv, monkeypatch, capsys):
+    # each side's kernel tables are made once per sweep, to its largest
+    # size, so the kernel calls do not grow with max-n.  A cyclic group's
+    # refined Sp/Spin rows are Weyl orbits of rank n, still counted per n:
+    # refined leaves out the calls made under lattice
+    from dualcount import counting
+
+    calls = []
+    kernel = counting.composition_rows
+
+    def under_lattice():
+        frame = sys._getframe(2)
+        while frame and frame.f_globals["__name__"] != "dualcount.lattice":
+            frame = frame.f_back
+        return frame is not None
+
+    def counted(*args):
+        if argv[1] == "zn-lattice" or not under_lattice():
+            calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(counting, "composition_rows", counted)
+    monkeypatch.setattr(lattice, "_ORBIT_COUNTS", {})
+    work = {}
+    for max_n in (7, 14):
+        calls.clear()
+        lattice._ORBIT_COUNTS.clear()
+        status, _, _ = invoke([*argv, "--max-n", str(max_n)], capsys)
         assert status == 0
         work[max_n] = len(calls)
     assert work[7] == work[14] > 0

@@ -21,11 +21,13 @@ from dualcount.counting import (
     orbit_composition_rows,
     count_twisted,
     f_rep_character,
+    f_rep_table,
     graded_compositions,
     iter_vectors,
     orbit_compositions,
     sector_of_so_rep,
     sector_row,
+    swap_equivalence_table,
     tables_swap_equivalent,
     verify_swap_equivalence,
 )
@@ -40,6 +42,7 @@ from dualcount.grouprep import (
 )
 from enumeration import (enumerated_count, enumerated_sector,
                          multiplicity_vectors, unitary_orbits)
+import per_n_routes
 
 Z = GroupSpec.cyclic
 DH = GroupSpec.binary_dihedral
@@ -575,6 +578,25 @@ def test_tables_swap_equivalent_detects_mismatch():
     assert tables_swap_equivalent(t1, t2) is None
     t3 = f_rep_character(Z(2), "su", 2)
     assert tables_swap_equivalent(t1, t3) is None or t1.values != t3.values
+
+
+@pytest.mark.parametrize("g", CATALOGUE, ids=lambda g: g.label)
+def test_sweep_tables_match_the_per_n_routes(g):
+    # a sweep reads every size from tables made once, to its largest size;
+    # the per-n routes make them again at each size
+    sides = ("su", "sp", "spin") if g == OCT else ("su",)
+    for side in sides:
+        table = f_rep_table(g, side, 30)
+        for n in range(31):
+            assert (per_n_routes.outcome(table.__getitem__, n)
+                    == per_n_routes.outcome(
+                        lambda k: per_n_routes.f_rep_character(g, side, k), n)), (side, n)
+    for pair in (("SU", "PU"), ("Sp", "Spin_odd")):
+        table = swap_equivalence_table(g, pair, 30)
+        for n in range(31):
+            assert (per_n_routes.outcome(table.__getitem__, n)
+                    == per_n_routes.outcome(
+                        lambda k: per_n_routes.verify_swap_equivalence(g, pair, k), n)), (pair, n)
 
 
 # -- rows --------------------------------------------------------------------------

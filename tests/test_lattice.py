@@ -11,6 +11,7 @@ from dualcount import lattice as L
 from dualcount.abgroup import AbGroup
 from dualcount.counting import Target, count_homs, tables_swap_equivalent
 from dualcount.grouprep import GroupSpec
+import per_n_routes
 
 
 # -- cartan data -----------------------------------------------------------------
@@ -335,6 +336,21 @@ def test_kac_route_matches_the_grid():
         c = L.cartan_data(letter, rank)
         assert L.weyl_orbit_count(c, choice, n) == _grid_count(c, choice, n), (
             letter, rank, choice, n)
+
+
+def test_orbit_tables_match_the_per_n_route(monkeypatch):
+    # every modulus of a side is read from one table to the largest modulus
+    # asked so far, whether a sweep asks for its largest modulus first (one
+    # table) or last (a larger table each time)
+    for letter, rank, choice in _catalogue_sides(6):
+        c = L.cartan_data(letter, rank)
+        want = [per_n_routes.weyl_orbit_count(c, choice, n) for n in range(1, 31)]
+        monkeypatch.setattr(L, "_ORBIT_COUNTS", {})
+        down = [L.weyl_orbit_count(c, choice, n) for n in range(30, 0, -1)]
+        assert down[::-1] == want, (letter, rank, choice)
+        monkeypatch.setattr(L, "_ORBIT_COUNTS", {})
+        up = [L.weyl_orbit_count(c, choice, n) for n in range(1, 31)]
+        assert up == want, (letter, rank, choice)
 
 
 REFINED_CASES = (
