@@ -94,8 +94,8 @@ class AbGroup(Record):
         chi lives in the dual group, identified with A itself via the
         standard coordinates: chi(x) = prod_i zeta_{d_i}^{chi_i * x_i}, one
         power of zeta_e for e the exponent.  Only the finite character tables
-        and the S-matrix checks need it, so cyclotomic is imported here and
-        not by a count.
+        need it, so cyclotomic is imported here and not by a count or an
+        S-matrix check (which reads the same roots from a table of floats).
         """
         from .cyclotomic import Cyc
 

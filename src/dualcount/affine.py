@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
-from . import lattice
 from .abgroup import AbGroup
 from .counting import graded_compositions, iter_vectors
 from .errors import InvariantError
 from .grouprep import GroupSpec, abelianization, det_char
 from .mckay import a_action, mckay_graph
+from .record import Record
+from .rootdata import _adjugate, _kac_data, cartan_data
 
 __all__ = [
     "MAX_WEIGHTS",
@@ -97,8 +97,7 @@ def mckay_partner(ade_type: str) -> GroupSpec:
 # -- weight sets --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelWeights:
+class LevelWeights(Record):
     """All dominant weights of one level: vectors of node multiplicities
     with sum(n_i * comark_i) equal to the level.
 
@@ -107,11 +106,7 @@ class LevelWeights:
     weight (n, 0, ..., 0) always comes first.
     """
 
-    ade_type: str
-    level: int
-    node_names: tuple[str, ...]
-    comarks: tuple[int, ...]
-    weights: tuple[tuple[int, ...], ...]
+    __slots__ = ("ade_type", "level", "node_names", "comarks", "weights")
 
     @property
     def count(self) -> int:
@@ -123,8 +118,7 @@ def level_weights(ade_type: str, n: int) -> LevelWeights:
         raise ValueError("level must be a positive integer")
     graph = mckay_graph(mckay_partner(ade_type))
     vecs = tuple(sorted(iter_vectors(graph.comarks, n), reverse=True))
-    return LevelWeights(ade_type=ade_type, level=n, node_names=graph.node_names,
-                        comarks=graph.comarks, weights=vecs)
+    return LevelWeights(ade_type, n, graph.node_names, graph.comarks, vecs)
 
 
 # -- finite root-system scaffolding -------------------------------------------
@@ -181,10 +175,10 @@ def _finite_structure(ade_type: str):
     root count, cross-validated against the comarks.  The extended marks
     sum to the Coxeter number h, and a simply-laced rank r has r * h roots."""
     letter, rank = parse_ade_type(ade_type)
-    c = lattice.cartan_data(letter, rank)
+    c = cartan_data(letter, rank)
     graph = mckay_graph(mckay_partner(ade_type))
     idx = _finite_index_map(graph, c)
-    marks = lattice._kac_data(letter, rank)[0]
+    marks = _kac_data(letter, rank)[0]
     for node, j in idx.items():
         if graph.comarks[node] != marks[j + 1]:
             raise InvariantError("McKay comarks disagree with the highest root")
@@ -205,12 +199,18 @@ def _weyl_order(letter: str, rank: int) -> int:
 # -- the S-matrix --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SMatrix:
-    """Unitary symmetric matrix indexed by one LevelWeights set."""
+class SMatrix(Record):
+    """Unitary symmetric matrix indexed by one LevelWeights set; values is
+    its read-only complex128 array, so an SMatrix is not hashable, and two
+    are equal when their weights and entries are."""
 
-    weights: LevelWeights
-    values: tuple
+    __slots__ = ("weights", "values")
+
+    def __eq__(self, other):
+        if other.__class__ is not SMatrix:
+            return NotImplemented
+        return (self.weights == other.weights
+                and bool((self.values == other.values).all()))
 
     @property
     def ade_type(self) -> str:
@@ -225,8 +225,7 @@ class SMatrix:
         return self.weights.count
 
     def array(self) -> np.ndarray:
-        import numpy as np
-        return np.asarray(self.values, dtype=np.complex128)
+        return self.values
 
 
 # Bounds on one S-matrix request, checked before any weight is enumerated.
@@ -237,7 +236,7 @@ class SMatrix:
 # at MAX_WORK it takes about 15 s on a 2-CPU machine: E6 at level 10
 # (1.25e9 units) 16.6 s, E7 at level 9 11 s and E8 at level 8 10 s, against
 # about 1 ns per unit for A and D of rank 20 and more.  Each matrix is held
-# as L**2 Python complex numbers and printed as JSON, and verification
+# as one L x L complex array and printed as JSON, and verification
 # multiplies dense L x L matrices; at MAX_WEIGHTS (A2 at level 43, L = 990)
 # the matrix takes under a second and `smatrix` about 7 s.  A sweep over
 # levels is bounded as if its levels were one matrix: weights and work are
@@ -259,8 +258,7 @@ def _determinant_shape(letter: str, rank: int) -> tuple[int, int]:
     return (rank + 1 if letter == "A" else rank), 1
 
 
-@dataclass(frozen=True)
-class _Cosets:
+class _Cosets(Record):
     """The cosets w_p W_J of W(E_r) by its parabolic subgroup W_J of type
     D_(r-1), J the nodes 1..r-1.
 
@@ -269,11 +267,7 @@ class _Cosets:
     of each D_(r-1) node.
     """
 
-    inverses: np.ndarray
-    signs: np.ndarray
-    gram: np.ndarray
-    den: int
-    j_nodes: tuple
+    __slots__ = ("inverses", "signs", "gram", "den", "j_nodes")
 
 
 @lru_cache(maxsize=None)
@@ -290,7 +284,7 @@ def _e_cosets(ade_type: str) -> _Cosets:
     rank = c.rank
     j_nodes = tuple(range(rank - 1, 0, -1))
     sub = tuple(tuple(c.cartan[i][j] for j in j_nodes) for i in j_nodes)
-    if sub != lattice.cartan_data("D", rank - 1).cartan:
+    if sub != cartan_data("D", rank - 1).cartan:
         raise InvariantError(f"nodes 1..{rank - 1} of E{rank} do not form D{rank - 1}")
     cart = np.asarray(c.cartan, dtype=np.int64)
     points = np.eye(rank, dtype=np.int64)[:1]
@@ -312,10 +306,11 @@ def _e_cosets(ade_type: str) -> _Cosets:
         raise InvariantError(
             f"found {len(signs)} cosets of W(D{rank - 1}) in W(E{rank}), "
             f"expected |W(E{rank})| / |W(D{rank - 1})|")
-    inv = lattice._frac_inverse(c.cartan)
-    den = math.lcm(*(x.denominator for row in inv for x in row))
+    # C^-1 = adj / det, whose entries have the least common denominator den
+    adj, det = _adjugate(c.cartan)
+    den = abs(det) // math.gcd(det, *(x for row in adj for x in row))
     data = _Cosets(np.concatenate(layers), signs,
-                   np.asarray([[int(x * den) for x in row] for row in inv]),
+                   np.asarray([[x * den // det for x in row] for row in adj]),
                    den, j_nodes)
     for arr in (data.inverses, data.signs, data.gram):
         arr.flags.writeable = False
@@ -337,7 +332,7 @@ def check_levels(ade_type: str, levels) -> None:
     size, cosets = _determinant_shape(letter, rank)
     # the marks of the highest root are the comarks in another node order
     # (_finite_structure checks this), so no character table is built here
-    slots = [(m, ()) for m in lattice._kac_data(letter, rank)[0]]
+    slots = [(m, ()) for m in _kac_data(letter, rank)[0]]
     ungraded = AbGroup(())
     weights = work = 0
     for n in levels:
@@ -418,9 +413,20 @@ def _pair_sums(ade_type, k, modulus, table, x, y):
     return terms.sum(axis=1)
 
 
-@lru_cache(maxsize=4)
+def _unit_roots(modulus: int):
+    """exp(-2 pi i r / modulus) for r = 0..modulus - 1, at angles reduced to
+    [-pi, pi]."""
+    import numpy as np
+    r = np.arange(modulus)
+    r = np.where(2 * r > modulus, r - modulus, r)
+    return np.exp(-2j * np.pi * r / modulus)
+
+
+# typed, so that a level 1.0 is checked (and refused), not read as level 1
+@lru_cache(maxsize=4, typed=True)
 def _s_matrix(ade_type: str, n: int) -> SMatrix:
     import numpy as np
+    check_levels(ade_type, (n,))
     lw = level_weights(ade_type, n)
     c, idx, npos = _finite_structure(ade_type)
     letter, rank = parse_ade_type(ade_type)
@@ -428,10 +434,7 @@ def _s_matrix(ade_type: str, n: int) -> SMatrix:
     # every phase index is an integer modulo this multiple of k
     modulus = k * ({"A": rank + 1, "D": 4}.get(letter)
                    or math.lcm(_e_cosets(ade_type).den, 4))
-    # exp(-2 pi i r / modulus), at angles reduced to [-pi, pi]
-    r = np.arange(modulus)
-    r = np.where(2 * r > modulus, r - modulus, r)
-    table = np.exp(-2j * np.pi * r / modulus)
+    table = _unit_roots(modulus)
     shifted = np.ones((lw.count, c.rank), dtype=np.int64)
     for a, w in enumerate(lw.weights):
         for node, j in idx.items():
@@ -446,15 +449,16 @@ def _s_matrix(ade_type: str, n: int) -> SMatrix:
     # the lower triangle mirrors the upper, so S is exactly symmetric
     u[cols, rows] = u[rows, cols]
     scale = (1j ** (npos % 4)) / math.sqrt(float((np.abs(u) ** 2).sum()) / lw.count)
-    values = tuple(tuple(complex(z) for z in row) for row in u * scale)
-    return SMatrix(weights=lw, values=values)
+    u *= scale
+    # every caller of the cache shares this array
+    u.flags.writeable = False
+    return SMatrix(lw, u)
 
 
 def s_matrix(ade_type: str, n: int) -> SMatrix:
     """The S-matrix at level n, after the size checks.  The few most recent
     matrices are kept, so the checks of one grid point share a single
-    computation."""
-    check_levels(ade_type, (n,))
+    computation, and the size checks run once per computation."""
     return _s_matrix(ade_type, n)
 
 
@@ -506,15 +510,15 @@ def _center_coefficients(ade_type: str) -> tuple:
     d * (C^-1 gen)_j for its simple root j (0 for the affine node), and each
     must be an integer, since the generator has order d."""
     c, idx, _ = _finite_structure(ade_type)
-    cinv = lattice._frac_inverse(c.cartan)
+    adj, det = _adjugate(c.cartan)
     out = []
     for d, gen in zip(c.center_moduli, c.center_gens):
         coefs = [0] * (len(idx) + 1)
         for node, j in idx.items():
-            val = d * sum(cinv[j][t] * gen[t] for t in range(c.rank))
-            if val.denominator != 1:
+            val, rem = divmod(d * sum(adj[j][t] * gen[t] for t in range(c.rank)), det)
+            if rem:
                 raise InvariantError("center values must be d-th roots of unity")
-            coefs[node] = int(val)
+            coefs[node] = val
         out.append((d, tuple(coefs)))
     return tuple(out)
 
@@ -570,6 +574,20 @@ def det_route_report(ade_type: str, n: int) -> dict:
 # -- conjugating the two actions -----------------------------------------------
 
 
+def _center_characters(center: AbGroup, chis) -> dict:
+    """The value chi(z) = exp(2 pi i sum_j chi_j z_j / d_j) of each chi in
+    chis, as one array per element z of the center: the pairing of
+    AbGroup.pairing, read from a table of e-th roots of unity by its exact
+    index, e the exponent of the center."""
+    import numpy as np
+    e = center.exponent
+    roots = _unit_roots(e)
+    step = np.asarray([e // d for d in center.moduli], dtype=np.int64)
+    scaled = np.asarray(chis, dtype=np.int64).reshape(len(chis), -1) * step
+    return {z: roots[-(scaled @ np.asarray(z, dtype=np.int64)) % e]
+            for z in center.elements()}
+
+
 def verify_s_conjugation(ade_type: str, n: int) -> dict:
     """Check that S diagonalizes every diagram-symmetry permutation.
 
@@ -611,10 +629,7 @@ def verify_s_conjugation(ade_type: str, n: int) -> dict:
         e[i] = 1
         standard.append(tuple(e))
     # the center-character diagonal of each center element, computed once
-    diags = {}
-    for z in center.elements():
-        value = {chi: center.pairing(chi, z).complex_value() for chi in set(geo)}
-        diags[z] = np.asarray([value[chi] for chi in geo])
+    diags = _center_characters(center, geo)
     results = []
     for iso in sym.isomorphisms_to(center):
         err = base_err
@@ -647,5 +662,5 @@ def smatrix_json(sm: SMatrix, digits: int = 12) -> dict:
         "comarks": list(sm.weights.comarks),
         "weights": [list(w) for w in sm.weights.weights],
         "entries": [[[_fixed(z.real, digits), _fixed(z.imag, digits)]
-                     for z in row] for row in sm.values],
+                     for z in row] for row in sm.array().tolist()],
     }

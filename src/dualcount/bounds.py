@@ -11,8 +11,8 @@ its sizes without loading either module.
 # 1 s for the whole genfun command.
 MAX_ORDER = 20_000
 
-# Largest rank lattice.cartan_data accepts.  Kac data take about rank**3
+# Largest rank rootdata.cartan_data accepts.  Kac data take about rank**3
 # steps: 0.5 s for A, B, C and D together at this bound on a 2-CPU machine,
-# and a sweep builds every rank up to its own (zn-lattice --max-rank 100
-# --max-n 2: 32 s).
+# and a sweep builds every rank up to its own: `verify zn-lattice --max-rank
+# 100 --max-n 2` takes 11 s there.
 MAX_RANK = 100

@@ -23,11 +23,13 @@ A command loads only the layers it uses: affine, lattice, mckay and series
 are registered lazily, and a module's body runs when a command first reads
 one of its attributes.  A count runs none of them, except that a cyclic
 group into PSp or Spin loads lattice alone.  Neither a count nor `verify
-duality` imports dataclasses or cyclotomic, or builds a character table:
-the irreducibles are closed forms or literal data, the records are plain
-classes, and only the finite character tables of `verify refined` (and
-the S-matrix checks) need cyclotomic.  `verify identities` imports no
-dataclasses either, and an orbit count no fractions.
+duality` imports cyclotomic or builds a character table: the irreducibles
+are closed forms or literal data, and only the finite character tables of
+`verify refined` need cyclotomic.  No module of the package imports
+dataclasses: every record is a plain class.  `smatrix` and `verify smatrix` run affine
+and mckay, with their root data from rootdata rather than lattice; they
+load numpy, but neither cyclotomic nor fractions, and an orbit count loads
+no fractions either.
 """
 
 from __future__ import annotations

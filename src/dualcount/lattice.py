@@ -1,11 +1,11 @@
 """Root-system lattices, Weyl orbits modulo n, and refined center gradings.
 
-Each simple type is realized on the fundamental-coweight basis, and the
-lattices M* between the coroots Q and the coweights P are given by integer
-basis matrices.  The Weyl orbits on (1/n)M*/M* are the points of the alcove
-at level n, compositions of n weighted by the marks of the extended diagram
-with grade in M*/Q, up to the diagram symmetries of M*/Q (Djokovic, Proc.
-AMS 80 (1980)); the counts of every level up to n are one
+Each simple type is realized on the fundamental-coweight basis of
+`rootdata`, and the lattices M* between the coroots Q and the coweights P
+are given by integer basis matrices.  The Weyl orbits on (1/n)M*/M* are the
+points of the alcove at level n, compositions of n weighted by the marks of
+the extended diagram with grade in M*/Q, up to the diagram symmetries of
+M*/Q (Djokovic, Proc. AMS 80 (1980)); the counts of every level up to n are one
 `counting.orbit_composition_rows` table, the Burnside average over M*/Q
 acting on the extended diagram's nodes, so a sweep over the modulus builds
 one table per side.  The refined variant grades (1/n)P/M* by Z = P/M* and
@@ -28,6 +28,8 @@ from .bounds import MAX_RANK
 from .counting import FRepCharacter, orbit_composition_rows
 from .errors import InvariantError
 from .record import Record
+from .rootdata import (CartanData, _adjugate, _identity_matrix, _kac_data,
+                       _smith_normal_form, cartan_data)
 
 __all__ = [
     "MAX_RANK",
@@ -56,16 +58,12 @@ __all__ = [
 # builds one table per side, so its cost is linear: on a 2-CPU machine
 # `verify zn-lattice --max-n 10000` takes 2.0 s, SU(101)/PU(101) to
 # n = 1979, the largest the bound admits, 1.4 s, and --max-rank 8 to
-# n = 2000 1.2 s.  The Kac data of each pair come on top, once per pair
-# (bounds.MAX_RANK): --max-rank 100 --max-n 2 takes 12 s.
+# n = 2000 1.2 s.  The Kac data of each pair come on top, once per pair;
+# bounds.MAX_RANK gives their cost.
 MAX_ZN_CELLS = 4 * 10 ** 10
 
 
 # -- integer matrix utilities --------------------------------------------------
-
-
-def _identity_matrix(r):
-    return [[int(i == j) for j in range(r)] for i in range(r)]
 
 
 def _mat_mul(a, b):
@@ -78,223 +76,6 @@ def _mat_mul(a, b):
 
 def _mat_vec(a, v):
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
-
-
-def _frac_inverse(mat):
-    """Exact inverse of an integer matrix, as Fractions."""
-    # only the tests' grid oracle inverts a matrix, so an orbit count never
-    # loads fractions
-    from fractions import Fraction
-
-    r = len(mat)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(r)]
-            for i, row in enumerate(mat)]
-    for col in range(r):
-        pivot = next(i for i in range(col, r) if work[i][col])
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(r):
-            if i != col and work[i][col]:
-                factor = work[i][col]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[col])]
-    return [row[r:] for row in work]
-
-
-def _smith_normal_form(mat):
-    """(U, D, U**-1) with U @ mat @ V == D in divisibility order for some V."""
-    a = [list(row) for row in mat]
-    r, m = len(a), len(a[0])
-    U = _identity_matrix(r)
-    Uinv = _identity_matrix(r)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-        for row in Uinv:
-            row[i], row[j] = row[j], row[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, k):
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        U[dst] = [x + k * y for x, y in zip(U[dst], U[src])]
-        for row in Uinv:
-            row[src] -= k * row[dst]
-
-    def add_col(src, dst, k):
-        for row in a:
-            row[dst] += k * row[src]
-
-    for t in range(min(r, m)):
-        while True:
-            # the first entry of least absolute value, in row order
-            pivot = min(((abs(a[i][j]), i, j) for i in range(t, r)
-                         for j in range(t, m) if a[i][j]), default=None)
-            if pivot is None:
-                break
-            swap_rows(t, pivot[1])
-            swap_cols(t, pivot[2])
-            clean = True
-            for i in range(t + 1, r):
-                if a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        clean = False
-            for j in range(t + 1, m):
-                if a[t][j]:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        clean = False
-            if not clean:
-                continue
-            # a unit pivot divides everything
-            offender = abs(a[t][t]) > 1 and next(
-                ((i, j) for i in range(t + 1, r) for j in range(t + 1, m)
-                 if a[i][j] % a[t][t]),
-                None)
-            if not offender:
-                break
-            add_row(offender[0], t, 1)
-        if t < min(r, m) and a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            U[t] = [-x for x in U[t]]
-            for row in Uinv:
-                row[t] = -row[t]
-    return U, a, Uinv
-
-
-# -- Cartan data ----------------------------------------------------------------
-
-
-class CartanData(Record):
-    """A simple type on the fundamental-coweight basis.
-
-    cartan[i][j] is the pairing of simple root i with simple coroot j.
-    center_moduli/center_gens present the quotient of the coweight lattice
-    by the coroot lattice with explicit lifts, and center_rows[k] reads
-    coordinate k of the class of a coweight.
-    """
-
-    __slots__ = ("type", "rank", "cartan", "center_moduli", "center_gens",
-                 "center_rows")
-
-    @property
-    def reflections(self) -> tuple:
-        """reflections[i]: the i-th simple reflection on coweight coordinates."""
-        r, C = self.rank, self.cartan
-        return tuple(
-            tuple(tuple(int(j == k) - (k == i) * C[j][i] for k in range(r))
-                  for j in range(r))
-            for i in range(r))
-
-
-_EXCEPTIONAL_LINKS = {
-    ("E", 6): ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5)),
-    ("E", 7): ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)),
-    ("E", 8): ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)),
-}
-
-
-def _build_cartan(letter, rank):
-    C = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
-
-    def link(i, j, cij=-1, cji=-1):
-        C[i][j] = cij
-        C[j][i] = cji
-
-    if letter in ("A", "B", "C"):
-        for i in range(rank - 1):
-            link(i, i + 1)
-        if rank >= 2 and letter == "B":
-            link(rank - 2, rank - 1, -2, -1)
-        if rank >= 2 and letter == "C":
-            link(rank - 2, rank - 1, -1, -2)
-    elif letter == "D":
-        for i in range(rank - 2):
-            link(i, i + 1)
-        link(rank - 3, rank - 1)
-    elif letter == "E":
-        for i, j in _EXCEPTIONAL_LINKS[("E", rank)]:
-            link(i, j)
-    elif letter == "F":
-        link(0, 1)
-        link(1, 2, -2, -1)
-        link(2, 3)
-    elif letter == "G":
-        link(0, 1, -1, -3)
-    return C
-
-
-_RANK_RANGES = {"A": (1, None), "B": (1, None), "C": (1, None),
-                "D": (3, None), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
-
-
-@lru_cache(maxsize=None)
-def cartan_data(letter: str, rank: int) -> CartanData:
-    if letter not in _RANK_RANGES:
-        raise ValueError(f"unknown type letter {letter!r}")
-    lo, hi = _RANK_RANGES[letter]
-    if rank < lo or (hi is not None and rank > hi):
-        raise ValueError(f"rank {rank} out of range for type {letter}")
-    if rank > MAX_RANK:
-        raise ValueError(f"rank {rank} exceeds the largest supported rank {MAX_RANK}")
-    C = _build_cartan(letter, rank)
-    U, D, Uinv = _smith_normal_form(C)
-    keep = [i for i in range(rank) if D[i][i] != 1]
-    return CartanData(
-        f"{letter}{rank}",
-        rank,
-        tuple(tuple(row) for row in C),
-        tuple(D[i][i] for i in keep),  # center_moduli
-        tuple(tuple(row[i] for row in Uinv) for i in keep),  # center_gens
-        tuple(tuple(U[i]) for i in keep),  # center_rows
-    )
-
-
-# -- Kac coordinates -------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _kac_data(letter: str, rank: int):
-    """(marks, omega) of the extended diagram, node i > 0 being simple root
-    i - 1: marks 1 and the highest root's coefficients, and omega[z][i] the
-    node that the diagram symmetry of z in P/Q sends node i to."""
-    c = cartan_data(letter, rank)
-    C = c.cartan
-    # raise a long simple root (its row has an entry below -1 at a multiple
-    # bond) by simple reflections; a short one ends at the highest short root
-    start = next((i for i, row in enumerate(C) if min(row) < -1), 0)
-    theta = [int(j == start) for j in range(rank)]
-    co = [row[start] for row in C]  # its coroot, in coweight coordinates
-    while min(co) < 0:
-        j = co.index(min(co))
-        theta[j] -= sum(t * row[j] for t, row in zip(theta, C))
-        co = [y - co[j] * row[j] for y, row in zip(co, C)]
-    marks = (1, *theta)
-    # a generator's symmetry moves the Kac coordinates 1..rank+1 (scaled to
-    # integers) of a generic point translated by its lift and walked back
-    # into the alcove by the simple reflections and the affine one
-    level = sum(a * (i + 1) for i, a in enumerate(marks))
-    gens = []
-    for lift in c.center_gens:
-        x = [i + 2 + level * g for i, g in enumerate(lift)]
-        while True:
-            i = x.index(min(x))
-            if x[i] < 0:
-                x = [y - row[i] * x[i] for y, row in zip(x, C)]
-                continue
-            excess = sum(a * v for a, v in zip(theta, x)) - level
-            if excess <= 0:
-                break
-            x = [y - excess * t for y, t in zip(x, co)]
-        kac = [-excess, *x]
-        if sorted(kac) != list(range(1, rank + 2)):
-            raise InvariantError("a diagram symmetry must permute the Kac coordinates")
-        gens.append(tuple(kac.index(i + 1) for i in range(rank + 1)))
-    return marks, AbGroup(c.center_moduli).action(gens, rank + 1)
 
 
 # -- lattice choices --------------------------------------------------------------
@@ -328,13 +109,13 @@ def _lattice_basis(c: CartanData, choice: str):
 
 
 def _basis_reflections(c: CartanData, basis):
-    binv = _frac_inverse(basis)
+    adj, det = _adjugate(basis)
     out = []
     for S in c.reflections:
-        M = _mat_mul(_mat_mul(binv, S), basis)
-        if any(x.denominator != 1 for row in M for x in row):
+        M = _mat_mul(_mat_mul(adj, S), basis)
+        if any(x % det for row in M for x in row):
             raise InvariantError("the Weyl group must preserve the lattice")
-        out.append(tuple(tuple(int(x) for x in row) for row in M))
+        out.append(tuple(tuple(x // det for x in row) for row in M))
     return out
 
 

@@ -12,7 +12,6 @@ the edges to grouprep's dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantError
@@ -27,32 +26,25 @@ from .grouprep import (
     irreps,
     onedim_permutations,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class McKayGraph:
-    ade_type: str
-    node_names: tuple[str, ...]
-    comarks: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    affine_node: int
+class McKayGraph(Record):
+    __slots__ = ("ade_type", "node_names", "comarks", "edges", "affine_node")
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_names)
 
 
-@dataclass
-class AAction:
+class AAction(Record):
     """Graph automorphisms from tensoring with 1-dim irreps.
 
     perms maps each abelianization element to the induced node permutation;
     the action is simply transitive on comark-1 nodes.
     """
 
-    moduli: tuple[int, ...]
-    onedim_of: dict
-    perms: dict
+    __slots__ = ("moduli", "onedim_of", "perms")
 
 
 def ade_type_of(g: GroupSpec) -> str:
@@ -102,11 +94,11 @@ def mckay_graph(g: GroupSpec) -> McKayGraph:
         raise InvariantError(
             f"the McKay graph of {g.label} violates the dimension identity")
     return McKayGraph(
-        ade_type=ade_type_of(g),
-        node_names=tuple(i.name for i in irreps(g)),
-        comarks=tuple(dims),
-        edges=tuple(edges),
-        affine_node=0,
+        ade_type_of(g),
+        tuple(i.name for i in irreps(g)),
+        tuple(dims),  # comarks
+        tuple(edges),
+        0,  # affine_node
     )
 
 
@@ -130,11 +122,7 @@ def a_action(g: GroupSpec) -> AAction:
     if orbit != fund:
         raise InvariantError("1-dim tensoring must act simply transitively "
                              "on comark-1 nodes")
-    return AAction(
-        moduli=ab.group.moduli,
-        onedim_of=dict(ab.name_of),
-        perms=perms,
-    )
+    return AAction(ab.group.moduli, dict(ab.name_of), perms)
 
 
 def mckay_json(g: GroupSpec) -> dict:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcount import affine, lattice
+from dualcount import affine, rootdata
+from dualcount.abgroup import AbGroup
 from dualcount.affine import (
     TOLERANCE,
     charge_conjugation,
@@ -26,10 +27,12 @@ from dualcount.affine import (
     unitarity_error,
     verify_s_conjugation,
 )
+from dualcount.cli import SMATRIX_GRID
 from dualcount.counting import Target, count_homs
 from dualcount.cyclotomic import Cyc
 from dualcount.grouprep import det_char
 from dualcount.mckay import a_action
+from frac_inverse import frac_inverse
 from weyl_residue import (residue_counts, residue_modulus, residue_s_matrix,
                           weyl_group)
 
@@ -259,7 +262,7 @@ def test_coset_counts(ade_type, count):
 @pytest.mark.parametrize("ade_type", ["A1", "A5", "D4", "D7"])
 def test_determinant_coordinates_keep_the_inner_product(ade_type):
     letter, rank = parse_ade_type(ade_type)
-    cinv = lattice._frac_inverse(lattice.cartan_data(letter, rank).cartan)
+    cinv = frac_inverse(rootdata.cartan_data(letter, rank).cartan)
     rng = np.random.default_rng(rank)
     x, y = rng.integers(-3, 6, size=(2, rank))
     want = sum(int(x[i]) * cinv[i][j] * int(y[j])
@@ -423,7 +426,7 @@ def _per_row_weyl_sum(ade_type, n):
         for node, j in idx.items():
             shifted[a, j] += w[node]
     gram = np.asarray([[float(x) for x in row]
-                       for row in lattice._frac_inverse(c.cartan)])
+                       for row in frac_inverse(c.cartan)])
     right = gram @ shifted.T
     k = n + sum(lw.comarks)
     mats = _weight_reflections(c)
@@ -487,6 +490,30 @@ def test_s_matrix_is_computed_once_per_grid_point():
     assert affine._s_matrix.cache_info().misses == 1
 
 
+def test_s_matrix_array_is_read_only():
+    # the cache hands one array to every check of a grid point
+    sm = s_matrix("A2", 2)
+    before = sm.array().copy()
+    with pytest.raises(ValueError):
+        sm.array()[0, 0] = 0
+    assert np.array_equal(s_matrix("A2", 2).array(), before)
+    assert s_matrix("A2", 2) == affine.SMatrix(sm.weights, before)
+    assert sm != affine.SMatrix(sm.weights, before.conj())
+
+
+@pytest.mark.parametrize("ade_type", sorted({t for t, _ in SMATRIX_GRID}))
+def test_center_characters_match_the_cyclotomic_roots_of_unity(ade_type):
+    center = AbGroup(affine._finite_structure(ade_type)[0].center_moduli)
+    e = center.exponent
+    chis = center.elements()
+    got = affine._center_characters(center, chis)
+    for z in center.elements():
+        want = [Cyc.zeta(e, sum(c * a * (e // d) for c, a, d
+                                in zip(chi, z, center.moduli))).complex_value()
+                for chi in chis]
+        assert np.abs(got[z] - want).max() <= 1e-15
+
+
 def _fsum_s_matrix(ade_type, n):
     """S from the exact residue counts, each entry summed with math.fsum."""
     counts = residue_counts(ade_type, n)
@@ -524,7 +551,7 @@ def test_e6_level_2_entries_are_within_1e_15_of_40_digit_values():
               for cell in row] for row in counts]
         norm = mp.sqrt(mp.fsum(abs(z) ** 2 for row in u for z in row) / size)
         phase = 1j ** (affine._finite_structure("E6")[2] % 4)
-        s = s_matrix("E6", 2).values
+        s = s_matrix("E6", 2).array()
         err = max(abs(mp.mpc(s[a][b]) - u[a][b] * phase / norm)
                   for a in range(size) for b in range(size))
         # both sit within 4e-15 of a twelve-digit rounding boundary

@@ -596,6 +596,9 @@ LAYERS = ("affine", "lattice", "mckay", "series")
     (["genfun", "--gamma", "Ohat"], ["series"]),
     (["verify", "identities"], ["series"]),
     (["verify", "zn-lattice"], ["lattice"]),
+    # the S-matrices read their root data from rootdata, not lattice
+    (["verify", "smatrix"], ["affine", "mckay"]),
+    (["smatrix", "--type", "E6", "--level", "1"], ["affine", "mckay"]),
 ])
 def test_each_command_runs_only_the_layer_modules_it_uses(argv, ran):
     # every layer is registered, as a package attribute too, but loads lazily:
@@ -618,10 +621,14 @@ def test_each_command_runs_only_the_layer_modules_it_uses(argv, ran):
     (["verify", "identities"], "dataclasses"),
     (["verify", "zn-lattice"], "fractions"),
     (["count", "--gamma", "Z:5", "--target", "PSp", "--n", "3"], "fractions"),
+    *[(argv, unused)
+      for argv in (["verify", "smatrix"], ["smatrix", "--type", "E6", "--level", "1"])
+      for unused in ("dataclasses", "dualcount.cyclotomic", "fractions")],
 ])
 def test_series_and_lattice_runs_skip_the_modules_they_do_not_use(argv, unused):
-    # the series records are plain classes, and only the tests' grid oracle
-    # inverts a matrix in Fractions
+    # the series, affine and mckay records are plain classes, matrices are
+    # inverted over the integers, and the S-matrix checks read their roots of
+    # unity from a table by exact index
     code = ("import contextlib, io, sys\nfrom dualcount import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    status = cli.main({argv!r})\n"
@@ -1095,7 +1102,7 @@ def test_smatrix_digits_round_each_entry_once(digits, capsys):
     assert status == 0
     sm = affine.s_matrix("A2", 3)
     want = [[[round(z.real, int(digits)) + 0.0, round(z.imag, int(digits)) + 0.0]
-             for z in row] for row in sm.values]
+             for z in row] for row in sm.array().tolist()]
     assert json.loads(out)["entries"] == want
 
 

@@ -14,9 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from dualcount import affine, lattice
+from dualcount import affine
 from dualcount.affine import level_weights, parse_ade_type
 from dualcount.mckay import mckay_graph
+from frac_inverse import frac_inverse
 
 # row blocks hold at most this many residue-count cells, and each numpy
 # step evaluates at most this many pairings (or one cell block's worth)
@@ -76,7 +77,7 @@ def scaled_inverse(ade_type):
     """(den, den * C^-1) with den the denominator of the inverse Cartan
     matrix, so that den * (x, y) is an integer for weights x and y."""
     c, _, _ = affine._finite_structure(ade_type)
-    inv = lattice._frac_inverse(c.cartan)
+    inv = frac_inverse(c.cartan)
     den = math.lcm(*(x.denominator for row in inv for x in row))
     return den, np.asarray([[int(x * den) for x in row] for row in inv])
 
