@@ -1,8 +1,7 @@
 """Finite abelian groups presented as products of cyclic factors.
 
 Elements are integer tuples, one residue per cyclic factor.  Used for
-abelianizations, centers, and finite cohomology groups throughout the
-package.
+abelianizations, centers and grading groups throughout the package.
 """
 
 from __future__ import annotations
@@ -52,14 +51,6 @@ class AbGroup(Record):
 
     def scale(self, k: int, x) -> tuple[int, ...]:
         return tuple((k * a) % d for a, d in zip(x, self.moduli))
-
-    def element_order(self, x) -> int:
-        o = 1
-        for a, d in zip(x, self.moduli):
-            if a:
-                oa = d // gcd(a, d)
-                o = o * oa // gcd(o, oa)
-        return o
 
     # -- subgroups and quotients under multiplication by an integer ---------
 
@@ -149,31 +140,3 @@ class AbGroup(Record):
             if len(set(h.values())) == self.order:
                 out.append(h)
         return out
-
-    def automorphisms(self) -> list[dict]:
-        return self.isomorphisms_to(self)
-
-
-def invariant_factors(moduli) -> tuple[int, ...]:
-    """Canonical invariant factors d1 | d2 | ... of prod_i Z_{moduli[i]}."""
-    by_prime: dict[int, list[int]] = {}
-    for d in moduli:
-        p = 2
-        while d > 1:
-            if d % p == 0:
-                e = 0
-                while d % p == 0:
-                    d //= p
-                    e += 1
-                by_prime.setdefault(p, []).append(e)
-            p += 1
-    depth = max((len(v) for v in by_prime.values()), default=0)
-    out = []
-    for j in range(depth):
-        f = 1
-        for p, exps in by_prime.items():
-            exps = sorted(exps, reverse=True)
-            if j < len(exps):
-                f *= p ** exps[j]
-        out.append(f)
-    return tuple(sorted(out))

@@ -35,7 +35,7 @@ from functools import lru_cache
 from .abgroup import AbGroup
 from .counting import graded_compositions, iter_vectors
 from .errors import InvariantError
-from .grouprep import GroupSpec, abelianization, det_char
+from .grouprep import GroupSpec, abelianization
 from .mckay import a_action, mckay_graph
 from .record import Record
 from .rootdata import _adjugate, _kac_data, cartan_data
@@ -50,8 +50,6 @@ __all__ = [
     "charge_conjugation",
     "check_levels",
     "det_classes_from_center",
-    "det_classes_from_reps",
-    "det_route_report",
     "level_weights",
     "mckay_partner",
     "parse_ade_type",
@@ -499,7 +497,7 @@ def charge_conjugation(sm: SMatrix):
     return tuple(perm), tuple(signs), err
 
 
-# -- determinant classes, two routes -------------------------------------------
+# -- determinant classes -------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -528,47 +526,12 @@ def det_classes_from_center(lw: LevelWeights) -> tuple[tuple[int, ...], ...]:
 
     Coordinate j of a class says the j-th elementary-divisor generator of
     the center acts on the highest-weight line by exp(2*pi*i * c_j / d_j).
+    The tests check these classes against a second route, the determinants
+    of the partner-group representations that the weights name.
     """
     coefs = _center_coefficients(lw.ade_type)
     return tuple(tuple(sum(m * x for m, x in zip(w, row)) % d for d, row in coefs)
                  for w in lw.weights)
-
-
-def det_classes_from_reps(lw: LevelWeights) -> tuple[tuple[int, ...], ...]:
-    """Determinant of the partner-group representation attached to each
-    weight, as an abelianization element: the weight names the direct sum
-    of node irreps with the given multiplicities."""
-    g = mckay_partner(lw.ade_type)
-    ab = abelianization(g).group
-    dets = [det_char(g, name) for name in lw.node_names]
-    out = []
-    for w in lw.weights:
-        acc = ab.identity
-        for mult, d in zip(w, dets):
-            acc = ab.add(acc, ab.scale(mult, d))
-        out.append(acc)
-    return tuple(out)
-
-
-def det_route_report(ade_type: str, n: int) -> dict:
-    """Exact comparison of the two determinant routes.
-
-    The center and the character group of the partner have no preferred
-    identification, so every isomorphism is tried; the routes agree when at
-    least one matches the classes weight by weight.
-    """
-    lw = level_weights(ade_type, n)
-    c, _, _ = _finite_structure(ade_type)
-    center = AbGroup(c.center_moduli)
-    ab = abelianization(mckay_partner(ade_type)).group
-    geo = det_classes_from_center(lw)
-    rep = det_classes_from_reps(lw)
-    matches = []
-    for iso in center.isomorphisms_to(ab):
-        if all(iso[x] == y for x, y in zip(geo, rep)):
-            matches.append(sorted(iso.items()))
-    return {"type": ade_type, "level": n, "compatible": bool(matches),
-            "identifications": matches}
 
 
 # -- conjugating the two actions -----------------------------------------------

@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(sub, "smatrix", "modular S-matrix of an affine algebra at a level",
             rowless)
     p.add_argument("--type", dest="ade_type", required=True, help="e.g. A3, D4, E6")
-    p.add_argument("--level", type=_size(), required=True)
+    p.add_argument("--level", type=_size(low=1), required=True)
     p.add_argument("--digits", type=_size(MAX_DIGITS, low=1), default=12,
                    help="decimal places of each entry, 1 to 12 (default 12)")
 
@@ -314,12 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     one.add_argument("--pair", help="a pair label like Sp(2)/SO(5)")
     one.add_argument("--max-rank", dest="max_rank", type=_size(MAX_RANK),
                      help="largest rank of the swept pairs (default 4)")
-    p.add_argument("--max-n", dest="max_n", type=_size(MAX_N), default=4,
+    p.add_argument("--max-n", dest="max_n", type=_size(MAX_N, low=1), default=4,
                    help="largest modulus (default %(default)s)")
 
     p = add(suites, "smatrix", "S-matrix unitarity, symmetry and conjugation")
     p.add_argument("--type", dest="ade_type", help="restrict to one type")
-    p.add_argument("--max-n", dest="max_n", type=_size(),
+    p.add_argument("--max-n", dest="max_n", type=_size(low=1),
                    help="with --type: largest level (default 2)")
 
     p = add(suites, "oracle", "reference counts and series-vs-count agreement")

@@ -51,14 +51,12 @@ from .grouprep import (
     abelianization,
     irreps,
     onedim_permutations,
-    sw_of_multiplicity_vector,
     twisted_irreps,
     twisted_x_action,
 )
 from .record import Record
 
 TARGET_FAMILIES = ("U", "SU", "PU", "Sp", "O_odd", "SO_odd", "Spin_odd", "PSp")
-_ODD_FAMILIES = ("O_odd", "SO_odd", "Spin_odd")
 
 
 class Target(Record):
@@ -77,28 +75,6 @@ class Target(Record):
         if not isinstance(n, int) or n < 0:
             raise ValueError("target size must be a nonnegative integer")
         super().__init__(family, n)
-
-    @property
-    def label(self) -> str:
-        base = {"O_odd": "O", "SO_odd": "SO", "Spin_odd": "Spin"}.get(
-            self.family, self.family)
-        size = 2 * self.n + 1 if self.family in _ODD_FAMILIES else self.n
-        return f"{base}({size})"
-
-    @classmethod
-    def parse(cls, text: str) -> "Target":
-        """Accepts 'Sp:3' or 'Sp(3)'; odd families take n, not 2n+1."""
-        text = text.strip()
-        if ":" in text:
-            fam, _, num = text.partition(":")
-        elif text.endswith(")") and "(" in text:
-            fam, _, num = text[:-1].partition("(")
-        else:
-            raise ValueError(f"cannot parse target {text!r}; use e.g. 'Sp:3'")
-        try:
-            return cls(fam.strip(), int(num))
-        except ValueError as exc:
-            raise ValueError(f"cannot parse target {text!r}: {exc}") from None
 
 
 def composition_rows(slots, group: AbGroup, total: int) -> list:
@@ -190,14 +166,6 @@ def orbit_composition_rows(slots, group: AbGroup, total: int, perms,
             raise InvariantError(f"a Burnside sum in {sorted(row)} is not a "
                                  f"multiple of the group order {order}")
     return [[v // order for v in row] for row in sums]
-
-
-def orbit_compositions(slots, group: AbGroup, total: int, perms,
-                       order: int) -> dict:
-    """Row total of `orbit_composition_rows`, as a map from each grade to its
-    count."""
-    row, = orbit_composition_rows(slots, group, total, perms, order, start=total)
-    return dict(zip(group.elements(), row))
 
 
 def iter_vectors(weights, total):
@@ -317,7 +285,7 @@ class SectorCount(Record):
 
     def __init__(self, w: int, fixed: int, moved: int):
         if moved % 2:
-            raise ValueError("moved classes must pair up")
+            raise InvariantError("moved classes must pair up")
         super().__init__(w, fixed, moved)
 
     @property
@@ -363,7 +331,8 @@ def _oct_sp_sector_rows(max_n: int, w: int) -> list[SectorCount]:
 
 
 # coefficients of the mod-4 congruence c = m(1') - m(3') + m(2'') whose half
-# is the two-torsion sector of a special orthogonal Ohat vector
+# is the two-torsion sector of a special orthogonal Ohat vector; the tests
+# check it against the second Stiefel-Whitney class of the vector
 _OCT_CONGRUENCE = {"1'": 1, "3'": -1, "2''": 1}
 
 
@@ -416,39 +385,6 @@ def count_twisted(g: GroupSpec, family: str, n: int, w: int) -> SectorCount:
     if family == "Sp":
         return _oct_sp_sector_rows(n, w)[n]
     return _oct_spin_sector_rows(n)[n][w]
-
-
-def sector_of_so_rep(mv: dict[str, int]) -> int:
-    """Two-torsion sector of an orthogonal multiplicity vector for Ohat.
-
-    Computed two independent ways, which must agree: (a) the mod-4 congruence
-    on the multiplicities of 1', 3' and 2''; (b) the Whitney-sum obstruction
-    class of the direct sum.
-    """
-    g = GroupSpec.binary_octahedral()
-    infos = {i.name: i for i in irreps(g)}
-    ab = abelianization(g)
-    det = ab.group.identity
-    for name, mult in mv.items():
-        if name not in infos:
-            raise ValueError(f"Ohat has no irreducible named {name!r}")
-        if mult < 0:
-            raise ValueError("multiplicities must be nonnegative")
-        if infos[name].reality == PSEUDOREAL and mult % 2:
-            raise ValueError(
-                f"orthogonal vectors need even multiplicity on {name}")
-        det = ab.group.add(det, ab.group.scale(mult, infos[name].det_element))
-    if det != ab.group.identity:
-        raise ValueError("not special orthogonal: nontrivial determinant")
-    congruence = (mv.get("1'", 0) - mv.get("3'", 0) + mv.get("2''", 0)) % 4
-    by_congruence = congruence // 2
-    sw = sw_of_multiplicity_vector(g, {k: v for k, v in mv.items() if v})
-    if sw.w1:
-        raise InvariantError(f"special orthogonal vector {mv} is not orientable")
-    if sw.w2 != by_congruence:
-        raise InvariantError(
-            f"sector routes disagree on {mv}: {sw.w2} vs {by_congruence}")
-    return by_congruence
 
 
 # -- main counting entry -----------------------------------------------------------
@@ -593,19 +529,6 @@ class FRepCharacter(Record):
             for z in els)
         return cls(label, center_moduli, grading_moduli, values)
 
-    def grading_group(self) -> AbGroup:
-        return AbGroup(self.grading_moduli)
-
-    def value(self, z, w):
-        els = self.grading_group().elements()
-        return self.values[els.index(tuple(z))][els.index(tuple(w))]
-
-    def dim(self) -> int:
-        v = self.values[0][0].rational()
-        if v.denominator != 1:
-            raise InvariantError(f"table dimension {v} is not an integer")
-        return int(v)
-
 
 def _su_f_rep_entry(g: GroupSpec, max_n: int):
     """n -> the "su" table at n, for n = 1..max_n.
@@ -651,7 +574,13 @@ def _two_torsion_f_rep(label: str, sectors: dict[int, SectorCount]) -> FRepChara
 
 
 def f_rep_table(g: GroupSpec, side: str, max_n: int) -> SizeTable:
-    """`f_rep_character(g, side, n)` for n = 0..max_n, read as table[n]."""
+    """The finite character table acting on the graded counting space, for
+    n = 0..max_n, read as table[n].
+
+    side "su": any group, center Z_n gauged inside U(n), for n >= 1; side
+    "sp" and "spin": the octahedral two-torsion refinement of Sp(n) and
+    Spin(2n+1).
+    """
     if max_n < 0:
         raise ValueError("size out of range")
     if side == "su":
@@ -666,15 +595,6 @@ def f_rep_table(g: GroupSpec, side: str, max_n: int) -> SizeTable:
         spin = _oct_spin_sector_rows(max_n)
         return SizeTable(max_n, lambda n: _two_torsion_f_rep("spin", spin[n]))
     raise ValueError("side must be 'su', 'sp' or 'spin'")
-
-
-def f_rep_character(g: GroupSpec, side: str, n: int) -> FRepCharacter:
-    """Finite character table acting on the graded counting space.
-
-    side "su": any group, center Z_n gauged inside U(n); side "sp" and
-    "spin": the octahedral two-torsion refinement of Sp(n) and Spin(2n+1).
-    """
-    return f_rep_table(g, side, n)[n]
 
 
 def _matrix_map(mat, moduli):

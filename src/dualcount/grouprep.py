@@ -15,15 +15,20 @@ reality types by Frobenius-Schur indicators, determinants by Newton's
 identities and tensoring by character products.  Dimensions that do not
 square to the group order, or a determinant that names no 1-dim character,
 stop a run as an internal error.
+
+Cohomology with Z_r coefficients is read off the abelianization A: H^1 is its
+r-torsion (`AbGroup.kernel_of_scaling(r)`) and H^2 the quotient A/rA
+(`AbGroup.quotient_by_scaling(r)`), which the PSp and Spin counts read at
+r = 2.  The Stiefel-Whitney classes of the Ohat irreps, the independent route
+to the sector congruence of `counting`, are the tests' oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, gcd
 from types import MappingProxyType
 
-from .abgroup import AbGroup, invariant_factors
+from .abgroup import AbGroup
 from .errors import InvariantError, NotCoveredError
 from .record import Record
 
@@ -287,18 +292,6 @@ def irreps(g: GroupSpec) -> tuple[IrrepInfo, ...]:
     return _irrep_data(g)
 
 
-def irrep_by_name(g: GroupSpec, name: str) -> IrrepInfo:
-    for info in _irrep_data(g):
-        if info.name == name:
-            return info
-    raise ValueError(f"{g.label} has no irreducible named {name!r}")
-
-
-def det_char(g: GroupSpec, name: str) -> tuple[int, ...]:
-    """Determinant character of the named irrep, as an abelianization element."""
-    return irrep_by_name(g, name).det_element
-
-
 def _closed_form_generator_perms(g: GroupSpec, ab: Abelianization, names):
     """Node permutations of tensoring with each generator, for Z:m and Dhat:m.
 
@@ -370,37 +363,7 @@ def irrep_table_json(g: GroupSpec) -> dict:
     }
 
 
-# -- group cohomology with finite cyclic coefficients -------------------------
-
-
-class CohomologyGroup(Record):
-    """H^k of the classifying space with Z_r coefficients.
-
-    Degree 1 is the subgroup of r-torsion characters inside the
-    abelianization; degree 2 is the quotient by r-th powers, listed by
-    canonical (componentwise smallest) coset representatives, with class_of
-    sending each element to its representative (None in degree 1).
-    """
-
-    __slots__ = ("degree", "modulus", "invariant_factors", "elements",
-                 "class_of")
-
-
-def cohomology(g: GroupSpec, degree: int, r: int) -> CohomologyGroup:
-    if degree not in (1, 2):
-        raise ValueError("only degrees 1 and 2 are available")
-    if r < 1:
-        raise ValueError("coefficient modulus must be positive")
-    ab = abelianization(g).group
-    if degree == 1:
-        els = sorted(ab.kernel_of_scaling(r))
-        inv = invariant_factors(tuple(gcd(d, r) for d in ab.moduli))
-        return CohomologyGroup(1, r, inv, tuple(els), None)
-    qmod, reps, class_of = ab.quotient_by_scaling(r)
-    return CohomologyGroup(2, r, invariant_factors(qmod), tuple(reps), class_of)
-
-
-# -- binary octahedral extras: twisted irreps and orientation invariants ------
+# -- binary octahedral extras: twisted irreps -----------------------------------
 
 
 class TwistedIrrepInfo(Record):
@@ -437,50 +400,3 @@ def twisted_x_action(g: GroupSpec) -> dict[str, str]:
     twisted_irreps(g)  # raises off-family
     return {"1t": "1t'", "1t'": "1t", "2t": "2t'", "2t'": "2t",
             "3t": "3t'", "3t'": "3t", "4t": "4t", "2t''": "2t''"}
-
-
-class SWClass(Record):
-    """First and second orientation/spin obstruction bits of a real rep."""
-
-    __slots__ = ("w1", "w2")
-
-    def combine(self, other: "SWClass") -> "SWClass":
-        # Whitney formula truncated in degree <= 2
-        return SWClass((self.w1 + other.w1) % 2,
-                       (self.w2 + other.w2 + self.w1 * other.w1) % 2)
-
-    def power(self, n: int) -> "SWClass":
-        return SWClass((n * self.w1) % 2, (n * self.w2 + comb(n, 2) * self.w1) % 2)
-
-
-_SW_OCT = {
-    "1": SWClass(0, 0),
-    "3": SWClass(0, 0),
-    "1'": SWClass(1, 0),
-    "3'": SWClass(1, 1),
-    "2''": SWClass(1, 0),
-    # pseudoreal irreps contribute their underlying real form, which is
-    # trivial in both bits
-    "2": SWClass(0, 0),
-    "2'": SWClass(0, 0),
-    "4": SWClass(0, 0),
-}
-
-
-def sw_class(g: GroupSpec, name: str) -> SWClass:
-    if g.family != OCTAHEDRAL:
-        raise NotCoveredError(
-            "not covered: orientation classes are only tabulated for Ohat")
-    try:
-        return _SW_OCT[name]
-    except KeyError:
-        raise ValueError(f"Ohat has no irreducible named {name!r}") from None
-
-
-def sw_of_multiplicity_vector(g: GroupSpec, mv: dict[str, int]) -> SWClass:
-    """Obstruction bits of a direct sum given by name -> multiplicity."""
-    acc = SWClass(0, 0)
-    for name, mult in sorted(mv.items()):
-        if mult:
-            acc = acc.combine(sw_class(g, name).power(mult))
-    return acc

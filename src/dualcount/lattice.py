@@ -11,9 +11,9 @@ acting on the extended diagram's nodes, so a sweep over the modulus builds
 one table per side.  The refined variant grades (1/n)P/M* by Z = P/M* and
 packages the result with `FRepCharacter.from_counts`, as the character-table
 type of the direct constraint enumeration, so the two routes can be compared
-point for point.  The torus grids of
-n**rank points (`lattice_quotient`, `_orbits`, `graded_orbits`) remain only
-as the tests' oracle.
+point for point.  The orbits on the torus grids of n**rank points are the
+tests' oracle; of the grid, only `lattice_quotient` and what it builds stay
+here, because the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -36,16 +36,11 @@ __all__ = [
     "MAX_ZN_CELLS",
     "CartanData",
     "LatticeQuotient",
-    "GradedOrbitSet",
     "cartan_data",
     "lattice_quotient",
     "weyl_orbit_count",
-    "weyl_orbit_count_burnside",
-    "symmetric_orbit_count",
-    "graded_orbits",
     "refined_zn_characters",
     "dual_pairs",
-    "verify_zn_duality",
     "zn_duality_row",
     "zn_sweep_cells",
 ]
@@ -72,10 +67,6 @@ def _mat_mul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)
     ]
-
-
-def _mat_vec(a, v):
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
 # -- lattice choices --------------------------------------------------------------
@@ -207,89 +198,7 @@ def weyl_orbit_count(c: CartanData, lattice: str, n: int) -> int:
     return counts[n]
 
 
-def _orbits(generators, moduli, order=None):
-    """Orbits on the grid as sorted point lists, by breadth-first closure.
-
-    order optionally permutes the seed sequence; the partition (and hence
-    everything derived from it) must not depend on it.
-    """
-    pts = list(product(*[range(m) for m in moduli]))
-    if order is not None:
-        pts = [pts[i] for i in order]
-    r = len(moduli)
-    seen = set()
-    orbits = []
-    for p in pts:
-        if p in seen:
-            continue
-        seen.add(p)
-        stack = [p]
-        orbit = [p]
-        while stack:
-            q = stack.pop()
-            for S in generators:
-                im = tuple(
-                    sum(S[j][k] * q[k] for k in range(r)) % moduli[j]
-                    for j in range(r))
-                if im not in seen:
-                    seen.add(im)
-                    stack.append(im)
-                    orbit.append(im)
-        orbits.append(tuple(sorted(orbit)))
-    return sorted(orbits)
-
-
-def weyl_orbit_count_burnside(c: CartanData, lattice: str, n: int) -> int:
-    """Independent route: average fixed points over the explicit Weyl group."""
-    if c.rank > 3:
-        raise ValueError("explicit Weyl enumeration is limited to rank <= 3")
-    q = lattice_quotient(c, lattice, n)
-    group = {tuple(map(tuple, _identity_matrix(c.rank)))}
-    frontier = list(group)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for S in q.generators:
-                prod_ = tuple(
-                    tuple(sum(S[i][k] * w[k][j] for k in range(c.rank)) % n
-                          for j in range(c.rank))
-                    for i in range(c.rank))
-                if prod_ not in group:
-                    group.add(prod_)
-                    nxt.append(prod_)
-        frontier = nxt
-    total = 0
-    points = list(q.points())
-    for w in group:
-        total += sum(
-            1 for p in points
-            if all(
-                sum(w[j][k] * p[k] for k in range(c.rank)) % n == p[j]
-                for j in range(c.rank)))
-    if total % len(group):
-        raise InvariantError("the fixed points must average to a whole number")
-    return total // len(group)
-
-
-def symmetric_orbit_count(k: int, n: int) -> int:
-    """Orbits of coordinate permutations on (Z/n)^k: the U(k) count."""
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
-    gens = []
-    for i in range(k - 1):
-        S = _identity_matrix(k)
-        S[i], S[i + 1] = S[i + 1], S[i]
-        gens.append(tuple(tuple(row) for row in S))
-    return len(_orbits(tuple(gens), (n,) * k))
-
-
 # -- refined center grading ----------------------------------------------------------
-
-
-class GradedOrbitSet(Record):
-    """Grid Weyl orbits, their N*/M*-grades and the n-torsion translations."""
-
-    __slots__ = ("quotient", "orbits", "grades", "translations")
 
 
 def _torsion_lifts(c: CartanData, sublattice: str, n: int) -> dict:
@@ -309,55 +218,6 @@ def _refined_counts(c: CartanData, sublattice: str, n: int) -> dict:
                 sum(x * y for x, y in zip(row, lift)) % d
                 for row, d in zip(c.center_rows, c.center_moduli)))
             for kel, lift in _torsion_lifts(c, sublattice, n).items()}
-
-
-def graded_orbits(letter: str, rank: int, sublattice: str, n: int,
-                  order=None) -> GradedOrbitSet:
-    """Weyl orbits on the grid (1/n)N*/M*, as N*/nM* in Smith coordinates,
-    each graded by its class in Z = N*/M*; the tests' oracle."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    c = cartan_data(letter, rank)
-    zmods, zrows, _, _ = _center_grading(c, sublattice)
-    scaled = [[n * x for x in row] for row in _lattice_basis(c, sublattice)]
-    U2, D2, u2inv = _smith_normal_form(scaled)
-    xmods = tuple(D2[i][i] for i in range(rank))
-    gens = []
-    for S in c.reflections:
-        M = _mat_mul(_mat_mul(U2, S), u2inv)
-        if any(M[j][k] * xmods[k] % xmods[j]
-               for j in range(rank) for k in range(rank)):
-            raise InvariantError("the Weyl group must act on the grid")
-        gens.append(tuple(tuple(row) for row in M))
-    orbits = _orbits(gens, xmods, order=order)
-    grade_rows = _mat_mul(zrows, u2inv)
-    grades = []
-    for orbit in orbits:
-        gs = {tuple(x % d for x, d in zip(_mat_vec(grade_rows, p), zmods))
-              for p in orbit}
-        if len(gs) != 1:
-            raise InvariantError("the grading must be Weyl-invariant")
-        grades.append(gs.pop())
-    translations = {
-        kel: tuple(v % m for v, m in zip(_mat_vec(U2, [n * x for x in lift]), xmods))
-        for kel, lift in _torsion_lifts(c, sublattice, n).items()}
-    quotient = LatticeQuotient(c.type, sublattice, n, xmods, tuple(gens))
-    return GradedOrbitSet(quotient, tuple(orbits), tuple(grades), translations)
-
-
-def _grid_refined_counts(c: CartanData, sublattice: str, n: int) -> dict:
-    """`_refined_counts` from the orbits on the grid; the tests' oracle."""
-    graded = graded_orbits(c.type[0], c.rank, sublattice, n)
-    orbit_of = {p: idx for idx, orbit in enumerate(graded.orbits) for p in orbit}
-    zgroup = AbGroup(_center_grading(c, sublattice)[0])
-    counts = {}
-    for kel, t in graded.translations.items():
-        counts[kel] = dict.fromkeys(zgroup.elements(), 0)
-        for idx, orbit in enumerate(graded.orbits):
-            moved = tuple((a + b) % m
-                          for a, b, m in zip(orbit[0], t, graded.quotient.moduli))
-            counts[kel][graded.grades[idx]] += orbit_of[moved] == idx
-    return counts
 
 
 def refined_zn_characters(letter: str, rank: int, sublattice: str,
@@ -512,11 +372,6 @@ def zn_sweep_cells(pairs, max_n: int) -> int:
     """
     ranks = [_pair_sides(pair)[0][1] for pair in pairs]
     return sum((r + 1) ** 2 for r in ranks) * max_n * (max_n + 1)
-
-
-def verify_zn_duality(pair, n: int) -> bool:
-    """Orbit counts of the two sides of a dual pair agree at modulus n."""
-    return zn_duality_row(pair, n)["equal"]
 
 
 def zn_duality_row(pair, n: int) -> dict:

@@ -22,8 +22,8 @@ from math import gcd, lcm
 from operator import add, sub
 
 from .bounds import MAX_ORDER  # re-exported: the bound on truncation orders
-from .errors import NotCoveredError
-from .grouprep import CYCLIC, DIHEDRAL, ICOSAHEDRAL, OCTAHEDRAL, TETRAHEDRAL, GroupSpec
+from .errors import InvariantError, NotCoveredError
+from .grouprep import CYCLIC, DIHEDRAL, OCTAHEDRAL, TETRAHEDRAL, GroupSpec
 from .record import Record
 
 IDENTITIES = ("KF1", "KF2", "KF3", "KF4", "PropX", "PropY", "PropA")
@@ -90,10 +90,13 @@ class GaussSeries:
         return Fraction(self.re[k], self.den)
 
     def integer_coeffs(self) -> list[int]:
+        """The coefficients of a counting series, which are integers: any
+        other value is a defect in the series (InvariantError)."""
         if any(self.im):
-            raise ValueError("series has non-real coefficients")
+            raise InvariantError("series has non-real coefficients")
         if self.den != 1:
-            raise ValueError(f"series has non-integer coefficients (scale {self.den})")
+            raise InvariantError(
+                f"series has non-integer coefficients (scale {self.den})")
         return list(self.re)
 
     def __eq__(self, other):
@@ -800,27 +803,3 @@ def prove_identity(identity: str, params=None) -> dict:
         "degree_or_order": degree,
         "verdict": "proven" if holds else "failed",
     }
-
-
-def mainA_instantiation(g: GroupSpec) -> tuple[str, str]:
-    """The identity and parameters whose two sides are the closed forms of
-    q * Sp-series and SO-series for the given group."""
-    if g.family == CYCLIC:
-        l = g.param // 2
-        return "KF1", f"1;1;{l};{','.join(['1'] * l)}"
-    if g.family == DIHEDRAL:
-        m = g.param
-        if m % 2:
-            t = (m - 1) // 2
-            v0 = ",".join(["1"] + ["2"] * t)
-            v1 = ",".join(["1"] * t)
-            return "KF2", f"2;1;{t + 1},{t};{v0};{v1}"
-        t = m // 2
-        v00 = ",".join(["2"] * (t - 1))
-        v01 = ",".join(["1"] * (t - 1))
-        return "KF3", f"1;{t - 1},{t - 1},0,0;{v00};{v01};;"
-    if g.family == TETRAHEDRAL:
-        return "KF1", "2;1,2;2;1,2"
-    if g.family == OCTAHEDRAL:
-        return "KF2", "4;1,2;1,1;2;1"
-    return "KF1", "4;1,3,2,2;2;2,4"

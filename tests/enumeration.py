@@ -9,7 +9,6 @@ characters, the binary octahedral covers from the two-torsion sectors of
 the listed vectors, cyclic covers from the Weyl orbits on the torus grid.
 """
 
-from dualcount import lattice
 from dualcount.counting import (SectorCount, Target, _build_slots,
                                 _orthogonal_slots, _symplectic_slots,
                                 iter_vectors)
@@ -17,7 +16,9 @@ from dualcount.errors import NotCoveredError
 from dualcount.grouprep import (CYCLIC, ICOSAHEDRAL, OCTAHEDRAL, REAL,
                                 TETRAHEDRAL, GroupSpec, abelianization,
                                 irreps, twisted_irreps)
+from dualcount.lattice import cartan_data
 from char_tables import tensor_with_onedim
+from grid_orbits import grid_count
 
 
 def _vector_as_dict(slots, vec) -> dict[str, int]:
@@ -136,12 +137,6 @@ def enumerated_sector(family: str, n: int, w: int) -> SectorCount:
     return SectorCount(w, fixed, moved)
 
 
-def _grid_orbits(letter: str, rank: int, choice: str, modulus: int) -> int:
-    q = lattice.lattice_quotient(lattice.cartan_data(letter, rank), choice,
-                                 modulus)
-    return len(lattice._orbits(q.generators, q.moduli))
-
-
 def enumerated_count(g: GroupSpec, family: str, n: int) -> int:
     """N(g, family(n)) by listing, for every target family."""
     if family in ("U", "SU", "Sp", "O_odd", "SO_odd"):
@@ -154,8 +149,8 @@ def enumerated_count(g: GroupSpec, family: str, n: int) -> int:
         return sum(1 for i in irreps(g) if i.dim == 1 and i.reality == REAL)
     spin = family == "Spin_odd"
     if g.family == CYCLIC:
-        return _grid_orbits("B" if spin else "C", n, "sc" if spin else "adj",
-                            g.param)
+        return grid_count(cartan_data("B" if spin else "C", n),
+                          "sc" if spin else "adj", g.param)
     if g.family in (TETRAHEDRAL, ICOSAHEDRAL):
         return enumerated_count(g, "SO_odd" if spin else "Sp", n)
     if g.family == OCTAHEDRAL and spin:

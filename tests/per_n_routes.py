@@ -13,7 +13,7 @@ from dualcount.abgroup import AbGroup
 from dualcount.counting import (FRepCharacter, Target, _fixed_slots,
                                 _oct_sp_sector_rows, _oct_spin_sector_rows,
                                 _two_torsion_f_rep, count_homs,
-                                graded_compositions, orbit_compositions,
+                                graded_compositions, orbit_composition_rows,
                                 tables_swap_equivalent)
 from dualcount.errors import InvariantError, NotCoveredError
 from dualcount.grouprep import (CYCLIC, ICOSAHEDRAL, OCTAHEDRAL, TETRAHEDRAL,
@@ -32,7 +32,8 @@ def weyl_orbit_count(c, choice: str, n: int) -> int:
         (a, tuple(row[i] % d for row, d in zip(zrows, zmods)))
         for i, a in enumerate(marks[1:])]
     perms = [omega[h] for h in sub]
-    return orbit_compositions(slots, zgroup, n, perms, len(sub))[zgroup.identity]
+    row, = orbit_composition_rows(slots, zgroup, n, perms, len(sub), start=n)
+    return row[0]
 
 
 def su_f_rep(g, n: int) -> FRepCharacter:

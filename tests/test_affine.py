@@ -16,8 +16,6 @@ from dualcount.affine import (
     TOLERANCE,
     charge_conjugation,
     det_classes_from_center,
-    det_classes_from_reps,
-    det_route_report,
     level_weights,
     mckay_partner,
     parse_ade_type,
@@ -30,9 +28,9 @@ from dualcount.affine import (
 from dualcount.cli import SMATRIX_GRID
 from dualcount.counting import Target, count_homs
 from dualcount.cyclotomic import Cyc
-from dualcount.grouprep import det_char
 from dualcount.mckay import a_action
 from frac_inverse import frac_inverse
+from rep_routes import det_char, det_classes_from_reps, det_route_report
 from weyl_residue import (residue_counts, residue_modulus, residue_s_matrix,
                           weyl_group)
 

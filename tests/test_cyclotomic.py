@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualcount import cyclotomic
-from dualcount.abgroup import AbGroup, invariant_factors
+from dualcount.abgroup import AbGroup
 from dualcount.cyclotomic import Cyc, cyclotomic_poly
 
 
@@ -356,8 +356,6 @@ def test_abgroup_basics():
     assert g.exponent == 12
     assert g.add((3, 5), (2, 2)) == (1, 1)
     assert g.neg((1, 2)) == (3, 4)
-    assert g.element_order((2, 3)) == 2
-    assert g.element_order((1, 1)) == 12
 
 
 def test_kernel_of_scaling():
@@ -397,15 +395,7 @@ def test_homs_and_isos():
     c = AbGroup((2, 2))
     isos = a.isomorphisms_to(c)
     assert len(isos) == 6  # GL(2, F2)
-    assert len(AbGroup((4,)).automorphisms()) == 2
-
-
-def test_invariant_factors():
-    assert invariant_factors((4, 6)) == (2, 12)
-    assert invariant_factors((2, 2)) == (2, 2)
-    assert invariant_factors((1, 1, 5)) == (5,)
-    assert invariant_factors(()) == ()
-    assert invariant_factors((8, 3)) == (24,)
+    assert len(AbGroup((4,)).isomorphisms_to(AbGroup((4,)))) == 2
 
 
 @given(st.integers(1, 12), st.integers(1, 12))

@@ -3,29 +3,23 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import char_tables
 from char_tables import (character_table, decompose_defining_tensor,
                          defining_char, dihedral_mult, tensor_with_onedim)
-from dualcount.cyclotomic import Cyc
 from dualcount.errors import NotCoveredError
 from dualcount.grouprep import (
     COMPLEX,
     PSEUDOREAL,
     REAL,
     GroupSpec,
-    SWClass,
     abelianization,
-    cohomology,
-    det_char,
-    irrep_by_name,
     irrep_table_json,
     irreps,
     onedim_permutations,
-    sw_class,
-    sw_of_multiplicity_vector,
     twisted_irreps,
     twisted_x_action,
 )
+from rep_routes import (SWClass, det_char, irrep_by_name, sw_class,
+                        sw_of_multiplicity_vector)
 
 ALL_GROUPS = (
     [GroupSpec.cyclic(n) for n in (1, 2, 3, 4, 5, 7, 8, 12)]
@@ -202,30 +196,27 @@ def test_abelianization_names_dihedral_even():
     assert ab.name_of[(1, 1)] == "1''"
 
 
+def _ab(g):
+    return abelianization(g).group
+
+
 def test_cohomology_degree1():
-    h = cohomology(GroupSpec.binary_octahedral(), 1, 2)
-    assert h.invariant_factors == (2,)
-    assert h.elements == ((0,), (1,))
-    assert cohomology(GroupSpec.binary_tetrahedral(), 1, 2).elements == ((0,),)
-    assert cohomology(GroupSpec.binary_icosahedral(), 1, 2).elements == ((),)
-    h12 = cohomology(GroupSpec.cyclic(12), 1, 8)
-    assert sorted(h12.elements) == [(0,), (3,), (6,), (9,)]
-    assert h12.invariant_factors == (4,)
-    hd = cohomology(GroupSpec.binary_dihedral(4), 1, 2)
-    assert len(hd.elements) == 4
+    # H^1(G, Z_2) is the 2-torsion of the abelianization; the cyclic case is
+    # test_cyclotomic's test_kernel_of_scaling
+    assert sorted(_ab(GroupSpec.binary_octahedral()).kernel_of_scaling(2)) == [
+        (0,), (1,)]
+    assert _ab(GroupSpec.binary_tetrahedral()).kernel_of_scaling(2) == [(0,)]
+    assert _ab(GroupSpec.binary_icosahedral()).kernel_of_scaling(2) == [()]
+    assert len(_ab(GroupSpec.binary_dihedral(4)).kernel_of_scaling(2)) == 4
 
 
 def test_cohomology_degree2():
-    h = cohomology(GroupSpec.cyclic(12), 2, 8)
-    assert h.invariant_factors == (4,)
-    assert h.elements == ((0,), (1,), (2,), (3,))
-    assert h.class_of[(7,)] == (3,)
-    h2 = cohomology(GroupSpec.binary_dihedral(3), 2, 2)
-    assert h2.invariant_factors == (2,)
-    assert h2.elements == ((0,), (1,))
-    assert cohomology(GroupSpec.binary_tetrahedral(), 2, 2).elements == ((0,),)
-    with pytest.raises(ValueError):
-        cohomology(GroupSpec.cyclic(3), 3, 2)
+    # H^2(G, Z_2) is A/2A, A the abelianization, which the PSp(0) count reads;
+    # the cyclic case is test_cyclotomic's test_quotient_by_scaling
+    qmod, reps, _ = _ab(GroupSpec.binary_dihedral(3)).quotient_by_scaling(2)
+    assert qmod == (2,)
+    assert reps == [(0,), (1,)]
+    assert _ab(GroupSpec.binary_tetrahedral()).quotient_by_scaling(2)[1] == [(0,)]
 
 
 def test_tensor_with_onedim():

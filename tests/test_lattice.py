@@ -11,6 +11,7 @@ from dualcount import lattice as L
 from dualcount.abgroup import AbGroup
 from dualcount.counting import Target, count_homs, tables_swap_equivalent
 from dualcount.grouprep import GroupSpec
+import grid_orbits
 import per_n_routes
 
 
@@ -107,13 +108,13 @@ def test_modulus_validation():
     with pytest.raises(ValueError):
         L.weyl_orbit_count(L.cartan_data("A", 2), "sc", 0)
     with pytest.raises(ValueError):
-        L.symmetric_orbit_count(3, 0)
+        grid_orbits.symmetric_orbit_count(3, 0)
 
 
 @given(st.integers(1, 5), st.integers(1, 8))
 @settings(max_examples=25, deadline=None)
 def test_symmetric_orbit_count_is_multiset_count(k, n):
-    assert L.symmetric_orbit_count(k, n) == comb(n + k - 1, k)
+    assert grid_orbits.symmetric_orbit_count(k, n) == comb(n + k - 1, k)
 
 
 BURNSIDE_CASES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -126,24 +127,24 @@ def test_burnside_agrees_with_component_count(letter, rank):
     for choice in ("sc", "adj"):
         for n in range(1, 5):
             assert (L.weyl_orbit_count(c, choice, n)
-                    == L.weyl_orbit_count_burnside(c, choice, n))
+                    == grid_orbits.weyl_orbit_count_burnside(c, choice, n))
 
 
 def test_burnside_guard():
     with pytest.raises(ValueError):
-        L.weyl_orbit_count_burnside(L.cartan_data("F", 4), "sc", 2)
+        grid_orbits.weyl_orbit_count_burnside(L.cartan_data("F", 4), "sc", 2)
 
 
 def test_orbit_partition_independent_of_seed_order():
     c = L.cartan_data("B", 2)
     q = L.lattice_quotient(c, "sc", 4)
-    base = L._orbits(q.generators, q.moduli)
+    base = grid_orbits.orbits(q.generators, q.moduli)
     rng = random.Random(7)
     size = q.size()
     for _ in range(5):
         order = list(range(size))
         rng.shuffle(order)
-        assert L._orbits(q.generators, q.moduli, order=order) == base
+        assert grid_orbits.orbits(q.generators, q.moduli, order=order) == base
     assert L.weyl_orbit_count(c, "sc", 4) == len(base)
 
 
@@ -175,7 +176,8 @@ def test_unitary_cross_oracle():
             g = GroupSpec.cyclic(n)
             assert L.weyl_orbit_count(c, "sc", n) == count_homs(g, Target("SU", k))
             assert L.weyl_orbit_count(c, "adj", n) == count_homs(g, Target("PU", k))
-            assert L.symmetric_orbit_count(k, n) == count_homs(g, Target("U", k))
+            assert grid_orbits.symmetric_orbit_count(k, n) == count_homs(
+                g, Target("U", k))
 
 
 def test_two_torsion_cross_oracle():
@@ -194,28 +196,28 @@ def test_two_torsion_cross_oracle():
 
 
 def test_anchor_duality_examples():
-    assert L.verify_zn_duality(("SU(3)", "PU(3)"), 2)
-    assert L.verify_zn_duality(("Sp(2)", "SO(5)"), 3)
-    assert L.verify_zn_duality("G2", 4)
+    assert L.zn_duality_row(("SU(3)", "PU(3)"), 2)["equal"]
+    assert L.zn_duality_row(("Sp(2)", "SO(5)"), 3)["equal"]
+    assert L.zn_duality_row("G2", 4)["equal"]
 
 
 def test_non_dual_pairs_rejected():
     with pytest.raises(ValueError):
-        L.verify_zn_duality(("SU(3)", "SU(3)"), 2)
+        L.zn_duality_row(("SU(3)", "SU(3)"), 2)
     with pytest.raises(ValueError):
-        L.verify_zn_duality(("Sp(2)", "SO(7)"), 2)
+        L.zn_duality_row(("Sp(2)", "SO(7)"), 2)
     with pytest.raises(ValueError):
-        L.verify_zn_duality(("Ss(12)", "Ss(12)"), 2)
+        L.zn_duality_row(("Ss(12)", "Ss(12)"), 2)
     with pytest.raises(ValueError):
-        L.verify_zn_duality("nonsense", 2)
+        L.zn_duality_row("nonsense", 2)
 
 
 def test_half_spin_duality_rule():
     # self-dual when the half dimension is divisible by four, crossed otherwise
     assert L._dual_descriptor(("D", 4, "hs+")) == ("D", 4, "hs+")
     assert L._dual_descriptor(("D", 6, "hs+")) == ("D", 6, "hs-")
-    assert L.verify_zn_duality(("Ss(12)", "Ss'(12)"), 3)
-    assert L.verify_zn_duality(("Ss(8)", "Ss(8)"), 3)
+    assert L.zn_duality_row(("Ss(12)", "Ss'(12)"), 3)["equal"]
+    assert L.zn_duality_row(("Ss(8)", "Ss(8)"), 3)["equal"]
 
 
 def test_catalog_contents():
@@ -233,7 +235,7 @@ def test_catalog_contents():
 def test_catalog_duality_small_n():
     for name in L.dual_pairs(4):
         for n in range(1, 4):
-            assert L.verify_zn_duality(name, n), (name, n)
+            assert L.zn_duality_row(name, n)["equal"], (name, n)
 
 
 def test_zn_duality_row_shape():
@@ -296,21 +298,17 @@ def test_refined_klein_four_grading():
 
 
 def test_graded_orbits_structure():
-    g = L.graded_orbits("A", 1, "sc", 2)
+    g = grid_orbits.graded_orbits("A", 1, "sc", 2)
     assert sorted(g.grades) == [(0,), (0,), (1,)]
     assert sum(len(o) for o in g.orbits) == g.quotient.size()
     rng = random.Random(3)
     order = list(range(g.quotient.size()))
     rng.shuffle(order)
-    assert L.graded_orbits("A", 1, "sc", 2, order=order).orbits == g.orbits
+    assert grid_orbits.graded_orbits("A", 1, "sc", 2,
+                                     order=order).orbits == g.orbits
 
 
 # -- the Kac-coordinate route against the grid oracle ---------------------------------
-
-
-def _grid_count(c, choice, n):
-    q = L.lattice_quotient(c, choice, n)
-    return len(L._orbits(q.generators, q.moduli))
 
 
 def _catalogue_sides(max_rank):
@@ -334,7 +332,8 @@ KAC_CASES = (
 def test_kac_route_matches_the_grid():
     for (letter, rank, choice), n in KAC_CASES:
         c = L.cartan_data(letter, rank)
-        assert L.weyl_orbit_count(c, choice, n) == _grid_count(c, choice, n), (
+        assert L.weyl_orbit_count(c, choice, n) == grid_orbits.grid_count(
+            c, choice, n), (
             letter, rank, choice, n)
 
 
@@ -366,7 +365,8 @@ def test_refined_counts_match_the_grid():
     for letter, rank, choice, m in REFINED_CASES:
         c = L.cartan_data(letter, rank)
         assert (L._refined_counts(c, choice, m)
-                == L._grid_refined_counts(c, choice, m)), (letter, rank, choice, m)
+                == grid_orbits.grid_refined_counts(c, choice, m)), (
+                    letter, rank, choice, m)
 
 
 COXETER = ([("A", r, r + 1) for r in range(1, 11)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcount.errors import NotCoveredError
-from dualcount.grouprep import GroupSpec
+from dualcount.grouprep import CYCLIC, DIHEDRAL, OCTAHEDRAL, TETRAHEDRAL, GroupSpec
 from dualcount.series import (
     Avg,
     Binom,
@@ -22,7 +22,6 @@ from dualcount.series import (
     cleared_difference_degree,
     expand,
     identity_trees,
-    mainA_instantiation,
     make_lin,
     mknum,
     mkprod,
@@ -595,6 +594,30 @@ def test_cleared_difference_reports_failure_degree():
     assert degree >= 1
     ok, _ = cleared_difference_degree(lhs, Binom(make_lin(), 1, -1))
     assert ok
+
+
+def mainA_instantiation(g: GroupSpec) -> tuple[str, str]:
+    """The identity and parameters whose two sides are the closed forms of
+    q * Sp-series and SO-series for the given group."""
+    if g.family == CYCLIC:
+        l = g.param // 2
+        return "KF1", f"1;1;{l};{','.join(['1'] * l)}"
+    if g.family == DIHEDRAL:
+        m = g.param
+        if m % 2:
+            t = (m - 1) // 2
+            v0 = ",".join(["1"] + ["2"] * t)
+            v1 = ",".join(["1"] * t)
+            return "KF2", f"2;1;{t + 1},{t};{v0};{v1}"
+        t = m // 2
+        v00 = ",".join(["2"] * (t - 1))
+        v01 = ",".join(["1"] * (t - 1))
+        return "KF3", f"1;{t - 1},{t - 1},0,0;{v00};{v01};;"
+    if g.family == TETRAHEDRAL:
+        return "KF1", "2;1,2;2;1,2"
+    if g.family == OCTAHEDRAL:
+        return "KF2", "4;1,2;1,1;2;1"
+    return "KF1", "4;1,3,2,2;2;2,4"
 
 
 @pytest.mark.parametrize(
