@@ -1,8 +1,8 @@
 """Size bounds that the command line checks before it loads the layer they bound.
 
-`series.MAX_ORDER` and `lattice.MAX_RANK` are these same values, so a
-command that never expands a series or counts a Weyl orbit still checks
-its sizes without loading either module.
+They live here, not in `series` or `lattice`, so a command that never
+expands a series or counts a Weyl orbit still checks its sizes without
+loading either module; `rootdata` reads MAX_RANK from here too.
 """
 
 # Largest truncation order that genfun --order may ask for.  The built-in

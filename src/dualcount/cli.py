@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     # as given only when its value is not the default
     one = p.add_mutually_exclusive_group()
     one.add_argument("--pair", help="a pair label like Sp(2)/SO(5)")
-    one.add_argument("--max-rank", dest="max_rank", type=_size(MAX_RANK),
+    one.add_argument("--max-rank", dest="max_rank", type=_size(MAX_RANK, low=1),
                      help="largest rank of the swept pairs (default 4)")
     p.add_argument("--max-n", dest="max_n", type=_size(MAX_N, low=1), default=4,
                    help="largest modulus (default %(default)s)")
@@ -399,8 +399,8 @@ def _run_mckay(cfg: argparse.Namespace):
 
 def _run_genfun(cfg: argparse.Namespace):
     g = GroupSpec.from_label(cfg.gamma)
-    tree = series.builtin_genfun(g, cfg.token)
-    coeffs = series.expand(tree, cfg.order).integer_coeffs()
+    terms = series.builtin_genfun(g, cfg.token)
+    coeffs = series.expand(terms, cfg.order).integer_coeffs()
     return {"command": "genfun", "gamma": g.label, "token": cfg.token,
             "order": cfg.order, "coefficients": list(coeffs)}, EXIT_OK
 

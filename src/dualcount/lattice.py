@@ -24,7 +24,6 @@ from itertools import product
 from math import gcd, prod
 
 from .abgroup import AbGroup
-from .bounds import MAX_RANK
 from .counting import FRepCharacter, orbit_composition_rows
 from .errors import InvariantError
 from .record import Record
@@ -32,7 +31,6 @@ from .rootdata import (CartanData, _adjugate, _identity_matrix, _kac_data,
                        _smith_normal_form, cartan_data)
 
 __all__ = [
-    "MAX_RANK",
     "MAX_ZN_CELLS",
     "CartanData",
     "LatticeQuotient",

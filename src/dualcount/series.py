@@ -1,14 +1,15 @@
 """Generating functions in q with fourth-root-of-unity phases.
 
-Expressions are trees built in code, and they cover exactly what the
-counting identities need: rational scalars, powers of q, phases i^(linear
-form), binomial factors (1 - i^L q^k)^e, products, signed sums, and averaging
-operators avg(v in 0..n) that substitute v = 0..n and divide by n + 1.
+A series is a list of flat terms, each a Gaussian rational scalar times a
+power of q times binomial factors (1 - i^c q^k)^e, and it is the sum of its
+terms.  The builders make these lists directly from a handful of
+combinators, which cover exactly what the counting identities need:
+rational scalars, powers of q, phases i^c, binomial factors, products that
+multiply term lists out, signed sums, and averages that call a body with
+each value of its variables and divide by their number.
 
-One route leads from a tree to coefficients.  `_flatten` multiplies a tree
-out into flat terms, each a scalar times a power of q times binomial
-factors, and `_sum_terms` adds them exactly over one integer scale, the lcm
-of their denominators: every phase is a power of i, so a binomial factor is
+`_sum_terms` adds flat terms exactly over one integer scale, the lcm of
+their denominators: every phase is a power of i, so a binomial factor is
 applied by integer additions and quarter turns.  `expand` sums through a
 truncation order from the caller; `cleared_difference_degree` proves an
 identity by clearing all denominators and checking that the sum vanishes.
@@ -17,14 +18,12 @@ identity by clearing all denominators and checking that the sum vanishes.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from math import gcd, lcm
-from operator import add, sub
+from itertools import accumulate, product as cartesian
+from math import gcd, lcm, prod
+from operator import add, mul, sub
 
-from .bounds import MAX_ORDER  # re-exported: the bound on truncation orders
 from .errors import InvariantError, NotCoveredError
 from .grouprep import CYCLIC, DIHEDRAL, OCTAHEDRAL, TETRAHEDRAL, GroupSpec
-from .record import Record
 
 IDENTITIES = ("KF1", "KF2", "KF3", "KF4", "PropX", "PropY", "PropA")
 
@@ -107,143 +106,7 @@ class GaussSeries:
         return f"GaussSeries({self.order}, {self.re[:8]}, {self.im[:8]}, {self.den}...)"
 
 
-# -- linear forms modulo 4 ----------------------------------------------------
-
-
-class LinForm(Record):
-    """const + sum(coeff * var) with everything taken mod 4; terms is a
-    tuple of (var, coeff) pairs."""
-
-    __slots__ = ("const", "terms")
-
-    def evaluate(self, env: dict) -> int:
-        total = self.const
-        for var, c in self.terms:
-            if var not in env:
-                raise ValueError(f"unbound variable {var!r}")
-            total += c * env[var]
-        return total % 4
-
-
-def make_lin(const: int = 0, terms=()) -> LinForm:
-    acc: dict[str, int] = {}
-    for var, c in terms:
-        acc[var] = (acc.get(var, 0) + c) % 4
-    clean = tuple(sorted((v, c) for v, c in acc.items() if c))
-    return LinForm(const % 4, clean)
-
-
-# -- expression nodes ---------------------------------------------------------
-
-
-class Num(Record):
-    __slots__ = ("value",)  # a nonnegative Fraction
-
-    def __init__(self, value: Fraction):
-        if value < 0:
-            raise ValueError("negative scalars are expressed through sums")
-        super().__init__(value)
-
-
-class QPow(Record):
-    __slots__ = ("k",)
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("q exponent must be positive")
-        super().__init__(k)
-
-
-class Root(Record):
-    """i raised to a linear form: a constant or a single-variable phase."""
-
-    __slots__ = ("lin",)
-
-    def __init__(self, lin: LinForm):
-        if len(lin.terms) > 1:
-            raise ValueError("phase factors carry at most one variable")
-        if not lin.terms and lin.const not in (1, 3):
-            raise ValueError("constant phase must be i or i^3")
-        super().__init__(lin)
-
-
-class Binom(Record):
-    """(1 - i^phase q^k)^e."""
-
-    __slots__ = ("phase", "k", "e")
-
-    def __init__(self, phase: LinForm, k: int, e: int):
-        if k < 1:
-            raise ValueError("q exponent must be positive")
-        if e == 0:
-            raise ValueError("binomial exponent must be nonzero")
-        super().__init__(phase, k, e)
-
-
-class Prod(Record):
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple):
-        if len(factors) < 2:
-            raise ValueError("products need at least two factors")
-        super().__init__(factors)
-
-
-class Sum(Record):
-    __slots__ = ("terms",)  # a tuple of (sign, node) with sign +-1
-
-    def __init__(self, terms: tuple):
-        if not terms:
-            raise ValueError("sums need at least one term")
-        if len(terms) == 1 and terms[0][0] == 1:
-            raise ValueError("a one-term positive sum must be unwrapped")
-        super().__init__(terms)
-
-
-class Avg(Record):
-    """(1/(hi+1)) * sum over var = 0..hi of the body."""
-
-    __slots__ = ("var", "hi", "body")
-
-    def __init__(self, var: str, hi: int, body):
-        if hi < 0:
-            raise ValueError("avg upper bound must be nonnegative")
-        super().__init__(var, hi, body)
-
-
-def mknum(value) -> Num:
-    return Num(Fraction(value))
-
-
-def mkprod(*factors):
-    flat = []
-    for f in factors:
-        if isinstance(f, Prod):
-            flat.extend(f.factors)
-        elif isinstance(f, Num) and f.value == 1:
-            continue
-        else:
-            flat.append(f)
-    if not flat:
-        return mknum(1)
-    if len(flat) == 1:
-        return flat[0]
-    return Prod(tuple(flat))
-
-
-def mksum(*signed_terms):
-    flat = []
-    for sign, node in signed_terms:
-        if isinstance(node, Sum):
-            flat.extend((sign * s, t) for s, t in node.terms)
-        else:
-            flat.append((sign, node))
-    if len(flat) == 1 and flat[0][0] == 1:
-        return flat[0][1]
-    return Sum(tuple(flat))
-
-
-# -- flat terms: the one route from a tree to coefficients ----------------------
+# -- flat terms ------------------------------------------------------------------
 
 
 class _FlatTerm:
@@ -253,34 +116,7 @@ class _FlatTerm:
 
     def __init__(self, re: int, im: int, den: int, qshift: int, factors: dict):
         self.re, self.im, self.den, self.qshift = re, im, den, qshift
-        self.factors = factors  # (phase const mod 4, k) -> exponent
-
-
-def _flatten(node, env: dict) -> list[_FlatTerm]:
-    if isinstance(node, Num):
-        v = node.value
-        return [_FlatTerm(v.numerator, 0, v.denominator, 0, {})] if v else []
-    if isinstance(node, QPow):
-        return [_FlatTerm(1, 0, 1, node.k, {})]
-    if isinstance(node, Root):
-        return [_FlatTerm(*_I_POWERS[node.lin.evaluate(env)], 1, 0, {})]
-    if isinstance(node, Binom):
-        c = node.phase.evaluate(env)
-        return [_FlatTerm(1, 0, 1, 0, {(c, node.k): node.e})]
-    if isinstance(node, Prod):
-        terms = [_FlatTerm(1, 0, 1, 0, {})]
-        for f in node.factors:
-            sub_terms = _flatten(f, env)
-            terms = [_merge_terms(a, b) for a in terms for b in sub_terms]
-        return terms
-    if isinstance(node, Sum):
-        return [_FlatTerm(sign * t.re, sign * t.im, t.den, t.qshift, t.factors)
-                for sign, term in node.terms for t in _flatten(term, env)]
-    if isinstance(node, Avg):
-        return [_FlatTerm(t.re, t.im, t.den * (node.hi + 1), t.qshift, t.factors)
-                for v in range(node.hi + 1)
-                for t in _flatten(node.body, {**env, node.var: v})]
-    raise TypeError(f"not an expression node: {node!r}")
+        self.factors = factors  # (phase c mod 4, k) -> nonzero exponent
 
 
 def _merge_terms(a: _FlatTerm, b: _FlatTerm) -> _FlatTerm:
@@ -291,6 +127,49 @@ def _merge_terms(a: _FlatTerm, b: _FlatTerm) -> _FlatTerm:
             del factors[key]
     return _FlatTerm(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re,
                      a.den * b.den, a.qshift + b.qshift, factors)
+
+
+# Every series is a list of flat terms whose sum it is, built by the
+# combinators below.  A phase c stands for i^c and is reduced mod 4.
+
+
+def scalar(num: int, den: int = 1) -> list[_FlatTerm]:
+    """num/den, in lowest terms with den > 0."""
+    return [_FlatTerm(num, 0, den, 0, {})] if num else []
+
+
+def qpow(k: int) -> list[_FlatTerm]:
+    return [_FlatTerm(1, 0, 1, k, {})]
+
+
+def phase(c: int) -> list[_FlatTerm]:
+    """i^c."""
+    return [_FlatTerm(*_I_POWERS[c % 4], 1, 0, {})]
+
+
+def binom(k: int, e: int = -1, c: int = 0) -> list[_FlatTerm]:
+    """(1 - i^c q^k)^e, which is 1 when e == 0."""
+    return [_FlatTerm(1, 0, 1, 0, {(c % 4, k): e} if e else {})]
+
+
+def product(*factors: list) -> list[_FlatTerm]:
+    terms = [_FlatTerm(1, 0, 1, 0, {})]
+    for f in factors:
+        terms = [_merge_terms(a, b) for a in terms for b in f]
+    return terms
+
+
+def signed_sum(*signed_terms) -> list[_FlatTerm]:
+    """The sum of sign * terms over (sign, terms) pairs, sign +-1."""
+    return [_FlatTerm(sign * t.re, sign * t.im, t.den, t.qshift, t.factors)
+            for sign, terms in signed_terms for t in terms]
+
+
+def average(body, *sizes: int) -> list[_FlatTerm]:
+    """The mean of body(v1, .., vr) over 0 <= vj < sizes[j]."""
+    n = prod(sizes)
+    return [_FlatTerm(t.re, t.im, t.den * n, t.qshift, t.factors)
+            for vs in cartesian(*map(range, sizes)) for t in body(*vs)]
 
 
 def _sum_terms(terms: list[_FlatTerm], top: int) -> tuple[list, list, int]:
@@ -327,12 +206,12 @@ def _sum_terms(terms: list[_FlatTerm], top: int) -> tuple[list, list, int]:
     return total_re, total_im, scale
 
 
-def expand(node, order: int, env: dict | None = None) -> GaussSeries:
-    """Exact series expansion of node through q^order."""
-    return GaussSeries(order, *_sum_terms(_flatten(node, env or {}), order))
+def expand(terms: list[_FlatTerm], order: int) -> GaussSeries:
+    """Exact series expansion of a term list through q^order."""
+    return GaussSeries(order, *_sum_terms(terms, order))
 
 
-# Largest cleared work of an identity proof: the sum over its flattened terms
+# Largest cleared work of an identity proof: the sum over its flat terms
 # of degree x (1 + binomial steps), known before any expansion.  A unit is one
 # integer addition, 90-110 ns with the loop overhead on a 2-CPU machine, so a
 # proof at the bound takes about 2 s: KF4 1,2890 (degree 98252) 1.9 s, KF1 with
@@ -350,8 +229,7 @@ def cleared_difference_degree(lhs, rhs) -> tuple[bool, int]:
     expansion.  The cleared terms are summed through the largest degree,
     and the sum must vanish.
     """
-    terms = _flatten(lhs, {}) + [
-        _FlatTerm(-t.re, -t.im, t.den, t.qshift, t.factors) for t in _flatten(rhs, {})]
+    terms = signed_sum((1, lhs), (-1, rhs))
     if not terms:
         return True, 0
     need: dict = {}
@@ -378,131 +256,98 @@ def cleared_difference_degree(lhs, rhs) -> tuple[bool, int]:
 # -- built-in generating functions ---------------------------------------------
 
 
-def _b(k: int, e: int = -1, terms=(), const: int = 0):
-    """(1 - i^(const + terms) q^k)^e, or None when e == 0 (factor absent)."""
-    if e == 0:
-        return None
-    return Binom(make_lin(const, terms), k, e)
-
-
-def _prod(*factors):
-    return mkprod(*[f for f in factors if f is not None])
-
-
 def _genx_sp(g: GroupSpec):
     """Sum over n of q^(2n) N(gamma, Sp(n)) in closed form."""
     if g.family == CYCLIC:
-        return _prod(_b(2, -(g.param // 2 + 1)))
+        return binom(2, -(g.param // 2 + 1))
     if g.family == DIHEDRAL:
         m = g.param
         if m % 2 == 0:
             k = m // 2
-            return _prod(_b(2, -(k + 4)), _b(4, -(k - 1)))
+            return product(binom(2, -(k + 4)), binom(4, -(k - 1)))
         k = (m - 1) // 2
-        return _prod(_b(2, -(k + 3)), _b(4, -k))
+        return product(binom(2, -(k + 3)), binom(4, -k))
     if g.family == TETRAHEDRAL:
-        return _prod(_b(2, -3), _b(4, -1), _b(6, -1))
+        return product(binom(2, -3), binom(4, -1), binom(6, -1))
     if g.family == OCTAHEDRAL:
-        return _prod(_b(2, -4), _b(4, -2), _b(6, -2))
-    return _prod(_b(2, -3), _b(4, -1), _b(6, -3), _b(8, -1), _b(10, -1))
+        return product(binom(2, -4), binom(4, -2), binom(6, -2))
+    return product(binom(2, -3), binom(4, -1), binom(6, -3), binom(8, -1),
+                   binom(10, -1))
 
 
 def _genx_so(g: GroupSpec):
-    """Sum over n of q^(2n+1) N(gamma, SO(2n+1)) in closed form."""
-    sgn = Root(make_lin(0, [("a", 2)]))
-    a = [("a", 2)]
+    """Sum over n of q^(2n+1) N(gamma, SO(2n+1)) in closed form.
+
+    Each body takes a = 0, 1, and i^(2a) is the sign (-1)^a.
+    """
     if g.family == CYCLIC:
-        return Avg("a", 1, _prod(sgn, _b(1, -1, a), _b(2, -(g.param // 2))))
+        return average(lambda a: product(
+            phase(2 * a), binom(1, -1, 2 * a), binom(2, -(g.param // 2))), 2)
     if g.family == DIHEDRAL:
         m = g.param
         if m % 2 == 0:
             k = m // 2
-            body = _prod(
-                sgn,
-                _b(1, -1, a),
-                _b(1, -1, a + [("b0", 2)]),
-                _b(1, -1, a + [("b1", 2)]),
-                _b(1, -1, a + [("b0", 2), ("b1", 2)]),
-                _b(2, -(k - 1), [("b0", 2)]),
-                _b(4, -k),
-            )
-            return Avg("a", 1, Avg("b0", 1, Avg("b1", 1, body)))
+            return average(lambda a, b0, b1: product(
+                phase(2 * a), binom(1, -1, 2 * a), binom(1, -1, 2 * a + 2 * b0),
+                binom(1, -1, 2 * a + 2 * b1), binom(1, -1, 2 * a + 2 * b0 + 2 * b1),
+                binom(2, -(k - 1), 2 * b0), binom(4, -k)), 2, 2, 2)
         k = (m - 1) // 2
-        body = _prod(
-            sgn,
-            _b(1, -1, a),
-            _b(1, -1, a + [("b", 2)]),
-            _b(2, -1),
-            _b(2, -k, [("b", 2)]),
-            _b(4, -k),
-        )
-        return Avg("a", 1, Avg("b", 1, body))
+        return average(lambda a, b: product(
+            phase(2 * a), binom(1, -1, 2 * a), binom(1, -1, 2 * a + 2 * b),
+            binom(2, -1), binom(2, -k, 2 * b), binom(4, -k)), 2, 2)
     if g.family == TETRAHEDRAL:
-        body = _prod(sgn, _b(1, -1, a), _b(2, -1), _b(3, -1, a), _b(4, -2))
-        return Avg("a", 1, body)
+        return average(lambda a: product(
+            phase(2 * a), binom(1, -1, 2 * a), binom(2, -1), binom(3, -1, 2 * a),
+            binom(4, -2)), 2)
     if g.family == OCTAHEDRAL:
-        body = _prod(
-            sgn,
-            _b(1, -1, a),
-            _b(1, -1, a + [("b", 2)]),
-            _b(2, -1, [("b", 2)]),
-            _b(3, -1, a),
-            _b(3, -1, a + [("b", 2)]),
-            _b(4, -2),
-            _b(8, -1),
-        )
-        return Avg("a", 1, Avg("b", 1, body))
-    body = _prod(sgn, _b(1, -1, a), _b(3, -2, a), _b(4, -3), _b(5, -1, a),
-                 _b(8, -1), _b(12, -1))
-    return Avg("a", 1, body)
+        return average(lambda a, b: product(
+            phase(2 * a), binom(1, -1, 2 * a), binom(1, -1, 2 * a + 2 * b),
+            binom(2, -1, 2 * b), binom(3, -1, 2 * a), binom(3, -1, 2 * a + 2 * b),
+            binom(4, -2), binom(8, -1)), 2, 2)
+    return average(lambda a: product(
+        phase(2 * a), binom(1, -1, 2 * a), binom(3, -2, 2 * a), binom(4, -3),
+        binom(5, -1, 2 * a), binom(8, -1), binom(12, -1)), 2)
 
 
-def _geny_tree(e: int, m: int, side: str):
+def _geny(e: int, m: int, side: str):
     """Refined octahedral sector series for the (e, m) label pair.
 
     Labels follow the symplectic side: e is the character of the relabeling
     involution, m the sector.  The orthogonal series for the same (e, m) is
     the dual partner, whose own involution/sector labels are the swap (m, e).
+    The Spin bodies take a = 0, 1 and b = 0..3.
     """
-    a = [("a", 2)]
     if (e, m) == (0, 0) and side == "Sp":
-        return _prod(
-            mknum(Fraction(1, 2)),
-            mksum((1, _genx_sp(GroupSpec.binary_octahedral())),
-                  (1, _prod(_b(4, -4), _b(12, -1)))),
+        return product(
+            scalar(1, 2),
+            signed_sum((1, _genx_sp(GroupSpec.binary_octahedral())),
+                       (1, product(binom(4, -4), binom(12, -1)))),
         )
     if (e, m) == (0, 0) and side == "Spin":
-        body = _prod(
-            Root(make_lin(0, a)),
-            _b(1, -1, a),
-            _b(1, -1, a + [("b", 1)]),
-            _b(2, -1, [("b", 1)]),
-            _b(3, -1, a),
-            _b(3, -1, a + [("b", 3)]),
-            _b(4, -2),
-            _b(8, -1),
-        )
-        return Avg("a", 1, Avg("b", 3, body))
+        return average(lambda a, b: product(
+            phase(2 * a), binom(1, -1, 2 * a), binom(1, -1, 2 * a + b),
+            binom(2, -1, b), binom(3, -1, 2 * a), binom(3, -1, 2 * a + 3 * b),
+            binom(4, -2), binom(8, -1)), 2, 4)
     if (e, m) == (0, 1) and side == "Sp":
-        return _prod(_b(2, -2), _b(4, -1), _b(6, -1), _b(8, -1))
+        return product(binom(2, -2), binom(4, -1), binom(6, -1), binom(8, -1))
     if (e, m) in ((0, 1), (1, 1)) and side == "Spin":
-        bracket = mksum(
-            (1, _prod(_b(1, -1, a + [("b", 1)]), _b(3, -1, a + [("b", 3)]))),
-            (1, _prod(_b(1, -1, a), _b(3, -1, a))),
-            (-1, mknum(1)),
-        )
-        factors = [Root(make_lin(0, a))]
-        if e == 1:
-            factors.append(Root(make_lin(0, [("b", 2)])))
-        factors += [bracket, _b(4, -2), _b(8, -1)]
-        return Avg("a", 1, Avg("b", 3, _prod(*factors)))
+        return average(lambda a, b: product(
+            phase(2 * a + 2 * e * b),
+            signed_sum(
+                (1, product(binom(1, -1, 2 * a + b), binom(3, -1, 2 * a + 3 * b))),
+                (1, product(binom(1, -1, 2 * a), binom(3, -1, 2 * a))),
+                (-1, scalar(1)),
+            ),
+            binom(4, -2),
+            binom(8, -1),
+        ), 2, 4)
     raise NotCoveredError(
         f"not covered: no built-in refined series for sector ({e},{m}) on the "
         f"{side} side")
 
 
 def builtin_genfun(g: GroupSpec, target: str):
-    """Closed-form series for a group and target token.
+    """Closed-form series for a group and target token, as flat terms.
 
     Tokens: "Sp" (coefficient of q^(2n) is the Sp(n) count), "SO_odd"
     (coefficient of q^(2n+1) is the SO(2n+1) count), and for Ohat the refined
@@ -523,7 +368,7 @@ def builtin_genfun(g: GroupSpec, target: str):
         if len(parts) == 3 and "," in parts[1]:
             es, ms = parts[1].split(",", 1)
             if es in ("0", "1") and ms in ("0", "1") and parts[2] in ("Sp", "Spin"):
-                return _geny_tree(int(es), int(ms), parts[2])
+                return _geny(int(es), int(ms), parts[2])
         raise NotCoveredError(f"not covered: unknown refined token {target!r}")
     raise NotCoveredError(f"not covered: no built-in series for target {target!r}")
 
@@ -531,12 +376,16 @@ def builtin_genfun(g: GroupSpec, target: str):
 # -- counting identities --------------------------------------------------------
 
 
-def _twisted(powers_and_phases):
-    """Factors of Ftilde((-1)^a q, ...): each q^p picks up an extra phase 2pa."""
-    out = []
-    for p, terms in powers_and_phases:
-        out.append(_b(p, -1, [("a", 2 * p)] + list(terms)))
-    return out
+def _ftilde_mean(ft, *sizes: int):
+    """The mean of (-1)^a Ftilde((-1)^a q, ...) over a = 0, 1 and over each
+    further variable b_j in 0..sizes[j]-1.
+
+    Each (p, m_1, ..) of ft is the factor (1 - i^c q^p)^-1 with phase
+    c = 2pa + sum m_j b_j: q^p picks up the sign (-1)^(pa).
+    """
+    return average(lambda a, *bs: product(phase(2 * a), *[
+        binom(p, -1, 2 * p * a + sum(map(mul, ms, bs))) for p, *ms in ft]),
+        2, *sizes)
 
 
 def _check_positive(values, what):
@@ -545,7 +394,7 @@ def _check_positive(values, what):
             raise ValueError(f"{what} must be positive integers")
 
 
-def _kf1_trees(k: tuple, v: tuple):
+def _kf1(k: tuple, v: tuple):
     s = len(k)
     _check_positive(k, "k parameters")
     _check_positive(v, "v parameters")
@@ -569,96 +418,82 @@ def _kf1_trees(k: tuple, v: tuple):
     else:
         raise ValueError("KF1 takes 1, 2 or 4 k parameters")
     vf = [2 * x for x in v]
-    lhs = _prod(QPow(2 * k[0] - 1), *[_b(p) for p in f_pows + vf])
-    rhs = Avg("a", 1, _prod(Root(make_lin(0, [("a", 2)])),
-                            *_twisted([(p, []) for p in ft_pows + vf])))
-    return lhs, rhs
+    lhs = product(qpow(2 * k[0] - 1), *[binom(p) for p in f_pows + vf])
+    return lhs, _ftilde_mean([(p,) for p in ft_pows + vf])
 
 
-def _kf2_trees(k: tuple, v0: tuple, v1: tuple):
+def _kf2(k: tuple, v0: tuple, v1: tuple):
     s = 2 * len(k)
     _check_positive(k, "k parameters")
     _check_positive(v0 + v1, "v parameters")
-    t = [("b", 2)]
     if s == 2:
-        f = [_b(4 * k[0] - 2, -2)]
-        ft = [(2 * k[0] - 1, []), (2 * k[0] - 1, t)]
+        f = [binom(4 * k[0] - 2, -2)]
+        ft = [(2 * k[0] - 1, 0), (2 * k[0] - 1, 2)]
     elif s == 4:
         if not k[0] < k[1]:
             raise ValueError("KF2 with two k parameters needs k1 < k2")
-        f = [_b(2 * k[0] + 2 * k[1] - 2), _b(2 * k[1] - 2 * k[0]),
-             _b(4 * k[0] - 2, -2), _b(4 * k[1] - 2, -2)]
-        ft = [(4 * k[0] + 4 * k[1] - 4, []), (4 * k[1] - 4 * k[0], []),
-              (2 * k[0] - 1, []), (2 * k[0] - 1, t),
-              (2 * k[1] - 1, []), (2 * k[1] - 1, t)]
+        f = [binom(2 * k[0] + 2 * k[1] - 2), binom(2 * k[1] - 2 * k[0]),
+             binom(4 * k[0] - 2, -2), binom(4 * k[1] - 2, -2)]
+        ft = [(4 * k[0] + 4 * k[1] - 4, 0), (4 * k[1] - 4 * k[0], 0),
+              (2 * k[0] - 1, 0), (2 * k[0] - 1, 2),
+              (2 * k[1] - 1, 0), (2 * k[1] - 1, 2)]
     else:
         raise ValueError("KF2 takes 1 or 2 k parameters")
-    f += [_b(2 * x) for x in v0] + [_b(2 * x) for x in v1]
-    ft += [(2 * x, []) for x in v0] + [(2 * x, t) for x in v1]
-    lhs = _prod(QPow(2 * k[0] - 1), *f)
-    rhs = Avg("a", 1, Avg("b", 1, _prod(Root(make_lin(0, [("a", 2)])),
-                                        *_twisted(ft))))
-    return lhs, rhs
+    f += [binom(2 * x) for x in v0] + [binom(2 * x) for x in v1]
+    ft += [(2 * x, 0) for x in v0] + [(2 * x, 2) for x in v1]
+    return product(qpow(2 * k[0] - 1), *f), _ftilde_mean(ft, 2)
 
 
-def _kf3_trees(k: int, vmat: tuple):
+def _kf3(k: int, vmat: tuple):
     # vmat = (v00, v01, v10, v11) indexed by (p1, p0)
     _check_positive((k,), "k parameter")
-    corners = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for vs in vmat:
-        _check_positive(vs, "v parameters")
-    f = [_b(4 * k - 2, -5)]
-    ft = [(8 * k - 4, [])]
-    for (p1, p0), vs in zip(corners, vmat):
-        phase = [("b0", 2 * p0), ("b1", 2 * p1)]
-        ft.append((2 * k - 1, phase))
+    _check_positive(sum(vmat, ()), "v parameters")
+    f = [binom(4 * k - 2, -5)]
+    ft = [(8 * k - 4, 0, 0)]
+    for (p1, p0), vs in zip([(0, 0), (0, 1), (1, 0), (1, 1)], vmat):
+        ft.append((2 * k - 1, 2 * p0, 2 * p1))
         for x in vs:
-            f.append(_b(2 * x))
-            ft.append((2 * x, phase))
-    lhs = _prod(QPow(2 * k - 1), *f)
-    rhs = Avg("a", 1, Avg("b0", 1, Avg("b1", 1, _prod(
-        Root(make_lin(0, [("a", 2)])), *_twisted(ft)))))
-    return lhs, rhs
+            f.append(binom(2 * x))
+            ft.append((2 * x, 2 * p0, 2 * p1))
+    return product(qpow(2 * k - 1), *f), _ftilde_mean(ft, 2, 2)
 
 
-def _kf4_trees(k1: int, k2: int, v: tuple):
+def _kf4(k1: int, k2: int, v: tuple):
     _check_positive((k1, k2), "k parameters")
     _check_positive(v, "v parameters")
     if not k1 < k2:
         raise ValueError("KF4 needs k1 < k2")
-    vf = [_b(2 * x) for x in v]
-    f = _prod(_b(2 * k1 + 2 * k2 - 2), _b(2 * k2 - 2 * k1, -2),
-              _b(4 * k1 - 2, -2), _b(4 * k2 - 2, -2), *vf)
-    f0 = _prod(_b(2 * k1 + 2 * k2 - 2), _b(4 * k2 - 4 * k1),
-               _b(8 * k1 - 4), _b(8 * k2 - 4), *vf)
-    ft = [(4 * k1 + 4 * k2 - 4, []), (4 * k2 - 4 * k1, []),
-          (2 * k2 - 2 * k1, [("b", 1)]),
-          (2 * k1 - 1, []), (2 * k1 - 1, [("b", 1)]),
-          (2 * k2 - 1, []), (2 * k2 - 1, [("b", 3)])]
-    ft += [(2 * x, []) for x in v]
-    lhs = _prod(mknum(Fraction(1, 2)), QPow(2 * k1 - 1), mksum((1, f), (1, f0)))
-    rhs = Avg("a", 1, Avg("b", 3, _prod(Root(make_lin(0, [("a", 2)])),
-                                        *_twisted(ft))))
-    return lhs, rhs
+    vf = [binom(2 * x) for x in v]
+    f = product(binom(2 * k1 + 2 * k2 - 2), binom(2 * k2 - 2 * k1, -2),
+                binom(4 * k1 - 2, -2), binom(4 * k2 - 2, -2), *vf)
+    f0 = product(binom(2 * k1 + 2 * k2 - 2), binom(4 * k2 - 4 * k1),
+                 binom(8 * k1 - 4), binom(8 * k2 - 4), *vf)
+    ft = [(4 * k1 + 4 * k2 - 4, 0), (4 * k2 - 4 * k1, 0),
+          (2 * k2 - 2 * k1, 1),
+          (2 * k1 - 1, 0), (2 * k1 - 1, 1),
+          (2 * k2 - 1, 0), (2 * k2 - 1, 3)]
+    ft += [(2 * x, 0) for x in v]
+    lhs = product(scalar(1, 2), qpow(2 * k1 - 1), signed_sum((1, f), (1, f0)))
+    return lhs, _ftilde_mean(ft, 4)
 
 
-def identity_trees(identity: str, params):
-    """The two sides of a named identity at given parameters."""
+def identity_sides(identity: str, params):
+    """The two sides of a named identity at given parameters, as flat terms."""
     p = parse_identity_params(identity, params)
     if identity == "KF1":
-        return _kf1_trees(p["k"], p["v"])
+        return _kf1(p["k"], p["v"])
     if identity == "KF2":
-        return _kf2_trees(p["k"], p["v0"], p["v1"])
+        return _kf2(p["k"], p["v0"], p["v1"])
     if identity == "KF3":
-        return _kf3_trees(p["k"], p["v"])
+        return _kf3(p["k"], p["v"])
     if identity == "KF4":
-        return _kf4_trees(p["k1"], p["k2"], p["v"])
+        return _kf4(p["k1"], p["k2"], p["v"])
     if identity == "PropA":
-        return _kf4_trees(1, 2, (2,))
+        return _kf4(1, 2, (2,))
     if identity == "PropX":
-        return (_prod(QPow(1), _geny_tree(0, 1, "Sp")), _geny_tree(0, 1, "Spin"))
+        return product(qpow(1), _geny(0, 1, "Sp")), _geny(0, 1, "Spin")
     if identity == "PropY":
-        return (_geny_tree(1, 1, "Spin"), mknum(0))
+        return _geny(1, 1, "Spin"), scalar(0)
     raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITIES}")
 
 
@@ -672,6 +507,29 @@ def _ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"could not parse {what} from {text!r}") from None
 
 
+# Most k and v values one identity may take in all, checked before any term
+# is built.  Each value adds a factor to every term of both sides, and the
+# factor dicts grow with the distinct values, so building the sides is
+# quadratic: at this bound the costliest family, KF4 with v = 1..1022, builds
+# in about 40 ms on a 2-CPU machine, and 2048 values take 0.12 s.
+# MAX_CLEARED_WORK then bounds the proof.  The fixed runs of verify identities
+# take at most 6 values and the random draws at most 13.
+MAX_IDENTITY_VALUES = 1024
+
+
+def _count_values(x) -> int:
+    """The ints in x, an int or nested tuples of ints."""
+    return sum(map(_count_values, x)) if isinstance(x, tuple) else 1
+
+
+def _bounded(identity: str, p: dict) -> dict:
+    """p, refused when it holds more than MAX_IDENTITY_VALUES values."""
+    if _count_values(tuple(p.values())) > MAX_IDENTITY_VALUES:
+        raise ValueError(f"{identity} takes at most {MAX_IDENTITY_VALUES} k and v "
+                         f"values in all")
+    return p
+
+
 def parse_identity_params(identity: str, params) -> dict:
     """Normalize string or dict parameters for a named identity."""
     if identity in ("PropX", "PropY", "PropA"):
@@ -681,7 +539,7 @@ def parse_identity_params(identity: str, params) -> dict:
     if params is None:
         raise ValueError(f"{identity} requires parameters")
     if isinstance(params, dict):
-        return params
+        return _bounded(identity, params)
     groups = [p.strip() for p in str(params).split(";")]
     if identity == "KF1":
         if len(groups) != 4:
@@ -694,7 +552,7 @@ def parse_identity_params(identity: str, params) -> dict:
             raise ValueError("KF1 s must equal the number of k values")
         if len(v) != l:
             raise ValueError("KF1 l must equal the number of v values")
-        return {"k": k, "v": v}
+        return _bounded(identity, {"k": k, "v": v})
     if identity == "KF2":
         if len(groups) != 5:
             raise ValueError("KF2 parameters look like 's;k..;l0,l1;v0..;v1..'")
@@ -707,7 +565,7 @@ def parse_identity_params(identity: str, params) -> dict:
             raise ValueError("KF2 s must equal twice the number of k values")
         if len(ls) != 2 or (len(v0), len(v1)) != (ls[0], ls[1]):
             raise ValueError("KF2 l0,l1 must match the v list lengths")
-        return {"k": k, "v0": v0, "v1": v1}
+        return _bounded(identity, {"k": k, "v0": v0, "v1": v1})
     if identity == "KF3":
         if len(groups) != 6:
             raise ValueError(
@@ -717,7 +575,7 @@ def parse_identity_params(identity: str, params) -> dict:
         vmat = tuple(_ints(gtext, "v values") for gtext in groups[2:6])
         if len(ls) != 4 or tuple(len(vs) for vs in vmat) != ls:
             raise ValueError("KF3 l values must match the v list lengths")
-        return {"k": k, "v": vmat}
+        return _bounded(identity, {"k": k, "v": vmat})
     if identity == "KF4":
         if len(groups) != 3:
             raise ValueError("KF4 parameters look like 'k1,k2;l;v1,..'")
@@ -728,7 +586,7 @@ def parse_identity_params(identity: str, params) -> dict:
             raise ValueError("KF4 takes exactly two k values")
         if len(v) != l:
             raise ValueError("KF4 l must equal the number of v values")
-        return {"k1": ks[0], "k2": ks[1], "v": v}
+        return _bounded(identity, {"k1": ks[0], "k2": ks[1], "v": v})
     raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITIES}")
 
 
@@ -748,42 +606,45 @@ def canonical_params(identity: str, params) -> str:
     return ""
 
 
-def random_identity_params(identity: str, rng, max_k: int = 6, max_v: int = 6,
-                           max_len: int = 3) -> str:
+# The ranges of the random draws: k values in 1..DRAW_MAX_K, v values in
+# 1..DRAW_MAX_V, and v lists of length 0..DRAW_MAX_LEN.  A four-k KF1 draw
+# needs k2 >= k1 + 2, so DRAW_MAX_K is at least 3.
+DRAW_MAX_K, DRAW_MAX_V, DRAW_MAX_LEN = 6, 6, 3
+
+
+def random_identity_params(identity: str, rng) -> str:
     """Draw a uniformly messy but valid parameter string for a KF identity.
 
     rng is a random.Random instance; the draw is deterministic given its
-    state.  All k values land in 1..max_k, all v values in 1..max_v, and each
-    v list has length 0..max_len.  The string is in canonical form.
+    state.  The string is in canonical form.
     """
-    if max_k < 3 or max_v < 1 or max_len < 0:
-        raise ValueError("need max_k >= 3, max_v >= 1, max_len >= 0")
 
     def vlist():
-        return tuple(rng.randint(1, max_v) for _ in range(rng.randint(0, max_len)))
+        return tuple(rng.randint(1, DRAW_MAX_V)
+                     for _ in range(rng.randint(0, DRAW_MAX_LEN)))
 
     def ascending_pair():
-        k1 = rng.randint(1, max_k - 1)
-        return k1, rng.randint(k1 + 1, max_k)
+        k1 = rng.randint(1, DRAW_MAX_K - 1)
+        return k1, rng.randint(k1 + 1, DRAW_MAX_K)
 
     if identity == "KF1":
         shape = rng.choice((1, 2, 4))
         if shape == 1:
-            k = (rng.randint(1, max_k),)
+            k = (rng.randint(1, DRAW_MAX_K),)
         elif shape == 2:
             k = ascending_pair()
         else:
             # k1 < k3 <= k4 with k3 + k4 = k1 + k2 forces k2 >= k1 + 2
-            k1 = rng.randint(1, max_k - 2)
-            k2 = rng.randint(k1 + 2, max_k)
+            k1 = rng.randint(1, DRAW_MAX_K - 2)
+            k2 = rng.randint(k1 + 2, DRAW_MAX_K)
             k3 = rng.randint(k1 + 1, (k1 + k2) // 2)
             k = (k1, k2, k3, k1 + k2 - k3)
         return canonical_params(identity, {"k": k, "v": vlist()})
     if identity == "KF2":
-        k = (rng.randint(1, max_k),) if rng.random() < 0.5 else ascending_pair()
+        k = (rng.randint(1, DRAW_MAX_K),) if rng.random() < 0.5 else ascending_pair()
         return canonical_params(identity, {"k": k, "v0": vlist(), "v1": vlist()})
     if identity == "KF3":
-        k = rng.randint(1, max_k)
+        k = rng.randint(1, DRAW_MAX_K)
         vmat = (vlist(), vlist(), vlist(), vlist())
         return canonical_params(identity, {"k": k, "v": vmat})
     if identity == "KF4":
@@ -794,7 +655,7 @@ def random_identity_params(identity: str, rng, max_k: int = 6, max_v: int = 6,
 
 def prove_identity(identity: str, params=None) -> dict:
     """Prove a counting identity exactly by clearing all denominators."""
-    lhs, rhs = identity_trees(identity, params)
+    lhs, rhs = identity_sides(identity, params)
     holds, degree = cleared_difference_degree(lhs, rhs)
     return {
         "identity": identity,

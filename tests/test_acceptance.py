@@ -183,7 +183,7 @@ def test_06_random_instantiations_clear_exactly(identity):
 
 
 def test_06_vanishing_sector_series_is_zero_to_order_200():
-    lhs, rhs = series.identity_trees("PropY", None)
+    lhs, rhs = series.identity_sides("PropY", None)
     assert series.expand(lhs, 200) == series.expand(rhs, 200)
 
 

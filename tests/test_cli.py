@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from argparse import Namespace
 from pathlib import Path
 
@@ -13,8 +14,8 @@ import pytest
 from dualcount import affine, cli, lattice, series
 from dualcount.cli import (MAX_N, MAX_ORACLE_N, MAX_RANDOM_DRAWS, UsageError,
                            parse_args)
+from dualcount.bounds import MAX_ORDER, MAX_RANK
 from dualcount.grouprep import MAX_GROUP_PARAM
-from dualcount.series import MAX_ORDER
 
 
 def invoke(argv, capsys):
@@ -76,6 +77,7 @@ def test_count_range(capsys):
     ["verify", "smatrix", "--type", "A1", "--max-n", "0"],            # no level
     ["verify", "zn-lattice", "--max-n", "0"],                         # no modulus
     ["smatrix", "--type", "A1", "--level", "0"],
+    ["verify", "zn-lattice", "--max-rank", "0"],                      # no pair
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert refused(argv, capsys).strip()
@@ -85,9 +87,10 @@ def test_usage_errors_exit_1(argv, capsys):
     (["verify", "smatrix", "--type", "A1", "--max-n", "0"], "--max-n"),
     (["verify", "zn-lattice", "--max-n", "0"], "--max-n"),
     (["smatrix", "--type", "A1", "--level", "0"], "--level"),
+    (["verify", "zn-lattice", "--max-rank", "0"], "--max-rank"),
 ])
 def test_a_zero_level_or_modulus_is_refused_by_the_parser(argv, flag):
-    # a sweep to level or modulus 0 would make no check and still pass
+    # a sweep to level, modulus or rank 0 would make no check and still pass
     with pytest.raises(UsageError, match=f"{flag}: 0 is below 1"):
         parse_args(argv)
 
@@ -343,7 +346,7 @@ def test_non_integer_series_exits_4_under_optimize(argv):
     # series, not bad input
     err = _internal_error(
         "from dualcount import series\n"
-        "series._genx_sp = lambda g: series.mknum('1/2')", argv)
+        "series._genx_sp = lambda g: series.scalar(1, 2)", argv)
     assert "internal error: series has non-integer coefficients" in err
 
 
@@ -411,11 +414,11 @@ ORACLE_MAX_N = MAX_ORACLE_N
 
 @pytest.mark.parametrize("argv,bound", [
     (["count", "--gamma", "Z:2", "--target", "PSp", "--n",
-      str(lattice.MAX_RANK + 1)], lattice.MAX_RANK),
+      str(MAX_RANK + 1)], MAX_RANK),
     (["count", "--gamma", "Z:3", "--target", "Spin_odd", "--n-range",
-      f"{lattice.MAX_RANK + 1}:{lattice.MAX_RANK + 1}"], lattice.MAX_RANK),
-    (["verify", "zn-lattice", "--max-rank", str(lattice.MAX_RANK + 1)],
-     lattice.MAX_RANK),
+      f"{MAX_RANK + 1}:{MAX_RANK + 1}"], MAX_RANK),
+    (["verify", "zn-lattice", "--max-rank", str(MAX_RANK + 1)],
+     MAX_RANK),
     (["verify", "zn-lattice", "--max-n", str(MAX_N + 1)], MAX_N),
     (["genfun", "--gamma", "Z:1", "--order", str(MAX_ORDER + 1)], MAX_ORDER),
     (["verify", "oracle", "--max-n", str(ORACLE_MAX_N + 1)], ORACLE_MAX_N),
@@ -425,7 +428,7 @@ def test_lattice_and_series_sizes_over_the_bound_are_refused(argv, bound, capsys
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "zn-lattice", "--max-rank", str(lattice.MAX_RANK)],
+    ["verify", "zn-lattice", "--max-rank", str(MAX_RANK)],
     ["verify", "zn-lattice", "--max-n", str(MAX_N)],
     ["genfun", "--gamma", "Z:1", "--order", str(MAX_ORDER)],
     ["verify", "oracle", "--max-n", str(ORACLE_MAX_N)],
@@ -438,10 +441,10 @@ def test_cyclic_psp_count_at_the_rank_bound_runs(capsys):
     # Z_2 into PSp(n): the level-2 Kac points of C_n up to the flip of the
     # diagram, n // 2 + 2 of them
     argv = ["count", "--gamma", "Z:2", "--target", "PSp", "--n",
-            str(lattice.MAX_RANK)]
+            str(MAX_RANK)]
     status, out, _ = invoke(argv, capsys)
     assert status == 0
-    assert json.loads(out)["rows"][0]["count"] == lattice.MAX_RANK // 2 + 2
+    assert json.loads(out)["rows"][0]["count"] == MAX_RANK // 2 + 2
 
 
 def _cyclic_sweeps(top):
@@ -459,21 +462,21 @@ def _cyclic_sweeps(top):
     ]
 
 
-@pytest.mark.parametrize("argv", _cyclic_sweeps(lattice.MAX_RANK + 1))
+@pytest.mark.parametrize("argv", _cyclic_sweeps(MAX_RANK + 1))
 def test_cyclic_psp_spin_sweeps_over_the_rank_bound_are_refused(argv, capsys):
     with pytest.raises(UsageError):
         parse_args(argv)
-    assert str(lattice.MAX_RANK) in refused(argv, capsys)
+    assert str(MAX_RANK) in refused(argv, capsys)
 
 
-@pytest.mark.parametrize("argv", _cyclic_sweeps(lattice.MAX_RANK) + [
+@pytest.mark.parametrize("argv", _cyclic_sweeps(MAX_RANK) + [
     # the other pairs and non-cyclic groups never reach the lattice route
     ["verify", "duality", "--gamma", "Z:3", "--pair", "sp-so",
-     "--max-n", str(lattice.MAX_RANK + 1)],
+     "--max-n", str(MAX_RANK + 1)],
     ["verify", "duality", "--gamma", "Ohat", "--max-n",
-     str(lattice.MAX_RANK + 1)],
+     str(MAX_RANK + 1)],
     ["count", "--gamma", "Z:5", "--target", "Sp", "--n",
-     str(lattice.MAX_RANK + 1)],
+     str(MAX_RANK + 1)],
 ])
 def test_cyclic_psp_spin_sweeps_at_the_rank_bound_are_accepted(argv):
     parse_args(argv)
@@ -540,6 +543,43 @@ def test_identity_work_bound_is_exact(monkeypatch, capsys):
     assert json.loads(out)["checks"] == 1
     monkeypatch.setattr(series, "MAX_CLEARED_WORK", work - 1)
     assert str(work) in refused(argv, capsys)
+
+
+def _identity_values(identity, count):
+    """verify identities for identity with one k and count - 1 v values: for
+    KF1 the v values 1..count-1, for KF3 that many ones in four lists."""
+    j = lambda xs: ",".join(map(str, xs))
+    if identity == "KF1":
+        params = f"1;1;{count - 1};{j(range(1, count))}"
+    else:
+        vs = [[1] * ((count - 1 + r) // 4) for r in range(4)]
+        params = f"1;{j(map(len, vs))};" + ";".join(map(j, vs))
+    return ["verify", "identities", "--prop", identity, "--params", params]
+
+
+@pytest.mark.parametrize("identity", ["KF1", "KF3"])
+def test_identity_at_the_value_bound_runs(identity, capsys):
+    argv = _identity_values(identity, series.MAX_IDENTITY_VALUES)
+    status, out, _ = invoke(argv, capsys)
+    assert status == 0
+    assert json.loads(out)["failures"] == []
+
+
+@pytest.mark.parametrize("identity,count", [
+    ("KF1", series.MAX_IDENTITY_VALUES + 1),
+    ("KF3", series.MAX_IDENTITY_VALUES + 1),
+    ("KF3", 20001),  # as many as four lists 1..5000, which ran 5 s unbounded
+])
+def test_identity_over_the_value_bound_is_refused_before_any_term(
+        identity, count, monkeypatch, capsys):
+    def no_terms(*factors):
+        raise AssertionError("a term was built")
+
+    monkeypatch.setattr(series, "product", no_terms)
+    start = time.perf_counter()
+    err = refused(_identity_values(identity, count), capsys)
+    assert time.perf_counter() - start < 0.5
+    assert f"at most {series.MAX_IDENTITY_VALUES} k and v values" in err
 
 
 def test_refined_cyclic_tables_reach_z12(capsys):
@@ -731,12 +771,12 @@ def test_count_at_the_group_parameter_bound_runs(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "zn-lattice", "--max-rank", str(lattice.MAX_RANK),
+    ["verify", "zn-lattice", "--max-rank", str(MAX_RANK),
      "--max-n", str(MAX_N)],
-    ["verify", "zn-lattice", "--max-rank", str(lattice.MAX_RANK),
+    ["verify", "zn-lattice", "--max-rank", str(MAX_RANK),
      "--max-n", "144"],
-    ["verify", "zn-lattice", "--pair", f"SU({lattice.MAX_RANK + 1})/"
-     f"PU({lattice.MAX_RANK + 1})", "--max-n", str(MAX_N)],
+    ["verify", "zn-lattice", "--pair", f"SU({MAX_RANK + 1})/"
+     f"PU({MAX_RANK + 1})", "--max-n", str(MAX_N)],
 ])
 def test_zn_lattice_sweep_over_the_work_bound_is_refused(argv, capsys):
     assert str(lattice.MAX_ZN_CELLS) in refused(argv, capsys)
@@ -745,7 +785,7 @@ def test_zn_lattice_sweep_over_the_work_bound_is_refused(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "zn-lattice"],
     ["verify", "zn-lattice", "--max-rank", "7", "--max-n", "5"],
-    ["verify", "zn-lattice", "--max-rank", str(lattice.MAX_RANK),
+    ["verify", "zn-lattice", "--max-rank", str(MAX_RANK),
      "--max-n", "143"],
 ])
 def test_zn_lattice_sweep_at_the_work_bound_is_accepted(argv):

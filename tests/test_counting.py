@@ -253,7 +253,7 @@ def test_count_table_matches_the_series_to_n_60(glabel):
 
 def test_cyclic_cover_tables_count_only_the_sizes_read():
     # the Kac route's rank grows with n, so it counts a size when it is read:
-    # a table far past lattice.MAX_RANK still reads its small sizes
+    # a table far past bounds.MAX_RANK still reads its small sizes
     for family in ("PSp", "Spin_odd"):
         table = count_table(Z(3), family, 10 ** 6)
         assert [table[n] for n in range(3)] == [

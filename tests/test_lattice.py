@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dualcount import lattice as L
 from dualcount.abgroup import AbGroup
+from dualcount.bounds import MAX_RANK
 from dualcount.counting import Target, count_homs, tables_swap_equivalent
 from dualcount.grouprep import GroupSpec
 import grid_orbits
@@ -402,13 +403,13 @@ def test_smith_form_tracks_the_inverse():
 
 
 def test_rank_bound():
-    assert L.cartan_data("A", L.MAX_RANK).rank == L.MAX_RANK
+    assert L.cartan_data("A", MAX_RANK).rank == MAX_RANK
     for letter in "ABCD":
         with pytest.raises(ValueError, match="largest supported rank"):
-            L.cartan_data(letter, L.MAX_RANK + 1)
+            L.cartan_data(letter, MAX_RANK + 1)
 
 
 def test_cyclic_psp_spin_agree_at_the_rank_bound():
     g = GroupSpec.cyclic(2)
-    n = L.MAX_RANK
+    n = MAX_RANK
     assert count_homs(g, Target("PSp", n)) == count_homs(g, Target("Spin_odd", n))

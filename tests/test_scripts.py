@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dualcount import lattice
+from dualcount.bounds import MAX_RANK
 from dualcount.cli import MAX_N, MAX_RANDOM_DRAWS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,7 +34,7 @@ def test_duality_sweep_prints_a_matched_table():
 @pytest.mark.parametrize("args", [
     ["--max-n", str(MAX_N + 1)],
     ["--max-n", "-1"],
-    ["--pair", "psp-spin", "--gamma", "Z:3", "--max-n", str(lattice.MAX_RANK + 1)],
+    ["--pair", "psp-spin", "--gamma", "Z:3", "--max-n", str(MAX_RANK + 1)],
 ])
 def test_duality_sweep_over_the_bound_prints_no_table(args):
     proc = run_script("run_duality_sweep.py", *args)

@@ -1,4 +1,4 @@
-"""Tests for series expression trees, expansion, and identity proofs."""
+"""Tests for series term lists, expansion, and identity proofs."""
 
 from fractions import Fraction
 
@@ -9,28 +9,24 @@ from hypothesis import strategies as st
 from dualcount.errors import NotCoveredError
 from dualcount.grouprep import CYCLIC, DIHEDRAL, OCTAHEDRAL, TETRAHEDRAL, GroupSpec
 from dualcount.series import (
-    Avg,
-    Binom,
+    MAX_IDENTITY_VALUES,
     GaussSeries,
-    Num,
-    QPow,
-    Prod,
-    Root,
-    Sum,
+    average,
+    binom,
     builtin_genfun,
     canonical_params,
     cleared_difference_degree,
     expand,
-    identity_trees,
-    make_lin,
-    mknum,
-    mkprod,
-    mksum,
+    identity_sides,
     parse_identity_params,
+    phase,
+    product,
     prove_identity,
+    qpow,
     random_identity_params,
+    scalar,
+    signed_sum,
 )
-from genexpr_text import ParseError, parse_genexpr, to_text
 
 ALL_GROUPS = (
     [GroupSpec.cyclic(m) for m in range(1, 8)]
@@ -65,6 +61,8 @@ FIXED_INSTANTIATIONS = (
 #
 # Coefficients are GaussRat pairs of Fractions, every binomial factor multiplies
 # by a GaussRat, and the cleared proof expands each term to the full degree.
+# The oracle reads the flat terms of the built-in series and identity sides;
+# for random expressions it builds its own value (see the end of this file).
 
 
 class GaussRat:
@@ -187,78 +185,26 @@ class FractionSeries:
         return not any(self.coeffs)
 
 
-def oracle_expand(node, order: int, env: dict | None = None) -> FractionSeries:
-    env = env or {}
-    if isinstance(node, Num):
-        return FractionSeries.term(order, GaussRat(node.value), 0)
-    if isinstance(node, QPow):
-        return FractionSeries.term(order, GaussRat(1), node.k)
-    if isinstance(node, Root):
-        return FractionSeries.term(order, GaussRat.i_power(node.lin.evaluate(env)), 0)
-    if isinstance(node, Binom):
-        u = GaussRat.i_power(node.phase.evaluate(env))
-        return FractionSeries.term(order, 1, 0).apply_binom(u, node.k, node.e)
-    if isinstance(node, Prod):
-        acc = FractionSeries.term(order, 1, 0)
-        for f in node.factors:
-            if isinstance(f, Binom):
-                u = GaussRat.i_power(f.phase.evaluate(env))
-                acc = acc.apply_binom(u, f.k, f.e)
-            else:
-                acc = acc * oracle_expand(f, order, env)
-        return acc
-    if isinstance(node, Sum):
-        acc = FractionSeries(order)
-        for sign, term in node.terms:
-            s = oracle_expand(term, order, env)
-            acc = acc + s if sign > 0 else acc - s
-        return acc
-    if isinstance(node, Avg):
-        acc = FractionSeries(order)
-        for v in range(node.hi + 1):
-            acc = acc + oracle_expand(node.body, order, {**env, node.var: v})
-        return acc.scale(GaussRat(Fraction(1, node.hi + 1)))
-    raise TypeError(f"not an expression node: {node!r}")
+def _oracle_terms(terms) -> list:
+    """The flat terms as (scalar, qshift, {(phase, k): exponent}) in Fractions."""
+    return [(GaussRat(Fraction(t.re, t.den), Fraction(t.im, t.den)), t.qshift,
+             t.factors) for t in terms]
 
 
-def _oracle_flatten(node, env: dict) -> list:
-    """Terms (scalar, qshift, {(phase, k): exponent}) whose sum is node."""
-    if isinstance(node, Num):
-        return [(GaussRat(node.value), 0, {})] if node.value else []
-    if isinstance(node, QPow):
-        return [(GaussRat(1), node.k, {})]
-    if isinstance(node, Root):
-        return [(GaussRat.i_power(node.lin.evaluate(env)), 0, {})]
-    if isinstance(node, Binom):
-        return [(GaussRat(1), 0, {(node.phase.evaluate(env), node.k): node.e})]
-    if isinstance(node, Prod):
-        terms = [(GaussRat(1), 0, {})]
-        for f in node.factors:
-            sub = _oracle_flatten(f, env)
-            terms = [_oracle_merge(a, b) for a in terms for b in sub]
-        return terms
-    if isinstance(node, Sum):
-        return [(s if sign > 0 else -s, shift, fac) for sign, term in node.terms
-                for s, shift, fac in _oracle_flatten(term, env)]
-    if isinstance(node, Avg):
-        w = GaussRat(Fraction(1, node.hi + 1))
-        return [(s * w, shift, fac) for v in range(node.hi + 1)
-                for s, shift, fac in _oracle_flatten(node.body, {**env, node.var: v})]
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _oracle_merge(a, b):
-    factors = dict(a[2])
-    for key, e in b[2].items():
-        factors[key] = factors.get(key, 0) + e
-        if factors[key] == 0:
-            del factors[key]
-    return a[0] * b[0], a[1] + b[1], factors
+def oracle_expand(terms, order: int) -> FractionSeries:
+    """The sum of flat terms, each expanded by the Fraction route."""
+    total = FractionSeries(order)
+    for s, shift, fac in _oracle_terms(terms):
+        poly = FractionSeries.term(order, s, shift)
+        for (c, k), e in fac.items():
+            poly = poly.apply_binom(GaussRat.i_power(c), k, e)
+        total = total + poly
+    return total
 
 
 def oracle_cleared_difference_degree(lhs, rhs) -> tuple[bool, int]:
-    terms = _oracle_flatten(lhs, {}) + [
-        (-s, shift, fac) for s, shift, fac in _oracle_flatten(rhs, {})]
+    terms = _oracle_terms(lhs) + [
+        (-s, shift, fac) for s, shift, fac in _oracle_terms(rhs)]
     if not terms:
         return True, 0
     need: dict = {}
@@ -305,169 +251,86 @@ def test_gauss_rat_arithmetic():
 # -- Gaussian integer series -----------------------------------------------------
 
 
-ONE_MINUS_Q = mksum((1, mknum(1)), (-1, QPow(1)))
+ONE_MINUS_Q = signed_sum((1, scalar(1)), (-1, qpow(1)))
 
 
 def test_gauss_series_ring_ops():
-    geo = Binom(make_lin(), 1, -1)  # 1/(1 - q)
+    geo = binom(1)  # 1/(1 - q)
     assert expand(geo, 8).integer_coeffs() == [1] * 9
-    assert expand(Prod((geo, ONE_MINUS_Q)), 8) == expand(mknum(1), 8)
-    assert expand(Prod((geo, geo)), 8).integer_coeffs() == list(range(1, 10))
+    assert expand(product(geo, ONE_MINUS_Q), 8) == expand(scalar(1), 8)
+    assert expand(product(geo, geo), 8).integer_coeffs() == list(range(1, 10))
     # a product of sums multiplies out term by term: (1 + q)(1 - q) = 1 - q^2
-    one_plus_q = mksum((1, mknum(1)), (1, QPow(1)))
-    assert expand(Prod((one_plus_q, ONE_MINUS_Q)), 8).integer_coeffs() == [
+    one_plus_q = signed_sum((1, scalar(1)), (1, qpow(1)))
+    assert expand(product(one_plus_q, ONE_MINUS_Q), 8).integer_coeffs() == [
         1, 0, -1, 0, 0, 0, 0, 0, 0]
-    assert expand(mksum((1, geo), (-1, geo)), 8) == GaussSeries(8)
+    assert expand(signed_sum((1, geo), (-1, geo)), 8) == GaussSeries(8)
 
 
 def test_apply_binom_matches_explicit_product():
     # (1 - q)^3 as one binomial factor equals multiplying out by hand
-    via = expand(Binom(make_lin(), 1, 3), 6)
-    explicit = expand(Prod((ONE_MINUS_Q,) * 3), 6)
+    via = expand(binom(1, 3), 6)
+    explicit = expand(product(*(ONE_MINUS_Q,) * 3), 6)
     assert via == explicit
     assert via.integer_coeffs() == [1, -3, 3, -1, 0, 0, 0]
     # the inverse factor undoes it on every shifted term
-    undone = Prod((ONE_MINUS_Q,) * 3 + (Binom(make_lin(), 1, -3),))
-    assert expand(undone, 6) == expand(mknum(1), 6)
+    undone = product(*(ONE_MINUS_Q,) * 3, binom(1, -3))
+    assert expand(undone, 6) == expand(scalar(1), 6)
 
 
 @pytest.mark.parametrize("c", range(4))
 @pytest.mark.parametrize("k", [1, 2, 5])
 @pytest.mark.parametrize("e", [-3, -1, 1, 2])
 def test_apply_binom_matches_the_fraction_route(c, k, e):
-    # ((1 - i q)^-1 (1 - (-1)^a q^2)^2 + (1/3) q) (1 - i^c q^k)^e
-    tree = mksum(
-        (1, mkprod(Binom(make_lin(1), 1, -1), Binom(make_lin(0, [("a", 2)]), 2, 2))),
-        (1, mkprod(mknum(Fraction(1, 3)), QPow(1))))
-    via = expand(mkprod(tree, Binom(make_lin(c), k, e)), 30, env={"a": 1})
-    old = oracle_expand(tree, 30, env={"a": 1}).apply_binom(GaussRat.i_power(c), k, e)
-    assert _gauss_coeffs(via) == old.coeffs
-
-
-# -- the text form of trees (tests/genexpr_text.py) ------------------------------
-
-
-SAMPLE_TEXTS = [
-    "q",
-    "q^3",
-    "(1 - q^2)^-3",
-    "(1 + q^5)^2",
-    "(1 - i q)^-1",
-    "(1 - i^3 q^7)^-2",
-    "2 q (1 - q^4)^-1",
-    "(1/2) (1 - q^2)^-1",
-    "q - q^2 + 3 q^3",
-    "avg(a in 0..1) (-1)^a (1 - (-1)^a q)^-1",
-    "avg(b in 0..3) i^b (1 - i^b q^2)^-1",
-    "avg(a in 0..1) avg(b in 0..3) (1 - (-1)^a i^b q)^-1",
-    "(1 - (-1)^a q)^-1 (1 - (-1)^a (-1)^b q^3)^-1",
-    "i^-b",
-    "1 - q",
-]
-
-
-@pytest.mark.parametrize("text", SAMPLE_TEXTS)
-def test_parse_print_round_trip_on_samples(text):
-    tree = parse_genexpr(text)
-    assert parse_genexpr(to_text(tree)) == tree
-
-
-@pytest.mark.parametrize("g", ALL_GROUPS, ids=lambda g: g.label)
-@pytest.mark.parametrize("token", ["Sp", "SO_odd"])
-def test_parse_print_round_trip_on_builtins(g, token):
-    tree = builtin_genfun(g, token)
-    assert parse_genexpr(to_text(tree)) == tree
-
-
-@pytest.mark.parametrize("token", REFINED_TOKENS)
-def test_parse_print_round_trip_on_refined(token):
-    tree = builtin_genfun(GroupSpec.binary_octahedral(), token)
-    assert parse_genexpr(to_text(tree)) == tree
-
-
-@pytest.mark.parametrize("identity,params", FIXED_INSTANTIATIONS)
-def test_parse_print_round_trip_on_identity_sides(identity, params):
-    lhs, rhs = identity_trees(identity, params)
-    assert parse_genexpr(to_text(lhs)) == lhs
-    assert parse_genexpr(to_text(rhs)) == rhs
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "q^0",
-        "q^-1",
-        "(1 - q^2)^0",
-        "q q^2 extra )",
-        "avg(a in 1..2) q",
-        "avg(a in 0..x) q",
-        "(1 - q",
-        "(2 - q)^-1",
-        "i^q",
-        "q / / q",
-        "(1 - q) / (1 - q^3)",
-    ],
-)
-def test_parse_errors(text):
-    with pytest.raises(ParseError):
-        parse_genexpr(text)
-
-
-def test_parse_rejects_trailing_input():
-    with pytest.raises(ParseError):
-        parse_genexpr("q^2 )")
-
-
-def test_non_integer_scalars_print_parenthesized():
-    tree = mkprod(mknum(Fraction(1, 2)), QPow(2))
-    text = to_text(tree)
-    assert text == "(1/2) q^2"
-    assert parse_genexpr(text) == tree
+    # ((1 - i q)^-1 (1 - (-1)^a q^2)^2 + (1/3) q) (1 - i^c q^k)^e at a = 1
+    terms = signed_sum((1, product(binom(1, -1, 1), binom(2, 2, 2))),
+                       (1, product(scalar(1, 3), qpow(1))))
+    via = expand(product(terms, binom(k, e, c)), 30)
+    old = (FractionSeries.term(30, 1, 0).apply_binom(GaussRat.i_power(1), 1, -1)
+           .apply_binom(GaussRat.i_power(2), 2, 2)
+           + FractionSeries.term(30, Fraction(1, 3), 1))
+    assert _gauss_coeffs(via) == old.apply_binom(GaussRat.i_power(c), k, e).coeffs
 
 
 # -- expansion -----------------------------------------------------------------
 
 
 def test_expand_geometric_series():
-    tree = Binom(make_lin(), 2, -1)  # (1 - q^2)^-1
-    s = expand(tree, 10)
+    s = expand(binom(2), 10)  # (1 - q^2)^-1
     assert s.integer_coeffs() == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
 def test_expand_average_kills_odd_powers():
     # averaging (1 - (-1)^a q)^-1 over a = 0, 1 keeps even powers only
-    tree = Avg("a", 1, Binom(make_lin(0, [("a", 2)]), 1, -1))
-    s = expand(tree, 8)
+    s = expand(average(lambda a: binom(1, -1, 2 * a), 2), 8)
     assert s.integer_coeffs() == [1, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
 def test_expand_quarter_average_picks_multiples_of_four():
-    tree = Avg("b", 3, Binom(make_lin(0, [("b", 1)]), 1, -1))
-    s = expand(tree, 8)
+    s = expand(average(lambda b: binom(1, -1, b), 4), 8)
     assert s.integer_coeffs() == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 def test_avg_equals_mean_of_substitutions():
     # (1 - (-1)^a q)^-1 (1 - q^2)^-1
-    body = mkprod(Binom(make_lin(0, [("a", 2)]), 1, -1), Binom(make_lin(), 2, -1))
-    wrapped = Avg("a", 1, body)
-    direct = expand(wrapped, 12)
-    parts = [expand(body, 12, env={"a": val}) for val in (0, 1)]
+    def body(a):
+        return product(binom(1, -1, 2 * a), binom(2))
+
+    direct = expand(average(body, 2), 12)
+    parts = [expand(body(a), 12) for a in (0, 1)]
     mean = [(parts[0].coeff(j) + parts[1].coeff(j)) / 2 for j in range(13)]
     assert [direct.coeff(j) for j in range(13)] == mean
 
 
 def test_coeff_rejects_fractional_result_only_when_nonintegral():
-    half = mkprod(mknum(Fraction(1, 2)), QPow(1))
+    half = product(scalar(1, 2), qpow(1))
     assert expand(half, 2).coeff(1) == Fraction(1, 2)
 
 
 @given(st.integers(1, 5), st.integers(1, 4))
 @settings(max_examples=20, deadline=None)
 def test_shift_matches_qpow_product(k, e):
-    base = Binom(make_lin(), k, -e)  # (1 - q^k)^-e
-    shifted = mkprod(QPow(3), base)
+    base = binom(k, -e)  # (1 - q^k)^-e
+    shifted = product(qpow(3), base)
     a = expand(shifted, 12).integer_coeffs()
     b = expand(base, 12).integer_coeffs()
     assert a == [0, 0, 0] + b[:10]
@@ -539,8 +402,8 @@ def test_sector_series_sums():
     n = 12
 
     def sector_sum(side):
-        return expand(mksum(*[(1, builtin_genfun(oct_, f"refined:0,{m}:{side}"))
-                              for m in (0, 1)]), n).integer_coeffs()
+        return expand(signed_sum(*[(1, builtin_genfun(oct_, f"refined:0,{m}:{side}"))
+                                   for m in (0, 1)]), n).integer_coeffs()
 
     assert sector_sum("Sp")[:4] == [2, 0, 4, 0]
     assert sector_sum("Spin")[:8] == [0, 2, 0, 4, 0, 12, 0, 22]
@@ -582,17 +445,17 @@ def test_vanishing_proposition_clears_exactly():
 
 
 def test_vanishing_proposition_by_series_to_order_200():
-    lhs, rhs = identity_trees("PropY", None)
+    lhs, rhs = identity_sides("PropY", None)
     assert expand(lhs, 200) == expand(rhs, 200)
 
 
 def test_cleared_difference_reports_failure_degree():
-    lhs = Binom(make_lin(), 1, -1)  # (1 - q)^-1
-    rhs = Binom(make_lin(), 2, -1)  # (1 - q^2)^-1
+    lhs = binom(1)  # (1 - q)^-1
+    rhs = binom(2)  # (1 - q^2)^-1
     holds, degree = cleared_difference_degree(lhs, rhs)
     assert not holds
     assert degree >= 1
-    ok, _ = cleared_difference_degree(lhs, Binom(make_lin(), 1, -1))
+    ok, _ = cleared_difference_degree(lhs, binom(1))
     assert ok
 
 
@@ -627,9 +490,9 @@ def mainA_instantiation(g: GroupSpec) -> tuple[str, str]:
 )
 def test_group_instantiations_reproduce_builtin_series(g):
     identity, params = mainA_instantiation(g)
-    lhs, rhs = identity_trees(identity, params)
+    lhs, rhs = identity_sides(identity, params)
     n = 20
-    shifted_sp = mkprod(QPow(1), builtin_genfun(g, "Sp"))
+    shifted_sp = product(qpow(1), builtin_genfun(g, "Sp"))
     assert expand(lhs, n) == expand(shifted_sp, n)
     assert expand(rhs, n) == expand(builtin_genfun(g, "SO_odd"), n)
 
@@ -691,7 +554,7 @@ def test_random_two_factor_average_tuples_prove(k, dk, v0, v1):
 
 def test_series_and_cleared_methods_agree():
     for identity, params in (("KF1", "2;2,5;1;3"), ("KF2", "2;2;2,1;1,3;2")):
-        lhs, rhs = identity_trees(identity, params)
+        lhs, rhs = identity_sides(identity, params)
         assert prove_identity(identity, params)["verdict"] == "proven"
         assert expand(lhs, 80) == expand(rhs, 80)
 
@@ -703,9 +566,9 @@ def test_random_params_are_valid_and_canonical(identity):
     rng = random.Random(20260814)
     for _ in range(40):
         params = random_identity_params(identity, rng)
-        # canonical form is a fixed point and the trees build without error
+        # canonical form is a fixed point and the sides build without error
         assert canonical_params(identity, params) == params
-        identity_trees(identity, params)
+        identity_sides(identity, params)
 
 
 def test_random_params_are_deterministic_given_seed():
@@ -721,6 +584,29 @@ def test_random_params_rejects_unparametrized():
 
     with pytest.raises(ValueError):
         random_identity_params("PropX", random.Random(0))
+
+
+def test_random_draws_are_pinned():
+    # the draws of a seed are part of verify identities --random --seed
+    import random
+
+    rng = random.Random(20260814)
+    assert [random_identity_params(f, rng) for f in ("KF1", "KF2", "KF3", "KF4")
+            for _ in range(2)] == [
+        "4;3,5,4,4;0;", "4;4,6,5,5;1;3", "4;2,4;0,1;;2", "4;5,6;3,0;4,5,5;",
+        "6;2,1,2,2;3,5;1;4,1;1,1", "1;0,0,0,0;;;;", "1,5;3;3,3,3", "3,4;0;"]
+
+
+def test_identity_values_are_bounded():
+    # the count takes in every k value and every v list
+    top = MAX_IDENTITY_VALUES
+    kf3 = lambda n: f"1;{n},0,0,1;{','.join(['1'] * n)};;;1"  # n + 2 values
+    assert parse_identity_params("KF1", {"k": (1,), "v": (1,) * (top - 1)})
+    assert parse_identity_params("KF3", kf3(top - 2))["v"][0] == (1,) * (top - 2)
+    for identity, params in (("KF1", {"k": (1,), "v": (1,) * top}),
+                             ("KF3", kf3(top - 1))):
+        with pytest.raises(ValueError, match=f"at most {top} k and v values"):
+            parse_identity_params(identity, params)
 
 
 # -- the integer route against the Fraction route ---------------------------------
@@ -741,7 +627,7 @@ ORACLE_GROUPS = (
     "identity,params",
     FIXED_INSTANTIATIONS + (("PropX", None), ("PropA", None)))
 def test_cleared_routes_agree_on_fixed_instances(identity, params):
-    lhs, rhs = identity_trees(identity, params)
+    lhs, rhs = identity_sides(identity, params)
     assert cleared_difference_degree(lhs, rhs) == oracle_cleared_difference_degree(lhs, rhs)
 
 
@@ -752,15 +638,15 @@ def test_cleared_routes_agree_on_random_draws(identity):
     rng = random.Random(7)
     for _ in range(3):
         params = random_identity_params(identity, rng)
-        lhs, rhs = identity_trees(identity, params)
+        lhs, rhs = identity_sides(identity, params)
         new = cleared_difference_degree(lhs, rhs)
         assert new == oracle_cleared_difference_degree(lhs, rhs), params
         assert new[0]
 
 
 def test_broken_identity_fails_on_both_routes():
-    lhs, rhs = identity_trees("KF4", "1,2;1;2")
-    broken = mksum((1, lhs), (1, QPow(300)))
+    lhs, rhs = identity_sides("KF4", "1,2;1;2")
+    broken = signed_sum((1, lhs), (1, qpow(300)))
     new = cleared_difference_degree(broken, rhs)
     assert not new[0]
     assert new == oracle_cleared_difference_degree(broken, rhs)
@@ -769,89 +655,136 @@ def test_broken_identity_fails_on_both_routes():
 @pytest.mark.parametrize("g", ORACLE_GROUPS, ids=lambda g: g.label)
 @pytest.mark.parametrize("token", ["Sp", "SO_odd"])
 def test_expand_routes_agree_on_builtins(g, token):
-    tree = builtin_genfun(g, token)
-    assert _gauss_coeffs(expand(tree, 25)) == oracle_expand(tree, 25).coeffs
+    terms = builtin_genfun(g, token)
+    assert _gauss_coeffs(expand(terms, 25)) == oracle_expand(terms, 25).coeffs
 
 
 @pytest.mark.parametrize("token", REFINED_TOKENS)
 def test_expand_routes_agree_on_refined_tokens(token):
-    tree = builtin_genfun(GroupSpec.binary_octahedral(), token)
-    assert _gauss_coeffs(expand(tree, 25)) == oracle_expand(tree, 25).coeffs
+    terms = builtin_genfun(GroupSpec.binary_octahedral(), token)
+    assert _gauss_coeffs(expand(terms, 25)) == oracle_expand(terms, 25).coeffs
 
 
 def test_expand_routes_agree_on_the_vanishing_series_to_order_200():
-    lhs, rhs = identity_trees("PropY", None)
+    lhs, rhs = identity_sides("PropY", None)
     new = expand(lhs, 200)
     assert new == GaussSeries(200)
     assert _gauss_coeffs(new) == oracle_expand(lhs, 200).coeffs
 
 
-# -- random trees: the flat-term sum against both oracles ------------------------
+# -- random expressions: the flat-term sum against the Fraction oracle ----------
+#
+# A random expression is a function of (env, order), env binding the variables
+# a and b, that returns two things: its production term list, built with the
+# combinators, and its oracle value, a FractionSeries built with the oracle's
+# own multiply, add, scale and apply_binom.  So the oracle value never passes
+# through the flat-term code.
 
 
-TREE_VARS = ("a", "b")
+EXPR_VARS = ("a", "b")
+
+
+def _avg(var, n, inner):
+    """The mean of inner over var = 0..n-1."""
+    def build(env, order):
+        parts = [inner({**env, var: v}, order) for v in range(n)]
+        value = FractionSeries(order)
+        for _, s in parts:
+            value = value + s
+        return (average(lambda v: parts[v][0], n),
+                value.scale(GaussRat(Fraction(1, n))))
+    return build
 
 
 @st.composite
 def _phases(draw):
-    """A constant phase, or one variable's multiple plus a constant."""
-    var = draw(st.sampled_from((None,) + TREE_VARS))
-    terms = [(var, draw(st.integers(1, 3)))] if var else []
-    return make_lin(draw(st.integers(0, 3)), terms)
+    """c(env) for the phase i^c: a constant, plus a multiple of one variable."""
+    var = draw(st.sampled_from((None,) + EXPR_VARS))
+    mult = draw(st.integers(1, 3)) if var else 0
+    const = draw(st.integers(0, 3))
+    return lambda env: const + (mult * env[var] if var else 0)
 
 
 @st.composite
 def _binoms(draw, max_k):
+    """(k, e, c): the factor (1 - i^c(env) q^k)^e."""
     e = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
-    return Binom(draw(_phases()), draw(st.integers(1, max_k)), e)
+    return draw(st.integers(1, max_k)), e, draw(_phases())
 
 
 @st.composite
-def _trees(draw, depth, max_k, max_shift):
-    """A tree whose free variables are among TREE_VARS."""
+def _exprs(draw, depth, max_k, max_shift):
+    """An expression whose free variables are among EXPR_VARS."""
     if depth == 0 or draw(st.booleans()):
-        kind = draw(st.sampled_from(("num", "qpow", "root", "binom")))
+        kind = draw(st.sampled_from(("num", "qpow", "phase", "binom")))
         if kind == "num":
-            return mknum(Fraction(draw(st.integers(0, 5)), draw(st.integers(1, 4))))
+            x = Fraction(draw(st.integers(0, 5)), draw(st.integers(1, 4)))
+            return lambda env, order: (scalar(x.numerator, x.denominator),
+                                       FractionSeries.term(order, x, 0))
         if kind == "qpow":
-            return QPow(draw(st.integers(1, max_shift)))
-        if kind == "root":
-            if draw(st.booleans()):
-                return Root(make_lin(draw(st.sampled_from((1, 3)))))
-            var = draw(st.sampled_from(TREE_VARS))
-            return Root(make_lin(draw(st.integers(0, 3)), [(var, draw(st.integers(1, 3)))]))
-        return draw(_binoms(max_k))
-    inner = _trees(depth - 1, max_k, max_shift)
+            k = draw(st.integers(1, max_shift))
+            return lambda env, order: (qpow(k), FractionSeries.term(order, 1, k))
+        if kind == "phase":
+            c = draw(_phases())
+            return lambda env, order: (
+                phase(c(env)), FractionSeries.term(order, GaussRat.i_power(c(env)), 0))
+        k, e, c = draw(_binoms(max_k))
+        return lambda env, order: (binom(k, e, c(env)), FractionSeries.term(
+            order, 1, 0).apply_binom(GaussRat.i_power(c(env)), k, e))
+    inner = _exprs(depth - 1, max_k, max_shift)
     kind = draw(st.sampled_from(("prod", "sum", "avg", "cancel")))
     if kind == "prod":
-        return Prod(tuple(draw(st.lists(inner, min_size=2, max_size=3))))
+        factors = draw(st.lists(inner, min_size=2, max_size=3))
+
+        def build(env, order):
+            parts = [f(env, order) for f in factors]
+            value = parts[0][1]
+            for _, s in parts[1:]:
+                value = value * s
+            return product(*[t for t, _ in parts]), value
+        return build
     if kind == "sum":
         signs = st.sampled_from((1, -1))
-        return Sum(tuple(draw(st.lists(st.tuples(signs, inner), min_size=2, max_size=3))))
+        signed = draw(st.lists(st.tuples(signs, inner), min_size=2, max_size=3))
+
+        def build(env, order):
+            parts = [(sign, f(env, order)) for sign, f in signed]
+            value = FractionSeries(order)
+            for sign, (_, s) in parts:
+                value = value + s if sign > 0 else value - s
+            return signed_sum(*[(sign, t) for sign, (t, _) in parts]), value
+        return build
     if kind == "avg":
-        return Avg(draw(st.sampled_from(TREE_VARS)), draw(st.sampled_from((1, 3))),
-                   draw(inner))
+        return _avg(draw(st.sampled_from(EXPR_VARS)), draw(st.sampled_from((2, 4))),
+                    draw(inner))
     # a factor and its inverse, which cancel when the terms are merged
-    b = draw(_binoms(max_k))
-    return Prod((draw(inner), b, Binom(b.phase, b.k, -b.e)))
+    body, (k, e, c) = draw(inner), draw(_binoms(max_k))
+
+    def build(env, order):
+        terms, value = body(env, order)
+        u = GaussRat.i_power(c(env))
+        return (product(terms, binom(k, e, c(env)), binom(k, -e, c(env))),
+                value.apply_binom(u, k, e).apply_binom(u, k, -e))
+    return build
 
 
-def _closed(tree):
-    """The tree with its variables bound: averaged over 2 and 4 values."""
-    return Avg("a", 1, Avg("b", 3, tree))
+def _closed(expr, order):
+    """(terms, oracle value) with the variables bound: averaged over a = 0, 1
+    and b = 0..3."""
+    return _avg("a", 2, _avg("b", 4, expr))({}, order)
 
 
-@given(_trees(3, 6, 45), st.integers(0, 40))
+@given(_exprs(3, 6, 45), st.integers(0, 40))
 @settings(max_examples=60, deadline=None)
-def test_expand_matches_the_oracle_on_random_trees(tree, order):
-    tree = _closed(tree)
-    assert _gauss_coeffs(expand(tree, order)) == oracle_expand(tree, order).coeffs
+def test_expand_matches_the_oracle_on_random_trees(expr, order):
+    terms, value = _closed(expr, order)
+    assert _gauss_coeffs(expand(terms, order)) == value.coeffs
 
 
-@given(_trees(2, 4, 12), st.one_of(st.none(), _trees(2, 4, 12)))
+@given(_exprs(2, 4, 12), st.one_of(st.none(), _exprs(2, 4, 12)))
 @settings(max_examples=40, deadline=None)
 def test_cleared_difference_matches_the_oracle_on_random_pairs(lhs, rhs):
-    # rhs None: the tree against itself, an identity that holds
-    lhs = _closed(lhs)
-    rhs = lhs if rhs is None else _closed(rhs)
+    # rhs None: the expression against itself, an identity that holds
+    lhs = _closed(lhs, 0)[0]
+    rhs = lhs if rhs is None else _closed(rhs, 0)[0]
     assert cleared_difference_degree(lhs, rhs) == oracle_cleared_difference_degree(lhs, rhs)
