@@ -231,14 +231,14 @@ class SMatrix(Record):
 # triangle, each a sum over `cosets` determinant sums of size m
 # (_determinant_shape), so its work is counted as
 # L (L + 1) / 2 * cosets * m**3 units.  Type E costs the most per unit, and
-# at MAX_WORK it takes about 15 s on a 2-CPU machine: E6 at level 10
-# (1.25e9 units) 16.6 s, E7 at level 9 11 s and E8 at level 8 10 s, against
-# about 1 ns per unit for A and D of rank 20 and more.  Each matrix is held
-# as one L x L complex array and printed as JSON, and verification
-# multiplies dense L x L matrices; at MAX_WEIGHTS (A2 at level 43, L = 990)
-# the matrix takes under a second and `smatrix` about 7 s.  A sweep over
-# levels is bounded as if its levels were one matrix: weights and work are
-# summed.
+# at MAX_WORK it takes about 10 s on a 2-CPU machine with numpy on one BLAS
+# thread, as cli.main sets it: `smatrix` at E6 level 10 (1.25e9 units) takes
+# 10.5 s, at E7 level 9 7.8 s and at E8 level 8 6.5 s, against about 1 ns
+# per unit for A and D of rank 20 and more.  Each matrix is held as one
+# L x L complex array and printed as JSON, and verification multiplies dense
+# L x L matrices; at MAX_WEIGHTS (A2 at level 43, L = 990) the matrix takes
+# under a second and `smatrix` 2.0 s.  A sweep over levels is bounded as if
+# its levels were one matrix: weights and work are summed.
 MAX_WEIGHTS = 1000
 MAX_WORK = 15 * 10 ** 8
 

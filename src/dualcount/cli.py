@@ -30,6 +30,13 @@ dataclasses: every record is a plain class.  `smatrix` and `verify smatrix` run 
 and mckay, with their root data from rootdata rather than lattice; they
 load numpy, but neither cyclotomic nor fractions, and an orbit count loads
 no fractions either.
+
+numpy's BLAS runs on one thread: before any command runs, `main` sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, so that the
+pool numpy starts when it loads has no threads that only spin-wait on these
+small matrices.  A user who sets any of the three keeps their own setting,
+and main then sets none of them: under `OPENBLAS_NUM_THREADS=4 dualcount
+smatrix ...` OpenBLAS runs up to four threads, one per CPU at most.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import csv
 import importlib.util
 import io
 import json
+import os
 import random
 import sys
 
@@ -650,7 +658,23 @@ def render(report: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
+# the thread counts of OpenBLAS, OpenMP and MKL, which numpy reads once, when
+# it loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS")
+
+
+def use_one_blas_thread() -> None:
+    """Set every BLAS_THREAD_VARIABLES name to 1, unless the environment sets
+    any of them already: then it is the user's choice, and none is set.  An
+    S-matrix is too little work for a second thread to do more than
+    spin-wait."""
+    if not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+
+
 def main(argv=None) -> int:
+    use_one_blas_thread()
     try:
         cfg = parse_args(argv)
         report, status = run(cfg)

@@ -497,14 +497,16 @@ def identity_sides(identity: str, params):
     raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITIES}")
 
 
-def _ints(text: str, what: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
+def _int(text: str, what: str) -> int:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return int(text)
     except ValueError:
         raise ValueError(f"could not parse {what} from {text!r}") from None
+
+
+def _ints(text: str, what: str) -> tuple[int, ...]:
+    text = text.strip()
+    return tuple(_int(x, what) for x in text.split(",")) if text else ()
 
 
 # Most k and v values one identity may take in all, checked before any term
@@ -532,6 +534,8 @@ def _bounded(identity: str, p: dict) -> dict:
 
 def parse_identity_params(identity: str, params) -> dict:
     """Normalize string or dict parameters for a named identity."""
+    if identity not in IDENTITIES:
+        raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITIES}")
     if identity in ("PropX", "PropY", "PropA"):
         if params not in (None, "", {}):
             raise ValueError(f"{identity} takes no parameters")
@@ -544,9 +548,9 @@ def parse_identity_params(identity: str, params) -> dict:
     if identity == "KF1":
         if len(groups) != 4:
             raise ValueError("KF1 parameters look like 's;k1,..;l;v1,..'")
-        s = int(groups[0])
+        s = _int(groups[0], "s")
         k = _ints(groups[1], "k values")
-        l = int(groups[2])
+        l = _int(groups[2], "l")
         v = _ints(groups[3], "v values")
         if len(k) != s:
             raise ValueError("KF1 s must equal the number of k values")
@@ -556,7 +560,7 @@ def parse_identity_params(identity: str, params) -> dict:
     if identity == "KF2":
         if len(groups) != 5:
             raise ValueError("KF2 parameters look like 's;k..;l0,l1;v0..;v1..'")
-        s = int(groups[0])
+        s = _int(groups[0], "s")
         k = _ints(groups[1], "k values")
         ls = _ints(groups[2], "l values")
         v0 = _ints(groups[3], "v0 values")
@@ -570,24 +574,23 @@ def parse_identity_params(identity: str, params) -> dict:
         if len(groups) != 6:
             raise ValueError(
                 "KF3 parameters look like 'k;l00,l01,l10,l11;v00..;v01..;v10..;v11..'")
-        k = int(groups[0])
+        k = _int(groups[0], "k")
         ls = _ints(groups[1], "l values")
         vmat = tuple(_ints(gtext, "v values") for gtext in groups[2:6])
         if len(ls) != 4 or tuple(len(vs) for vs in vmat) != ls:
             raise ValueError("KF3 l values must match the v list lengths")
         return _bounded(identity, {"k": k, "v": vmat})
-    if identity == "KF4":
-        if len(groups) != 3:
-            raise ValueError("KF4 parameters look like 'k1,k2;l;v1,..'")
-        ks = _ints(groups[0], "k values")
-        l = int(groups[1])
-        v = _ints(groups[2], "v values")
-        if len(ks) != 2:
-            raise ValueError("KF4 takes exactly two k values")
-        if len(v) != l:
-            raise ValueError("KF4 l must equal the number of v values")
-        return _bounded(identity, {"k1": ks[0], "k2": ks[1], "v": v})
-    raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITIES}")
+    # KF4: the name check and the cases above leave no other identity
+    if len(groups) != 3:
+        raise ValueError("KF4 parameters look like 'k1,k2;l;v1,..'")
+    ks = _ints(groups[0], "k values")
+    l = _int(groups[1], "l")
+    v = _ints(groups[2], "v values")
+    if len(ks) != 2:
+        raise ValueError("KF4 takes exactly two k values")
+    if len(v) != l:
+        raise ValueError("KF4 l must equal the number of v values")
+    return _bounded(identity, {"k1": ks[0], "k2": ks[1], "v": v})
 
 
 def canonical_params(identity: str, params) -> str:

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output determinism, config round-trips."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -24,10 +25,11 @@ def invoke(argv, capsys):
     return status, out, err
 
 
-def _last_line(code: str) -> str:
-    """The last line that `python -c code` prints; it must exit 0."""
+def _last_line(code: str, env=None) -> str:
+    """The last line that `python -c code` prints, run in env (by default
+    this process's environment); it must exit 0."""
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
@@ -524,6 +526,17 @@ def test_random_draws_at_the_bound_are_accepted():
     assert cfg.random_draws == MAX_RANDOM_DRAWS
 
 
+@pytest.mark.parametrize("argv,message", [
+    # the name is checked before the parameters it would need
+    (["--prop", "Bogus"], "error: unknown identity 'Bogus'; choose from ("),
+    (["--prop", "KF1", "--params", "x;1;1;1"], "error: could not parse s from 'x'"),
+])
+def test_identity_parameter_errors_name_what_is_wrong(argv, message, capsys):
+    err = refused(["verify", "identities", *argv], capsys)
+    assert message in err
+    assert "invalid literal" not in err
+
+
 def test_identity_over_the_work_bound_is_refused(capsys):
     # KF1 with one k = 500000 clears to degree 3e6 in 2.7e7 steps
     argv = ["verify", "identities", "--prop", "KF1", "--params", "1;500000;0;"]
@@ -627,6 +640,40 @@ def test_smatrix_command_still_loads_numpy():
             "status = cli.main(['smatrix', '--type', 'A1', '--level', '1'])\n"
             "print(status, 'numpy' in sys.modules)")
     assert _last_line(code) == "0 True"
+
+
+def test_main_sets_one_blas_thread_unless_the_user_set_one(monkeypatch, capsys):
+    argv = ["count", "--gamma", "Z:2", "--target", "Sp", "--n", "1"]
+    settings = lambda: [os.environ.get(v) for v in cli.BLAS_THREAD_VARIABLES]
+    for name in cli.BLAS_THREAD_VARIABLES:
+        # setenv records the name, so that the teardown removes what main sets
+        monkeypatch.setenv(name, "")
+        monkeypatch.delenv(name)
+    assert invoke(argv, capsys)[0] == 0
+    assert settings() == ["1", "1", "1"]
+    for name in cli.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert invoke(argv, capsys)[0] == 0
+    assert settings() == ["3", None, None]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="counts threads in /proc/self/task (Linux)")
+@pytest.mark.parametrize("openblas,threads", [(None, 1), ("2", 2)])
+def test_smatrix_command_runs_numpy_on_one_blas_thread(openblas, threads):
+    if threads > (os.cpu_count() or 1):
+        pytest.skip("OpenBLAS starts at most one thread per CPU")
+    # the child's environment is explicit, so that a setting of the pytest
+    # process (tests/conftest.py makes one) cannot make this pass
+    env = {k: v for k, v in os.environ.items()
+           if k not in cli.BLAS_THREAD_VARIABLES}
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    code = ("import os\nfrom dualcount import cli\n"
+            "status = cli.main(['smatrix', '--type', 'A1', '--level', '1'])\n"
+            "print(status, len(os.listdir('/proc/self/task')))")
+    assert _last_line(code, env) == f"0 {threads}"
 
 
 LAYERS = ("affine", "lattice", "mckay", "series")

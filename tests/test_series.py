@@ -609,6 +609,21 @@ def test_identity_values_are_bounded():
             parse_identity_params(identity, params)
 
 
+@pytest.mark.parametrize("params", [None, "", "1;1;0;", {"k": (1,), "v": ()}])
+def test_an_unknown_identity_is_refused_before_its_parameters_are_read(params):
+    with pytest.raises(ValueError, match=r"^unknown identity 'Bogus'; choose from \("):
+        parse_identity_params("Bogus", params)
+
+
+@pytest.mark.parametrize("identity,params,message", [
+    ("KF1", "x;1;1;1", "s from 'x'"), ("KF1", "1;1;1.0;1", "l from '1.0'"),
+    ("KF2", " ;1;1,1;2;1", "s from ''"), ("KF3", "k;1,0,0,0;1;;;", "k from 'k'"),
+    ("KF4", "1,2;;2", "l from ''"), ("KF1", "1;1,x;1;1", "k values from 'x'")])
+def test_a_parameter_that_is_no_int_is_named(identity, params, message):
+    with pytest.raises(ValueError, match=f"^could not parse {message}$"):
+        parse_identity_params(identity, params)
+
+
 # -- the integer route against the Fraction route ---------------------------------
 
 
