@@ -33,7 +33,7 @@ import re
 from functools import lru_cache
 
 from .abgroup import AbGroup
-from .counting import graded_compositions, iter_vectors
+from .counting import composition_rows
 from .errors import InvariantError
 from .grouprep import GroupSpec, abelianization
 from .mckay import a_action, mckay_graph
@@ -93,6 +93,39 @@ def mckay_partner(ade_type: str) -> GroupSpec:
 
 
 # -- weight sets --------------------------------------------------------------
+
+
+def graded_compositions(slots, group: AbGroup, total: int) -> dict:
+    """Row total of `counting.composition_rows`, as a map from each grade to
+    its count."""
+    row = composition_rows(slots, group, total)[total]
+    return dict(zip(group.elements(), row))
+
+
+def iter_vectors(weights, total):
+    """Nonnegative integer vectors v with sum(v[i] * weights[i]) == total.
+
+    Lists what `graded_compositions` counts: affine weights, and the tests.
+    """
+    n = len(weights)
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    v = [0] * n
+
+    def rec(i, rem):
+        w = weights[i]
+        if i == n - 1:
+            if rem % w == 0:
+                v[i] = rem // w
+                yield tuple(v)
+            return
+        for c in range(rem // w + 1):
+            v[i] = c
+            yield from rec(i + 1, rem - c * w)
+
+    yield from rec(0, total)
 
 
 class LevelWeights(Record):

@@ -29,7 +29,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .abgroup import AbGroup
-from .errors import InvariantError, NotCoveredError
+from .errors import InvariantError
 from .record import Record
 
 REAL = "real"
@@ -361,42 +361,3 @@ def irrep_table_json(g: GroupSpec) -> dict:
             for i in irreps(g)
         ],
     }
-
-
-# -- binary octahedral extras: twisted irreps -----------------------------------
-
-
-class TwistedIrrepInfo(Record):
-    """Irreducible of the nontrivial Z2-twisted (double cover) type.
-
-    These carry no determinant character; reality and partners follow the
-    same conventions as IrrepInfo.
-    """
-
-    __slots__ = ("name", "dim", "reality", "partner", "node")
-
-
-_TWISTED_OCT = (
-    TwistedIrrepInfo("1t", 1, COMPLEX, "1t'", 0),
-    TwistedIrrepInfo("2t", 2, COMPLEX, "2t'", 1),
-    TwistedIrrepInfo("3t", 3, COMPLEX, "3t'", 2),
-    TwistedIrrepInfo("4t", 4, REAL, None, 3),
-    TwistedIrrepInfo("3t'", 3, COMPLEX, "3t", 4),
-    TwistedIrrepInfo("2t'", 2, COMPLEX, "2t", 5),
-    TwistedIrrepInfo("1t'", 1, COMPLEX, "1t", 6),
-    TwistedIrrepInfo("2t''", 2, PSEUDOREAL, None, 7),
-)
-
-
-def twisted_irreps(g: GroupSpec) -> tuple[TwistedIrrepInfo, ...]:
-    if g.family != OCTAHEDRAL:
-        raise NotCoveredError(
-            "not covered: twisted irreducibles are only available for Ohat")
-    return _TWISTED_OCT
-
-
-def twisted_x_action(g: GroupSpec) -> dict[str, str]:
-    """The outer 1-dim twist on twisted irreps: swaps primed/unprimed pairs."""
-    twisted_irreps(g)  # raises off-family
-    return {"1t": "1t'", "1t'": "1t", "2t": "2t'", "2t'": "2t",
-            "3t": "3t'", "3t'": "3t", "4t": "4t", "2t''": "2t''"}

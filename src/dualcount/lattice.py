@@ -9,11 +9,12 @@ M*/Q (Djokovic, Proc. AMS 80 (1980)); the counts of every level up to n are one
 `counting.orbit_composition_rows` table, the Burnside average over M*/Q
 acting on the extended diagram's nodes, so a sweep over the modulus builds
 one table per side.  The refined variant grades (1/n)P/M* by Z = P/M* and
-packages the result with `FRepCharacter.from_counts`, as the character-table
-type of the direct constraint enumeration, so the two routes can be compared
-point for point.  The orbits on the torus grids of n**rank points are the
-tests' oracle; of the grid, only `lattice_quotient` and what it builds stay
-here, because the benchmark's tracer wraps it by name.
+packages the result with `refined.FRepCharacter.from_counts`, as the
+character-table type of the direct constraint enumeration, so the two routes
+can be compared point for point; only that function imports `refined`.  The
+orbits on the torus grids of n**rank points are the tests' oracle; of the
+grid, only `lattice_quotient` and what it builds stay here, because the
+benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import product
 from math import gcd, prod
 
 from .abgroup import AbGroup
-from .counting import FRepCharacter, orbit_composition_rows
+from .counting import orbit_composition_rows
 from .errors import InvariantError
 from .record import Record
 from .rootdata import (CartanData, _adjugate, _identity_matrix, _kac_data,
@@ -218,9 +219,9 @@ def _refined_counts(c: CartanData, sublattice: str, n: int) -> dict:
             for kel, lift in _torsion_lifts(c, sublattice, n).items()}
 
 
-def refined_zn_characters(letter: str, rank: int, sublattice: str,
-                          n: int) -> FRepCharacter:
-    """Character table of the translation/grading action on Weyl orbit sums.
+def refined_zn_characters(letter: str, rank: int, sublattice: str, n: int):
+    """Character table of the translation/grading action on Weyl orbit sums,
+    as a `refined.FRepCharacter`.
 
     Z = N*/M* (N* the coweight lattice) grades the points of (1/n)N*/M*;
     elements of Ker(n: Z -> Z) act by translation, characters of Z/nZ by the
@@ -241,6 +242,8 @@ def refined_zn_characters(letter: str, rank: int, sublattice: str,
         raise InvariantError("the grade counts must repeat along nZ-cosets")
 
     reps = [z for z in AbGroup(zmods).elements() if z == coset_rep(z)]
+    from .refined import FRepCharacter
+
     return FRepCharacter.from_counts(
         f"{c.type}:{sublattice}", zmods, gs_mods,
         {kel: {z: per_grade[z] for z in reps}

@@ -9,14 +9,15 @@ characters, the binary octahedral covers from the two-torsion sectors of
 the listed vectors, cyclic covers from the Weyl orbits on the torus grid.
 """
 
-from dualcount.counting import (SectorCount, Target, _build_slots,
-                                _orthogonal_slots, _symplectic_slots,
-                                iter_vectors)
+from dualcount.affine import iter_vectors
+from dualcount.counting import (Target, _build_slots, _orthogonal_slots,
+                                _symplectic_slots)
 from dualcount.errors import NotCoveredError
 from dualcount.grouprep import (CYCLIC, ICOSAHEDRAL, OCTAHEDRAL, REAL,
                                 TETRAHEDRAL, GroupSpec, abelianization,
-                                irreps, twisted_irreps)
+                                irreps)
 from dualcount.lattice import cartan_data
+from dualcount.refined import SectorCount, twisted_irreps
 from char_tables import tensor_with_onedim
 from grid_orbits import grid_count
 

@@ -10,14 +10,15 @@ from math import gcd
 
 from dualcount import lattice
 from dualcount.abgroup import AbGroup
-from dualcount.counting import (FRepCharacter, Target, _fixed_slots,
-                                _oct_sp_sector_rows, _oct_spin_sector_rows,
-                                _two_torsion_f_rep, count_homs,
-                                graded_compositions, orbit_composition_rows,
-                                tables_swap_equivalent)
+from dualcount.affine import graded_compositions
+from dualcount.counting import (Target, _fixed_slots, count_homs,
+                                orbit_composition_rows)
 from dualcount.errors import InvariantError, NotCoveredError
 from dualcount.grouprep import (CYCLIC, ICOSAHEDRAL, OCTAHEDRAL, TETRAHEDRAL,
                                 abelianization, irreps, onedim_permutations)
+from dualcount.refined import (FRepCharacter, _oct_sp_sector_rows,
+                               _oct_spin_sector_rows, _two_torsion_f_rep,
+                               tables_swap_equivalent)
 
 
 def weyl_orbit_count(c, choice: str, n: int) -> int:

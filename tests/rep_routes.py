@@ -3,7 +3,7 @@
 The center class of each level weight (`affine.det_classes_from_center`) is
 checked against the determinant of the partner-group representation that the
 weight names, and the mod-4 sector congruence of special orthogonal Ohat
-vectors (`counting._OCT_CONGRUENCE`) against their second Stiefel-Whitney
+vectors (`refined._OCT_CONGRUENCE`) against their second Stiefel-Whitney
 class, from the classes of the irreps by the Whitney formula.
 """
 
@@ -12,11 +12,11 @@ from math import comb
 from dualcount.abgroup import AbGroup
 from dualcount.affine import (_finite_structure, det_classes_from_center,
                               level_weights, mckay_partner)
-from dualcount.counting import _OCT_CONGRUENCE
 from dualcount.errors import InvariantError, NotCoveredError
 from dualcount.grouprep import (OCTAHEDRAL, PSEUDOREAL, GroupSpec,
                                 abelianization, irreps)
 from dualcount.record import Record
+from dualcount.refined import _OCT_CONGRUENCE
 
 
 def irrep_by_name(g: GroupSpec, name: str):
@@ -125,7 +125,7 @@ def sector_of_so_rep(mv: dict[str, int]) -> int:
     """Two-torsion sector of an orthogonal multiplicity vector for Ohat.
 
     Computed two independent ways, which must agree: (a) the mod-4 congruence
-    of `counting._OCT_CONGRUENCE` on the multiplicities of 1', 3' and 2'';
+    of `refined._OCT_CONGRUENCE` on the multiplicities of 1', 3' and 2'';
     (b) the Whitney-sum obstruction class of the direct sum.
     """
     g = GroupSpec.binary_octahedral()

@@ -13,11 +13,11 @@ from math import comb, gcd
 import pytest
 
 from dualcount import affine, lattice, series
-from dualcount.counting import (Target, count_homs, count_twisted,
-                                verify_swap_equivalence)
+from dualcount.counting import Target, count_homs, verify_swap_equivalence
 from dualcount.errors import NotCoveredError
 from dualcount.grouprep import GroupSpec, abelianization, irreps
 from dualcount.mckay import ade_type_of, mckay_graph
+from dualcount.refined import count_twisted
 from enumeration import multiplicity_vectors
 from rep_routes import sector_of_so_rep
 

@@ -25,10 +25,10 @@ from dualcount.affine import (
     unitarity_error,
     verify_s_conjugation,
 )
-from dualcount.cli import SMATRIX_GRID
 from dualcount.counting import Target, count_homs
 from dualcount.cyclotomic import Cyc
 from dualcount.mckay import a_action
+from dualcount.suites import SMATRIX_GRID
 from frac_inverse import frac_inverse
 from rep_routes import det_char, det_classes_from_reps, det_route_report
 from weyl_residue import (residue_counts, residue_modulus, residue_s_matrix,

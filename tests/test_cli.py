@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualcount import affine, cli, lattice, series
+from dualcount import affine, cli, lattice, refined, series, suites
 from dualcount.cli import (MAX_N, MAX_ORACLE_N, MAX_RANDOM_DRAWS, UsageError,
                            parse_args)
 from dualcount.bounds import MAX_ORDER, MAX_RANK
@@ -132,8 +132,8 @@ def test_verify_flags_the_suite_does_not_read_are_refused(argv, flag, capsys):
 
 
 def _cfg_fields_read(tree, name, seen):
-    """The parsed options that cli function name reads from cfg, directly
-    or through the cli functions it passes cfg to."""
+    """The parsed options that function name of tree reads from cfg, directly
+    or through the functions of tree it passes cfg to."""
     import ast
 
     seen.add(name)
@@ -168,10 +168,13 @@ def test_suite_flag_map_is_what_each_suite_reads():
     # argparse refuses every flag the suite would ignore
     import ast
 
-    tree = ast.parse(Path(cli.__file__).read_text())
+    # the runners live in suites and call helpers of cli, such as _zn_sweep
+    tree = ast.Module(body=[stmt for module in (cli, suites) for stmt in
+                            ast.parse(Path(module.__file__).read_text()).body],
+                      type_ignores=[])
     parsers = _suite_parsers()
-    assert set(parsers) == set(cli._SUITE_RUNNERS)
-    for suite, runner in cli._SUITE_RUNNERS.items():
+    assert set(parsers) == set(suites._SUITE_RUNNERS)
+    for suite, runner in suites._SUITE_RUNNERS.items():
         read = _cfg_fields_read(tree, runner.__name__, set())
         declared = {a.dest for a in parsers[suite]._actions} - {"help", "fmt"}
         assert declared == read, suite
@@ -189,7 +192,7 @@ def test_verify_flags_before_the_suite_name_are_refused(argv, capsys):
     assert refused(argv, capsys).strip()
 
 
-@pytest.mark.parametrize("suite", sorted(cli._SUITE_RUNNERS))
+@pytest.mark.parametrize("suite", sorted(suites._SUITE_RUNNERS))
 def test_suite_help_lists_only_its_own_flags(suite, capsys):
     with pytest.raises(SystemExit) as exited:
         cli.main(["verify", suite, "--help"])
@@ -705,6 +708,38 @@ def test_each_command_runs_only_the_layer_modules_it_uses(argv, ran):
     assert _last_line(code) == f"0 True {ran!r}"
 
 
+# modules that only some commands import, at the point of use
+ON_DEMAND = ("dualcount.suites", "dualcount.refined", "dualcount.cyclotomic",
+             "csv", "numpy")
+
+
+@pytest.mark.parametrize("argv,ran", [
+    (["count", "--gamma", "Ihat", "--target", "PU", "--n", "3"], []),
+    (["irreps", "--gamma", "Ihat"], []),
+    (["count", "--gamma", "Z:5", "--target", "PSp", "--n", "4"], []),
+    (["verify", "duality", "--pair", "sp-so", "--max-n", "2"],
+     ["dualcount.suites"]),
+    # the default sweep counts Ohat into PSp and Spin, which read its sectors
+    (["verify", "duality", "--max-n", "2"],
+     ["dualcount.suites", "dualcount.refined"]),
+    (["count", "--gamma", "Ohat", "--target", "Spin_odd", "--n", "3"],
+     ["dualcount.refined"]),
+    (["sectors", "--family", "Sp", "--n", "3"], ["dualcount.refined"]),
+    (["verify", "refined"],
+     ["dualcount.suites", "dualcount.refined", "dualcount.cyclotomic"]),
+    (["count", "--gamma", "Ihat", "--target", "PU", "--n", "3",
+      "--format", "csv"], ["csv"]),
+])
+def test_each_command_imports_only_the_code_it_runs(argv, ran):
+    # the verify suites, the refined machinery and csv are imported by the
+    # commands that run them, so a count compiles none of their source
+    code = ("import contextlib, io, sys\nfrom dualcount import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = cli.main({argv!r})\n"
+            f"print(status, [m for m in {ON_DEMAND!r} if m in sys.modules])")
+    assert _last_line(code) == f"0 {ran!r}"
+
+
 @pytest.mark.parametrize("argv,unused", [
     (["verify", "identities"], "dataclasses"),
     (["verify", "zn-lattice"], "fractions"),
@@ -767,7 +802,7 @@ def test_perfbench_tracer_wraps_the_lazy_layers():
     lines = proc.stdout.strip().splitlines()
     traced, wrapped = lines[0], lines[-1]
     assert traced == "True"
-    assert wrapped == f"[0, 0] {len(cli.identity_runs())} True"
+    assert wrapped == f"[0, 0] {len(suites.identity_runs())} True"
 
 
 # -- negative sizes, the group parameter and the zn-lattice sweep -----------------
@@ -1051,7 +1086,9 @@ def test_zn_and_refined_sweeps_build_each_kernel_table_once(
             calls.append(args[2])
         return kernel(*args)
 
+    # refined binds the kernel by name, as counting does
     monkeypatch.setattr(counting, "composition_rows", counted)
+    monkeypatch.setattr(refined, "composition_rows", counted)
     monkeypatch.setattr(lattice, "_ORBIT_COUNTS", {})
     work = {}
     for max_n in (7, 14):
@@ -1077,7 +1114,7 @@ def test_dihedral_psp_rows_are_skipped_not_failed(capsys):
 def test_verification_failure_exits_2(monkeypatch, capsys):
     bad_row = {"suite": "oracle", "gamma": "Z:1", "n": 0,
                "expected": 1, "got": 0}
-    monkeypatch.setitem(cli._SUITE_RUNNERS, "oracle",
+    monkeypatch.setitem(suites._SUITE_RUNNERS, "oracle",
                         lambda cfg: iter([(False, bad_row)]))
     status, out, err = invoke(["verify", "oracle"], capsys)
     assert status == 2

@@ -8,23 +8,15 @@ from hypothesis import strategies as st
 
 from dualcount.abgroup import AbGroup
 from dualcount import series
-from dualcount.cli import DEFAULT_GAMMAS, ORACLE_GENFUN_GAMMAS
+from dualcount.affine import graded_compositions, iter_vectors
 from dualcount.counting import (
     TARGET_FAMILIES,
-    SectorCount,
     Target,
     count_homs,
     count_rows,
     count_table,
     composition_rows,
     orbit_composition_rows,
-    count_twisted,
-    f_rep_table,
-    graded_compositions,
-    iter_vectors,
-    sector_row,
-    swap_equivalence_table,
-    tables_swap_equivalent,
     verify_swap_equivalence,
 )
 from dualcount.errors import InvariantError, NotCoveredError
@@ -35,6 +27,15 @@ from dualcount.grouprep import (
     abelianization,
     irreps,
 )
+from dualcount.refined import (
+    SectorCount,
+    count_twisted,
+    f_rep_table,
+    sector_row,
+    swap_equivalence_table,
+    tables_swap_equivalent,
+)
+from dualcount.suites import DEFAULT_GAMMAS, ORACLE_GENFUN_GAMMAS
 from enumeration import (enumerated_count, enumerated_sector,
                          multiplicity_vectors, unitary_orbits)
 import per_n_routes

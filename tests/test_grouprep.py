@@ -15,9 +15,8 @@ from dualcount.grouprep import (
     irrep_table_json,
     irreps,
     onedim_permutations,
-    twisted_irreps,
-    twisted_x_action,
 )
+from dualcount.refined import twisted_irreps, twisted_x_action
 from rep_routes import (SWClass, det_char, irrep_by_name, sw_class,
                         sw_of_multiplicity_vector)
 

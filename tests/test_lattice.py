@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from dualcount import lattice as L
 from dualcount.abgroup import AbGroup
 from dualcount.bounds import MAX_RANK
-from dualcount.counting import Target, count_homs, tables_swap_equivalent
+from dualcount.counting import Target, count_homs
 from dualcount.grouprep import GroupSpec
+from dualcount.refined import tables_swap_equivalent
 import grid_orbits
 import per_n_routes
 

@@ -14,7 +14,7 @@ SOURCES = sorted(p for d in ("src", "scripts") for p in (ROOT / d).rglob("*.py")
 
 def test_the_sources_are_found():
     names = {p.relative_to(ROOT).as_posix() for p in SOURCES}
-    assert {"src/dualcount/series.py", "scripts/run_identity_suite.py"} <= names
+    assert {"src/dualcount/series.py", "src/dualcount/refined.py"} <= names
 
 
 def test_no_assert_statements_in_src_or_scripts():

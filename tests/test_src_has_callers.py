@@ -55,7 +55,7 @@ def uncalled(sources, exempt) -> list[str]:
 
 def test_the_sources_and_the_traced_names_are_found():
     names = {p.relative_to(ROOT).as_posix() for p in SOURCES}
-    assert {"src/dualcount/counting.py", "scripts/run_duality_sweep.py"} <= names
+    assert {"src/dualcount/counting.py", "src/dualcount/suites.py"} <= names
     assert ("lattice", "lattice_quotient") in _traced()
 
 
