@@ -9,6 +9,7 @@ from __future__ import annotations
 from itertools import product
 from math import gcd, prod
 
+from . import cyclotomic
 from .record import Record
 
 
@@ -84,15 +85,11 @@ class AbGroup(Record):
 
         chi lives in the dual group, identified with A itself via the
         standard coordinates: chi(x) = prod_i zeta_{d_i}^{chi_i * x_i}, one
-        power of zeta_e for e the exponent.  Only the finite character tables
-        need it, so cyclotomic is imported here and not by a count or an
-        S-matrix check (which reads the same roots from a table of floats).
+        power of zeta_e for e the exponent.
         """
-        from .cyclotomic import Cyc
-
         e = self.exponent
-        return Cyc.zeta(e, sum(c * a % d * (e // d)
-                               for c, a, d in zip(chi, x, self.moduli)))
+        return cyclotomic.Cyc.zeta(e, sum(
+            c * a % d * (e // d) for c, a, d in zip(chi, x, self.moduli)))
 
     # -- actions -------------------------------------------------------------
 

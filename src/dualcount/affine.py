@@ -32,11 +32,11 @@ import math
 import re
 from functools import lru_cache
 
+from . import mckay
 from .abgroup import AbGroup
 from .counting import composition_rows
 from .errors import InvariantError
 from .grouprep import GroupSpec, abelianization
-from .mckay import a_action, mckay_graph
 from .record import Record
 from .rootdata import _adjugate, _kac_data, cartan_data
 
@@ -147,7 +147,7 @@ class LevelWeights(Record):
 def level_weights(ade_type: str, n: int) -> LevelWeights:
     if not isinstance(n, int) or n < 1:
         raise ValueError("level must be a positive integer")
-    graph = mckay_graph(mckay_partner(ade_type))
+    graph = mckay.mckay_graph(mckay_partner(ade_type))
     vecs = tuple(sorted(iter_vectors(graph.comarks, n), reverse=True))
     return LevelWeights(ade_type, n, graph.node_names, graph.comarks, vecs)
 
@@ -207,7 +207,7 @@ def _finite_structure(ade_type: str):
     sum to the Coxeter number h, and a simply-laced rank r has r * h roots."""
     letter, rank = parse_ade_type(ade_type)
     c = cartan_data(letter, rank)
-    graph = mckay_graph(mckay_partner(ade_type))
+    graph = mckay.mckay_graph(mckay_partner(ade_type))
     idx = _finite_index_map(graph, c)
     marks = _kac_data(letter, rank)[0]
     for node, j in idx.items():
@@ -597,7 +597,7 @@ def verify_s_conjugation(ade_type: str, n: int) -> dict:
     sm = s_matrix(ade_type, n)
     lw = sm.weights
     g = mckay_partner(ade_type)
-    act = a_action(g)
+    act = mckay.a_action(g)
     sym = AbGroup(act.moduli)
     c, _, _ = _finite_structure(ade_type)
     center = AbGroup(c.center_moduli)

@@ -7,7 +7,6 @@ types by Frobenius-Schur indicators, determinants by Newton's identities,
 tensoring by character products and McKay edges by decomposing irrep ⊗
 defining rep.  `validate_table` checks orthogonality, the power maps and
 inversion, so a transcription error in a table fails loudly at first use.
-This module loads only through grouprep.character_table.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import Cyc
+from . import cyclotomic
 from .errors import InvariantError
 from .grouprep import ICOSAHEDRAL, OCTAHEDRAL, TETRAHEDRAL, GroupSpec
 
@@ -51,7 +50,7 @@ class CharTable:
     def onedim_names(self) -> list[str]:
         return [n for n in self.irrep_names if self.dim(n) == 1]
 
-    def char_of_power(self, name: str, c: int, p: int) -> Cyc:
+    def char_of_power(self, name: str, c: int, p: int) -> cyclotomic.Cyc:
         return self.chars[name][self.power_class[c][p % self.class_orders[c]]]
 
     def inverse_class(self, c: int) -> int:
@@ -65,7 +64,7 @@ class CharTable:
             dual = self._duals[name] = tuple(
                 v.conjugate() * size
                 for v, size in zip(self.chars[name], self.class_sizes))
-        acc = Cyc.from_rational(0, self.conductor)
+        acc = cyclotomic.Cyc.from_rational(0, self.conductor)
         for u, w in zip(vec, dual):
             acc = acc + u * w
         return acc.rational() / self.group.order
@@ -91,7 +90,7 @@ class CharTable:
         return name
 
     def fs_indicator(self, name: str) -> int:
-        acc = Cyc.from_rational(0, self.conductor)
+        acc = cyclotomic.Cyc.from_rational(0, self.conductor)
         for c in range(self.n_classes):
             acc = acc + self.char_of_power(name, c, 2) * self.class_sizes[c]
         val = acc.rational() / self.group.order
@@ -105,9 +104,9 @@ class CharTable:
         out = []
         for c in range(self.n_classes):
             pw = [self.char_of_power(name, c, j) for j in range(1, d + 1)]
-            e = [Cyc.from_rational(1, self.conductor)]
+            e = [cyclotomic.Cyc.from_rational(1, self.conductor)]
             for k in range(1, d + 1):
-                acc = Cyc.from_rational(0, self.conductor)
+                acc = cyclotomic.Cyc.from_rational(0, self.conductor)
                 sign = 1
                 for j in range(1, k + 1):
                     term = e[k - j] * pw[j - 1]
@@ -154,10 +153,10 @@ def validate_table(t: CharTable):
 
 
 def _tetrahedral_table(g: GroupSpec) -> CharTable:
-    w = Cyc.zeta(3)
-    w2 = Cyc.zeta(3, 2)
-    one = Cyc.from_rational(1, 3)
-    num = lambda v: Cyc.from_rational(v, 3)
+    w = cyclotomic.Cyc.zeta(3)
+    w2 = cyclotomic.Cyc.zeta(3, 2)
+    one = cyclotomic.Cyc.from_rational(1, 3)
+    num = lambda v: cyclotomic.Cyc.from_rational(v, 3)
     rows = {
         # classes:  1A  2A  4A  6A  3A  3B  6B
         "1": [1, 1, 1, 1, 1, 1, 1],
@@ -168,7 +167,7 @@ def _tetrahedral_table(g: GroupSpec) -> CharTable:
         "2'": [num(2), num(-2), num(0), w, -w2, -w, w2],
         "2''": [num(2), num(-2), num(0), w2, -w, -w2, w],
     }
-    chars = {k: tuple(v if isinstance(v, Cyc) else num(v) for v in vals) for k, vals in rows.items()}
+    chars = {k: tuple(v if isinstance(v, cyclotomic.Cyc) else num(v) for v in vals) for k, vals in rows.items()}
     return CharTable(
         group=g,
         conductor=3,
@@ -191,8 +190,8 @@ def _tetrahedral_table(g: GroupSpec) -> CharTable:
 
 
 def _octahedral_table(g: GroupSpec) -> CharTable:
-    beta = Cyc.zeta(8) + Cyc.zeta(8, 7)  # sqrt(2)
-    num = lambda v: Cyc.from_rational(v, 8)
+    beta = cyclotomic.Cyc.zeta(8) + cyclotomic.Cyc.zeta(8, 7)  # sqrt(2)
+    num = lambda v: cyclotomic.Cyc.from_rational(v, 8)
     rows = {
         # classes:  1A  2A  4A  8A  8B  6A  3A  4B
         "1": [1, 1, 1, 1, 1, 1, 1, 1],
@@ -204,7 +203,7 @@ def _octahedral_table(g: GroupSpec) -> CharTable:
         "2'": [num(2), num(-2), num(0), -beta, beta, num(1), num(-1), num(0)],
         "4": [4, -4, 0, 0, 0, -1, 1, 0],
     }
-    chars = {k: tuple(v if isinstance(v, Cyc) else num(v) for v in vals) for k, vals in rows.items()}
+    chars = {k: tuple(v if isinstance(v, cyclotomic.Cyc) else num(v) for v in vals) for k, vals in rows.items()}
     return CharTable(
         group=g,
         conductor=8,
@@ -228,9 +227,9 @@ def _octahedral_table(g: GroupSpec) -> CharTable:
 
 
 def _icosahedral_table(g: GroupSpec) -> CharTable:
-    phi_p = -(Cyc.zeta(5, 2) + Cyc.zeta(5, 3))  # (1 + sqrt 5)/2
-    phi_m = -(Cyc.zeta(5, 1) + Cyc.zeta(5, 4))  # (1 - sqrt 5)/2
-    num = lambda v: Cyc.from_rational(v, 5)
+    phi_p = -(cyclotomic.Cyc.zeta(5, 2) + cyclotomic.Cyc.zeta(5, 3))  # (1 + sqrt 5)/2
+    phi_m = -(cyclotomic.Cyc.zeta(5, 1) + cyclotomic.Cyc.zeta(5, 4))  # (1 - sqrt 5)/2
+    num = lambda v: cyclotomic.Cyc.from_rational(v, 5)
     rows = {
         # classes:  1A  2A  4A  6A  3A  10A    5A      10B    5B
         "1": [1, 1, 1, 1, 1, 1, 1, 1, 1],
@@ -243,7 +242,7 @@ def _icosahedral_table(g: GroupSpec) -> CharTable:
         "5": [5, 5, 1, -1, -1, 0, 0, 0, 0],
         "6": [6, -6, 0, 0, 0, -1, 1, -1, 1],
     }
-    chars = {k: tuple(v if isinstance(v, Cyc) else num(v) for v in vals) for k, vals in rows.items()}
+    chars = {k: tuple(v if isinstance(v, cyclotomic.Cyc) else num(v) for v in vals) for k, vals in rows.items()}
     return CharTable(
         group=g,
         conductor=5,

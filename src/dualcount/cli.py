@@ -19,20 +19,10 @@ same command are byte-identical.  Exit codes:
     4   an internal consistency check failed: a defect in the program,
         never a property of the input
 
-A command loads only the layers it uses: affine, lattice, mckay and series
-are registered lazily, and a module's body runs when a command first reads
-one of its attributes.  Code that only some commands run is imported when
-they run it: `suites` by verify, `refined` (the Ohat sectors and the finite
-character tables) by `sectors`, `verify refined` and the Ohat PSp and Spin
-counts, and csv by a `--format csv` report.  So a count runs none of these,
-except that a cyclic group into PSp or Spin loads lattice alone and Ohat
-into PSp or Spin loads refined.  Neither a count nor `verify duality` imports cyclotomic or builds
-a character table: the irreducibles are closed forms or literal data, and
-only the finite character tables of `verify refined` need cyclotomic.  No
-module of the package imports dataclasses: every record is a plain class.
-`smatrix` and `verify smatrix` run affine and mckay, with their root data
-from rootdata rather than lattice; they load numpy, but neither cyclotomic
-nor fractions, and an orbit count loads no fractions either.
+The package registers its lazy modules (`dualcount.LAZY`), so a command runs
+the bodies of only those it uses: `suites` for verify, `refined` for
+`sectors`, `verify refined` and the Ohat PSp and Spin counts.  csv loads only
+for a `--format csv` report, and numpy only for `smatrix` and `verify smatrix`.
 
 numpy's BLAS runs on one thread: before any command runs, `main` sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, so that the
@@ -45,37 +35,17 @@ smatrix ...` OpenBLAS runs up to four threads, one per CPU at most.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import io
 import json
 import os
 import sys
 
+from . import affine, lattice, mckay, refined, series, suites
 from .bounds import MAX_ORDER, MAX_RANK
 from .counting import count_rows
 from .errors import InvariantError, NotCoveredError
 from .grouprep import CYCLIC, GroupSpec, irrep_table_json
 
-
-def _lazy_layer(name: str):
-    """The module dualcount.<name>, whose body runs on its first attribute
-    access.  It is entered in sys.modules and set on the package at once, so
-    `from . import name` and sys.modules lookups find it without running it;
-    a module already imported is returned as it is."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    setattr(sys.modules[__package__], name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-affine, lattice, mckay, series = map(
-    _lazy_layer, ("affine", "lattice", "mckay", "series"))
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -240,28 +210,30 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite",
                             description="run a verification suite; "
                             "`verify SUITE --help` lists its flags")
-    suites = verify.add_subparsers(dest="suite", required=True)
+    suite_parsers = verify.add_subparsers(dest="suite", required=True)
 
-    p = add(suites, "duality", "Sp/SO, SU/PU and PSp/Spin count equality")
+    p = add(suite_parsers, "duality", "Sp/SO, SU/PU and PSp/Spin count equality")
     p.add_argument("--gamma", type=_group_label, help="restrict to one source group")
     p.add_argument("--pair", choices=(*DUALITY_PAIRS, "all"))
     p.add_argument("--max-n", dest="max_n", type=_size(MAX_N), default=10,
                    help="largest n (default %(default)s)")
 
-    p = add(suites, "refined", "two-torsion and unitary swap equivalences")
+    p = add(suite_parsers, "refined", "two-torsion and unitary swap equivalences")
     p.add_argument("--gamma", type=_group_label, help="restrict to one source group")
     p.add_argument("--max-n", dest="max_n", type=_size(MAX_N), default=6,
                    help="largest n (default %(default)s)")
 
-    p = add(suites, "identities", "exact proofs of the generating-function identities")
+    p = add(suite_parsers, "identities",
+            "exact proofs of the generating-function identities")
     one = p.add_mutually_exclusive_group()
     one.add_argument("--prop", help="run a single named identity")
-    one.add_argument("--random", dest="random_draws", type=_size(MAX_RANDOM_DRAWS),
+    one.add_argument("--random", dest="random_draws",
+                     type=_size(MAX_RANDOM_DRAWS, low=1),
                      help="random draws per parametrized family")
     p.add_argument("--params", help="parameter string for --prop")
     p.add_argument("--seed", type=int, help="seed of the --random draws (default 0)")
 
-    p = add(suites, "zn-lattice", "Weyl-orbit counts across each dual pair")
+    p = add(suite_parsers, "zn-lattice", "Weyl-orbit counts across each dual pair")
     # no default for --max-rank: argparse takes a flag of an exclusive group
     # as given only when its value is not the default
     one = p.add_mutually_exclusive_group()
@@ -271,12 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", dest="max_n", type=_size(MAX_N, low=1), default=4,
                    help="largest modulus (default %(default)s)")
 
-    p = add(suites, "smatrix", "S-matrix unitarity, symmetry and conjugation")
+    p = add(suite_parsers, "smatrix", "S-matrix unitarity, symmetry and conjugation")
     p.add_argument("--type", dest="ade_type", help="restrict to one type")
     p.add_argument("--max-n", dest="max_n", type=_size(low=1),
                    help="with --type: largest level (default 2)")
 
-    p = add(suites, "oracle", "reference counts and series-vs-count agreement")
+    p = add(suite_parsers, "oracle", "reference counts and series-vs-count agreement")
     p.add_argument("--max-n", dest="max_n", type=_size(MAX_ORACLE_N), default=8,
                    help="largest n (default %(default)s)")
     return parser
@@ -342,10 +314,8 @@ def _run_count(cfg: argparse.Namespace):
 
 
 def _run_sectors(cfg: argparse.Namespace):
-    from .refined import sector_row
-
     g = GroupSpec.from_label(cfg.gamma)
-    rows = [sector_row(g, cfg.family, cfg.n, w) for w in (0, 1)]
+    rows = [refined.sector_row(g, cfg.family, cfg.n, w) for w in (0, 1)]
     return {"command": "sectors", "family": cfg.family, "rows": rows}, EXIT_OK
 
 
@@ -375,9 +345,9 @@ def _run_smatrix(cfg: argparse.Namespace):
 
 
 def _run_verify(cfg: argparse.Namespace):
-    from .suites import run_verify
-
-    return run_verify(cfg)
+    # read when a verify command runs: _COMMANDS reading suites.run_verify
+    # would run the body of suites on every import of cli
+    return suites.run_verify(cfg)
 
 
 _COMMANDS = {

@@ -25,13 +25,12 @@ precisely so the two routes stay independent checks of each other.
 
 Spin(2n+1) and PSp(n) counts read the two-torsion refinement: for Ohat its
 sectors, which `refined` holds with the finite character tables and the
-swap report, and for Z:m the Weyl orbits of `lattice`.  Each of those
-modules is imported only by the branch that reads it, so a count of any
-other group into any family compiles neither.
+swap report, and for Z:m the Weyl orbits of `lattice`.
 """
 
 from __future__ import annotations
 
+from . import lattice, refined
 from .abgroup import AbGroup
 from .errors import InvariantError, NotCoveredError
 from .grouprep import (
@@ -303,8 +302,6 @@ def _cover_entry(g: GroupSpec, family: str, max_n: int):
         letter, choice, cover = "C", "adj", "PSp"
     if g.family == CYCLIC:
         def rest(n):
-            from . import lattice
-
             return lattice.weyl_orbit_count(
                 lattice.cartan_data(letter, n), choice, g.param)
     elif g.family in (TETRAHEDRAL, ICOSAHEDRAL):
@@ -312,8 +309,6 @@ def _cover_entry(g: GroupSpec, family: str, max_n: int):
         rest = _kernel_rows(g, "SO_odd" if family == "Spin_odd" else "Sp",
                             max_n).__getitem__
     elif g.family == OCTAHEDRAL:
-        from . import refined
-
         if family == "Spin_odd":
             rest = [s[0].fixed + s[0].moved
                     for s in refined._oct_spin_sector_rows(max_n)].__getitem__
@@ -344,9 +339,7 @@ def verify_swap_equivalence(g: GroupSpec, pair, n: int) -> dict:
     ("standard", the inv-composed variant, or an alternative Klein-four
     pairing), or None on failure.
     """
-    from .refined import swap_equivalence_table
-
-    return swap_equivalence_table(g, pair, n)[n]
+    return refined.swap_equivalence_table(g, pair, n)[n]
 
 
 # -- JSON-friendly rows -------------------------------------------------------------

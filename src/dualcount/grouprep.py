@@ -28,6 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
+from . import chartable
 from .abgroup import AbGroup
 from .errors import InvariantError
 from .record import Record
@@ -340,9 +341,7 @@ def character_table(g: GroupSpec):
     (dualcount.chartable); ValueError for Z:m and Dhat:m, which have none.
     The package reads none of its values: the tests derive their oracle of
     the data above from it."""
-    from .chartable import exceptional_table
-
-    return exceptional_table(g)
+    return chartable.exceptional_table(g)
 
 
 def irrep_table_json(g: GroupSpec) -> dict:

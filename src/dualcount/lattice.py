@@ -11,10 +11,9 @@ acting on the extended diagram's nodes, so a sweep over the modulus builds
 one table per side.  The refined variant grades (1/n)P/M* by Z = P/M* and
 packages the result with `refined.FRepCharacter.from_counts`, as the
 character-table type of the direct constraint enumeration, so the two routes
-can be compared point for point; only that function imports `refined`.  The
-orbits on the torus grids of n**rank points are the tests' oracle; of the
-grid, only `lattice_quotient` and what it builds stay here, because the
-benchmark's tracer wraps it by name.
+can be compared point for point.  The orbits on the torus grids of n**rank
+points are the tests' oracle; of the grid, only `lattice_quotient` and what
+it builds stay here, because the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, prod
 
+from . import refined
 from .abgroup import AbGroup
 from .counting import orbit_composition_rows
 from .errors import InvariantError
@@ -242,9 +242,7 @@ def refined_zn_characters(letter: str, rank: int, sublattice: str, n: int):
         raise InvariantError("the grade counts must repeat along nZ-cosets")
 
     reps = [z for z in AbGroup(zmods).elements() if z == coset_rep(z)]
-    from .refined import FRepCharacter
-
-    return FRepCharacter.from_counts(
+    return refined.FRepCharacter.from_counts(
         f"{c.type}:{sublattice}", zmods, gs_mods,
         {kel: {z: per_grade[z] for z in reps}
          for kel, per_grade in counts.items()})

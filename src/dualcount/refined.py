@@ -14,17 +14,14 @@ and swap reports of every n up to a bound from one set of kernel tables,
 counted up to a symmetry as `counting` counts PU: `counting._fixed_slots`
 collapses each cycle of a slot permutation into one slot, and
 `FRepCharacter.from_counts` pairs the fixed counts, per grade, with the
-characters of the grading group.  Only these tables load `cyclotomic`.
-
-`counting` imports this module only for the Ohat Spin and PSp counts, and
-`lattice` only for its refined Weyl-orbit tables, each when it runs them,
-so no other count compiles it.
+characters of the grading group.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
+from . import cyclotomic, lattice
 from .abgroup import AbGroup
 from .counting import (_UNGRADED, SizeTable, _build_slots, _fixed_slots,
                        _orthogonal_slots, _symplectic_slots, _weight_rows,
@@ -227,14 +224,12 @@ class FRepCharacter(Record):
         counts maps each element z of AbGroup(grading_moduli) to the
         solutions that z fixes, counted per grade w of that same group.
         """
-        from .cyclotomic import Cyc
-
         group = AbGroup(grading_moduli)
         els = group.elements()
         chars = {what: {w: group.pairing(what, w) for w in els} for what in els}
         # the characters' values live in Q(zeta_e), e the exponent; summing
         # there scales by integers and promotes nothing
-        zero = Cyc.from_rational(0, group.exponent)
+        zero = cyclotomic.Cyc.from_rational(0, group.exponent)
         values = tuple(
             tuple(
                 sum((chars[what][w] * c for w, c in counts[z].items() if c),
@@ -262,11 +257,10 @@ def _su_f_rep_entry(g: GroupSpec, max_n: int):
         if n < 1:
             raise ValueError("size out of range")
         gcds = tuple(gcd(d, n) for d in A.moduli)
-        qmod, reps, _ = A.quotient_by_scaling(n)
-        if qmod != gcds:
-            raise InvariantError(f"A/nA has moduli {qmod}, expected {gcds}")
+        # the classes of A/nA, each as its componentwise smallest element
+        reps = AbGroup(gcds).elements()
         counts = {}
-        for z in AbGroup(gcds).elements():
+        for z in reps:
             a = tuple(zi * (d // gi) for zi, d, gi in zip(z, A.moduli, gcds))
             if a not in fixed:
                 fixed[a] = composition_rows(_fixed_slots(slots, perms[a], A),
@@ -400,8 +394,6 @@ def swap_equivalence_table(g: GroupSpec, pair, max_n: int) -> SizeTable:
             if n == 0:
                 raise NotCoveredError(
                     "not covered: rank-zero targets have no lattice model")
-            from . import lattice
-
             return tables_swap_equivalent(
                 lattice.refined_zn_characters("C", n, "sc", g.param),
                 lattice.refined_zn_characters("B", n, "sc", g.param))

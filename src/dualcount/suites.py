@@ -1,10 +1,7 @@
 """The verification suites of `dualcount verify`.
 
 Each suite's runner yields one (passed, row) pair per check, and
-`run_verify` tallies them into one report.  `cli` imports this module only
-when a verify command runs, so a count compiles none of it.  The layers a
-suite reads are those that `cli` registers lazily, so a suite runs only the
-bodies it uses; `verify refined` alone imports `refined`.
+`run_verify` tallies them into one report.
 """
 
 from __future__ import annotations
@@ -12,7 +9,7 @@ from __future__ import annotations
 import argparse
 import random
 
-from . import affine, lattice, series
+from . import affine, lattice, refined, series
 from .cli import DUALITY_PAIRS, EXIT_FAIL, EXIT_OK, _zn_sweep
 from .counting import Target, count_homs, count_table
 from .errors import NotCoveredError
@@ -98,15 +95,13 @@ def _suite_duality(cfg: argparse.Namespace):
 
 
 def _suite_refined(cfg: argparse.Namespace):
-    from .refined import swap_equivalence_table
-
     gammas = (cfg.gamma,) if cfg.gamma else ("Ohat",)
     for glabel in gammas:
         g = GroupSpec.from_label(glabel)
         # the unitary refinement needs a nonempty weight lattice, so n >= 1
         plans = [(("Sp", "Spin_odd"), 0), (("SU", "PU"), 1)]
         for pair, start in plans:
-            reports = swap_equivalence_table(g, pair, cfg.max_n)
+            reports = refined.swap_equivalence_table(g, pair, cfg.max_n)
             for n in range(start, cfg.max_n + 1):
                 try:
                     rep = reports[n]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualcount import affine, cli, lattice, refined, series, suites
+from dualcount import affine, cli, lattice, mckay, refined, series, suites
 from dualcount.cli import (MAX_N, MAX_ORACLE_N, MAX_RANDOM_DRAWS, UsageError,
                            parse_args)
 from dualcount.bounds import MAX_ORDER, MAX_RANK
@@ -32,6 +32,17 @@ def _last_line(code: str, env=None) -> str:
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
+
+
+# Code for a child process: ran(name) says whether the body of the module
+# name ran.  Every module of dualcount.LAZY is in sys.modules from the start,
+# but loads lazily: reading its __dict__ through object.__getattribute__ does
+# not load it, and a module whose body ran holds the __builtins__ that exec
+# put there.
+RAN = ("import sys\n"
+       "def ran(name):\n"
+       "    return name in sys.modules and '__builtins__' in"
+       " object.__getattribute__(sys.modules[name], '__dict__')\n")
 
 
 def refused(argv, capsys) -> str:
@@ -80,6 +91,7 @@ def test_count_range(capsys):
     ["verify", "zn-lattice", "--max-n", "0"],                         # no modulus
     ["smatrix", "--type", "A1", "--level", "0"],
     ["verify", "zn-lattice", "--max-rank", "0"],                      # no pair
+    ["verify", "identities", "--random", "0", "--seed", "5"],         # no draw
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert refused(argv, capsys).strip()
@@ -90,9 +102,11 @@ def test_usage_errors_exit_1(argv, capsys):
     (["verify", "zn-lattice", "--max-n", "0"], "--max-n"),
     (["smatrix", "--type", "A1", "--level", "0"], "--level"),
     (["verify", "zn-lattice", "--max-rank", "0"], "--max-rank"),
+    (["verify", "identities", "--random", "0", "--seed", "5"], "--random"),
 ])
 def test_a_zero_level_or_modulus_is_refused_by_the_parser(argv, flag):
-    # a sweep to level, modulus or rank 0 would make no check and still pass
+    # a sweep to level, modulus or rank 0 would make no check and still pass;
+    # zero random draws would run the fixed identities in their place
     with pytest.raises(UsageError, match=f"{flag}: 0 is below 1"):
         parse_args(argv)
 
@@ -622,20 +636,20 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_and_count_load_no_numpy(argv):
     # numpy is imported inside the affine functions that use it, so only the
     # S-matrix commands pay for it; dualcount.affine is registered in
-    # sys.modules, but its body does not run (see the lazy-layer test below).
-    # The records on the count path are plain classes, cyclotomic loads only
-    # for the finite character tables, and every group's irreducibles are
-    # closed forms or literal data, so no count imports dataclasses or
-    # cyclotomic or builds a character table; the bare import loads no
-    # fractions either
-    unwanted = ["dataclasses", "dualcount.cyclotomic"] + ([] if argv else ["fractions"])
-    code = ("import contextlib, io, json, sys\nfrom dualcount import cli, grouprep\n"
+    # sys.modules, but its body does not run.  The records on the count path
+    # are plain classes, cyclotomic runs only for the finite character
+    # tables, and every group's irreducibles are closed forms or literal
+    # data, so no count imports dataclasses, runs cyclotomic or builds a
+    # character table; the bare import loads no fractions either
+    unwanted = ["dataclasses"] + ([] if argv else ["fractions"])
+    code = (RAN + "import contextlib, io, json\nfrom dualcount import cli, grouprep\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    status = cli.main({argv!r}) if {argv!r} else 0\n"
             "print(json.dumps([status, 'dualcount.affine' in sys.modules,"
             " [m for m in sys.modules if m.split('.')[0] == 'numpy'"
-            f" or m in {unwanted!r}], grouprep.character_table.cache_info().misses]))")
-    assert json.loads(_last_line(code)) == [0, True, [], 0]
+            f" or m in {unwanted!r}], ran('dualcount.cyclotomic'),"
+            " grouprep.character_table.cache_info().misses]))")
+    assert json.loads(_last_line(code)) == [0, True, [], False, 0]
 
 
 def test_smatrix_command_still_loads_numpy():
@@ -679,65 +693,39 @@ def test_smatrix_command_runs_numpy_on_one_blas_thread(openblas, threads):
     assert _last_line(code, env) == f"0 {threads}"
 
 
-LAYERS = ("affine", "lattice", "mckay", "series")
-
-
-@pytest.mark.parametrize("argv,ran", [
-    ([], []),
-    (["count", "--gamma", "Ihat", "--target", "PU", "--n", "3"], []),
-    (["count", "--gamma", "Ohat", "--target", "Spin_odd", "--n", "3"], []),
-    (["count", "--gamma", "Z:5", "--target", "PSp", "--n", "4"], ["lattice"]),
-    (["genfun", "--gamma", "Ohat"], ["series"]),
-    (["verify", "identities"], ["series"]),
-    (["verify", "zn-lattice"], ["lattice"]),
-    # the S-matrices read their root data from rootdata, not lattice
-    (["verify", "smatrix"], ["affine", "mckay"]),
-    (["smatrix", "--type", "E6", "--level", "1"], ["affine", "mckay"]),
-])
-def test_each_command_runs_only_the_layer_modules_it_uses(argv, ran):
-    # every layer is registered, as a package attribute too, but loads lazily:
-    # reading its __dict__ through object.__getattribute__ does not load it,
-    # and a module whose body ran holds the __builtins__ that exec put there
-    code = ("import sys\nimport dualcount\nfrom dualcount import cli\n"
-            f"status = cli.main({argv!r}) if {argv!r} else 0\n"
-            f"mods = {{m: sys.modules['dualcount.' + m] for m in {LAYERS!r}}}\n"
-            "print(status,"
-            " all(getattr(dualcount, m) is mod for m, mod in mods.items()),"
-            " [m for m, mod in mods.items() if '__builtins__' in"
-            " object.__getattribute__(mod, '__dict__')])")
-    assert _last_line(code) == f"0 True {ran!r}"
-
-
-# modules that only some commands import, at the point of use
-ON_DEMAND = ("dualcount.suites", "dualcount.refined", "dualcount.cyclotomic",
-             "csv", "numpy")
-
-
 @pytest.mark.parametrize("argv,ran", [
     (["count", "--gamma", "Ihat", "--target", "PU", "--n", "3"], []),
     (["irreps", "--gamma", "Ihat"], []),
-    (["count", "--gamma", "Z:5", "--target", "PSp", "--n", "4"], []),
-    (["verify", "duality", "--pair", "sp-so", "--max-n", "2"],
-     ["dualcount.suites"]),
+    (["count", "--gamma", "Z:5", "--target", "PSp", "--n", "4"], ["lattice"]),
+    (["verify", "duality", "--pair", "sp-so", "--max-n", "2"], ["suites"]),
     # the default sweep counts Ohat into PSp and Spin, which read its sectors
-    (["verify", "duality", "--max-n", "2"],
-     ["dualcount.suites", "dualcount.refined"]),
+    (["verify", "duality", "--max-n", "2"], ["refined", "suites"]),
     (["count", "--gamma", "Ohat", "--target", "Spin_odd", "--n", "3"],
-     ["dualcount.refined"]),
-    (["sectors", "--family", "Sp", "--n", "3"], ["dualcount.refined"]),
-    (["verify", "refined"],
-     ["dualcount.suites", "dualcount.refined", "dualcount.cyclotomic"]),
+     ["refined"]),
+    (["sectors", "--family", "Sp", "--n", "3"], ["refined"]),
+    (["verify", "refined"], ["cyclotomic", "refined", "suites"]),
     (["count", "--gamma", "Ihat", "--target", "PU", "--n", "3",
       "--format", "csv"], ["csv"]),
+    ([], []),
+    (["mckay", "--gamma", "Ihat"], ["mckay"]),
+    (["genfun", "--gamma", "Ohat"], ["series"]),
+    (["verify", "identities"], ["series", "suites"]),
+    (["verify", "zn-lattice"], ["lattice", "suites"]),
+    # the S-matrices read their root data from rootdata, not lattice
+    (["verify", "smatrix"], ["affine", "mckay", "suites", "numpy"]),
+    (["smatrix", "--type", "E6", "--level", "1"], ["affine", "mckay", "numpy"]),
 ])
 def test_each_command_imports_only_the_code_it_runs(argv, ran):
-    # the verify suites, the refined machinery and csv are imported by the
-    # commands that run them, so a count compiles none of their source
-    code = ("import contextlib, io, sys\nfrom dualcount import cli\n"
+    # the modules of dualcount.LAZY whose bodies ran, each also a package
+    # attribute, then csv and numpy when they were imported
+    code = (RAN + "import contextlib, io\nimport dualcount\nfrom dualcount import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    status = cli.main({argv!r})\n"
-            f"print(status, [m for m in {ON_DEMAND!r} if m in sys.modules])")
-    assert _last_line(code) == f"0 {ran!r}"
+            f"    status = cli.main({argv!r}) if {argv!r} else 0\n"
+            "print(status, all(getattr(dualcount, m) is sys.modules['dualcount.' + m]"
+            " for m in dualcount.LAZY),"
+            " [m for m in dualcount.LAZY if ran('dualcount.' + m)]"
+            " + [m for m in ('csv', 'numpy') if m in sys.modules])")
+    assert _last_line(code) == f"0 True {ran!r}"
 
 
 @pytest.mark.parametrize("argv,unused", [
@@ -752,10 +740,10 @@ def test_series_and_lattice_runs_skip_the_modules_they_do_not_use(argv, unused):
     # the series, affine and mckay records are plain classes, matrices are
     # inverted over the integers, and the S-matrix checks read their roots of
     # unity from a table by exact index
-    code = ("import contextlib, io, sys\nfrom dualcount import cli\n"
+    code = (RAN + "import contextlib, io\nfrom dualcount import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    status = cli.main({argv!r})\n"
-            f"print(status, {unused!r} in sys.modules)")
+            f"print(status, ran({unused!r}))")
     assert _last_line(code) == "0 False"
 
 
@@ -945,7 +933,7 @@ def test_smatrix_rank_past_the_partner_group_bound_is_refused(ade_type, capsys):
 def test_smatrix_sizes_are_refused_before_any_character_table(monkeypatch):
     def no_table(g):
         raise AssertionError("a McKay graph was built")
-    monkeypatch.setattr(affine, "mckay_graph", no_table)
+    monkeypatch.setattr(mckay, "mckay_graph", no_table)
     with pytest.raises(ValueError, match=str(affine.MAX_WEIGHTS)):
         affine.check_levels("A47", [2])
     with pytest.raises(ValueError, match=str(affine.MAX_WORK)):
