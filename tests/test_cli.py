@@ -693,6 +693,37 @@ def test_smatrix_command_runs_numpy_on_one_blas_thread(openblas, threads):
     assert _last_line(code, env) == f"0 {threads}"
 
 
+def assert_runs_only(argv, ran):
+    """The modules of dualcount.LAZY whose bodies the command ran, each also
+    a package attribute, then csv and numpy when they were imported."""
+    code = (RAN + "import contextlib, io\nimport dualcount\nfrom dualcount import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = cli.main({argv!r}) if {argv!r} else 0\n"
+            "print(status, all(getattr(dualcount, m) is sys.modules['dualcount.' + m]"
+            " for m in dualcount.LAZY),"
+            " [m for m in dualcount.LAZY if ran('dualcount.' + m)]"
+            " + [m for m in ('csv', 'numpy') if m in sys.modules])")
+    assert _last_line(code) == f"0 True {ran!r}"
+
+
+# The two tables below make the same check; the three counts are in both
+@pytest.mark.parametrize("argv,ran", [
+    ([], []),
+    (["count", "--gamma", "Ihat", "--target", "PU", "--n", "3"], []),
+    (["count", "--gamma", "Ohat", "--target", "Spin_odd", "--n", "3"],
+     ["refined"]),
+    (["count", "--gamma", "Z:5", "--target", "PSp", "--n", "4"], ["lattice"]),
+    (["genfun", "--gamma", "Ohat"], ["series"]),
+    (["verify", "identities"], ["series", "suites"]),
+    (["verify", "zn-lattice"], ["lattice", "suites"]),
+    # the S-matrices read their root data from rootdata, not lattice
+    (["verify", "smatrix"], ["affine", "mckay", "suites", "numpy"]),
+    (["smatrix", "--type", "E6", "--level", "1"], ["affine", "mckay", "numpy"]),
+])
+def test_each_command_runs_only_the_layer_modules_it_uses(argv, ran):
+    assert_runs_only(argv, ran)
+
+
 @pytest.mark.parametrize("argv,ran", [
     (["count", "--gamma", "Ihat", "--target", "PU", "--n", "3"], []),
     (["irreps", "--gamma", "Ihat"], []),
@@ -706,26 +737,10 @@ def test_smatrix_command_runs_numpy_on_one_blas_thread(openblas, threads):
     (["verify", "refined"], ["cyclotomic", "refined", "suites"]),
     (["count", "--gamma", "Ihat", "--target", "PU", "--n", "3",
       "--format", "csv"], ["csv"]),
-    ([], []),
     (["mckay", "--gamma", "Ihat"], ["mckay"]),
-    (["genfun", "--gamma", "Ohat"], ["series"]),
-    (["verify", "identities"], ["series", "suites"]),
-    (["verify", "zn-lattice"], ["lattice", "suites"]),
-    # the S-matrices read their root data from rootdata, not lattice
-    (["verify", "smatrix"], ["affine", "mckay", "suites", "numpy"]),
-    (["smatrix", "--type", "E6", "--level", "1"], ["affine", "mckay", "numpy"]),
 ])
 def test_each_command_imports_only_the_code_it_runs(argv, ran):
-    # the modules of dualcount.LAZY whose bodies ran, each also a package
-    # attribute, then csv and numpy when they were imported
-    code = (RAN + "import contextlib, io\nimport dualcount\nfrom dualcount import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    status = cli.main({argv!r}) if {argv!r} else 0\n"
-            "print(status, all(getattr(dualcount, m) is sys.modules['dualcount.' + m]"
-            " for m in dualcount.LAZY),"
-            " [m for m in dualcount.LAZY if ran('dualcount.' + m)]"
-            " + [m for m in ('csv', 'numpy') if m in sys.modules])")
-    assert _last_line(code) == f"0 True {ran!r}"
+    assert_runs_only(argv, ran)
 
 
 @pytest.mark.parametrize("argv,unused", [
