@@ -53,7 +53,7 @@ class AbGroup(Record):
     def scale(self, k: int, x) -> tuple[int, ...]:
         return tuple((k * a) % d for a, d in zip(x, self.moduli))
 
-    # -- subgroups and quotients under multiplication by an integer ---------
+    # -- the kernel of multiplication by an integer --------------------------
 
     def kernel_of_scaling(self, r: int) -> list[tuple[int, ...]]:
         """Elements x with r*x = 0, i.e. H^1-style kernel of r: A -> A."""
@@ -62,20 +62,6 @@ class AbGroup(Record):
             g = gcd(r, d)
             axes.append([(d // g) * j % d for j in range(g)])
         return [tuple(v) for v in product(*axes)]
-
-    def quotient_by_scaling(self, r: int):
-        """The quotient A / rA.
-
-        Returns (moduli, reps, class_of) where reps are canonical coset
-        representatives (componentwise smallest) and class_of maps every
-        element of A to its representative.
-        """
-        qmod = tuple(gcd(r, d) for d in self.moduli)
-        reps = [tuple(v) for v in product(*(range(g) for g in qmod))]
-        class_of = {}
-        for x in self.elements():
-            class_of[x] = tuple(a % g for a, g in zip(x, qmod))
-        return qmod, reps, class_of
 
     # -- characters ----------------------------------------------------------
 

@@ -3,6 +3,9 @@
 The weight set at level n is the set of multiplicity vectors over the nodes
 of the partner subgroup's McKay graph, with node 0 the affine (trivial-irrep)
 node, ordered descending-lexicographically so the vacuum weight comes first.
+Every other node is the simple root that `mckay.kac_nodes` assigns it, the
+same map that the graph's edges are read through, so the weights' finite
+coordinates are read off the node map, not searched for.
 The S-matrix is the Kac-Peterson Weyl-alternating sum over the finite Weyl
 group at argument (w(lam+rho), mu+rho)/k, k = n + g with g the sum of all
 comarks, normalized to a unitary matrix.  No Weyl group is enumerated: the
@@ -155,67 +158,17 @@ def level_weights(ade_type: str, n: int) -> LevelWeights:
 # -- finite root-system scaffolding -------------------------------------------
 
 
-def _finite_index_map(graph, c) -> dict:
-    """Map each non-affine McKay node to a simple-root index.
-
-    Any adjacency-preserving choice works: the alternatives differ by a
-    diagram symmetry, which permutes weight coordinates without changing
-    inner products.
-    """
-    nodes = [i for i in range(len(graph.node_names)) if i != graph.affine_node]
-    nbr = {i: set() for i in nodes}
-    for a, b in graph.edges:
-        if a in nbr and b in nbr and a != b:
-            nbr[a].add(b)
-            nbr[b].add(a)
-    rank = c.rank
-    lat_nbr = {i: {j for j in range(rank) if j != i and c.cartan[i][j] != 0}
-               for i in range(rank)}
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-
-    def place(pos: int) -> bool:
-        if pos == len(nodes):
-            return True
-        node = nodes[pos]
-        for j in range(rank):
-            if j in used or len(lat_nbr[j]) != len(nbr[node]):
-                continue
-            if any(other in assign and assign[other] not in lat_nbr[j]
-                   for other in nbr[node]):
-                continue
-            if any(j2 in used and all(assign.get(o) != j2 for o in nbr[node])
-                   for j2 in lat_nbr[j]):
-                continue
-            assign[node] = j
-            used.add(j)
-            if place(pos + 1):
-                return True
-            del assign[node]
-            used.discard(j)
-        return False
-
-    if not place(0):
-        raise InvariantError("the finite diagram does not embed in the Cartan matrix")
-    return dict(assign)
-
-
 @lru_cache(maxsize=None)
 def _finite_structure(ade_type: str):
     """Cartan data, the McKay-node -> simple-root map, and the positive
-    root count, cross-validated against the comarks.  The extended marks
-    sum to the Coxeter number h, and a simply-laced rank r has r * h roots."""
+    root count.  The map is mckay.kac_nodes less its affine node; the
+    extended marks sum to the Coxeter number h, and a simply-laced rank r
+    has r * h roots."""
     letter, rank = parse_ade_type(ade_type)
-    c = cartan_data(letter, rank)
-    graph = mckay.mckay_graph(mckay_partner(ade_type))
-    idx = _finite_index_map(graph, c)
-    marks = _kac_data(letter, rank)[0]
-    for node, j in idx.items():
-        if graph.comarks[node] != marks[j + 1]:
-            raise InvariantError("McKay comarks disagree with the highest root")
-    if sum(graph.comarks) != sum(marks):
-        raise InvariantError("comark sum disagrees with the highest root height")
-    return c, idx, rank * sum(marks) // 2
+    kac = mckay.kac_nodes(mckay_partner(ade_type))
+    idx = {node: k - 1 for node, k in enumerate(kac) if k}
+    return (cartan_data(letter, rank), idx,
+            rank * sum(_kac_data(letter, rank)[0]) // 2)
 
 
 def _weyl_order(letter: str, rank: int) -> int:
@@ -362,7 +315,7 @@ def check_levels(ade_type: str, levels) -> None:
     mckay_partner(ade_type)  # refuses a partner past grouprep.MAX_GROUP_PARAM
     size, cosets = _determinant_shape(letter, rank)
     # the marks of the highest root are the comarks in another node order
-    # (_finite_structure checks this), so no character table is built here
+    # (mckay_graph checks this), so no character table is built here
     slots = [(m, ()) for m in _kac_data(letter, rank)[0]]
     ungraded = AbGroup(())
     weights = work = 0

@@ -315,7 +315,7 @@ def _run_count(cfg: argparse.Namespace):
 
 def _run_sectors(cfg: argparse.Namespace):
     g = GroupSpec.from_label(cfg.gamma)
-    rows = [refined.sector_row(g, cfg.family, cfg.n, w) for w in (0, 1)]
+    rows = refined.sector_rows(g, cfg.family, cfg.n)
     return {"command": "sectors", "family": cfg.family, "rows": rows}, EXIT_OK
 
 

@@ -30,6 +30,8 @@ swap report, and for Z:m the Weyl orbits of `lattice`.
 
 from __future__ import annotations
 
+from math import gcd, prod
+
 from . import lattice, refined
 from .abgroup import AbGroup
 from .errors import InvariantError, NotCoveredError
@@ -298,7 +300,8 @@ def _cover_entry(g: GroupSpec, family: str, max_n: int):
         at_zero = len(group.kernel_of_scaling(2))
         letter, choice, cover = "B", "sc", "Spin"
     else:
-        at_zero = len(group.quotient_by_scaling(2)[1])
+        # |H^2(g, Z_2)| = |A/2A|
+        at_zero = prod(gcd(2, d) for d in group.moduli)
         letter, choice, cover = "C", "adj", "PSp"
     if g.family == CYCLIC:
         def rest(n):

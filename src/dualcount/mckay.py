@@ -2,12 +2,17 @@
 
 Nodes are the irreducibles in canonical order, and the node marked
 `affine_node` is the trivial irrep; comarks are the irrep dimensions.  The
-edges are the extended Dynkin diagrams themselves (McKay 1980): A(m-1) for
-Z:m, D(m+2) for Dhat:m and E6, E7, E8 for That, Ohat and Ihat, in the node
-order of grouprep.  The tests compare them with the decompositions of
-irrep ⊗ defining 2-dim rep read off the character tables.  Every graph must
-satisfy the McKay dimension identity sum_j a_ij dim_j = 2 dim_i, which ties
-the edges to grouprep's dimensions.
+McKay graph of g is the extended Dynkin diagram of its type (McKay 1980):
+A(m-1) for Z:m, D(m+2) for Dhat:m and E6, E7, E8 for That, Ohat and Ihat.
+`kac_nodes` states that correspondence once, as the node of rootdata's
+extended diagram that each irrep is, and the edges are read off the Cartan
+data through it, so rootdata is the one statement of every diagram.  Only
+Z:1, of type A0, which rootdata does not have, keeps a literal double loop.  A wrong
+node map cannot pass for a graph: every graph must satisfy the McKay
+dimension identity sum_j a_ij dim_j = 2 dim_i, which holds exactly when the
+irrep dimensions are the marks of the highest root read through the map.
+The tests compare the graphs with the decompositions of irrep ⊗ defining
+2-dim rep read off the character tables.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .grouprep import (
     onedim_permutations,
 )
 from .record import Record
+from .rootdata import _kac_data, cartan_data
 
 
 class McKayGraph(Record):
@@ -55,29 +61,53 @@ def ade_type_of(g: GroupSpec) -> str:
     return {TETRAHEDRAL: "E6", OCTAHEDRAL: "E7", ICOSAHEDRAL: "E8"}[g.family]
 
 
-def _diagram_edges(g: GroupSpec) -> list[tuple[int, int]]:
-    """The extended Dynkin diagram of g, on grouprep's node order; a loop
-    appears once per unit of its multiplicity."""
+# kac_nodes of the exceptional groups; the irreps are in grouprep's order
+_EXCEPTIONAL_KAC_NODES = {
+    TETRAHEDRAL: (0, 2, 4, 3, 1, 5, 6),  # [1, 2, 3, 2', 1', 2'', 1'']
+    OCTAHEDRAL: (0, 1, 3, 4, 5, 6, 7, 2),  # [1, 2, 3, 4, 3', 2', 1', 2'']
+    ICOSAHEDRAL: (0, 8, 7, 6, 5, 4, 3, 1, 2),  # [1, 2, 3, 4, 5, 6, 4', 2', 3']
+}
+
+
+def kac_nodes(g: GroupSpec) -> tuple[int, ...]:
+    """The McKay correspondence as a node map: for each irrep of g in
+    grouprep's order, its node of the extended diagram in rootdata's Kac
+    order, node 0 being the affine node and node i > 0 simple root i - 1."""
     if g.family == CYCLIC:
-        n = g.param
-        if n == 1:
-            return [(0, 0), (0, 0)]
-        if n == 2:
-            return [(0, 1), (0, 1)]
-        return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+        return tuple(range(g.param))
     if g.family == DIHEDRAL:
         m = g.param
-        # order: [1, 2_1 .. 2_{m-1}, 1''', 1', 1'']
-        spine = [(k, k + 1) for k in range(m)]  # 1-2_1-...-2_{m-1}-1'''
-        return spine + [(1, m + 1), (m - 1, m + 2)]
-    if g.family == TETRAHEDRAL:
-        # order: [1, 2, 3, 2', 1', 2'', 1'']
-        return [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)]
-    if g.family == OCTAHEDRAL:
-        # order: [1, 2, 3, 4, 3', 2', 1', 2'']
-        return [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)]
-    # order: [1, 2, 3, 4, 5, 6, 4', 2', 3']
-    return [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
+        # [1, 2_1 .. 2_{m-1}, 1''', 1', 1''] with 2_k on node k + 1; D4 has
+        # its own triality image, the one its S-matrix weights are laid out on
+        if m == 2:
+            return (0, 2, 1, 3, 4)
+        return (0, *range(2, m + 2), 1, m + 2)
+    return _EXCEPTIONAL_KAC_NODES[g.family]
+
+
+def _diagram_edges(g: GroupSpec) -> list[tuple[int, int]]:
+    """The extended Dynkin diagram of g, read off its Cartan data C through
+    kac_nodes: Kac nodes i, j >= 1 share -C[i-1][j-1] edges, and the affine
+    node and node j share (theta, coroot j - 1), theta the highest root.
+    Each edge is a pair of grouprep's nodes; A0 has a loop of multiplicity
+    two, which appears twice."""
+    if g.family == CYCLIC and g.param == 1:
+        return [(0, 0), (0, 0)]
+    ade = ade_type_of(g)
+    letter, rank = ade[0], int(ade[1:])
+    C = cartan_data(letter, rank).cartan
+    theta = _kac_data(letter, rank)[0][1:]
+    kac = kac_nodes(g)
+    edges = []
+    for b in range(len(kac)):
+        for a in range(b):
+            i, j = sorted((kac[a], kac[b]))
+            if i == 0:
+                links = sum(t * row[j - 1] for t, row in zip(theta, C))
+            else:
+                links = -C[i - 1][j - 1]
+            edges += [(a, b)] * links
+    return edges
 
 
 @lru_cache(maxsize=None)

@@ -185,18 +185,19 @@ def _oct_spin_sector_rows(max_n: int) -> list[dict[int, SectorCount]]:
     return out
 
 
-def count_twisted(g: GroupSpec, family: str, n: int, w: int) -> SectorCount:
-    """Fixed/moved class counts of one sector of the refined count."""
+def sector_counts(g: GroupSpec, family: str,
+                  n: int) -> tuple[SectorCount, SectorCount]:
+    """Fixed/moved class counts of both sectors, w = 0 and 1, of the refined
+    count; the two Spin_odd sectors come from one build."""
     if family not in ("Sp", "Spin_odd"):
         raise ValueError("sector counts exist for the Sp and Spin_odd families")
     _require_octahedral(g, "sector counting")
-    if w not in (0, 1):
-        raise ValueError("sector label must be 0 or 1")
     if n < 0:
         raise ValueError("size must be nonnegative")
     if family == "Sp":
-        return _oct_sp_sector_rows(n, w)[n]
-    return _oct_spin_sector_rows(n)[n][w]
+        return tuple(_oct_sp_sector_rows(n, w)[n] for w in (0, 1))
+    sectors = _oct_spin_sector_rows(n)[n]
+    return sectors[0], sectors[1]
 
 
 # -- finite character tables and the swap report -----------------------------------
@@ -413,7 +414,7 @@ def swap_equivalence_table(g: GroupSpec, pair, max_n: int) -> SizeTable:
 # -- JSON-friendly rows -------------------------------------------------------------
 
 
-def sector_row(g: GroupSpec, family: str, n: int, w: int) -> dict:
-    s = count_twisted(g, family, n, w)
-    return {"gamma": g.label, "n": n, "w": s.w, "fixed": s.fixed,
-            "moved": s.moved, "dimV0": s.dim_v0, "dimV1": s.dim_v1}
+def sector_rows(g: GroupSpec, family: str, n: int) -> list[dict]:
+    return [{"gamma": g.label, "n": n, "w": s.w, "fixed": s.fixed,
+             "moved": s.moved, "dimV0": s.dim_v0, "dimV1": s.dim_v1}
+            for s in sector_counts(g, family, n)]

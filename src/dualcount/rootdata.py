@@ -3,8 +3,9 @@
 Each simple type is realized on the fundamental-coweight basis.  Its center
 P/Q comes from the Smith normal form of the Cartan matrix, and the extended
 diagram's marks and symmetries (Kac, Infinite-dimensional Lie algebras,
-ch. 6) from the highest root.  Both the Weyl-orbit counts of `lattice` and
-the S-matrices of `affine` read these data, so neither loads the other.
+ch. 6) from the highest root.  These data are the package's one statement
+of each Dynkin diagram: the Weyl-orbit counts of `lattice`, the McKay graphs
+of `mckay` and the S-matrices of `affine` all read them here.
 Matrices are inverted exactly over the integers, as an adjugate and a
 determinant.
 """

@@ -3,7 +3,9 @@
 `verify zn-lattice` and `verify refined` read each side of a sweep from one
 kernel table to the largest size.  Here every size builds its own tables,
 at that size, and reads their last row: one Weyl-orbit count per modulus,
-and one finite character table or swap report per n.
+and one finite character table or swap report per n.  `count_twisted` reads
+one sector of `refined.sector_counts`, which builds both, for the tests that
+query the sectors one at a time.
 """
 
 from math import gcd
@@ -16,9 +18,16 @@ from dualcount.counting import (Target, _fixed_slots, count_homs,
 from dualcount.errors import InvariantError, NotCoveredError
 from dualcount.grouprep import (CYCLIC, ICOSAHEDRAL, OCTAHEDRAL, TETRAHEDRAL,
                                 abelianization, irreps, onedim_permutations)
-from dualcount.refined import (FRepCharacter, _oct_sp_sector_rows,
+from dualcount.refined import (FRepCharacter, SectorCount, _oct_sp_sector_rows,
                                _oct_spin_sector_rows, _two_torsion_f_rep,
-                               tables_swap_equivalent)
+                               sector_counts, tables_swap_equivalent)
+
+
+def count_twisted(g, family: str, n: int, w: int) -> SectorCount:
+    """Fixed/moved class counts of sector w of the refined count."""
+    if w not in (0, 1):
+        raise ValueError("sector label must be 0 or 1")
+    return sector_counts(g, family, n)[w]
 
 
 def weyl_orbit_count(c, choice: str, n: int) -> int:
@@ -41,7 +50,8 @@ def su_f_rep(g, n: int) -> FRepCharacter:
     """The "su" table at n, each fixed count from a kernel table to n."""
     A = abelianization(g).group
     gcds = tuple(gcd(d, n) for d in A.moduli)
-    _, reps, _ = A.quotient_by_scaling(n)
+    # the componentwise smallest representatives of A/nA
+    reps = AbGroup(gcds).elements()
     perms = onedim_permutations(g)
     slots = [(info.dim, info.det_element) for info in irreps(g)]
     counts = {}

@@ -17,8 +17,8 @@ from dualcount.counting import Target, count_homs, verify_swap_equivalence
 from dualcount.errors import NotCoveredError
 from dualcount.grouprep import GroupSpec, abelianization, irreps
 from dualcount.mckay import ade_type_of, mckay_graph
-from dualcount.refined import count_twisted
 from enumeration import multiplicity_vectors
+from per_n_routes import count_twisted
 from rep_routes import sector_of_so_rep
 
 ALL_GAMMAS = (

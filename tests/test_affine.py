@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from dualcount.affine import (
 )
 from dualcount.counting import Target, count_homs
 from dualcount.cyclotomic import Cyc
-from dualcount.mckay import a_action
+from dualcount.mckay import a_action, mckay_graph
 from dualcount.suites import SMATRIX_GRID
+from diagram_oracles import _diagram_edges, _finite_index_map
 from frac_inverse import frac_inverse
 from rep_routes import det_char, det_classes_from_reps, det_route_report
 from weyl_residue import (residue_counts, residue_modulus, residue_s_matrix,
@@ -63,6 +65,19 @@ def test_parse_rejects_everything_else(bad):
 ])
 def test_mckay_partner(ade_type, label):
     assert mckay_partner(ade_type).label == label
+
+
+def test_node_map_matches_the_embedding_search():
+    # the stated node map is the one the backtracking search picks, on the
+    # hand-listed diagrams, for every type whose partner the package accepts
+    types = ([f"A{r}" for r in range(1, 48)] + [f"D{r}" for r in range(4, 51)]
+             + ["E6", "E7", "E8"])
+    for ade_type in types:
+        g = mckay_partner(ade_type)
+        graph = SimpleNamespace(node_names=mckay_graph(g).node_names,
+                                affine_node=0, edges=_diagram_edges(g))
+        c, idx, _ = affine._finite_structure(ade_type)
+        assert idx == _finite_index_map(graph, c), ade_type
 
 
 # -- level weights -------------------------------------------------------------

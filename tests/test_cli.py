@@ -342,6 +342,21 @@ def test_corrupted_diagram_symmetry_exits_4_under_optimize():
 
 
 @pytest.mark.parametrize("argv", [
+    ["mckay", "--gamma", "Ohat"],
+    ["smatrix", "--type", "E7", "--level", "1"],
+])
+def test_wrong_node_map_exits_4_under_optimize(argv):
+    # Ohat's irreps 2 and 3 swapped in the McKay node map: the graph read
+    # through it breaks the dimension identity, which is a defect in the
+    # data, never a graph or a matrix to print
+    err = _internal_error(
+        "from dualcount import mckay\n"
+        "mckay._EXCEPTIONAL_KAC_NODES[mckay.OCTAHEDRAL] = (0, 3, 1, 4, 5, 6, 7, 2)",
+        argv)
+    assert "internal error: the McKay graph of Ohat violates" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["sectors", "--family", "Sp", "--n", "3"],
     ["count", "--gamma", "Ohat", "--target", "PSp", "--n", "3"],
 ])
@@ -1101,6 +1116,24 @@ def test_zn_and_refined_sweeps_build_each_kernel_table_once(
         assert status == 0
         work[max_n] = len(calls)
     assert work[7] == work[14] > 0
+
+
+def test_spin_sectors_build_their_kernel_tables_once(monkeypatch, capsys):
+    # both rows of `sectors --family Spin_odd` come from one build of the
+    # four inclusion-exclusion tables, each to the orthogonal dimension 2n + 1
+    calls = []
+    kernel = refined.composition_rows
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(refined, "composition_rows", counted)
+    status, out, _ = invoke(["sectors", "--family", "Spin_odd", "--n", "7"],
+                            capsys)
+    assert status == 0
+    assert [row["w"] for row in json.loads(out)["rows"]] == [0, 1]
+    assert calls == [15] * 4
 
 
 def test_dihedral_psp_rows_are_skipped_not_failed(capsys):

@@ -1,6 +1,6 @@
 """Tests for constraint enumeration, sector counts, and swap reports."""
 
-from math import comb, lcm
+from math import comb, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -29,9 +29,8 @@ from dualcount.grouprep import (
 )
 from dualcount.refined import (
     SectorCount,
-    count_twisted,
     f_rep_table,
-    sector_row,
+    sector_rows,
     swap_equivalence_table,
     tables_swap_equivalent,
 )
@@ -39,6 +38,7 @@ from dualcount.suites import DEFAULT_GAMMAS, ORACLE_GENFUN_GAMMAS
 from enumeration import (enumerated_count, enumerated_sector,
                          multiplicity_vectors, unitary_orbits)
 import per_n_routes
+from per_n_routes import count_twisted
 from rep_routes import sector_of_so_rep
 
 Z = GroupSpec.cyclic
@@ -110,6 +110,8 @@ def test_size_zero_targets_are_trivial():
         # the one-element orthogonal group still has sign characters
         a = abelianization(g).group
         assert count_homs(g, Target("O_odd", 0)) == len(a.kernel_of_scaling(2))
+        # and the projective one counts H^2(g, Z_2) = A/2A
+        assert count_homs(g, Target("PSp", 0)) == prod(gcd(2, d) for d in a.moduli)
         assert count_homs(g, Target("SO_odd", 0)) == 1
 
 
@@ -605,6 +607,6 @@ def test_count_row_shape():
 
 
 def test_sector_row_shape():
-    row = sector_row(OCT, "Sp", 1, 0)
+    row = sector_rows(OCT, "Sp", 1)[0]
     assert row == {"gamma": "Ohat", "n": 1, "w": 0, "fixed": 0, "moved": 4,
                    "dimV0": 2, "dimV1": 2}

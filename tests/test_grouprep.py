@@ -209,15 +209,6 @@ def test_cohomology_degree1():
     assert len(_ab(GroupSpec.binary_dihedral(4)).kernel_of_scaling(2)) == 4
 
 
-def test_cohomology_degree2():
-    # H^2(G, Z_2) is A/2A, A the abelianization, which the PSp(0) count reads;
-    # the cyclic case is test_cyclotomic's test_quotient_by_scaling
-    qmod, reps, _ = _ab(GroupSpec.binary_dihedral(3)).quotient_by_scaling(2)
-    assert qmod == (2,)
-    assert reps == [(0,), (1,)]
-    assert _ab(GroupSpec.binary_tetrahedral()).quotient_by_scaling(2)[1] == [(0,)]
-
-
 def test_tensor_with_onedim():
     tet = GroupSpec.binary_tetrahedral()
     assert tensor_with_onedim(tet, "3", "1'") == "3"

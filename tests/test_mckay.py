@@ -3,12 +3,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualcount.grouprep import GroupSpec
+from diagram_oracles import _diagram_edges
+from dualcount.grouprep import MAX_GROUP_PARAM, GroupSpec
 from dualcount.mckay import a_action, ade_type_of, mckay_graph, mckay_json
 
 ALL_GROUPS = (
     [GroupSpec.cyclic(n) for n in (1, 2, 3, 4, 7, 12)]
     + [GroupSpec.binary_dihedral(m) for m in (2, 3, 4, 5, 6)]
+    + [GroupSpec.binary_tetrahedral(), GroupSpec.binary_octahedral(),
+       GroupSpec.binary_icosahedral()]
+)
+
+# every group label the package accepts
+EVERY_GROUP = (
+    [GroupSpec.cyclic(m) for m in range(1, MAX_GROUP_PARAM + 1)]
+    + [GroupSpec.binary_dihedral(m) for m in range(2, MAX_GROUP_PARAM + 1)]
     + [GroupSpec.binary_tetrahedral(), GroupSpec.binary_octahedral(),
        GroupSpec.binary_icosahedral()]
 )
@@ -31,6 +40,14 @@ def test_graphs_build_for_all_groups():
         assert graph.affine_node == 0
         assert graph.comarks[0] == 1
         assert sum(c * c for c in graph.comarks) == g.order
+
+
+def test_edges_read_off_the_cartan_data_match_the_listed_diagrams():
+    # the character tables check the graphs to m = 24 (test_closed_forms);
+    # the hand-listed diagrams reach every label
+    assert len(EVERY_GROUP) == 98
+    for g in EVERY_GROUP:
+        assert mckay_graph(g).edges == tuple(sorted(_diagram_edges(g))), g.label
 
 
 def test_cyclic_graph_shapes():
