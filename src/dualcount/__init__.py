@@ -16,7 +16,8 @@ __version__ = "0.1.0"
 # each module of LAZY as `from . import name` and never as `from .name import
 # x`, which would run its body; no function imports a dualcount module.  So a
 # count runs none of these, except that a cyclic group into PSp or Spin runs
-# `lattice` and Ohat into PSp or Spin runs `refined`.
+# `lattice` and Ohat into PSp or Spin runs `refined`.  `chartable` and
+# `cyclotomic` run only for `grouprep.character_table`, which no command calls.
 LAZY = ("affine", "chartable", "cyclotomic", "lattice", "mckay", "refined",
         "series", "suites")
 

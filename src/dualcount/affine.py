@@ -37,7 +37,7 @@ from functools import lru_cache
 
 from . import mckay
 from .abgroup import AbGroup
-from .counting import composition_rows
+from .counting import _weight_rows
 from .errors import InvariantError
 from .grouprep import GroupSpec, abelianization
 from .record import Record
@@ -98,17 +98,11 @@ def mckay_partner(ade_type: str) -> GroupSpec:
 # -- weight sets --------------------------------------------------------------
 
 
-def graded_compositions(slots, group: AbGroup, total: int) -> dict:
-    """Row total of `counting.composition_rows`, as a map from each grade to
-    its count."""
-    row = composition_rows(slots, group, total)[total]
-    return dict(zip(group.elements(), row))
-
-
 def iter_vectors(weights, total):
     """Nonnegative integer vectors v with sum(v[i] * weights[i]) == total.
 
-    Lists what `graded_compositions` counts: affine weights, and the tests.
+    Lists what `counting.composition_rows` counts: affine weights, and the
+    tests.
     """
     n = len(weights)
     if n == 0:
@@ -316,8 +310,7 @@ def check_levels(ade_type: str, levels) -> None:
     size, cosets = _determinant_shape(letter, rank)
     # the marks of the highest root are the comarks in another node order
     # (mckay_graph checks this), so no character table is built here
-    slots = [(m, ()) for m in _kac_data(letter, rank)[0]]
-    ungraded = AbGroup(())
+    marks = _kac_data(letter, rank)[0]
     weights = work = 0
     for n in levels:
         if not isinstance(n, int) or n < 1:
@@ -325,7 +318,7 @@ def check_levels(ade_type: str, levels) -> None:
         if n >= MAX_WEIGHTS:
             raise ValueError(f"{ade_type} at level {n} has more than "
                              f"{MAX_WEIGHTS} weights, the supported bound")
-        count = graded_compositions(slots, ungraded, n)[()]
+        count = _weight_rows(marks, n)[n]
         weights += count
         work += count * (count + 1) // 2 * cosets * size ** 3
         if weights > MAX_WEIGHTS:
@@ -524,17 +517,18 @@ def det_classes_from_center(lw: LevelWeights) -> tuple[tuple[int, ...], ...]:
 
 
 def _center_characters(center: AbGroup, chis) -> dict:
-    """The value chi(z) = exp(2 pi i sum_j chi_j z_j / d_j) of each chi in
-    chis, as one array per element z of the center: the pairing of
-    AbGroup.pairing, read from a table of e-th roots of unity by its exact
-    index, e the exponent of the center."""
+    """The value chi(z) = zeta_e^k of each chi in chis, k = AbGroup.pairing
+    and e the exponent of the center, as one array per element z of the
+    center, read from a table of e-th roots of unity by its exact index."""
     import numpy as np
     e = center.exponent
     roots = _unit_roots(e)
-    step = np.asarray([e // d for d in center.moduli], dtype=np.int64)
-    scaled = np.asarray(chis, dtype=np.int64).reshape(len(chis), -1) * step
-    return {z: roots[-(scaled @ np.asarray(z, dtype=np.int64)) % e]
-            for z in center.elements()}
+    out = {}
+    for z in center.elements():
+        # the weights' classes repeat, so each distinct class is paired once
+        k = {chi: center.pairing(chi, z) for chi in set(chis)}
+        out[z] = roots[np.asarray([-k[chi] % e for chi in chis], dtype=np.int64)]
+    return out
 
 
 def verify_s_conjugation(ade_type: str, n: int) -> dict:
@@ -550,8 +544,9 @@ def verify_s_conjugation(ade_type: str, n: int) -> dict:
     sm = s_matrix(ade_type, n)
     lw = sm.weights
     g = mckay_partner(ade_type)
-    act = mckay.a_action(g)
-    sym = AbGroup(act.moduli)
+    perms = mckay.a_action(g)
+    ab = abelianization(g)
+    sym = ab.group
     c, _, _ = _finite_structure(ade_type)
     center = AbGroup(c.center_moduli)
     geo = det_classes_from_center(lw)
@@ -559,7 +554,7 @@ def verify_s_conjugation(ade_type: str, n: int) -> dict:
     s = sm.array()
     sinv = s.conj().T
     conj = {}
-    for el, perm in act.perms.items():
+    for el, perm in perms.items():
         # column i of S P_a is the column of S at the image of weight i
         cols = []
         for w in lw.weights:
@@ -571,7 +566,7 @@ def verify_s_conjugation(ade_type: str, n: int) -> dict:
     # the off-diagonal part must vanish no matter the identification
     base_err = max(float(np.abs(mat - np.diag(np.diag(mat))).max())
                    for mat in conj.values())
-    gen_names = abelianization(g).generator_names
+    gen_names = ab.generator_names
     standard = []
     for i in range(len(sym.moduli)):
         e = [0] * len(sym.moduli)

@@ -7,6 +7,8 @@ types by Frobenius-Schur indicators, determinants by Newton's identities,
 tensoring by character products and McKay edges by decomposing irrep ⊗
 defining rep.  `validate_table` checks orthogonality, the power maps and
 inversion, so a transcription error in a table fails loudly at first use.
+These tables are the one reader of `cyclotomic` in the package, so no
+command runs that module or imports `fractions`.
 """
 
 from __future__ import annotations

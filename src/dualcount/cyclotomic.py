@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields.
+"""Exact arithmetic in cyclotomic fields, for the exact character tables.
 
 A `Cyc` is an element of Q(zeta_N) stored as integer numerators over one
 shared positive denominator: the numerators are the coordinates, in the power
@@ -6,10 +6,13 @@ basis 1, zeta_N, ..., zeta_N^(phi(N) - 1), of the element times the
 denominator.  Numerators and denominator are kept coprime, so the stored form
 is canonical for a fixed conductor.  The N-th cyclotomic polynomial Phi_N is
 monic with integer coefficients, so products reduce modulo it without any
-division; every power of zeta_N has integer coordinates, so the Galois action
-and promotion to a larger conductor are integer row sums; and an inverse is
-the product of the non-trivial Galois conjugates divided by the norm.  All
-arithmetic is exact; `complex_value` is the only lossy operation.
+division, and every power of zeta_N has integer coordinates, so the Galois
+action is an integer row sum.  Phi_N and the table of powers of zeta_N live
+in `abgroup`, whose `character_sum` gives the refined character tables'
+entries in the same coordinates without this module.  The two operands of
+an operation must share their conductor.  Only `chartable`'s tables, which
+no command reads, and the tests' oracles use `Cyc`.  All arithmetic is
+exact; `complex_value` is the only lossy operation.
 """
 
 from __future__ import annotations
@@ -19,11 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import InvariantError
-
-# conductors whose zeta power table stays cached; each table holds
-# N x phi(N) integers, and a process touches a handful of conductors
-POWER_BASIS_CACHE = 64
+from .abgroup import _zeta_power_basis, cyclotomic_poly
 
 _new = object.__new__
 _set = object.__setattr__
@@ -46,53 +45,11 @@ def _reduce_monic(p: list[int], n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Integer coefficients (low to high) of the n-th cyclotomic polynomial."""
-    if n < 1:
-        raise ValueError("conductor must be >= 1")
-    # x^n - 1 divided by Phi_d for every proper divisor d of n; every Phi_d is
-    # monic, so the long division stays in the integers
-    p = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            phi = cyclotomic_poly(d)
-            deg = len(phi) - 1
-            q = [0] * (len(p) - deg)
-            for i in range(len(q) - 1, -1, -1):
-                c = q[i] = p[i + deg]
-                if c:
-                    for j, f in enumerate(phi):
-                        p[i + j] -= c * f
-            if any(p[:deg]):
-                raise InvariantError(f"Phi_{d} must divide x^{n} - 1")
-            p = q
-    return tuple(p)
-
-
-@lru_cache(maxsize=None)
 def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """phi(n) and the nonzero (j, coefficient) pairs of Phi_n below its leading term."""
     phi = cyclotomic_poly(n)
     deg = len(phi) - 1
     return deg, tuple((j, f) for j, f in enumerate(phi[:deg]) if f)
-
-
-@lru_cache(maxsize=POWER_BASIS_CACHE)
-def _zeta_power_basis(n: int) -> tuple[tuple[int, ...], ...]:
-    """zeta_n^j for j in 0..n-1, as integer coordinates in the power basis."""
-    phi = cyclotomic_poly(n)
-    deg = len(phi) - 1
-    rows = []
-    cur = [1] + [0] * (deg - 1)
-    for _ in range(n):
-        rows.append(tuple(cur))
-        # multiply by x, reduce mod Phi_n (monic)
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            for k in range(deg):
-                cur[k] -= top * phi[k]
-    return tuple(rows)
 
 
 def _row_sum(nums, rows, step: int, n: int, deg: int) -> list[int]:
@@ -110,10 +67,9 @@ class Cyc:
     """An element of Q(zeta_n), immutable and hashable.
 
     The stored form (numerators, denominator) is canonical for a fixed
-    conductor n, so equality and hashing are consistent within one conductor.
-    Equality across conductors promotes both sides, but hashes are only
-    guaranteed to agree across conductors for rational values; keep any
-    hashed collection of Cyc values at a single conductor.
+    conductor n, so equality and hashing agree.  Adding, multiplying or
+    comparing two elements of different conductors raises ValueError; an
+    int or Fraction operand is taken at the element's own conductor.
     """
 
     __slots__ = ("n", "nums", "den", "_hash")
@@ -165,16 +121,6 @@ class Cyc:
         return Cyc._make(n, [value.numerator] + [0] * (deg - 1),
                          value.denominator)
 
-    def promoted(self, m: int) -> "Cyc":
-        """The same element viewed in Q(zeta_m); requires n | m."""
-        if m == self.n:
-            return self
-        if m % self.n:
-            raise ValueError(f"cannot promote conductor {self.n} to {m}")
-        deg = len(cyclotomic_poly(m)) - 1
-        out = _row_sum(self.nums, _zeta_power_basis(m), m // self.n, m, deg)
-        return Cyc._make(m, out, self.den)
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The rational power-basis coordinates."""
@@ -182,11 +128,10 @@ class Cyc:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other: "Cyc"):
-        if other.n == self.n:
-            return self, other
-        m = self.n * other.n // gcd(self.n, other.n)
-        return self.promoted(m), other.promoted(m)
+    def _same_field(self, other: "Cyc") -> None:
+        if other.n != self.n:
+            raise ValueError(
+                f"conductors {self.n} and {other.n} differ; Cyc does not promote")
 
     def _scaled(self, num: int, den: int) -> "Cyc":
         return Cyc._make(self.n, [x * num for x in self.nums], self.den * den)
@@ -197,12 +142,12 @@ class Cyc:
             if not isinstance(other, _RATIONAL):
                 return NotImplemented
             other = Cyc.from_rational(other, self.n)
-        a, b = self._coerce(other)
-        ad, bd = a.den, b.den
+        self._same_field(other)
+        ad, bd = self.den, other.den
         g = gcd(ad, bd)
         fa, fb = bd // g, sign * (ad // g)
-        nums = [x * fa + y * fb for x, y in zip(a.nums, b.nums)]
-        return Cyc._make(a.n, nums, ad * fa)
+        nums = [x * fa + y * fb for x, y in zip(self.nums, other.nums)]
+        return Cyc._make(self.n, nums, ad * fa)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -223,8 +168,8 @@ class Cyc:
             if isinstance(other, _RATIONAL):
                 return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        a, b = self._coerce(other)
-        an, bn = a.nums, b.nums
+        self._same_field(other)
+        an, bn = self.nums, other.nums
         deg = len(an)
         prod = [0] * (2 * deg - 1)
         right = [(j, y) for j, y in enumerate(bn) if y]
@@ -232,50 +177,10 @@ class Cyc:
             if x:
                 for j, y in right:
                     prod[i + j] += x * y
-        return Cyc._make(a.n, _reduce_monic(prod, a.n), a.den * b.den)
+        return Cyc._make(self.n, _reduce_monic(prod, self.n),
+                         self.den * other.den)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Cyc":
-        """Multiplicative inverse: the product of the non-trivial Galois
-        conjugates of the numerator, over its norm, times the denominator."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        n = self.n
-        num = Cyc._make(n, self.nums)
-        others = Cyc.from_rational(1, n)
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                others = others * num.galois(k)
-        norm = num * others
-        if not norm.is_rational() or norm.den != 1:
-            raise InvariantError(f"norm of {num!r} is not a rational integer")
-        return Cyc._make(n, [x * self.den for x in others.nums],
-                         others.den * norm.nums[0])
-
-    def __truediv__(self, other):
-        if isinstance(other, _RATIONAL):
-            if not other:
-                raise ZeroDivisionError("division by zero")
-            return self._scaled(other.denominator, other.numerator)
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Cyc.from_rational(1, self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- Galois action -----------------------------------------------------
 
@@ -292,9 +197,6 @@ class Cyc:
         return self.galois(self.n - 1) if self.n > 1 else self
 
     # -- predicates and conversions ----------------------------------------
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
@@ -323,16 +225,16 @@ class Cyc:
                         and self.nums[0] == other.numerator
                         and self.is_rational())
             return NotImplemented
-        a, b = self._coerce(other)
-        return a.den == b.den and a.nums == b.nums
+        self._same_field(other)
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
             pass
-        # hash in a conductor-independent way: rational elements must hash
-        # like their Fraction value
+        # a rational element equals its int or Fraction value, so it must
+        # hash like that value
         if not self.is_rational():
             h = hash((self.n, self.nums, self.den))
         elif self.den == 1:

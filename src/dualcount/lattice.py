@@ -243,9 +243,8 @@ def refined_zn_characters(letter: str, rank: int, sublattice: str, n: int):
 
     reps = [z for z in AbGroup(zmods).elements() if z == coset_rep(z)]
     return refined.FRepCharacter.from_counts(
-        f"{c.type}:{sublattice}", zmods, gs_mods,
-        {kel: {z: per_grade[z] for z in reps}
-         for kel, per_grade in counts.items()})
+        gs_mods, {kel: {z: per_grade[z] for z in reps}
+                  for kel, per_grade in counts.items()})
 
 
 # -- dual-pair catalog ---------------------------------------------------------------

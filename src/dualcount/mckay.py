@@ -43,16 +43,6 @@ class McKayGraph(Record):
         return len(self.node_names)
 
 
-class AAction(Record):
-    """Graph automorphisms from tensoring with 1-dim irreps.
-
-    perms maps each abelianization element to the induced node permutation;
-    the action is simply transitive on comark-1 nodes.
-    """
-
-    __slots__ = ("moduli", "onedim_of", "perms")
-
-
 def ade_type_of(g: GroupSpec) -> str:
     if g.family == CYCLIC:
         return f"A{g.param - 1}"
@@ -132,9 +122,11 @@ def mckay_graph(g: GroupSpec) -> McKayGraph:
     )
 
 
-def a_action(g: GroupSpec) -> AAction:
+def a_action(g: GroupSpec) -> dict:
+    """The graph automorphisms from tensoring with 1-dim irreps: each
+    abelianization element's node permutation, checked to preserve comarks
+    and edges and to act simply transitively on the comark-1 nodes."""
     graph = mckay_graph(g)
-    ab = abelianization(g)
     perms = {}
     for el, perm in onedim_permutations(g).items():
         if sorted(perm) != list(range(graph.n_nodes)):
@@ -152,12 +144,13 @@ def a_action(g: GroupSpec) -> AAction:
     if orbit != fund:
         raise InvariantError("1-dim tensoring must act simply transitively "
                              "on comark-1 nodes")
-    return AAction(ab.group.moduli, dict(ab.name_of), perms)
+    return perms
 
 
 def mckay_json(g: GroupSpec) -> dict:
     graph = mckay_graph(g)
-    act = a_action(g)
+    perms = a_action(g)
+    name_of = abelianization(g).name_of
     return {
         "ade_type": graph.ade_type,
         "nodes": [
@@ -166,8 +159,5 @@ def mckay_json(g: GroupSpec) -> dict:
         ],
         "edges": [list(e) for e in graph.edges],
         "affine_node": graph.affine_node,
-        "a_action": {
-            act.onedim_of[el]: list(act.perms[el])
-            for el in sorted(act.perms)
-        },
+        "a_action": {name_of[el]: list(perms[el]) for el in sorted(perms)},
     }

@@ -14,14 +14,17 @@ and swap reports of every n up to a bound from one set of kernel tables,
 counted up to a symmetry as `counting` counts PU: `counting._fixed_slots`
 collapses each cycle of a slot permutation into one slot, and
 `FRepCharacter.from_counts` pairs the fixed counts, per grade, with the
-characters of the grading group.
+characters of the grading group.  Each entry is a sum of e-th roots of unity
+with integer coefficients, e the grading group's exponent, held as its
+canonical integer coordinates (`AbGroup.character_sum`), so the swap compares
+integer tuples and no cyclotomic field is built.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from . import cyclotomic, lattice
+from . import lattice
 from .abgroup import AbGroup
 from .counting import (_UNGRADED, SizeTable, _build_slots, _fixed_slots,
                        _orthogonal_slots, _symplectic_slots, _weight_rows,
@@ -210,15 +213,14 @@ class FRepCharacter(Record):
     character group), columns are sector characters w-hat; both are indexed
     by the elements of AbGroup(grading_moduli) in canonical order, and the
     isomorphism types of the two gradings coincide for every covered case.
-    values[z][w-hat] is a cyclotomic.Cyc, so only these tables load that
-    module.
+    values[z][w-hat] is the entry's tuple of integer coordinates in the power
+    basis of Q(zeta_e), e the exponent of the grading group.
     """
 
-    __slots__ = ("label", "center_moduli", "grading_moduli", "values")
+    __slots__ = ("grading_moduli", "values")
 
     @classmethod
-    def from_counts(cls, label: str, center_moduli: tuple[int, ...],
-                    grading_moduli: tuple[int, ...],
+    def from_counts(cls, grading_moduli: tuple[int, ...],
                     counts: dict) -> "FRepCharacter":
         """The table whose entry (z, w-hat) is sum_w w-hat(w) * counts[z][w].
 
@@ -227,17 +229,9 @@ class FRepCharacter(Record):
         """
         group = AbGroup(grading_moduli)
         els = group.elements()
-        chars = {what: {w: group.pairing(what, w) for w in els} for what in els}
-        # the characters' values live in Q(zeta_e), e the exponent; summing
-        # there scales by integers and promotes nothing
-        zero = cyclotomic.Cyc.from_rational(0, group.exponent)
-        values = tuple(
-            tuple(
-                sum((chars[what][w] * c for w, c in counts[z].items() if c),
-                    zero)
-                for what in els)
-            for z in els)
-        return cls(label, center_moduli, grading_moduli, values)
+        values = tuple(tuple(group.character_sum(what, counts[z]) for what in els)
+                       for z in els)
+        return cls(grading_moduli, values)
 
 
 def _su_f_rep_entry(g: GroupSpec, max_n: int):
@@ -268,18 +262,18 @@ def _su_f_rep_entry(g: GroupSpec, max_n: int):
                                             A, max_n)
             by_det = dict(zip(els, fixed[a][n]))
             counts[z] = {w: by_det[w] for w in reps}
-        return FRepCharacter.from_counts("su", (n,), gcds, counts)
+        return FRepCharacter.from_counts(gcds, counts)
 
     return entry
 
 
-def _two_torsion_f_rep(label: str, sectors: dict[int, SectorCount]) -> FRepCharacter:
+def _two_torsion_f_rep(sectors: dict[int, SectorCount]) -> FRepCharacter:
     # the identity fixes every solution of a sector, the involution its fixed
     # ones
     counts = {(eps,): {(w,): s.fixed if eps else s.fixed + s.moved
                        for w, s in sectors.items()}
               for eps in (0, 1)}
-    return FRepCharacter.from_counts(label, (2,), (2,), counts)
+    return FRepCharacter.from_counts((2,), counts)
 
 
 def f_rep_table(g: GroupSpec, side: str, max_n: int) -> SizeTable:
@@ -298,11 +292,11 @@ def f_rep_table(g: GroupSpec, side: str, max_n: int) -> SizeTable:
         _require_octahedral(g, "the symplectic-side table")
         sp = [_oct_sp_sector_rows(max_n, w) for w in (0, 1)]
         return SizeTable(max_n, lambda n: _two_torsion_f_rep(
-            "sp", {w: rows[n] for w, rows in enumerate(sp)}))
+            {w: rows[n] for w, rows in enumerate(sp)}))
     if side == "spin":
         _require_octahedral(g, "the orthogonal-side table")
         spin = _oct_spin_sector_rows(max_n)
-        return SizeTable(max_n, lambda n: _two_torsion_f_rep("spin", spin[n]))
+        return SizeTable(max_n, lambda n: _two_torsion_f_rep(spin[n]))
     raise ValueError("side must be 'su', 'sp' or 'spin'")
 
 

@@ -10,14 +10,14 @@ each value of its variables and divide by their number.
 
 `_sum_terms` adds flat terms exactly over one integer scale, the lcm of
 their denominators: every phase is a power of i, so a binomial factor is
-applied by integer additions and quarter turns.  `expand` sums through a
-truncation order from the caller; `cleared_difference_degree` proves an
-identity by clearing all denominators and checking that the sum vanishes.
+applied by integer additions and quarter turns, and no `Fraction` is made.
+`expand` sums through a truncation order from the caller;
+`cleared_difference_degree` proves an identity by clearing all denominators
+and checking that the sum vanishes.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, product as cartesian
 from math import gcd, lcm, prod
 from operator import add, mul, sub
@@ -79,14 +79,6 @@ class GaussSeries:
         if g != 1:
             re, im, den = [x // g for x in re], [y // g for y in im], den // g
         self.order, self.re, self.im, self.den = order, re, im, den
-
-    def coeff(self, k: int) -> Fraction:
-        """The coefficient of q^k, which must be real."""
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        if self.im[k]:
-            raise ValueError(f"coefficient {k} is not real")
-        return Fraction(self.re[k], self.den)
 
     def integer_coeffs(self) -> list[int]:
         """The coefficients of a counting series, which are integers: any

@@ -3,7 +3,9 @@
 `verify zn-lattice` and `verify refined` read each side of a sweep from one
 kernel table to the largest size.  Here every size builds its own tables,
 at that size, and reads their last row: one Weyl-orbit count per modulus,
-and one finite character table or swap report per n.  `count_twisted` reads
+and one finite character table or swap report per n.  `graded_compositions`
+reads one row of the composition kernel as a map from each grade to its
+count.  `count_twisted` reads
 one sector of `refined.sector_counts`, which builds both, for the tests that
 query the sectors one at a time.
 """
@@ -12,15 +14,21 @@ from math import gcd
 
 from dualcount import lattice
 from dualcount.abgroup import AbGroup
-from dualcount.affine import graded_compositions
-from dualcount.counting import (Target, _fixed_slots, count_homs,
-                                orbit_composition_rows)
+from dualcount.counting import (Target, _fixed_slots, composition_rows,
+                                count_homs, orbit_composition_rows)
 from dualcount.errors import InvariantError, NotCoveredError
 from dualcount.grouprep import (CYCLIC, ICOSAHEDRAL, OCTAHEDRAL, TETRAHEDRAL,
                                 abelianization, irreps, onedim_permutations)
 from dualcount.refined import (FRepCharacter, SectorCount, _oct_sp_sector_rows,
                                _oct_spin_sector_rows, _two_torsion_f_rep,
                                sector_counts, tables_swap_equivalent)
+
+
+def graded_compositions(slots, group: AbGroup, total: int) -> dict:
+    """Row total of `counting.composition_rows`, as a map from each grade to
+    its count."""
+    row = composition_rows(slots, group, total)[total]
+    return dict(zip(group.elements(), row))
 
 
 def count_twisted(g, family: str, n: int, w: int) -> SectorCount:
@@ -60,7 +68,7 @@ def su_f_rep(g, n: int) -> FRepCharacter:
         by_det = graded_compositions(_fixed_slots(slots, perms[embedded], A),
                                      A, n)
         counts[z] = {w: by_det[w] for w in reps}
-    return FRepCharacter.from_counts("su", (n,), gcds, counts)
+    return FRepCharacter.from_counts(gcds, counts)
 
 
 def f_rep_character(g, side: str, n: int) -> FRepCharacter:
@@ -73,9 +81,9 @@ def f_rep_character(g, side: str, n: int) -> FRepCharacter:
         raise NotCoveredError(f"not covered: {side} tables require Ohat")
     if side == "sp":
         return _two_torsion_f_rep(
-            "sp", {w: _oct_sp_sector_rows(n, w)[n] for w in (0, 1)})
+            {w: _oct_sp_sector_rows(n, w)[n] for w in (0, 1)})
     if side == "spin":
-        return _two_torsion_f_rep("spin", _oct_spin_sector_rows(n)[n])
+        return _two_torsion_f_rep(_oct_spin_sector_rows(n)[n])
     raise ValueError("side must be 'su', 'sp' or 'spin'")
 
 

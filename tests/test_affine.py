@@ -330,8 +330,7 @@ def test_det_routes_agree_exactly(ade_type, n):
 
 def test_a1_level_2_conjugation_diagonal_is_the_sign_of_the_class():
     sm = s_matrix("A1", 2)
-    act = a_action(mckay_partner("A1"))
-    perm = act.perms[(1,)]
+    perm = a_action(mckay_partner("A1"))[(1,)]
     lw = sm.weights
     pos = {w: i for i, w in enumerate(lw.weights)}
     p = np.zeros((3, 3))

@@ -652,10 +652,10 @@ def test_cli_import_and_count_load_no_numpy(argv):
     # numpy is imported inside the affine functions that use it, so only the
     # S-matrix commands pay for it; dualcount.affine is registered in
     # sys.modules, but its body does not run.  The records on the count path
-    # are plain classes, cyclotomic runs only for the finite character
-    # tables, and every group's irreducibles are closed forms or literal
-    # data, so no count imports dataclasses, runs cyclotomic or builds a
-    # character table; the bare import loads no fractions either
+    # are plain classes, cyclotomic runs only for the exact character tables
+    # of grouprep.character_table, and every group's irreducibles are closed
+    # forms or literal data, so no count imports dataclasses, runs cyclotomic
+    # or builds a character table; the bare import loads no fractions either
     unwanted = ["dataclasses"] + ([] if argv else ["fractions"])
     code = (RAN + "import contextlib, io, json\nfrom dualcount import cli, grouprep\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -749,7 +749,7 @@ def test_each_command_runs_only_the_layer_modules_it_uses(argv, ran):
     (["count", "--gamma", "Ohat", "--target", "Spin_odd", "--n", "3"],
      ["refined"]),
     (["sectors", "--family", "Sp", "--n", "3"], ["refined"]),
-    (["verify", "refined"], ["cyclotomic", "refined", "suites"]),
+    (["verify", "refined"], ["refined", "suites"]),
     (["count", "--gamma", "Ihat", "--target", "PU", "--n", "3",
       "--format", "csv"], ["csv"]),
     (["mckay", "--gamma", "Ihat"], ["mckay"]),
@@ -765,11 +765,16 @@ def test_each_command_imports_only_the_code_it_runs(argv, ran):
     *[(argv, unused)
       for argv in (["verify", "smatrix"], ["smatrix", "--type", "E6", "--level", "1"])
       for unused in ("dataclasses", "dualcount.cyclotomic", "fractions")],
+    *[(argv, unused)
+      for argv in (["verify", "refined"], ["verify", "identities"],
+                   ["genfun", "--gamma", "Ohat"], ["verify", "oracle"])
+      for unused in ("dualcount.cyclotomic", "fractions")],
 ])
 def test_series_and_lattice_runs_skip_the_modules_they_do_not_use(argv, unused):
     # the series, affine and mckay records are plain classes, matrices are
-    # inverted over the integers, and the S-matrix checks read their roots of
-    # unity from a table by exact index
+    # inverted over the integers, the S-matrix checks read their roots of
+    # unity from a table by exact index, the refined tables hold integer
+    # coordinates and the series integers over one scale
     code = (RAN + "import contextlib, io\nfrom dualcount import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    status = cli.main({argv!r})\n"

@@ -41,10 +41,7 @@ def test_closed_forms_match_the_character_tables(g):
     assert graph.comarks == tuple(i.dim for i in char_tables.irreps(g))
     assert graph.edges == char_tables.mckay_edges(g)
 
-    act = a_action(g)
-    assert act.moduli == oracle_ab.group.moduli
-    assert act.onedim_of == oracle_ab.name_of
-    assert act.perms == dict(char_tables.onedim_permutations(g))
+    assert a_action(g) == dict(char_tables.onedim_permutations(g))
 
     assert (json.dumps(irrep_table_json(g))
             == json.dumps(char_tables.irrep_table_json(g)))

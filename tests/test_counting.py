@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualcount.abgroup import AbGroup
-from dualcount import series
-from dualcount.affine import graded_compositions, iter_vectors
+from dualcount import lattice, series
+from dualcount.affine import iter_vectors
 from dualcount.counting import (
     TARGET_FAMILIES,
     Target,
@@ -19,6 +19,7 @@ from dualcount.counting import (
     orbit_composition_rows,
     verify_swap_equivalence,
 )
+from dualcount.cyclotomic import Cyc
 from dualcount.errors import InvariantError, NotCoveredError
 from dualcount.grouprep import (
     PSEUDOREAL,
@@ -28,6 +29,7 @@ from dualcount.grouprep import (
     irreps,
 )
 from dualcount.refined import (
+    FRepCharacter,
     SectorCount,
     f_rep_table,
     sector_rows,
@@ -38,7 +40,7 @@ from dualcount.suites import DEFAULT_GAMMAS, ORACLE_GENFUN_GAMMAS
 from enumeration import (enumerated_count, enumerated_sector,
                          multiplicity_vectors, unitary_orbits)
 import per_n_routes
-from per_n_routes import count_twisted
+from per_n_routes import count_twisted, graded_compositions
 from rep_routes import sector_of_so_rep
 
 Z = GroupSpec.cyclic
@@ -467,50 +469,139 @@ def test_sector_routes_agree_exhaustively_to_dim_13():
 
 
 def test_sp_side_table_anchor():
+    # a Z_2 grading has exponent 2 and Phi_2 degree 1: one coordinate each
     table = f_rep_table(OCT, "sp", 1)[1]
-    assert [[v.rational() for v in row] for row in table.values] == [
-        [6, 2],
-        [2, -2],
-    ]
-    assert table.center_moduli == (2,)
+    assert table.values == (((6,), (2,)), ((2,), (-2,)))
+    assert table.grading_moduli == (2,)
 
 
 def test_su_side_table_anchor():
     table = f_rep_table(Z(2), "su", 2)[2]
-    assert [[v.rational() for v in row] for row in table.values] == [
-        [3, 1],
-        [1, -1],
-    ]
+    assert table.values == (((3,), (1,)), ((1,), (-1,)))
     assert table.grading_moduli == (2,)
 
 
+def _column_sum(entries):
+    """The coordinatewise sum of integer-coordinate entries."""
+    return [sum(c) for c in zip(*entries)]
+
+
 def test_su_table_gauging_identities():
-    # averaging over the columns recovers N(SU); over the rows, N(PU)
+    # averaging over the columns recovers N(SU); over the rows, N(PU).  Both
+    # sums are rational: their coordinates past the first vanish
     for g, n in [(Z(2), 2), (Z(4), 2), (Z(6), 3), (DH(3), 2), (TET, 3)]:
         table = f_rep_table(g, "su", n)[n]
         k = len(table.values)
-        col_avg = sum(
-            (table.values[0][j] for j in range(k)),
-            table.values[0][0] - table.values[0][0],
-        )
-        row_avg = sum(
-            (table.values[i][0] for i in range(k)),
-            table.values[0][0] - table.values[0][0],
-        )
-        assert col_avg.rational() == k * count_homs(g, Target("SU", n))
-        assert row_avg.rational() == k * count_homs(g, Target("PU", n))
+        col_sum = _column_sum(table.values[0])
+        row_sum = _column_sum(row[0] for row in table.values)
+        zeros = [0] * (len(col_sum) - 1)
+        assert col_sum == [k * count_homs(g, Target("SU", n))] + zeros
+        assert row_sum == [k * count_homs(g, Target("PU", n))] + zeros
 
 
 def test_two_torsion_table_gauging_identities():
     for n in range(0, 5):
         sp = f_rep_table(OCT, "sp", n)[n]
-        v = [[x.rational() for x in row] for row in sp.values]
+        v = [[x for x, in row] for row in sp.values]
         assert (v[0][0] + v[0][1]) / 2 == count_homs(OCT, Target("Sp", n))
         assert (v[0][0] + v[1][0]) / 2 == count_homs(OCT, Target("PSp", n))
         spin = f_rep_table(OCT, "spin", n)[n]
-        u = [[x.rational() for x in row] for row in spin.values]
+        u = [[x for x, in row] for row in spin.values]
         assert (u[0][0] + u[0][1]) / 2 == count_homs(OCT, Target("Spin_odd", n))
         assert (u[0][0] + u[1][0]) / 2 == count_homs(OCT, Target("SO_odd", n))
+
+
+def _cyc_table(grading_moduli, counts) -> FRepCharacter:
+    """The table of FRepCharacter.from_counts with every entry summed in
+    Q(zeta_e) as a Cyc, the character values computed here."""
+    group = AbGroup(grading_moduli)
+    e = group.exponent
+    els = group.elements()
+
+    def value(what, w):
+        return Cyc.zeta(e, sum(c * a * (e // d)
+                               for c, a, d in zip(what, w, grading_moduli)))
+
+    return FRepCharacter(grading_moduli, tuple(
+        tuple(sum((value(what, w) * c for w, c in counts[z].items()),
+                  Cyc.from_rational(0, e))
+              for what in els)
+        for z in els))
+
+
+@pytest.fixture
+def tables_with_cyc_oracles(monkeypatch):
+    """Every table that from_counts makes while the test runs, each beside
+    its Cyc oracle from the same counts."""
+    made = []
+    build = FRepCharacter.from_counts.__func__
+
+    def recording(cls, grading_moduli, counts):
+        table = build(cls, grading_moduli, counts)
+        made.append((table, _cyc_table(grading_moduli, counts)))
+        return table
+
+    monkeypatch.setattr(FRepCharacter, "from_counts", classmethod(recording))
+    return made
+
+
+ORACLE_LATTICE_TYPES = [("A", r) for r in range(1, 6)] + [
+    ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
+    ("D", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]
+
+
+def test_integer_entries_are_the_numerators_of_their_cyc_sums(
+        tables_with_cyc_oracles):
+    for g in (Z(12), Z(7), DH(4), DH(5), TET, OCT):
+        su = f_rep_table(g, "su", 40)
+        for n in range(1, 41):
+            su[n]
+    for letter, rank in ORACLE_LATTICE_TYPES:
+        for m in range(1, 13):
+            lattice.refined_zn_characters(letter, rank, "sc", m)
+    made = tables_with_cyc_oracles
+    assert len(made) == 6 * 40 + len(ORACLE_LATTICE_TYPES) * 12
+    for table, oracle in made:
+        assert table.grading_moduli == oracle.grading_moduli
+        for row, oracle_row in zip(table.values, oracle.values, strict=True):
+            for entry, cyc in zip(row, oracle_row, strict=True):
+                assert cyc.den == 1 and entry == cyc.nums
+    # every swap between two of these tables of one grading gets the same
+    # answer from the integer entries as from the Cyc entries
+    by_grading = {}
+    for table, oracle in made:
+        by_grading.setdefault(table.grading_moduli, []).append((table, oracle))
+    answers = []
+    for pairs in by_grading.values():
+        for t1, o1 in pairs:
+            for t2, o2 in pairs:
+                answer = tables_swap_equivalent(t1, t2)
+                assert answer == tables_swap_equivalent(o1, o2)
+                answers.append(answer)
+    # 54734 pairs: most are not equivalent, and both kinds of match occur
+    assert len(answers) > 50000
+    assert {None, "standard", "cross"} <= set(answers)
+
+
+def test_a_vanishing_sum_of_roots_of_unity_gives_equal_entries():
+    # adding 1 to every grade of a column adds sum_w w-hat(w) to its entries,
+    # which vanishes for every nontrivial w-hat; the summed powers of zeta_e
+    # differ, so the entries agree only after reduction modulo Phi_e
+    for moduli in [(2,), (3,), (4,), (2, 2), (6,)]:
+        group = AbGroup(moduli)
+        els = group.elements()
+        base = {z: {w: 7 * i + 3 * j for j, w in enumerate(els)}
+                for i, z in enumerate(els)}
+        shifted = dict(base)
+        shifted[els[-1]] = {w: c + 1 for w, c in base[els[-1]].items()}
+        t1 = FRepCharacter.from_counts(moduli, base)
+        t2 = FRepCharacter.from_counts(moduli, shifted)
+        assert t1.values[:-1] == t2.values[:-1]
+        assert t1.values[-1][1:] == t2.values[-1][1:]
+        first, *rest = t1.values[-1][0]
+        assert t2.values[-1][0] == (first + group.order, *rest)
+        assert tables_swap_equivalent(t1, t1) == tables_swap_equivalent(
+            _cyc_table(moduli, base), _cyc_table(moduli, base))
 
 
 def test_f_rep_character_validation():
