@@ -35,6 +35,8 @@ import math
 import re
 from functools import lru_cache
 
+import numpy as np
+
 from . import mckay
 from .abgroup import AbGroup
 from .counting import _weight_rows
@@ -257,7 +259,6 @@ def _e_cosets(ade_type: str) -> _Cosets:
     s_i v, and every orbit point is reached so.  The element that reaches v,
     whichever it is, represents the coset of v.
     """
-    import numpy as np
     c, _, _ = _finite_structure(ade_type)
     rank = c.rank
     j_nodes = tuple(range(rank - 1, 0, -1))
@@ -333,7 +334,6 @@ def check_levels(ade_type: str, levels) -> None:
 def _a_coords(labels):
     """epsilon coordinates of A_r weights from Dynkin labels: x_i is the
     sum of the labels j >= i, and x_r = 0."""
-    import numpy as np
     x = np.zeros(labels.shape[:-1] + (labels.shape[-1] + 1,), dtype=np.int64)
     x[..., :-1] = np.cumsum(labels[..., ::-1], axis=-1)[..., ::-1]
     return x
@@ -342,7 +342,6 @@ def _a_coords(labels):
 def _d_coords(labels):
     """Twice the orthonormal coordinates of D_m weights from Dynkin labels,
     with the spin nodes m - 2 and m - 1 both linked to node m - 3."""
-    import numpy as np
     spin = labels[..., -2] + labels[..., -1]
     x = np.empty(labels.shape, dtype=np.int64)
     x[..., :-2] = (2 * np.cumsum(labels[..., -3::-1], axis=-1)[..., ::-1]
@@ -356,7 +355,6 @@ def _d_sums(x, y, step, modulus, table):
     """The D_m Weyl sum of doubled coordinates x and y (..., m): with
     theta_ij = 2 pi x_i y_j / 4k, it is (det[2 cos theta] +
     det[-2i sin theta]) / 2; `step` is modulus / 4k."""
-    import numpy as np
     # the table holds exp(-i theta) = cos theta - i sin theta
     phases = table[(step * x[..., :, None] * y[..., None, :]) % modulus]
     m = x.shape[-1]
@@ -367,7 +365,6 @@ def _d_sums(x, y, step, modulus, table):
 def _pair_sums(ade_type, k, modulus, table, x, y):
     """Unnormalized S entries for rows x and columns y, the Dynkin labels
     of lam + rho and mu + rho, each of shape (pairs, rank)."""
-    import numpy as np
     letter, rank = parse_ade_type(ade_type)
     if letter == "A":
         xa, ya = _a_coords(x), _a_coords(y)
@@ -393,7 +390,6 @@ def _pair_sums(ade_type, k, modulus, table, x, y):
 def _unit_roots(modulus: int):
     """exp(-2 pi i r / modulus) for r = 0..modulus - 1, at angles reduced to
     [-pi, pi]."""
-    import numpy as np
     r = np.arange(modulus)
     r = np.where(2 * r > modulus, r - modulus, r)
     return np.exp(-2j * np.pi * r / modulus)
@@ -402,7 +398,6 @@ def _unit_roots(modulus: int):
 # typed, so that a level 1.0 is checked (and refused), not read as level 1
 @lru_cache(maxsize=4, typed=True)
 def _s_matrix(ade_type: str, n: int) -> SMatrix:
-    import numpy as np
     check_levels(ade_type, (n,))
     lw = level_weights(ade_type, n)
     c, idx, npos = _finite_structure(ade_type)
@@ -440,13 +435,11 @@ def s_matrix(ade_type: str, n: int) -> SMatrix:
 
 
 def unitarity_error(sm: SMatrix) -> float:
-    import numpy as np
     s = sm.array()
     return float(np.abs(s @ s.conj().T - np.eye(sm.size)).max())
 
 
 def symmetry_error(sm: SMatrix) -> float:
-    import numpy as np
     s = sm.array()
     return float(np.abs(s - s.T).max())
 
@@ -459,7 +452,6 @@ def charge_conjugation(sm: SMatrix):
     between ZERO_FLOOR and 1 - ZERO_FLOOR in magnitude, or if the result is
     not a permutation.
     """
-    import numpy as np
     r = sm.array()
     r = r @ r
     mags = np.abs(r)
@@ -520,7 +512,6 @@ def _center_characters(center: AbGroup, chis) -> dict:
     """The value chi(z) = zeta_e^k of each chi in chis, k = AbGroup.pairing
     and e the exponent of the center, as one array per element z of the
     center, read from a table of e-th roots of unity by its exact index."""
-    import numpy as np
     e = center.exponent
     roots = _unit_roots(e)
     out = {}
@@ -540,7 +531,6 @@ def verify_s_conjugation(ade_type: str, n: int) -> dict:
     phi(a) for at least one isomorphism phi from A to the center.  There is
     no preferred phi, so all of them are tried and every success reported.
     """
-    import numpy as np
     sm = s_matrix(ade_type, n)
     lw = sm.weights
     g = mckay_partner(ade_type)

@@ -162,37 +162,30 @@ def orbit_composition_rows(slots, group: AbGroup, total: int, perms,
 # real irreducible counted in steps of two for symplectic targets, a matched
 # conjugate pair counted once, and so on.  Building symplectic and orthogonal
 # slots from the (dim, reality, partner) data keeps one rule serving both the
-# standard and the twisted irreducibles.
+# standard and the twisted irreducibles, and `_slot_grade` is the one rule
+# that grades a slot, by the determinant or by a sector congruence.
 
 
 class _Slot(Record):
     # names: the irreps it raises; step: the multiplicity it adds to each
-    # per unit; weight: the dimension it adds per unit; det: its determinant
-    # per unit, None for twisted irreps
-    __slots__ = ("names", "step", "weight", "det")
+    # per unit; weight: the dimension it adds per unit
+    __slots__ = ("names", "step", "weight")
 
 
-def _slot_det(group_ab, info, copies: int):
-    el = getattr(info, "det_element", None)
-    if el is None:
-        return None
-    return group_ab.scale(copies, el)
+def _slot_grade(slot: _Slot, grade_of, group: AbGroup):
+    """The grade in group that one unit of slot adds: step times the sum of
+    grade_of[name] over the irreps it raises."""
+    summed = map(sum, zip(*(grade_of[name] for name in slot.names)))
+    return group.reduce(slot.step * x for x in summed)
 
 
-def _pair_det(group_ab, a, b):
-    ea = getattr(a, "det_element", None)
-    eb = getattr(b, "det_element", None)
-    if ea is None or eb is None:
-        return None
-    return group_ab.add(ea, eb)
-
-
-def _build_slots(infos, group_ab, even_reality: str):
-    """Slots for one quadratic structure.
+def _build_slots(infos, even_reality: str):
+    """Slots for one quadratic structure, standard or twisted irreps alike.
 
     even_reality is the reality type forced to even multiplicity (REAL for
     symplectic targets, PSEUDOREAL for orthogonal ones); the opposite type is
-    free and conjugate pairs are matched.
+    free and conjugate pairs are matched.  A slot carries no grade: a caller
+    that grades it reads `_slot_grade`.
     """
     slots = []
     seen = set()
@@ -203,23 +196,20 @@ def _build_slots(infos, group_ab, even_reality: str):
             partner = next(i for i in infos if i.name == info.partner)
             seen.add(partner.name)
             slots.append(_Slot((info.name, partner.name), 1,
-                               info.dim + partner.dim,
-                               _pair_det(group_ab, info, partner)))
+                               info.dim + partner.dim))
         elif info.reality == even_reality:
-            slots.append(_Slot((info.name,), 2, 2 * info.dim,
-                               _slot_det(group_ab, info, 2)))
+            slots.append(_Slot((info.name,), 2, 2 * info.dim))
         else:
-            slots.append(_Slot((info.name,), 1, info.dim,
-                               _slot_det(group_ab, info, 1)))
+            slots.append(_Slot((info.name,), 1, info.dim))
     return tuple(slots)
 
 
 def _symplectic_slots(g: GroupSpec):
-    return _build_slots(irreps(g), abelianization(g).group, REAL)
+    return _build_slots(irreps(g), REAL)
 
 
 def _orthogonal_slots(g: GroupSpec):
-    return _build_slots(irreps(g), abelianization(g).group, PSEUDOREAL)
+    return _build_slots(irreps(g), PSEUDOREAL)
 
 
 def _pu_rows(g: GroupSpec, max_n: int) -> list:
@@ -285,7 +275,9 @@ def _kernel_rows(g: GroupSpec, family: str, max_n: int) -> list:
         slots = [(info.dim, info.det_element) for info in irreps(g)]
         rows = composition_rows(slots, group, max_n)
     elif family == "SO_odd":
-        slots = [(s.weight, s.det) for s in _orthogonal_slots(g)]
+        det = {info.name: info.det_element for info in irreps(g)}
+        slots = [(s.weight, _slot_grade(s, det, group))
+                 for s in _orthogonal_slots(g)]
         rows = composition_rows(slots, group, 2 * max_n + 1)[1::2]
     else:
         raise InvariantError(f"no counting route for the family {family!r}")
@@ -316,7 +308,7 @@ def _cover_entry(g: GroupSpec, family: str, max_n: int):
             rest = [s[0].fixed + s[0].moved
                     for s in refined._oct_spin_sector_rows(max_n)].__getitem__
         else:
-            rest = [a.fixed + a.moved // 2 + b.fixed + b.moved // 2
+            rest = [a.dim_v0 + b.dim_v0
                     for a, b in zip(refined._oct_sp_sector_rows(max_n, 0),
                                     refined._oct_sp_sector_rows(max_n, 1))
                     ].__getitem__
@@ -339,8 +331,9 @@ def verify_swap_equivalence(g: GroupSpec, pair, n: int) -> dict:
 
     pair is ("SU", "PU") for the unitary story or ("Sp", "Spin_odd") for the
     two-torsion one.  The report carries the identification that matched
-    ("standard", the inv-composed variant, or an alternative Klein-four
-    pairing), or None on failure.
+    (see `refined._identifications`: "standard", its inverse "inv", or
+    "cross", the swap of a Klein four-group's two coordinates; "trivial"
+    where there is no two-torsion grading), or None on failure.
     """
     return refined.swap_equivalence_table(g, pair, n)[n]
 

@@ -27,8 +27,8 @@ from math import gcd
 from . import lattice
 from .abgroup import AbGroup
 from .counting import (_UNGRADED, SizeTable, _build_slots, _fixed_slots,
-                       _orthogonal_slots, _symplectic_slots, _weight_rows,
-                       composition_rows, count_table)
+                       _orthogonal_slots, _slot_grade, _symplectic_slots,
+                       _weight_rows, composition_rows, count_table)
 from .errors import InvariantError, NotCoveredError
 from .grouprep import (
     COMPLEX,
@@ -56,18 +56,18 @@ class TwistedIrrepInfo(Record):
     same conventions as IrrepInfo.
     """
 
-    __slots__ = ("name", "dim", "reality", "partner", "node")
+    __slots__ = ("name", "dim", "reality", "partner")
 
 
 _TWISTED_OCT = (
-    TwistedIrrepInfo("1t", 1, COMPLEX, "1t'", 0),
-    TwistedIrrepInfo("2t", 2, COMPLEX, "2t'", 1),
-    TwistedIrrepInfo("3t", 3, COMPLEX, "3t'", 2),
-    TwistedIrrepInfo("4t", 4, REAL, None, 3),
-    TwistedIrrepInfo("3t'", 3, COMPLEX, "3t", 4),
-    TwistedIrrepInfo("2t'", 2, COMPLEX, "2t", 5),
-    TwistedIrrepInfo("1t'", 1, COMPLEX, "1t", 6),
-    TwistedIrrepInfo("2t''", 2, PSEUDOREAL, None, 7),
+    TwistedIrrepInfo("1t", 1, COMPLEX, "1t'"),
+    TwistedIrrepInfo("2t", 2, COMPLEX, "2t'"),
+    TwistedIrrepInfo("3t", 3, COMPLEX, "3t'"),
+    TwistedIrrepInfo("4t", 4, REAL, None),
+    TwistedIrrepInfo("3t'", 3, COMPLEX, "3t"),
+    TwistedIrrepInfo("2t'", 2, COMPLEX, "2t"),
+    TwistedIrrepInfo("1t'", 1, COMPLEX, "1t"),
+    TwistedIrrepInfo("2t''", 2, PSEUDOREAL, None),
 )
 
 
@@ -123,7 +123,7 @@ def _oct_sp_sector_rows(max_n: int, w: int) -> list[SectorCount]:
     if w == 1:
         # twisted solutions; the involution relabels within matched pairs,
         # so it fixes every solution
-        slots = _build_slots(twisted_irreps(g), abelianization(g).group, REAL)
+        slots = _build_slots(twisted_irreps(g), REAL)
         action = twisted_x_action(g)
         for slot in slots:
             if {action[nm] for nm in slot.names} != set(slot.names):
@@ -156,33 +156,43 @@ def _oct_spin_sector_rows(max_n: int) -> list[dict[int, SectorCount]]:
     # Orthogonal solutions graded by (determinant, c) in A x Z4.  A solution
     # is moved (its class splits in pairs) exactly when it avoids 2'' and one
     # of {1, 3} and {1', 3'}; inclusion-exclusion over the slot sets that
-    # avoid those irreps counts the moved ones.
+    # avoid those irreps counts the moved ones.  Its fourth term, the
+    # solutions that avoid 2'' and both pairs, is 0 at every odd size when
+    # the slots left then all have even weight (2, 4 and 2', weighing 4, 8
+    # and 4), which is checked here instead of counted.
     g = GroupSpec.binary_octahedral()
     A = abelianization(g).group
     graded = AbGroup(A.moduli + (4,))
     index = {e: k for k, e in enumerate(graded.elements())}
-    slots = []
-    for s in _orthogonal_slots(g):
-        c = s.step * sum(_OCT_CONGRUENCE.get(nm, 0) for nm in s.names)
-        slots.append((set(s.names), (s.weight, s.det + (c % 4,))))
+    o_slots = _orthogonal_slots(g)
+    avoid_all = {"2''", "1", "3", "1'", "3'"}
+    odd_left = [s.names for s in o_slots
+                if s.weight % 2 and not avoid_all & set(s.names)]
+    if odd_left:
+        raise InvariantError(
+            f"the Ohat orthogonal slots {odd_left} avoid 2'', 1, 3, 1' and 3' "
+            "but have odd weight")
+    grade_of = {info.name: info.det_element + (_OCT_CONGRUENCE.get(info.name, 0),)
+                for info in irreps(g)}
+    slots = [(set(s.names), (s.weight, _slot_grade(s, grade_of, graded)))
+             for s in o_slots]
 
     def count(avoided):
         kept = [slot for names, slot in slots if not names & avoided]
         # the odd totals 2n + 1 are the orthogonal dimensions
         return composition_rows(kept, graded, 2 * max_n + 1)[1::2]
 
-    avoiding = [count(set()), count({"2''", "1", "3"}),
-                count({"2''", "1'", "3'"}), count({"2''", "1", "3", "1'", "3'"})]
+    avoiding = [count(set()), count({"2''", "1", "3"}), count({"2''", "1'", "3'"})]
     odd = [index[A.identity + (c,)] for c in (1, 3)]
     keys = [index[A.identity + (2 * w,)] for w in (0, 1)]
     out = []
-    for total, avoid_13, avoid_13p, avoid_both in zip(*avoiding):
+    for total, avoid_13, avoid_13p in zip(*avoiding):
         if any(total[k] for k in odd):
             raise InvariantError(
                 "a special orthogonal Ohat vector has an odd congruence class")
         sectors = {}
         for w, key in enumerate(keys):
-            moved = avoid_13[key] + avoid_13p[key] - avoid_both[key]
+            moved = avoid_13[key] + avoid_13p[key]
             sectors[w] = SectorCount(w, total[key] - moved, 2 * moved)
         out.append(sectors)
     return out
@@ -300,23 +310,15 @@ def f_rep_table(g: GroupSpec, side: str, max_n: int) -> SizeTable:
     raise ValueError("side must be 'su', 'sp' or 'spin'")
 
 
-def _matrix_map(mat, moduli):
-    def apply(e):
-        return tuple(
-            sum(mat[i][j] * e[j] for j in range(len(e))) % m
-            for i, m in enumerate(moduli))
-
-    return apply
-
-
 def _identifications(moduli):
     """Candidate (name, row-map, column-map) pairings between K and its dual.
 
-    The duality pairing is only pinned down up to convention: the default is
-    the coordinatewise one, and composing with inversion gives an equivalent
-    action.  When K is the Klein four-group the coordinatewise choice is
-    itself arbitrary, so the remaining nonsingular symmetric pairings are
-    tried as well.
+    The duality pairing is only pinned down up to convention: the default,
+    "standard", is the coordinatewise one, and composing with inversion,
+    "inv", gives an equivalent action.  When K is the Klein four-group the
+    coordinatewise choice is itself arbitrary, so "cross", which swaps the
+    two coordinates, is tried as well: at even n the unitary tables of
+    Dhat:m, m even and at least 4, match it and not "standard".
     """
     G = AbGroup(moduli)
     out = [
@@ -324,15 +326,7 @@ def _identifications(moduli):
         ("inv", G.neg, G.neg),
     ]
     if moduli == (2, 2):
-        cross = ((0, 1), (1, 0))
-        shear = ((1, 1), (1, 0))
-        shear_inv = ((0, 1), (1, 1))
-        out.append(("cross", _matrix_map(cross, moduli),
-                    _matrix_map(cross, moduli)))
-        out.append(("cross-shear", _matrix_map(shear_inv, moduli),
-                    _matrix_map(shear, moduli)))
-        out.append(("shear-cross", _matrix_map(shear, moduli),
-                    _matrix_map(shear_inv, moduli)))
+        out.append(("cross", lambda e: e[::-1], lambda e: e[::-1]))
     return out
 
 

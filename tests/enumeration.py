@@ -32,12 +32,14 @@ def _vector_as_dict(slots, vec) -> dict[str, int]:
     return mv
 
 
-def _vector_det(group_ab, slots, vec):
-    acc = group_ab.identity
-    for slot, c in zip(slots, vec):
-        if c:
-            acc = group_ab.add(acc, group_ab.scale(c, slot.det))
-    return acc
+def _det(ab, infos, mv):
+    """The determinant of a name -> multiplicity dict, summed from each
+    irrep's det_element."""
+    det = ab.group.identity
+    for info in infos:
+        det = ab.group.add(det, ab.group.scale(mv.get(info.name, 0),
+                                               info.det_element))
+    return det
 
 
 def multiplicity_vectors(g: GroupSpec, t: Target):
@@ -48,18 +50,13 @@ def multiplicity_vectors(g: GroupSpec, t: Target):
     families count orbits or sectors instead of vectors.
     """
     ab = abelianization(g)
+    infos = irreps(g)
     if t.family in ("U", "SU"):
-        infos = irreps(g)
         weights = tuple(i.dim for i in infos)
         for vec in iter_vectors(weights, t.n):
-            if t.family == "SU":
-                det = ab.group.identity
-                for info, c in zip(infos, vec):
-                    if c:
-                        det = ab.group.add(det, ab.group.scale(c, info.det_element))
-                if det != ab.group.identity:
-                    continue
-            yield {i.name: c for i, c in zip(infos, vec) if c}
+            mv = {i.name: c for i, c in zip(infos, vec) if c}
+            if t.family == "U" or _det(ab, infos, mv) == ab.group.identity:
+                yield mv
         return
     if t.family == "Sp":
         slots = _symplectic_slots(g)
@@ -69,10 +66,9 @@ def multiplicity_vectors(g: GroupSpec, t: Target):
     if t.family in ("O_odd", "SO_odd"):
         slots = _orthogonal_slots(g)
         for vec in iter_vectors(tuple(s.weight for s in slots), 2 * t.n + 1):
-            if t.family == "SO_odd":
-                if _vector_det(ab.group, slots, vec) != ab.group.identity:
-                    continue
-            yield _vector_as_dict(slots, vec)
+            mv = _vector_as_dict(slots, vec)
+            if t.family == "O_odd" or _det(ab, infos, mv) == ab.group.identity:
+                yield mv
         return
     raise NotCoveredError(
         f"not covered: {t.family} classes are not plain multiplicity vectors")
@@ -106,14 +102,13 @@ def unitary_orbits(g: GroupSpec, n: int) -> set:
 def enumerated_sector(family: str, n: int, w: int) -> SectorCount:
     """Fixed/moved counts of one Ohat sector by listing solution vectors."""
     oct_ = GroupSpec.binary_octahedral()
-    A = abelianization(oct_).group
     if family == "Sp" and w == 1:
-        slots = _build_slots(twisted_irreps(oct_), A, REAL)
+        slots = _build_slots(twisted_irreps(oct_), REAL)
         weights = tuple(s.weight for s in slots)
         return SectorCount(1, sum(1 for _ in iter_vectors(weights, 2 * n)), 0)
     if family == "Sp":
         # the involution tensors with 1'; fixed vectors equal their image
-        slots = _build_slots(irreps(oct_), A, REAL)
+        slots = _build_slots(irreps(oct_), REAL)
         slot_of = {s.names[0]: k for k, s in enumerate(slots)}
         perm = [slot_of[tensor_with_onedim(oct_, s.names[0], "1'")]
                 for s in slots]

@@ -371,6 +371,19 @@ def test_unpaired_moved_classes_exit_4_under_optimize(argv):
     assert "internal error: moved classes must pair up" in err
 
 
+def test_odd_slot_left_by_the_spin_sector_avoidance_exits_4_under_optimize():
+    # the Ohat Spin sectors count no solutions that avoid 2'', 1, 3, 1' and
+    # 3', because every slot left then has even weight; an odd-weight slot
+    # among those breaks that, and must stop the run
+    err = _internal_error(
+        "from dualcount import refined\n"
+        "from dualcount.counting import _Slot\n"
+        "slots = refined._orthogonal_slots\n"
+        "refined._orthogonal_slots = lambda g: slots(g) + (_Slot(('4',), 1, 5),)",
+        ["sectors", "--family", "Spin_odd", "--n", "3"])
+    assert "internal error: the Ohat orthogonal slots" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["genfun", "--gamma", "Z:2"],
     ["verify", "oracle", "--max-n", "2"],
@@ -649,9 +662,9 @@ def test_cli_import_loads_no_scipy():
     ["verify", "duality", "--max-n", "2"],
 ])
 def test_cli_import_and_count_load_no_numpy(argv):
-    # numpy is imported inside the affine functions that use it, so only the
-    # S-matrix commands pay for it; dualcount.affine is registered in
-    # sys.modules, but its body does not run.  The records on the count path
+    # only dualcount.affine imports numpy, at its top, so only the S-matrix
+    # commands pay for it: dualcount.affine is registered in sys.modules
+    # (dualcount.LAZY), but its body does not run.  The records on the count path
     # are plain classes, cyclotomic runs only for the exact character tables
     # of grouprep.character_table, and every group's irreducibles are closed
     # forms or literal data, so no count imports dataclasses, runs cyclotomic
@@ -1125,7 +1138,7 @@ def test_zn_and_refined_sweeps_build_each_kernel_table_once(
 
 def test_spin_sectors_build_their_kernel_tables_once(monkeypatch, capsys):
     # both rows of `sectors --family Spin_odd` come from one build of the
-    # four inclusion-exclusion tables, each to the orthogonal dimension 2n + 1
+    # three inclusion-exclusion tables, each to the orthogonal dimension 2n + 1
     calls = []
     kernel = refined.composition_rows
 
@@ -1138,7 +1151,7 @@ def test_spin_sectors_build_their_kernel_tables_once(monkeypatch, capsys):
                             capsys)
     assert status == 0
     assert [row["w"] for row in json.loads(out)["rows"]] == [0, 1]
-    assert calls == [15] * 4
+    assert calls == [15] * 3
 
 
 def test_dihedral_psp_rows_are_skipped_not_failed(capsys):

@@ -22,6 +22,7 @@ from dualcount.counting import (
 from dualcount.cyclotomic import Cyc
 from dualcount.errors import InvariantError, NotCoveredError
 from dualcount.grouprep import (
+    DIHEDRAL,
     PSEUDOREAL,
     REAL,
     GroupSpec,
@@ -634,6 +635,25 @@ def test_klein_four_grading_uses_cross_pairing():
     report = verify_swap_equivalence(DH(4), ("SU", "PU"), 2)
     assert report["equivalent"]
     assert report["identification"] == "cross"
+
+
+@pytest.mark.parametrize(
+    "g", [DH(m) for m in range(2, 13)] + [Z(m) for m in range(1, 13)]
+    + [TET, OCT, ICO], ids=lambda g: g.label)
+def test_which_identification_matches(g):
+    # the unitary tables of Dhat:m, m even and at least 4, match "cross" at
+    # even n and "standard" at odd n; every other unitary table, and every
+    # graded two-torsion table, matches "standard", and That and Ihat have
+    # no two-torsion grading.  "inv" is tried after "standard" and is never
+    # the one that matches
+    crossed = g.family == DIHEDRAL and g.param % 2 == 0 and g.param > 2
+    su = swap_equivalence_table(g, ("SU", "PU"), 16)
+    assert [su[n]["identification"] for n in range(1, 17)] == [
+        "cross" if crossed and n % 2 == 0 else "standard" for n in range(1, 17)]
+    if g.family != DIHEDRAL:
+        sp = swap_equivalence_table(g, ("Sp", "Spin_odd"), 16)
+        expected = "trivial" if g in (TET, ICO) else "standard"
+        assert [sp[n]["identification"] for n in range(1, 17)] == [expected] * 16
 
 
 @pytest.mark.parametrize("n", range(0, 5))

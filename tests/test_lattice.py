@@ -222,6 +222,20 @@ def test_half_spin_duality_rule():
     assert L.zn_duality_row(("Ss(8)", "Ss(8)"), 3)["equal"]
 
 
+@pytest.mark.parametrize("rank", [4, 6, 8, 10])
+def test_so_and_half_spin_lattices_are_the_three_order_two_subgroups(rank):
+    # M*/Q, the classes of the center over 0 in P/M*, tells the SO and the
+    # two half-spin lattices apart: they must be the three distinct order-2
+    # subgroups of the center Z_2 x Z_2
+    c = L.cartan_data("D", rank)
+    center = AbGroup(c.center_moduli)
+    assert c.center_moduli == (2, 2)
+    order_two = {frozenset({center.identity, x})
+                 for x in center.elements() if x != center.identity}
+    assert {frozenset(L._center_grading(c, choice)[3])
+            for choice in ("so", "hs+", "hs-")} == order_two
+
+
 def test_catalog_contents():
     names = L.dual_pairs(8)
     for expected in ["SU(9)/PU(9)", "Sp(8)/SO(17)", "Spin(17)/PSp(8)",
