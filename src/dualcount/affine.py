@@ -395,9 +395,8 @@ def _unit_roots(modulus: int):
     return np.exp(-2j * np.pi * r / modulus)
 
 
-# typed, so that a level 1.0 is checked (and refused), not read as level 1
-@lru_cache(maxsize=4, typed=True)
-def _s_matrix(ade_type: str, n: int) -> SMatrix:
+def s_matrix(ade_type: str, n: int) -> SMatrix:
+    """The S-matrix at level n, after the size checks."""
     check_levels(ade_type, (n,))
     lw = level_weights(ade_type, n)
     c, idx, npos = _finite_structure(ade_type)
@@ -422,16 +421,9 @@ def _s_matrix(ade_type: str, n: int) -> SMatrix:
     u[cols, rows] = u[rows, cols]
     scale = (1j ** (npos % 4)) / math.sqrt(float((np.abs(u) ** 2).sum()) / lw.count)
     u *= scale
-    # every caller of the cache shares this array
+    # the checks of a grid point share this array
     u.flags.writeable = False
     return SMatrix(lw, u)
-
-
-def s_matrix(ade_type: str, n: int) -> SMatrix:
-    """The S-matrix at level n, after the size checks.  The few most recent
-    matrices are kept, so the checks of one grid point share a single
-    computation, and the size checks run once per computation."""
-    return _s_matrix(ade_type, n)
 
 
 def unitarity_error(sm: SMatrix) -> float:
@@ -522,8 +514,9 @@ def _center_characters(center: AbGroup, chis) -> dict:
     return out
 
 
-def verify_s_conjugation(ade_type: str, n: int) -> dict:
-    """Check that S diagonalizes every diagram-symmetry permutation.
+def verify_s_conjugation(sm: SMatrix) -> dict:
+    """Check that the S-matrix sm diagonalizes every diagram-symmetry
+    permutation.
 
     For each element a of the symmetry group A (the node permutations
     induced by tensoring with the partner's 1-dim irreps), the conjugate
@@ -531,8 +524,8 @@ def verify_s_conjugation(ade_type: str, n: int) -> dict:
     phi(a) for at least one isomorphism phi from A to the center.  There is
     no preferred phi, so all of them are tried and every success reported.
     """
-    sm = s_matrix(ade_type, n)
     lw = sm.weights
+    ade_type = sm.ade_type
     g = mckay_partner(ade_type)
     perms = mckay.a_action(g)
     ab = abelianization(g)
@@ -574,7 +567,7 @@ def verify_s_conjugation(ade_type: str, n: int) -> dict:
     passed = sorted((e, sorted(d.items())) for e, d in results if e < TOLERANCE)
     return {
         "type": ade_type,
-        "level": n,
+        "level": sm.level,
         "holds": bool(passed),
         "identification": [dict(d) for _, d in passed],
         "max_abs_error": min(e for e, _ in results),

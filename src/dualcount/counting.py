@@ -24,8 +24,10 @@ no Lie-theoretic input; closed-form series live in a separate module
 precisely so the two routes stay independent checks of each other.
 
 Spin(2n+1) and PSp(n) counts read the two-torsion refinement: for Ohat its
-sectors, which `refined` holds with the finite character tables and the
-swap report, and for Z:m the Weyl orbits of `lattice`.
+sectors, one list per family with both sectors per n, which `refined` holds
+with the finite character tables (each size-n table built and checked by
+`refined.FRepCharacter.at_size`) and the swap report, and for Z:m the Weyl
+orbits of `lattice`.
 """
 
 from __future__ import annotations
@@ -308,10 +310,8 @@ def _cover_entry(g: GroupSpec, family: str, max_n: int):
             rest = [s[0].fixed + s[0].moved
                     for s in refined._oct_spin_sector_rows(max_n)].__getitem__
         else:
-            rest = [a.dim_v0 + b.dim_v0
-                    for a, b in zip(refined._oct_sp_sector_rows(max_n, 0),
-                                    refined._oct_sp_sector_rows(max_n, 1))
-                    ].__getitem__
+            rest = [s[0].dim_v0 + s[1].dim_v0
+                    for s in refined._oct_sp_sector_rows(max_n)].__getitem__
     else:
         def rest(n):
             raise NotCoveredError(

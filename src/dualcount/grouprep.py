@@ -279,7 +279,8 @@ def _irrep_infos(g: GroupSpec, rows, ab: Abelianization) -> tuple[IrrepInfo, ...
 
 
 @lru_cache(maxsize=None)
-def _irrep_data(g: GroupSpec):
+def irreps(g: GroupSpec) -> tuple[IrrepInfo, ...]:
+    """All irreducibles in the canonical (McKay graph) order."""
     if g.family == CYCLIC:
         rows = _cyclic_irreps(g.param)
     elif g.family == DIHEDRAL:
@@ -287,11 +288,6 @@ def _irrep_data(g: GroupSpec):
     else:
         rows = _EXCEPTIONAL_IRREPS[g.family]
     return _irrep_infos(g, rows, abelianization(g))
-
-
-def irreps(g: GroupSpec) -> tuple[IrrepInfo, ...]:
-    """All irreducibles in the canonical (McKay graph) order."""
-    return _irrep_data(g)
 
 
 def _closed_form_generator_perms(g: GroupSpec, ab: Abelianization, names):

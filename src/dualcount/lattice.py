@@ -9,11 +9,13 @@ M*/Q (Djokovic, Proc. AMS 80 (1980)); the counts of every level up to n are one
 `counting.orbit_composition_rows` table, the Burnside average over M*/Q
 acting on the extended diagram's nodes, so a sweep over the modulus builds
 one table per side.  The refined variant grades (1/n)P/M* by Z = P/M* and
-packages the result with `refined.FRepCharacter.from_counts`, as the
-character-table type of the direct constraint enumeration, so the two routes
-can be compared point for point.  The orbits on the torus grids of n**rank
-points are the tests' oracle; of the grid, only `lattice_quotient` and what
-it builds stay here, because the benchmark's tracer wraps it by name.
+packages the result with `refined.FRepCharacter.at_size`, the one
+constructor of every size-n table, which checks that the counts repeat
+along the nZ-cosets; it is the character-table type of the direct
+constraint enumeration, so the two routes can be compared point for point.
+The orbits on the torus grids of n**rank points are the tests' oracle; of
+the grid, only `lattice_quotient` and what it builds stay here, because the
+benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import product
-from math import gcd, prod
+from math import prod
 
 from . import refined
 from .abgroup import AbGroup
@@ -200,51 +202,27 @@ def weyl_orbit_count(c: CartanData, lattice: str, n: int) -> int:
 # -- refined center grading ----------------------------------------------------------
 
 
-def _torsion_lifts(c: CartanData, sublattice: str, n: int) -> dict:
-    """Coweight lifts of the n-torsion of Z = P/M*, keyed in the Z/gcd(d, n)."""
-    zmods, _, zgens, _ = _center_grading(c, sublattice)
-    torsion = AbGroup(tuple(gcd(d, n) for d in zmods))
-    return {kel: [sum(x * (d // g) * gen[j]
-                      for x, d, g, gen in zip(kel, zmods, torsion.moduli, zgens))
-                  for j in range(c.rank)]
-            for kel in torsion.elements()}
-
-
-def _refined_counts(c: CartanData, sublattice: str, n: int) -> dict:
-    """counts[kel][z]: the Weyl orbits on (1/n)P/M* of grade z in Z that the
-    translation by the lift of kel fixes."""
-    return {kel: _fixed_orbits(c, n, sublattice, tuple(
-                sum(x * y for x, y in zip(row, lift)) % d
-                for row, d in zip(c.center_rows, c.center_moduli)))
-            for kel, lift in _torsion_lifts(c, sublattice, n).items()}
-
-
 def refined_zn_characters(letter: str, rank: int, sublattice: str, n: int):
     """Character table of the translation/grading action on Weyl orbit sums,
     as a `refined.FRepCharacter`.
 
     Z = N*/M* (N* the coweight lattice) grades the points of (1/n)N*/M*;
     elements of Ker(n: Z -> Z) act by translation, characters of Z/nZ by the
-    pairing scalar on the grade.  Summing over one transversal of nZ-cosets
-    removes the |nZ|-fold repetition, which is checked along the way.
+    pairing scalar on the grade.  `refined.FRepCharacter.at_size` lays the
+    table out and checks that the counts repeat along the nZ-cosets.
     """
     c = cartan_data(letter, rank)
-    zmods = _center_grading(c, sublattice)[0]
-    counts = _refined_counts(c, sublattice, n)
-    gs_mods = tuple(gcd(d, n) for d in zmods)
+    zmods, _, zgens, _ = _center_grading(c, sublattice)
 
-    # the grade distribution repeats along nZ-cosets; keep one transversal
-    def coset_rep(z):
-        return tuple(zi % g for zi, g in zip(z, gs_mods))
+    def fixed(a):
+        # the translation by a coweight lift of a, read as its class in P/Q
+        lift = [sum(x * gen[j] for x, gen in zip(a, zgens))
+                for j in range(c.rank)]
+        return _fixed_orbits(c, n, sublattice, tuple(
+            sum(x * y for x, y in zip(row, lift)) % d
+            for row, d in zip(c.center_rows, c.center_moduli)))
 
-    if any(v != per_grade[coset_rep(z)]
-           for per_grade in counts.values() for z, v in per_grade.items()):
-        raise InvariantError("the grade counts must repeat along nZ-cosets")
-
-    reps = [z for z in AbGroup(zmods).elements() if z == coset_rep(z)]
-    return refined.FRepCharacter.from_counts(
-        gs_mods, {kel: {z: per_grade[z] for z in reps}
-                  for kel, per_grade in counts.items()})
+    return refined.FRepCharacter.at_size(zmods, n, fixed)
 
 
 # -- dual-pair catalog ---------------------------------------------------------------

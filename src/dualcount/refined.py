@@ -14,10 +14,15 @@ and swap reports of every n up to a bound from one set of kernel tables,
 counted up to a symmetry as `counting` counts PU: `counting._fixed_slots`
 collapses each cycle of a slot permutation into one slot, and
 `FRepCharacter.from_counts` pairs the fixed counts, per grade, with the
-characters of the grading group.  Each entry is a sum of e-th roots of unity
-with integer coefficients, e the grading group's exponent, held as its
-canonical integer coordinates (`AbGroup.character_sum`), so the swap compares
-integer tuples and no cyclotomic field is built.
+characters of the grading group.  Every table at a size n over the
+n-torsion of a grading group A, the unitary tables here and the Weyl-orbit
+tables of `lattice`, comes from `FRepCharacter.at_size`, which lays out the
+rows and columns and checks that the counts repeat along the nA-cosets.
+The Ohat sector rows of each family list both sectors per n.  Each entry
+is a sum of e-th roots of unity with integer coefficients, e the grading
+group's exponent, held as its canonical integer coordinates
+(`AbGroup.character_sum`), so the swap compares integer tuples and no
+cyclotomic field is built.
 """
 
 from __future__ import annotations
@@ -117,21 +122,10 @@ def _require_octahedral(g: GroupSpec, what: str):
         raise NotCoveredError(f"not covered: {what} requires Ohat, got {g.label}")
 
 
-def _oct_sp_sector_rows(max_n: int, w: int) -> list[SectorCount]:
-    """Sector w of the symplectic Ohat count for n = 0..max_n."""
+def _oct_sp_sector_rows(max_n: int) -> list[dict[int, SectorCount]]:
+    """Both sectors of the symplectic Ohat count for n = 0..max_n."""
     g = GroupSpec.binary_octahedral()
-    if w == 1:
-        # twisted solutions; the involution relabels within matched pairs,
-        # so it fixes every solution
-        slots = _build_slots(twisted_irreps(g), REAL)
-        action = twisted_x_action(g)
-        for slot in slots:
-            if {action[nm] for nm in slot.names} != set(slot.names):
-                raise InvariantError(
-                    f"the twist does not preserve the slot {slot.names}")
-        counts = _weight_rows([s.weight for s in slots], 2 * max_n)
-        return [SectorCount(1, c, 0) for c in counts[::2]]
-    # the involution tensors with 1', which permutes the slots
+    # sector 0: the involution tensors with 1', which permutes the slots
     sp_slots = _symplectic_slots(g)
     names = [info.name for info in irreps(g)]
     irrep_perm = onedim_permutations(g)[abelianization(g).element_of["1'"]]
@@ -142,7 +136,17 @@ def _oct_sp_sector_rows(max_n: int, w: int) -> list[SectorCount]:
     cycles = _fixed_slots([(weight, ()) for weight in weights], perm, _UNGRADED)
     total = _weight_rows(weights, 2 * max_n)
     fixed = _weight_rows([weight for weight, _ in cycles], 2 * max_n)
-    return [SectorCount(0, f, t - f) for t, f in zip(total[::2], fixed[::2])]
+    # sector 1: twisted solutions; the involution relabels within matched
+    # pairs, so it fixes every solution
+    twisted = _build_slots(twisted_irreps(g), REAL)
+    action = twisted_x_action(g)
+    for slot in twisted:
+        if {action[nm] for nm in slot.names} != set(slot.names):
+            raise InvariantError(
+                f"the twist does not preserve the slot {slot.names}")
+    counts = _weight_rows([s.weight for s in twisted], 2 * max_n)
+    return [{0: SectorCount(0, f, t - f), 1: SectorCount(1, c, 0)}
+            for t, f, c in zip(total[::2], fixed[::2], counts[::2])]
 
 
 # coefficients of the mod-4 congruence c = m(1') - m(3') + m(2'') whose half
@@ -207,9 +211,8 @@ def sector_counts(g: GroupSpec, family: str,
     _require_octahedral(g, "sector counting")
     if n < 0:
         raise ValueError("size must be nonnegative")
-    if family == "Sp":
-        return tuple(_oct_sp_sector_rows(n, w)[n] for w in (0, 1))
-    sectors = _oct_spin_sector_rows(n)[n]
+    rows = _oct_sp_sector_rows if family == "Sp" else _oct_spin_sector_rows
+    sectors = rows(n)[n]
     return sectors[0], sectors[1]
 
 
@@ -243,36 +246,58 @@ class FRepCharacter(Record):
                        for z in els)
         return cls(grading_moduli, values)
 
+    @classmethod
+    def at_size(cls, moduli: tuple[int, ...], n: int,
+                fixed) -> "FRepCharacter":
+        """The table at size n of solutions graded by A = AbGroup(moduli),
+        on which the n-torsion of A acts.
+
+        Row z, for z in AbGroup(gcd(d, n)), is the n-torsion element a with
+        a_i = z_i * d_i / gcd(d_i, n); the columns are the classes of A/nA,
+        each given by its componentwise smallest element.  fixed(a) maps
+        every grade in A to the solutions that a fixes.  Those counts must
+        repeat along the nA-cosets, which is checked here, so a transversal
+        holds them all.
+        """
+        gcds = tuple(gcd(d, n) for d in moduli)
+        reps = AbGroup(gcds).elements()
+        counts = {}
+        for z in reps:
+            per_grade = fixed(tuple(zi * (d // gi)
+                                    for zi, d, gi in zip(z, moduli, gcds)))
+            if any(v != per_grade[tuple(wi % gi for wi, gi in zip(w, gcds))]
+                   for w, v in per_grade.items()):
+                raise InvariantError(
+                    "the grade counts must repeat along nA-cosets")
+            counts[z] = {w: per_grade[w] for w in reps}
+        return cls.from_counts(gcds, counts)
+
 
 def _su_f_rep_entry(g: GroupSpec, max_n: int):
     """n -> the "su" table at n, for n = 1..max_n.
 
-    Its counts at z are the unitary solutions fixed by tensoring with the
-    element a of the abelianization A that z embeds as, graded by the
-    determinant: one kernel table to max_n per a, made when the first size n
-    with n * a = 0 reads it.
+    Its fixed(a) counts, per determinant, the unitary solutions that
+    tensoring with the element a of the abelianization A fixes: one kernel
+    table to max_n per a, made when the first size n with n * a = 0 reads
+    it.
     """
     A = abelianization(g).group
     els = A.elements()
     perms = onedim_permutations(g)
     slots = [(info.dim, info.det_element) for info in irreps(g)]
-    fixed = {}
+    tables = {}
 
     def entry(n):
         if n < 1:
             raise ValueError("size out of range")
-        gcds = tuple(gcd(d, n) for d in A.moduli)
-        # the classes of A/nA, each as its componentwise smallest element
-        reps = AbGroup(gcds).elements()
-        counts = {}
-        for z in reps:
-            a = tuple(zi * (d // gi) for zi, d, gi in zip(z, A.moduli, gcds))
-            if a not in fixed:
-                fixed[a] = composition_rows(_fixed_slots(slots, perms[a], A),
-                                            A, max_n)
-            by_det = dict(zip(els, fixed[a][n]))
-            counts[z] = {w: by_det[w] for w in reps}
-        return FRepCharacter.from_counts(gcds, counts)
+
+        def fixed(a):
+            if a not in tables:
+                tables[a] = composition_rows(_fixed_slots(slots, perms[a], A),
+                                             A, max_n)
+            return dict(zip(els, tables[a][n]))
+
+        return FRepCharacter.at_size(A.moduli, n, fixed)
 
     return entry
 
@@ -300,14 +325,13 @@ def f_rep_table(g: GroupSpec, side: str, max_n: int) -> SizeTable:
         return SizeTable(max_n, _su_f_rep_entry(g, max_n))
     if side == "sp":
         _require_octahedral(g, "the symplectic-side table")
-        sp = [_oct_sp_sector_rows(max_n, w) for w in (0, 1)]
-        return SizeTable(max_n, lambda n: _two_torsion_f_rep(
-            {w: rows[n] for w, rows in enumerate(sp)}))
-    if side == "spin":
+        rows = _oct_sp_sector_rows(max_n)
+    elif side == "spin":
         _require_octahedral(g, "the orthogonal-side table")
-        spin = _oct_spin_sector_rows(max_n)
-        return SizeTable(max_n, lambda n: _two_torsion_f_rep(spin[n]))
-    raise ValueError("side must be 'su', 'sp' or 'spin'")
+        rows = _oct_spin_sector_rows(max_n)
+    else:
+        raise ValueError("side must be 'su', 'sp' or 'spin'")
+    return SizeTable(max_n, lambda n: _two_torsion_f_rep(rows[n]))
 
 
 def _identifications(moduli):

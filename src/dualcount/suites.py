@@ -154,7 +154,7 @@ def _suite_smatrix(cfg: argparse.Namespace):
     for ade_type, level in grid:
         sm = affine.s_matrix(ade_type, level)
         _, _, conj_err = affine.charge_conjugation(sm)
-        rep = affine.verify_s_conjugation(ade_type, level)
+        rep = affine.verify_s_conjugation(sm)
         errors = {
             "unitarity": affine.unitarity_error(sm),
             "symmetry": affine.symmetry_error(sm),

@@ -2,7 +2,7 @@
 
 The library counts Weyl orbits on (1/n)M*/M* from Kac coordinates, one
 Burnside kernel table per side (dualcount.lattice.weyl_orbit_count and
-_refined_counts), and never walks a grid.  Here the n**rank points of the
+_fixed_orbits), and never walks a grid.  Here the n**rank points of the
 grid are split into orbits by breadth-first closure under the reflections,
 or the fixed points of an explicitly enumerated Weyl group are averaged,
 and the tests compare those counts with the Kac route.
@@ -13,8 +13,7 @@ from itertools import product
 from dualcount.abgroup import AbGroup
 from dualcount.errors import InvariantError
 from dualcount.lattice import (LatticeQuotient, _center_grading, _lattice_basis,
-                               _mat_mul, _torsion_lifts, cartan_data,
-                               lattice_quotient)
+                               _mat_mul, cartan_data, lattice_quotient)
 from dualcount.record import Record
 from dualcount.rootdata import _identity_matrix, _smith_normal_form
 
@@ -106,7 +105,8 @@ def symmetric_orbit_count(k: int, n: int) -> int:
 
 
 class GradedOrbitSet(Record):
-    """Grid Weyl orbits, their N*/M*-grades and the n-torsion translations."""
+    """Grid Weyl orbits, their N*/M*-grades and the translations of the
+    n-torsion of N*/M*, keyed by its elements."""
 
     __slots__ = ("quotient", "orbits", "grades", "translations")
 
@@ -118,7 +118,7 @@ def graded_orbits(letter: str, rank: int, sublattice: str, n: int,
     if n < 1:
         raise ValueError("modulus must be positive")
     c = cartan_data(letter, rank)
-    zmods, zrows, _, _ = _center_grading(c, sublattice)
+    zmods, zrows, zgens, _ = _center_grading(c, sublattice)
     scaled = [[n * x for x in row] for row in _lattice_basis(c, sublattice)]
     U2, D2, u2inv = _smith_normal_form(scaled)
     xmods = tuple(D2[i][i] for i in range(rank))
@@ -138,23 +138,28 @@ def graded_orbits(letter: str, rank: int, sublattice: str, n: int,
         if len(gs) != 1:
             raise InvariantError("the grading must be Weyl-invariant")
         grades.append(gs.pop())
-    translations = {
-        kel: tuple(v % m for v, m in zip(_mat_vec(U2, [n * x for x in lift]), xmods))
-        for kel, lift in _torsion_lifts(c, sublattice, n).items()}
+    translations = {}
+    for a in AbGroup(zmods).kernel_of_scaling(n):
+        # a lifts to the coweight sum_i a_i * gen_i
+        lift = [sum(x * gen[j] for x, gen in zip(a, zgens)) for j in range(rank)]
+        translations[a] = tuple(
+            v % m for v, m in zip(_mat_vec(U2, [n * x for x in lift]), xmods))
     quotient = LatticeQuotient(c.type, sublattice, n, xmods, tuple(gens))
     return GradedOrbitSet(quotient, tuple(found), tuple(grades), translations)
 
 
 def grid_refined_counts(c, sublattice: str, n: int) -> dict:
-    """`lattice._refined_counts` from the orbits on the grid."""
+    """For each n-torsion element a of Z = N*/M*, the grid's Weyl orbits of
+    each grade that the translation by a fixes: what
+    `lattice.refined_zn_characters` reads from the Kac route."""
     graded = graded_orbits(c.type[0], c.rank, sublattice, n)
     orbit_of = {p: idx for idx, orbit in enumerate(graded.orbits) for p in orbit}
     zgroup = AbGroup(_center_grading(c, sublattice)[0])
     counts = {}
-    for kel, t in graded.translations.items():
-        counts[kel] = dict.fromkeys(zgroup.elements(), 0)
+    for a, t in graded.translations.items():
+        counts[a] = dict.fromkeys(zgroup.elements(), 0)
         for idx, orbit in enumerate(graded.orbits):
             moved = tuple((a + b) % m
                           for a, b, m in zip(orbit[0], t, graded.quotient.moduli))
-            counts[kel][graded.grades[idx]] += orbit_of[moved] == idx
+            counts[a][graded.grades[idx]] += orbit_of[moved] == idx
     return counts

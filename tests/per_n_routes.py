@@ -80,8 +80,7 @@ def f_rep_character(g, side: str, n: int) -> FRepCharacter:
     if g.family != OCTAHEDRAL:
         raise NotCoveredError(f"not covered: {side} tables require Ohat")
     if side == "sp":
-        return _two_torsion_f_rep(
-            {w: _oct_sp_sector_rows(n, w)[n] for w in (0, 1)})
+        return _two_torsion_f_rep(_oct_sp_sector_rows(n)[n])
     if side == "spin":
         return _two_torsion_f_rep(_oct_spin_sector_rows(n)[n])
     raise ValueError("side must be 'su', 'sp' or 'spin'")

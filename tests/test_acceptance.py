@@ -228,12 +228,12 @@ CONJUGATION_GRID = (
 
 @pytest.mark.parametrize("ade_type,level", CONJUGATION_GRID)
 def test_09_conjugation_matrices_are_central_characters(ade_type, level):
-    report = affine.verify_s_conjugation(ade_type, level)
+    sm = affine.s_matrix(ade_type, level)
+    report = affine.verify_s_conjugation(sm)
     assert report["holds"], report
     assert report["max_abs_error"] < 1e-9
     assert len(report["identification"]) >= 1
 
-    sm = affine.s_matrix(ade_type, level)
     assert affine.unitarity_error(sm) < 1e-9
     assert affine.symmetry_error(sm) < 1e-9
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualcount import affine, rootdata
+from dualcount import affine, cli, rootdata
 from dualcount.abgroup import AbGroup
 from dualcount.affine import (
     TOLERANCE,
@@ -239,7 +239,7 @@ def test_large_types_run_without_the_weyl_group(ade_type, levels):
         assert unitarity_error(sm) <= 1e-12
         assert symmetry_error(sm) == 0
         assert charge_conjugation(sm)[2] < TOLERANCE
-        assert verify_s_conjugation(ade_type, n)["holds"]
+        assert verify_s_conjugation(sm)["holds"]
 
 
 def test_e8_level_1_is_the_unit_matrix():
@@ -346,7 +346,7 @@ def test_a1_level_2_conjugation_diagonal_is_the_sign_of_the_class():
 
 @pytest.mark.parametrize("ade_type, n", S_GRID)
 def test_conjugation_holds_with_a_unique_identification(ade_type, n):
-    report = verify_s_conjugation(ade_type, n)
+    report = verify_s_conjugation(s_matrix(ade_type, n))
     assert report["holds"]
     assert report["max_abs_error"] < TOLERANCE
     assert len(report["identification"]) == 1
@@ -354,7 +354,7 @@ def test_conjugation_holds_with_a_unique_identification(ade_type, n):
 
 
 def test_d4_level_1_is_the_triality_stable_case():
-    report = verify_s_conjugation("D4", 1)
+    report = verify_s_conjugation(s_matrix("D4", 1))
     assert report["holds"]
     assert s_matrix("D4", 1).size == 4
 
@@ -363,7 +363,7 @@ def test_e6_level_1_rotates_three_weights_by_cube_roots():
     lw = level_weights("E6", 1)
     assert lw.count == 3
     assert set(det_classes_from_center(lw)) == {(0,), (1,), (2,)}
-    assert verify_s_conjugation("E6", 1)["holds"]
+    assert verify_s_conjugation(s_matrix("E6", 1))["holds"]
 
 
 # -- JSON dump ---------------------------------------------------------------------
@@ -494,16 +494,22 @@ def test_weyl_group_order_and_signs(ade_type, order):
     assert len({tuple(v) for v in images}) == order
 
 
-def test_s_matrix_is_computed_once_per_grid_point():
-    affine._s_matrix.cache_clear()
-    sm = s_matrix("A3", 2)
-    verify_s_conjugation("A3", 2)
-    assert s_matrix("A3", 2) is sm
-    assert affine._s_matrix.cache_info().misses == 1
+def test_verify_smatrix_computes_each_grid_point_once(monkeypatch, capsys):
+    # the suite hands the matrix it holds to every check of its grid point
+    calls = []
+    build = affine.s_matrix
+
+    def counted(ade_type, n):
+        calls.append((ade_type, n))
+        return build(ade_type, n)
+
+    monkeypatch.setattr(affine, "s_matrix", counted)
+    assert cli.main(["verify", "smatrix"]) == 0
+    assert calls == list(SMATRIX_GRID)
 
 
 def test_s_matrix_array_is_read_only():
-    # the cache hands one array to every check of a grid point
+    # the suite hands one array to every check of a grid point
     sm = s_matrix("A2", 2)
     before = sm.array().copy()
     with pytest.raises(ValueError):

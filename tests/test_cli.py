@@ -384,6 +384,29 @@ def test_odd_slot_left_by_the_spin_sector_avoidance_exits_4_under_optimize():
     assert "internal error: the Ohat orthogonal slots" in err
 
 
+@pytest.mark.parametrize("gamma, setup", [
+    # the unitary kernel table: one more solution at the last determinant
+    ("Z:4", "from dualcount import refined\n"
+            "rows = refined.composition_rows\n"
+            "refined.composition_rows = lambda *args: [\n"
+            "    row[:-1] + [row[-1] + 1] for row in rows(*args)]"),
+    # the Weyl-orbit counts: one more orbit at the last grade of Z.  Cyclic
+    # Sp and Spin are graded by Z_2, which has nontrivial nZ-cosets only at
+    # odd n, so an odd modulus reaches the check
+    ("Z:3", "from dualcount import lattice\n"
+            "orbits = lattice._fixed_orbits\n"
+            "def bumped(*args):\n"
+            "    counts = orbits(*args)\n"
+            "    return {**counts, (1,): counts[(1,)] + 1}\n"
+            "lattice._fixed_orbits = bumped"),
+], ids=["unitary", "weyl-orbits"])
+def test_grade_counts_off_their_cosets_exit_4_under_optimize(gamma, setup):
+    # the counts of an n-torsion table repeat along the nA-cosets; a grade
+    # that breaks that is a defect in a kernel, never a table to compare
+    err = _internal_error(setup, ["verify", "refined", "--gamma", gamma])
+    assert "internal error: the grade counts must repeat along nA-cosets" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["genfun", "--gamma", "Z:2"],
     ["verify", "oracle", "--max-n", "2"],

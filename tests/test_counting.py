@@ -605,6 +605,31 @@ def test_a_vanishing_sum_of_roots_of_unity_gives_equal_entries():
             _cyc_table(moduli, base), _cyc_table(moduli, base))
 
 
+def test_at_size_reads_the_n_torsion_and_checks_the_cosets():
+    # A = Z_4 x Z_3 at n = 2: the rows are the 2-torsion a = (2 z_0, 0), the
+    # columns the classes of A/2A, each by its smallest element
+    moduli = (4, 3)
+    asked = []
+
+    def fixed(a):
+        asked.append(a)
+        return {w: 5 + a[0] + w[0] % 2 for w in AbGroup(moduli).elements()}
+
+    table = FRepCharacter.at_size(moduli, 2, fixed)
+    assert asked == [(0, 0), (2, 0)]
+    assert table == FRepCharacter.from_counts((2, 1), {
+        (0, 0): {(0, 0): 5, (1, 0): 6}, (1, 0): {(0, 0): 7, (1, 0): 8}})
+
+    def broken(a):
+        # one grade that no longer repeats its coset's smallest element
+        counts = fixed(a)
+        counts[(3, 2)] += 1
+        return counts
+
+    with pytest.raises(InvariantError, match="repeat along nA-cosets"):
+        FRepCharacter.at_size(moduli, 2, broken)
+
+
 def test_f_rep_character_validation():
     with pytest.raises(NotCoveredError):
         f_rep_table(TET, "sp", 1)[1]

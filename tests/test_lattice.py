@@ -12,7 +12,7 @@ from dualcount.abgroup import AbGroup
 from dualcount.bounds import MAX_RANK
 from dualcount.counting import Target, count_homs
 from dualcount.grouprep import GroupSpec
-from dualcount.refined import tables_swap_equivalent
+from dualcount.refined import FRepCharacter, tables_swap_equivalent
 import grid_orbits
 import per_n_routes
 
@@ -236,6 +236,18 @@ def test_so_and_half_spin_lattices_are_the_three_order_two_subgroups(rank):
             for choice in ("so", "hs+", "hs-")} == order_two
 
 
+@pytest.mark.parametrize("rank", [4, 6, 8, 10])
+def test_half_spin_lattices_are_named_by_their_spinor_nodes(rank):
+    # Ss = hs+ adds the fundamental coweight of node r - 1 to the coroots,
+    # Ss' = hs- that of node r - 2: the class in P/Q of each spinor node
+    # must lie in M*/Q of the lattice named after it
+    c = L.cartan_data("D", rank)
+    for node, choice in ((rank - 1, "hs+"), (rank - 2, "hs-")):
+        cls = tuple(row[node] % d
+                    for row, d in zip(c.center_rows, c.center_moduli))
+        assert cls in L._center_grading(c, choice)[3], (rank, choice)
+
+
 def test_catalog_contents():
     names = L.dual_pairs(8)
     for expected in ["SU(9)/PU(9)", "Sp(8)/SO(17)", "Spin(17)/PSp(8)",
@@ -376,12 +388,24 @@ REFINED_CASES = (
     + [("E", 7, choice, m) for choice in ("sc", "adj") for m in (1, 2)])
 
 
-def test_refined_counts_match_the_grid():
+def test_refined_counts_match_the_grid(monkeypatch):
+    # every count that refined_zn_characters reads, per n-torsion element
+    # and grade, against the orbits on the grid
+    read = {}
+    at_size = FRepCharacter.at_size.__func__
+
+    def recording(cls, moduli, n, fixed):
+        def reading(a):
+            read[a] = fixed(a)
+            return read[a]
+        return at_size(cls, moduli, n, reading)
+
+    monkeypatch.setattr(FRepCharacter, "at_size", classmethod(recording))
     for letter, rank, choice, m in REFINED_CASES:
-        c = L.cartan_data(letter, rank)
-        assert (L._refined_counts(c, choice, m)
-                == grid_orbits.grid_refined_counts(c, choice, m)), (
-                    letter, rank, choice, m)
+        read.clear()
+        L.refined_zn_characters(letter, rank, choice, m)
+        assert read == grid_orbits.grid_refined_counts(
+            L.cartan_data(letter, rank), choice, m), (letter, rank, choice, m)
 
 
 COXETER = ([("A", r, r + 1) for r in range(1, 11)]
