@@ -105,19 +105,6 @@ class AbGroup(Record):
     def neg(self, x) -> tuple[int, ...]:
         return tuple((-a) % d for a, d in zip(x, self.moduli))
 
-    def scale(self, k: int, x) -> tuple[int, ...]:
-        return tuple((k * a) % d for a, d in zip(x, self.moduli))
-
-    # -- the kernel of multiplication by an integer --------------------------
-
-    def kernel_of_scaling(self, r: int) -> list[tuple[int, ...]]:
-        """Elements x with r*x = 0, i.e. H^1-style kernel of r: A -> A."""
-        axes = []
-        for d in self.moduli:
-            g = gcd(r, d)
-            axes.append([(d // g) * j % d for j in range(g)])
-        return [tuple(v) for v in product(*axes)]
-
     # -- characters ----------------------------------------------------------
 
     def pairing(self, chi, x) -> int:
@@ -156,35 +143,3 @@ class AbGroup(Record):
                     perm = tuple(gen[j] for j in perm)
             table[x] = perm
         return table
-
-    # -- homomorphisms -------------------------------------------------------
-
-    def homomorphisms_to(self, other: "AbGroup") -> list[dict]:
-        """All group homomorphisms A -> B, each as an element map."""
-        gens = []
-        for i, d in enumerate(self.moduli):
-            e = [0] * len(self.moduli)
-            e[i] = 1
-            gens.append((tuple(e), d))
-        homs = []
-        targets = other.elements()
-        for images in product(targets, repeat=len(gens)):
-            if any(other.scale(d, y) != other.identity for (_, d), y in zip(gens, images)):
-                continue
-            table = {}
-            for x in self.elements():
-                acc = other.identity
-                for xi, y in zip(x, images):
-                    acc = other.add(acc, other.scale(xi, y))
-                table[x] = acc
-            homs.append(table)
-        return homs
-
-    def isomorphisms_to(self, other: "AbGroup") -> list[dict]:
-        if self.order != other.order:
-            return []
-        out = []
-        for h in self.homomorphisms_to(other):
-            if len(set(h.values())) == self.order:
-                out.append(h)
-        return out

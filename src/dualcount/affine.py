@@ -521,8 +521,14 @@ def verify_s_conjugation(sm: SMatrix) -> dict:
     For each element a of the symmetry group A (the node permutations
     induced by tensoring with the partner's 1-dim irreps), the conjugate
     S P_a S^{-1} must equal the diagonal of center-character values at
-    phi(a) for at least one isomorphism phi from A to the center.  There is
-    no preferred phi, so all of them are tried and every success reported.
+    phi(a), for one isomorphism phi from A to the center.  phi is read off
+    the conjugation matrices: phi(a) is the center element whose diagonal
+    lies nearest that of S P_a S^{-1}.  Distinct center elements have
+    distinct diagonals, since at every level n the weights
+    (n - 1) omega_0 + omega_j of the comark-1 nodes j meet every class of
+    P/Q, so the nearest is the only candidate.  phi is then checked: it
+    must be a bijective homomorphism, and its error, the largest deviation
+    of any conjugate from phi's diagonal, under TOLERANCE.
     """
     lw = sm.weights
     ade_type = sm.ade_type
@@ -536,7 +542,12 @@ def verify_s_conjugation(sm: SMatrix) -> dict:
     pos = {w: i for i, w in enumerate(lw.weights)}
     s = sm.array()
     sinv = s.conj().T
-    conj = {}
+    # the center-character diagonal of each center element, computed once
+    diags = _center_characters(center, geo)
+    zs = list(diags)
+    stacked = np.stack(list(diags.values()))
+    phi = {}
+    err = 0.0
     for el, perm in perms.items():
         # column i of S P_a is the column of S at the image of weight i
         cols = []
@@ -545,32 +556,32 @@ def verify_s_conjugation(sm: SMatrix) -> dict:
             for node, mult in enumerate(w):
                 moved[perm[node]] = mult
             cols.append(pos[tuple(moved)])
-        conj[el] = s[:, cols] @ sinv
-    # the off-diagonal part must vanish no matter the identification
-    base_err = max(float(np.abs(mat - np.diag(np.diag(mat))).max())
-                   for mat in conj.values())
-    gen_names = ab.generator_names
+        mat = s[:, cols] @ sinv
+        diag = np.diag(mat)
+        dev = np.abs(diag - stacked).max(axis=1)
+        best = int(np.argmin(dev))
+        phi[el] = zs[best]
+        err = max(err, float(np.abs(mat - np.diag(diag)).max()),
+                  float(dev[best]))
     standard = []
     for i in range(len(sym.moduli)):
         e = [0] * len(sym.moduli)
         e[i] = 1
         standard.append(tuple(e))
-    # the center-character diagonal of each center element, computed once
-    diags = _center_characters(center, geo)
-    results = []
-    for iso in sym.isomorphisms_to(center):
-        err = base_err
-        for el, mat in conj.items():
-            err = max(err, float(np.abs(np.diag(mat) - diags[iso[el]]).max()))
-        descr = {name: list(iso[e]) for name, e in zip(gen_names, standard)}
-        results.append((err, descr))
-    passed = sorted((e, sorted(d.items())) for e, d in results if e < TOLERANCE)
+    # phi(a + e) = phi(a) + phi(e) for every a and generator e makes phi a
+    # homomorphism (a = 0 gives phi(0) = 0, and induction the rest)
+    holds = (err < TOLERANCE
+             and sym.order == center.order == len(set(phi.values()))
+             and all(phi[sym.add(a, e)] == center.add(phi[a], phi[e])
+                     for a in phi for e in standard))
+    descr = dict(sorted((name, list(phi[e]))
+                        for name, e in zip(ab.generator_names, standard)))
     return {
         "type": ade_type,
         "level": sm.level,
-        "holds": bool(passed),
-        "identification": [dict(d) for _, d in passed],
-        "max_abs_error": min(e for e, _ in results),
+        "holds": holds,
+        "identification": [descr] if holds else [],
+        "max_abs_error": err,
     }
 
 

@@ -229,8 +229,7 @@ def _pu_rows(g: GroupSpec, max_n: int) -> list:
 
 class SizeTable:
     """One value per size n = 0..max_n, read as table[n]: N(g, family(n))
-    for `count_table`, a finite character table for `refined.f_rep_table`,
-    a swap report for `refined.swap_equivalence_table`.
+    for `count_table`, a swap report for `refined.swap_equivalence_table`.
 
     The kernel tables behind the values are made once, to max_n.  What
     grows with n in another way, such as the Kac route of cyclic PSp and
@@ -288,14 +287,13 @@ def _kernel_rows(g: GroupSpec, family: str, max_n: int) -> list:
 
 def _cover_entry(g: GroupSpec, family: str, max_n: int):
     """n -> N(g, family(n)) for Spin_odd and PSp, n <= max_n."""
-    group = abelianization(g).group
+    # at n = 0, Spin(1) is the two-element group, so Spin_odd counts
+    # |Hom(A, Z_2)|, and PSp(0) counts |H^2(g, Z_2)| = |A/2A|; for
+    # A = prod_i Z_(d_i) both are prod_i gcd(2, d_i)
+    at_zero = prod(gcd(2, d) for d in abelianization(g).group.moduli)
     if family == "Spin_odd":
-        # Spin(1) is the two-element group
-        at_zero = len(group.kernel_of_scaling(2))
         letter, choice, cover = "B", "sc", "Spin"
     else:
-        # |H^2(g, Z_2)| = |A/2A|
-        at_zero = prod(gcd(2, d) for d in group.moduli)
         letter, choice, cover = "C", "adj", "PSp"
     if g.family == CYCLIC:
         def rest(n):

@@ -16,10 +16,10 @@ identities and tensoring by character products.  Dimensions that do not
 square to the group order, or a determinant that names no 1-dim character,
 stop a run as an internal error.
 
-Cohomology with Z_r coefficients is read off the abelianization A: H^1 is its
-r-torsion (`AbGroup.kernel_of_scaling(r)`) and H^2 the quotient A/rA, of
-order prod_i gcd(r, d_i) for A = prod_i Z_(d_i); the Spin_odd and PSp counts
-at n = 0 read them at r = 2.  The Stiefel-Whitney classes of the Ohat
+Cohomology with Z_r coefficients is read off the abelianization A: H^1 is
+Hom(A, Z_r) and H^2 the quotient A/rA, both of order prod_i gcd(r, d_i) for
+A = prod_i Z_(d_i); the Spin_odd and PSp counts at n = 0 read that order at
+r = 2.  The Stiefel-Whitney classes of the Ohat
 irreps, the independent route to the sector congruence of `counting`, are
 the tests' oracle.
 """

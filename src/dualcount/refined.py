@@ -9,10 +9,10 @@ finite character tables used by the swap-equivalence report.  The twisted
 (double cover) irreducibles of Ohat, which only the sectors read, are
 literal data here.
 
-`f_rep_table` and `swap_equivalence_table` give the finite character tables
-and swap reports of every n up to a bound from one set of kernel tables,
-counted up to a symmetry as `counting` counts PU: `counting._fixed_slots`
-collapses each cycle of a slot permutation into one slot, and
+`swap_equivalence_table` gives the finite character tables and swap
+reports of every n up to a bound from one set of kernel tables, counted up
+to a symmetry as `counting` counts PU: `counting._fixed_slots` collapses
+each cycle of a slot permutation into one slot, and
 `FRepCharacter.from_counts` pairs the fixed counts, per grade, with the
 characters of the grading group.  Every table at a size n over the
 n-torsion of a grading group A, the unitary tables here and the Weyl-orbit
@@ -274,7 +274,7 @@ class FRepCharacter(Record):
 
 
 def _su_f_rep_entry(g: GroupSpec, max_n: int):
-    """n -> the "su" table at n, for n = 1..max_n.
+    """n -> the unitary table at n, for n = 1..max_n.
 
     Its fixed(a) counts, per determinant, the unitary solutions that
     tensoring with the element a of the abelianization A fixes: one kernel
@@ -309,29 +309,6 @@ def _two_torsion_f_rep(sectors: dict[int, SectorCount]) -> FRepCharacter:
                        for w, s in sectors.items()}
               for eps in (0, 1)}
     return FRepCharacter.from_counts((2,), counts)
-
-
-def f_rep_table(g: GroupSpec, side: str, max_n: int) -> SizeTable:
-    """The finite character table acting on the graded counting space, for
-    n = 0..max_n, read as table[n].
-
-    side "su": any group, center Z_n gauged inside U(n), for n >= 1; side
-    "sp" and "spin": the octahedral two-torsion refinement of Sp(n) and
-    Spin(2n+1).
-    """
-    if max_n < 0:
-        raise ValueError("size out of range")
-    if side == "su":
-        return SizeTable(max_n, _su_f_rep_entry(g, max_n))
-    if side == "sp":
-        _require_octahedral(g, "the symplectic-side table")
-        rows = _oct_sp_sector_rows(max_n)
-    elif side == "spin":
-        _require_octahedral(g, "the orthogonal-side table")
-        rows = _oct_spin_sector_rows(max_n)
-    else:
-        raise ValueError("side must be 'su', 'sp' or 'spin'")
-    return SizeTable(max_n, lambda n: _two_torsion_f_rep(rows[n]))
 
 
 def _identifications(moduli):
@@ -383,17 +360,19 @@ def swap_equivalence_table(g: GroupSpec, pair, max_n: int) -> SizeTable:
     if max_n < 0:
         raise ValueError("size out of range")
     if pair == ("SU", "PU"):
-        su = f_rep_table(g, "su", max_n)
+        su = _su_f_rep_entry(g, max_n)
 
         def identify(n):
-            return tables_swap_equivalent(su[n], su[n])
+            table = su(n)
+            return tables_swap_equivalent(table, table)
     elif pair != ("Sp", "Spin_odd"):
         raise ValueError("pair must be (SU, PU) or (Sp, Spin_odd)")
     elif g.family == OCTAHEDRAL:
-        sp, spin = f_rep_table(g, "sp", max_n), f_rep_table(g, "spin", max_n)
+        sp, spin = _oct_sp_sector_rows(max_n), _oct_spin_sector_rows(max_n)
 
         def identify(n):
-            return tables_swap_equivalent(sp[n], spin[n])
+            return tables_swap_equivalent(_two_torsion_f_rep(sp[n]),
+                                          _two_torsion_f_rep(spin[n]))
     elif g.family in (TETRAHEDRAL, ICOSAHEDRAL):
         # no two-torsion grading: the tables are the single numbers
         # N(Sp(n)) and N(Spin(2n+1))

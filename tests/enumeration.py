@@ -20,6 +20,7 @@ from dualcount.lattice import cartan_data
 from dualcount.refined import SectorCount, twisted_irreps
 from char_tables import tensor_with_onedim
 from grid_orbits import grid_count
+from rep_routes import scale
 
 
 def _vector_as_dict(slots, vec) -> dict[str, int]:
@@ -37,8 +38,8 @@ def _det(ab, infos, mv):
     irrep's det_element."""
     det = ab.group.identity
     for info in infos:
-        det = ab.group.add(det, ab.group.scale(mv.get(info.name, 0),
-                                               info.det_element))
+        det = ab.group.add(det, scale(ab.group, mv.get(info.name, 0),
+                                      info.det_element))
     return det
 
 

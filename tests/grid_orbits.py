@@ -16,6 +16,7 @@ from dualcount.lattice import (LatticeQuotient, _center_grading, _lattice_basis,
                                _mat_mul, cartan_data, lattice_quotient)
 from dualcount.record import Record
 from dualcount.rootdata import _identity_matrix, _smith_normal_form
+from rep_routes import kernel_of_scaling
 
 
 def _mat_vec(a, v):
@@ -139,7 +140,7 @@ def graded_orbits(letter: str, rank: int, sublattice: str, n: int,
             raise InvariantError("the grading must be Weyl-invariant")
         grades.append(gs.pop())
     translations = {}
-    for a in AbGroup(zmods).kernel_of_scaling(n):
+    for a in kernel_of_scaling(AbGroup(zmods), n):
         # a lifts to the coweight sum_i a_i * gen_i
         lift = [sum(x * gen[j] for x, gen in zip(a, zgens)) for j in range(rank)]
         translations[a] = tuple(

@@ -5,18 +5,73 @@ checked against the determinant of the partner-group representation that the
 weight names, and the mod-4 sector congruence of special orthogonal Ohat
 vectors (`refined._OCT_CONGRUENCE`) against their second Stiefel-Whitney
 class, from the classes of the irreps by the Whitney formula.
+
+Both identifications of the symmetry group A with the center, the one of the
+determinant routes and the one of the S-matrix conjugation check, are found
+here by trying every isomorphism, from the searches over finite abelian
+groups below.  `affine.verify_s_conjugation` reads its identification off
+the conjugation matrices instead, and `conjugation_identifications` is that
+read's oracle.
 """
 
-from math import comb
+import cmath
+from itertools import product
+from math import comb, gcd
+
+import numpy as np
 
 from dualcount.abgroup import AbGroup
-from dualcount.affine import (_finite_structure, det_classes_from_center,
-                              level_weights, mckay_partner)
+from dualcount.affine import (TOLERANCE, _finite_structure,
+                              det_classes_from_center, level_weights,
+                              mckay_partner)
 from dualcount.errors import InvariantError, NotCoveredError
 from dualcount.grouprep import (OCTAHEDRAL, PSEUDOREAL, GroupSpec,
                                 abelianization, irreps)
+from dualcount.mckay import a_action
 from dualcount.record import Record
 from dualcount.refined import _OCT_CONGRUENCE
+
+
+# -- searches over finite abelian groups -------------------------------------
+
+
+def scale(group: AbGroup, k: int, x) -> tuple[int, ...]:
+    """k * x in the group."""
+    return tuple((k * a) % d for a, d in zip(x, group.moduli))
+
+
+def kernel_of_scaling(group: AbGroup, r: int) -> list[tuple[int, ...]]:
+    """The elements x with r * x = 0, the r-torsion of the group."""
+    axes = []
+    for d in group.moduli:
+        g = gcd(r, d)
+        axes.append([(d // g) * j % d for j in range(g)])
+    return [tuple(v) for v in product(*axes)]
+
+
+def homomorphisms(source: AbGroup, target: AbGroup) -> list[dict]:
+    """All group homomorphisms source -> target, each as an element map:
+    every choice of generator images that the generators' orders kill."""
+    homs = []
+    for images in product(target.elements(), repeat=len(source.moduli)):
+        if any(scale(target, d, y) != target.identity
+               for d, y in zip(source.moduli, images)):
+            continue
+        table = {}
+        for x in source.elements():
+            acc = target.identity
+            for xi, y in zip(x, images):
+                acc = target.add(acc, scale(target, xi, y))
+            table[x] = acc
+        homs.append(table)
+    return homs
+
+
+def isomorphisms(source: AbGroup, target: AbGroup) -> list[dict]:
+    if source.order != target.order:
+        return []
+    return [h for h in homomorphisms(source, target)
+            if len(set(h.values())) == source.order]
 
 
 def irrep_by_name(g: GroupSpec, name: str):
@@ -45,7 +100,7 @@ def det_classes_from_reps(lw) -> tuple[tuple[int, ...], ...]:
     for w in lw.weights:
         acc = ab.identity
         for mult, d in zip(w, dets):
-            acc = ab.add(acc, ab.scale(mult, d))
+            acc = ab.add(acc, scale(ab, mult, d))
         out.append(acc)
     return tuple(out)
 
@@ -64,11 +119,52 @@ def det_route_report(ade_type: str, n: int) -> dict:
     geo = det_classes_from_center(lw)
     rep = det_classes_from_reps(lw)
     matches = []
-    for iso in center.isomorphisms_to(ab):
+    for iso in isomorphisms(center, ab):
         if all(iso[x] == y for x, y in zip(geo, rep)):
             matches.append(sorted(iso.items()))
     return {"type": ade_type, "level": n, "compatible": bool(matches),
             "identifications": matches}
+
+
+def conjugation_identifications(sm) -> list[dict]:
+    """Every isomorphism phi from the symmetry group A to the center under
+    which S P_a S^-1 is, within TOLERANCE, the diagonal of the weights'
+    center characters at phi(a), for each a: the search that
+    `affine.verify_s_conjugation` replaces.  Each is given as that
+    function gives it, the image of each generator of A by the generator's
+    name.
+
+    P_a is built as a permutation matrix and multiplied out, and each
+    character value is exp(2 pi i k / e), k = AbGroup.pairing."""
+    lw = sm.weights
+    g = mckay_partner(lw.ade_type)
+    ab = abelianization(g)
+    c, _, _ = _finite_structure(lw.ade_type)
+    center = AbGroup(c.center_moduli)
+    classes = det_classes_from_center(lw)
+    pos = {w: i for i, w in enumerate(lw.weights)}
+    s = sm.array()
+    conj = {}
+    for a, perm in a_action(g).items():
+        p = np.zeros((lw.count, lw.count))
+        for i, w in enumerate(lw.weights):
+            moved = [0] * len(w)
+            for node, mult in enumerate(w):
+                moved[perm[node]] = mult
+            p[pos[tuple(moved)], i] = 1.0
+        conj[a] = s @ p @ s.conj().T
+    e = center.exponent
+    rank = len(ab.group.moduli)
+    gens = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    found = []
+    for iso in isomorphisms(ab.group, center):
+        if all(np.abs(mat - np.diag(
+                [cmath.exp(2j * cmath.pi * center.pairing(chi, iso[a]) / e)
+                 for chi in classes])).max() < TOLERANCE
+               for a, mat in conj.items()):
+            found.append({name: list(iso[x])
+                          for name, x in zip(ab.generator_names, gens)})
+    return found
 
 
 # -- Stiefel-Whitney classes of Ohat representations --------------------------
@@ -140,7 +236,7 @@ def sector_of_so_rep(mv: dict[str, int]) -> int:
         if infos[name].reality == PSEUDOREAL and mult % 2:
             raise ValueError(
                 f"orthogonal vectors need even multiplicity on {name}")
-        det = ab.group.add(det, ab.group.scale(mult, infos[name].det_element))
+        det = ab.group.add(det, scale(ab.group, mult, infos[name].det_element))
     if det != ab.group.identity:
         raise ValueError("not special orthogonal: nontrivial determinant")
     congruence = sum(c * mv.get(name, 0) for name, c in _OCT_CONGRUENCE.items()) % 4

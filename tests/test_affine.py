@@ -32,7 +32,8 @@ from dualcount.mckay import a_action, mckay_graph
 from dualcount.suites import SMATRIX_GRID
 from diagram_oracles import _diagram_edges, _finite_index_map
 from frac_inverse import frac_inverse
-from rep_routes import det_char, det_classes_from_reps, det_route_report
+from rep_routes import (conjugation_identifications, det_char,
+                        det_classes_from_reps, det_route_report)
 from weyl_residue import (residue_counts, residue_modulus, residue_s_matrix,
                           weyl_group)
 
@@ -351,6 +352,85 @@ def test_conjugation_holds_with_a_unique_identification(ade_type, n):
     assert report["max_abs_error"] < TOLERANCE
     assert len(report["identification"]) == 1
     assert report["type"] == ade_type and report["level"] == n
+
+
+@pytest.mark.parametrize("ade_type, n", list(SMATRIX_GRID) + [
+    (t, n) for t in ("A5", "A6", "A7", "D6", "D7", "D8", "E7", "E8")
+    for n in (1, 2)] + [("A47", 1)])
+def test_read_identification_is_one_the_search_accepts(ade_type, n):
+    # the identification read off the conjugation matrices is one of the
+    # isomorphisms that trying them all accepts, and the only one
+    sm = s_matrix(ade_type, n)
+    report = verify_s_conjugation(sm)
+    assert report["holds"]
+    assert report["identification"] == conjugation_identifications(sm)
+
+
+def _altered(sm, alter):
+    values = np.array(sm.array())
+    alter(values)
+    values.flags.writeable = False
+    return affine.SMatrix(sm.weights, values)
+
+
+def test_conjugation_fails_on_relabelled_columns():
+    sm = s_matrix("A3", 2)
+
+    def swap(v):
+        v[:, [0, 1]] = v[:, [1, 0]]
+
+    def flip_column(v):
+        v[:, 3] *= -1
+
+    def flip_row(v):
+        v[3] *= -1
+
+    for alter in (swap, flip_column):
+        report = verify_s_conjugation(_altered(sm, alter))
+        assert not report["holds"]
+        assert report["identification"] == []
+        assert report["max_abs_error"] >= TOLERANCE
+    # a row's sign is a sign of the basis on the left, D S: its conjugates
+    # D (S P_a S^-1) D keep their diagonals, so the check still holds
+    assert verify_s_conjugation(_altered(sm, flip_row)) == verify_s_conjugation(sm)
+
+
+def test_conjugation_fails_on_a_small_rotation_of_two_rows():
+    # rotating rows 0 and 1, of center classes 0 and 1, by an angle t turns
+    # each conjugate D into V D V^-1: its diagonal moves by about t^2, under
+    # the tolerance, and its off-diagonal part by about t, over it
+    sm = s_matrix("A3", 2)
+    assert det_classes_from_center(sm.weights)[:2] == ((0,), (1,))
+    t = 1e-6
+
+    def rotate(v):
+        v[[0, 1]] = [math.cos(t) * v[0] - math.sin(t) * v[1],
+                     math.sin(t) * v[0] + math.cos(t) * v[1]]
+
+    report = verify_s_conjugation(_altered(sm, rotate))
+    assert TOLERANCE < report["max_abs_error"] < 1e4 * t
+    assert not report["holds"]
+    assert report["identification"] == []
+
+
+@pytest.mark.parametrize("relabel", [
+    # a bijection of Z_4 that is not a homomorphism
+    {(0,): (0,), (1,): (2,), (2,): (1,), (3,): (3,)},
+    # a homomorphism that is not a bijection
+    {(a,): (0,) for a in range(4)},
+], ids=["not-a-homomorphism", "not-a-bijection"])
+def test_conjugation_fails_unless_the_read_map_is_an_isomorphism(
+        monkeypatch, relabel):
+    # each symmetry a acts by the permutation of relabel[a]: every conjugate
+    # is still a diagonal of center characters, so only the check that the
+    # map read off them is an isomorphism refuses it
+    true_action = a_action(mckay_partner("A3"))
+    monkeypatch.setattr(affine.mckay, "a_action", lambda g: {
+        a: true_action[b] for a, b in relabel.items()})
+    report = verify_s_conjugation(s_matrix("A3", 2))
+    assert report["max_abs_error"] < TOLERANCE
+    assert not report["holds"]
+    assert report["identification"] == []
 
 
 def test_d4_level_1_is_the_triality_stable_case():

@@ -32,7 +32,11 @@ from dualcount.grouprep import (
 from dualcount.refined import (
     FRepCharacter,
     SectorCount,
-    f_rep_table,
+    _oct_sp_sector_rows,
+    _oct_spin_sector_rows,
+    _su_f_rep_entry,
+    _two_torsion_f_rep,
+    sector_counts,
     sector_rows,
     swap_equivalence_table,
     tables_swap_equivalent,
@@ -42,7 +46,7 @@ from enumeration import (enumerated_count, enumerated_sector,
                          multiplicity_vectors, unitary_orbits)
 import per_n_routes
 from per_n_routes import count_twisted, graded_compositions
-from rep_routes import sector_of_so_rep
+from rep_routes import kernel_of_scaling, scale, sector_of_so_rep
 
 Z = GroupSpec.cyclic
 DH = GroupSpec.binary_dihedral
@@ -112,7 +116,7 @@ def test_size_zero_targets_are_trivial():
             assert count_homs(g, Target(fam, 0)) == 1
         # the one-element orthogonal group still has sign characters
         a = abelianization(g).group
-        assert count_homs(g, Target("O_odd", 0)) == len(a.kernel_of_scaling(2))
+        assert count_homs(g, Target("O_odd", 0)) == len(kernel_of_scaling(a, 2))
         # and the projective one counts H^2(g, Z_2) = A/2A
         assert count_homs(g, Target("PSp", 0)) == prod(gcd(2, d) for d in a.moduli)
         assert count_homs(g, Target("SO_odd", 0)) == 1
@@ -324,7 +328,7 @@ def test_orthogonal_vectors_satisfy_constraints(g):
         for name, mult in mv.items():
             if info[name].reality == PSEUDOREAL:
                 assert mult % 2 == 0
-            det = a.group.add(det, a.group.scale(mult, info[name].det_element))
+            det = a.group.add(det, scale(a.group, mult, info[name].det_element))
         assert det == a.group.identity
 
 
@@ -469,15 +473,28 @@ def test_sector_routes_agree_exhaustively_to_dim_13():
 # -- character tables -------------------------------------------------------------
 
 
+def side_tables(g, max_n: int) -> dict:
+    """side -> (n -> the table of that side at n) for the tables that
+    swap_equivalence_table compares, each side's kernel tables made once, to
+    max_n: "su" for every group, and for Ohat the two-torsion "sp" and
+    "spin" tables read from the sector rows."""
+    sides = {"su": _su_f_rep_entry(g, max_n)}
+    if g == OCT:
+        for side, rows in (("sp", _oct_sp_sector_rows(max_n)),
+                           ("spin", _oct_spin_sector_rows(max_n))):
+            sides[side] = lambda n, rows=rows: _two_torsion_f_rep(rows[n])
+    return sides
+
+
 def test_sp_side_table_anchor():
     # a Z_2 grading has exponent 2 and Phi_2 degree 1: one coordinate each
-    table = f_rep_table(OCT, "sp", 1)[1]
+    table = side_tables(OCT, 1)["sp"](1)
     assert table.values == (((6,), (2,)), ((2,), (-2,)))
     assert table.grading_moduli == (2,)
 
 
 def test_su_side_table_anchor():
-    table = f_rep_table(Z(2), "su", 2)[2]
+    table = side_tables(Z(2), 2)["su"](2)
     assert table.values == (((3,), (1,)), ((1,), (-1,)))
     assert table.grading_moduli == (2,)
 
@@ -491,7 +508,7 @@ def test_su_table_gauging_identities():
     # averaging over the columns recovers N(SU); over the rows, N(PU).  Both
     # sums are rational: their coordinates past the first vanish
     for g, n in [(Z(2), 2), (Z(4), 2), (Z(6), 3), (DH(3), 2), (TET, 3)]:
-        table = f_rep_table(g, "su", n)[n]
+        table = side_tables(g, n)["su"](n)
         k = len(table.values)
         col_sum = _column_sum(table.values[0])
         row_sum = _column_sum(row[0] for row in table.values)
@@ -502,11 +519,12 @@ def test_su_table_gauging_identities():
 
 def test_two_torsion_table_gauging_identities():
     for n in range(0, 5):
-        sp = f_rep_table(OCT, "sp", n)[n]
+        sides = side_tables(OCT, n)
+        sp = sides["sp"](n)
         v = [[x for x, in row] for row in sp.values]
         assert (v[0][0] + v[0][1]) / 2 == count_homs(OCT, Target("Sp", n))
         assert (v[0][0] + v[1][0]) / 2 == count_homs(OCT, Target("PSp", n))
-        spin = f_rep_table(OCT, "spin", n)[n]
+        spin = sides["spin"](n)
         u = [[x for x, in row] for row in spin.values]
         assert (u[0][0] + u[0][1]) / 2 == count_homs(OCT, Target("Spin_odd", n))
         assert (u[0][0] + u[1][0]) / 2 == count_homs(OCT, Target("SO_odd", n))
@@ -554,9 +572,9 @@ ORACLE_LATTICE_TYPES = [("A", r) for r in range(1, 6)] + [
 def test_integer_entries_are_the_numerators_of_their_cyc_sums(
         tables_with_cyc_oracles):
     for g in (Z(12), Z(7), DH(4), DH(5), TET, OCT):
-        su = f_rep_table(g, "su", 40)
+        su = side_tables(g, 40)["su"]
         for n in range(1, 41):
-            su[n]
+            su(n)
     for letter, rank in ORACLE_LATTICE_TYPES:
         for m in range(1, 13):
             lattice.refined_zn_characters(letter, rank, "sc", m)
@@ -631,12 +649,13 @@ def test_at_size_reads_the_n_torsion_and_checks_the_cosets():
 
 
 def test_f_rep_character_validation():
+    # the sector rows are Ohat's alone, and the unitary tables start at n = 1
     with pytest.raises(NotCoveredError):
-        f_rep_table(TET, "sp", 1)[1]
+        sector_counts(TET, "Sp", 1)
     with pytest.raises(ValueError):
-        f_rep_table(OCT, "so", 1)[1]
+        _su_f_rep_entry(Z(3), 0)(0)
     with pytest.raises(ValueError):
-        f_rep_table(Z(3), "su", 0)[0]
+        swap_equivalence_table(Z(3), ("SU", "PU"), 0)[0]
 
 
 # -- swap equivalence --------------------------------------------------------------
@@ -708,10 +727,10 @@ def test_swap_equivalence_validation():
 
 
 def test_tables_swap_equivalent_detects_mismatch():
-    t1 = f_rep_table(OCT, "sp", 1)[1]
-    t2 = f_rep_table(OCT, "sp", 2)[2]
+    t1 = side_tables(OCT, 1)["sp"](1)
+    t2 = side_tables(OCT, 2)["sp"](2)
     assert tables_swap_equivalent(t1, t2) is None
-    t3 = f_rep_table(Z(2), "su", 2)[2]
+    t3 = side_tables(Z(2), 2)["su"](2)
     assert tables_swap_equivalent(t1, t3) is None or t1.values != t3.values
 
 
@@ -719,11 +738,9 @@ def test_tables_swap_equivalent_detects_mismatch():
 def test_sweep_tables_match_the_per_n_routes(g):
     # a sweep reads every size from tables made once, to its largest size;
     # the per-n routes make them again at each size
-    sides = ("su", "sp", "spin") if g == OCT else ("su",)
-    for side in sides:
-        table = f_rep_table(g, side, 30)
+    for side, table in side_tables(g, 30).items():
         for n in range(31):
-            assert (per_n_routes.outcome(table.__getitem__, n)
+            assert (per_n_routes.outcome(table, n)
                     == per_n_routes.outcome(
                         lambda k: per_n_routes.f_rep_character(g, side, k), n)), (side, n)
     for pair in (("SU", "PU"), ("Sp", "Spin_odd")):
