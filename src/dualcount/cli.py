@@ -15,7 +15,8 @@ same command are byte-identical.  Exit codes:
     1   usage error (bad flags, bad labels, bad parameters)
     2   a verification check failed; the failing rows are in the report
         (and echoed to stderr as JSON when the format is not json)
-    3   the request falls outside the covered range
+    3   the request falls outside the covered range, or a verify run
+        makes no check
     4   an internal consistency check failed: a defect in the program,
         never a property of the input
 
@@ -42,7 +43,7 @@ import sys
 
 from . import affine, lattice, mckay, refined, series, suites
 from .bounds import MAX_ORDER, MAX_RANK
-from .counting import count_rows
+from .counting import DUALITY_PAIRS, count_rows
 from .errors import InvariantError, NotCoveredError
 from .grouprep import CYCLIC, GroupSpec, irrep_table_json
 
@@ -91,12 +92,6 @@ MAX_ORACLE_N = (MAX_ORDER - 1) // 2
 MAX_RANDOM_DRAWS = 10_000
 
 FORMATS = ("json", "csv", "text")
-
-DUALITY_PAIRS = {
-    "sp-so": ("Sp", "SO_odd"),
-    "su-pu": ("SU", "PU"),
-    "psp-spin": ("PSp", "Spin_odd"),
-}
 
 
 class UsageError(Exception):
@@ -270,12 +265,6 @@ def _cyclic_rank(cfg: argparse.Namespace, suite: str | None) -> int:
     return 0
 
 
-def _zn_sweep(cfg: argparse.Namespace):
-    """The pairs and the largest modulus of a zn-lattice run."""
-    max_rank = cfg.max_rank if cfg.max_rank is not None else 4
-    return (cfg.pair,) if cfg.pair else lattice.dual_pairs(max_rank), cfg.max_n
-
-
 def parse_args(argv=None) -> argparse.Namespace:
     """The parsed command line: `command`, `fmt`, `suite` for verify, and the
     dest of each flag that the command or suite declares.  UsageError for a
@@ -295,11 +284,11 @@ def parse_args(argv=None) -> argparse.Namespace:
             f"{cfg.gamma} into PSp or Spin at n {rank} needs rank {rank}, over "
             f"the largest supported rank {MAX_RANK}")
     if suite == "zn-lattice":
-        pairs, top = _zn_sweep(cfg)
-        cells = lattice.zn_sweep_cells(pairs, top)
+        pairs = lattice.zn_sweep(cfg.pair, cfg.max_rank)
+        cells = lattice.zn_sweep_cells(pairs, cfg.max_n)
         if cells > lattice.MAX_ZN_CELLS:
             raise UsageError(
-                f"zn-lattice to n {top} needs about {cells} kernel cells, "
+                f"zn-lattice to n {cfg.max_n} needs about {cells} kernel cells, "
                 f"over the supported bound {lattice.MAX_ZN_CELLS}")
     return cfg
 
@@ -347,7 +336,8 @@ def _run_smatrix(cfg: argparse.Namespace):
 def _run_verify(cfg: argparse.Namespace):
     # read when a verify command runs: _COMMANDS reading suites.run_verify
     # would run the body of suites on every import of cli
-    return suites.run_verify(cfg)
+    report = suites.run_verify(cfg)
+    return report, (EXIT_FAIL if report["failures"] else EXIT_OK)
 
 
 _COMMANDS = {

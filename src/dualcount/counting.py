@@ -54,6 +54,14 @@ from .record import Record
 
 TARGET_FAMILIES = ("U", "SU", "PU", "Sp", "O_odd", "SO_odd", "Spin_odd", "PSp")
 
+# the Langlands dual pairs of target families whose counts verify duality
+# compares, by the name of its --pair
+DUALITY_PAIRS = {
+    "sp-so": ("Sp", "SO_odd"),
+    "su-pu": ("SU", "PU"),
+    "psp-spin": ("PSp", "Spin_odd"),
+}
+
 
 class Target(Record):
     """A target group family with its size parameter.

@@ -321,6 +321,12 @@ def dual_pairs(max_rank: int = 8) -> tuple:
     return tuple(names)
 
 
+def zn_sweep(pair: str | None, max_rank: int | None) -> tuple:
+    """The pairs of a zn-lattice run: the one pair given, or else every dual
+    pair to max_rank, 4 when it is None."""
+    return (pair,) if pair else dual_pairs(max_rank if max_rank is not None else 4)
+
+
 def _pair_sides(pair):
     if isinstance(pair, str):
         labels = pair.split("/") if "/" in pair else [pair, pair]

@@ -25,8 +25,6 @@ from operator import add, mul, sub
 from .errors import InvariantError, NotCoveredError
 from .grouprep import CYCLIC, DIHEDRAL, OCTAHEDRAL, TETRAHEDRAL, GroupSpec
 
-IDENTITIES = ("KF1", "KF2", "KF3", "KF4", "PropX", "PropY", "PropA")
-
 
 # -- truncated series ---------------------------------------------------------
 
@@ -380,16 +378,9 @@ def _ftilde_mean(ft, *sizes: int):
         2, *sizes)
 
 
-def _check_positive(values, what):
-    for x in values:
-        if x < 1:
-            raise ValueError(f"{what} must be positive integers")
-
-
-def _kf1(k: tuple, v: tuple):
+def _kf1(k: tuple, vs: tuple):
+    (v,) = vs
     s = len(k)
-    _check_positive(k, "k parameters")
-    _check_positive(v, "v parameters")
     if s == 1:
         f_pows = [4 * k[0] - 2]
         ft_pows = [2 * k[0] - 1]
@@ -414,10 +405,9 @@ def _kf1(k: tuple, v: tuple):
     return lhs, _ftilde_mean([(p,) for p in ft_pows + vf])
 
 
-def _kf2(k: tuple, v0: tuple, v1: tuple):
+def _kf2(k: tuple, vs: tuple):
+    v0, v1 = vs
     s = 2 * len(k)
-    _check_positive(k, "k parameters")
-    _check_positive(v0 + v1, "v parameters")
     if s == 2:
         f = [binom(4 * k[0] - 2, -2)]
         ft = [(2 * k[0] - 1, 0), (2 * k[0] - 1, 2)]
@@ -436,23 +426,22 @@ def _kf2(k: tuple, v0: tuple, v1: tuple):
     return product(qpow(2 * k[0] - 1), *f), _ftilde_mean(ft, 2)
 
 
-def _kf3(k: int, vmat: tuple):
-    # vmat = (v00, v01, v10, v11) indexed by (p1, p0)
-    _check_positive((k,), "k parameter")
-    _check_positive(sum(vmat, ()), "v parameters")
+def _kf3(ks: tuple, vs: tuple):
+    # vs = (v00, v01, v10, v11) indexed by (p1, p0)
+    (k,) = ks
     f = [binom(4 * k - 2, -5)]
     ft = [(8 * k - 4, 0, 0)]
-    for (p1, p0), vs in zip([(0, 0), (0, 1), (1, 0), (1, 1)], vmat):
+    for (p1, p0), v in zip([(0, 0), (0, 1), (1, 0), (1, 1)], vs):
         ft.append((2 * k - 1, 2 * p0, 2 * p1))
-        for x in vs:
+        for x in v:
             f.append(binom(2 * x))
             ft.append((2 * x, 2 * p0, 2 * p1))
     return product(qpow(2 * k - 1), *f), _ftilde_mean(ft, 2, 2)
 
 
-def _kf4(k1: int, k2: int, v: tuple):
-    _check_positive((k1, k2), "k parameters")
-    _check_positive(v, "v parameters")
+def _kf4(ks: tuple, vs: tuple):
+    k1, k2 = ks
+    (v,) = vs
     if not k1 < k2:
         raise ValueError("KF4 needs k1 < k2")
     vf = [binom(2 * x) for x in v]
@@ -469,24 +458,34 @@ def _kf4(k1: int, k2: int, v: tuple):
     return lhs, _ftilde_mean(ft, 4)
 
 
+# The parameters of each KF identity, read as (k, vs): its k values and its v
+# lists.  Its string is `[s;]k..;l..;v..;..`: the k values, the length of each
+# v list, then the v lists, each group a comma list, except that a group of
+# one value (KF3's k, the l of KF1 and KF4) is one int.  Each layout gives
+# what the string looks like; s, the count that KF1 and KF2 lead with per k
+# value, or 0 for a fixed number of bare k values; that number; the names of
+# the v lists; and the builder of the two sides from (k, vs).
+_LAYOUTS = {
+    "KF1": ("s;k1,..;l;v1,..", 1, 0, ("v",), _kf1),
+    "KF2": ("s;k..;l0,l1;v0..;v1..", 2, 0, ("v0", "v1"), _kf2),
+    "KF3": ("k;l00,l01,l10,l11;v00..;v01..;v10..;v11..", 0, 1, ("v",) * 4, _kf3),
+    "KF4": ("k1,k2;l;v1,..", 0, 2, ("v",), _kf4),
+}
+
+IDENTITIES = (*_LAYOUTS, "PropX", "PropY", "PropA")
+
+
 def identity_sides(identity: str, params):
     """The two sides of a named identity at given parameters, as flat terms."""
-    p = parse_identity_params(identity, params)
-    if identity == "KF1":
-        return _kf1(p["k"], p["v"])
-    if identity == "KF2":
-        return _kf2(p["k"], p["v0"], p["v1"])
-    if identity == "KF3":
-        return _kf3(p["k"], p["v"])
-    if identity == "KF4":
-        return _kf4(p["k1"], p["k2"], p["v"])
+    k, vs = parse_identity_params(identity, params)
+    if identity in _LAYOUTS:
+        return _LAYOUTS[identity][-1](k, vs)
     if identity == "PropA":
-        return _kf4(1, 2, (2,))
+        return _kf4((1, 2), ((2,),))
     if identity == "PropX":
         return product(qpow(1), _geny(0, 1, "Sp")), _geny(0, 1, "Spin")
-    if identity == "PropY":
-        return _geny(1, 1, "Spin"), scalar(0)
-    raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITIES}")
+    # PropY: parse_identity_params refused every other name
+    return _geny(1, 1, "Spin"), scalar(0)
 
 
 def _int(text: str, what: str) -> int:
@@ -496,9 +495,12 @@ def _int(text: str, what: str) -> int:
         raise ValueError(f"could not parse {what} from {text!r}") from None
 
 
-def _ints(text: str, what: str) -> tuple[int, ...]:
-    text = text.strip()
-    return tuple(_int(x, what) for x in text.split(",")) if text else ()
+def _ints(text: str, what: str, one: bool = False) -> tuple[int, ...]:
+    """The ints of one group of a parameter string: the int named what when
+    one is set, else the comma list of what values."""
+    if one:
+        return (_int(text, what),)
+    return tuple(_int(x, f"{what} values") for x in text.split(",")) if text else ()
 
 
 # Most k and v values one identity may take in all, checked before any term
@@ -511,94 +513,56 @@ def _ints(text: str, what: str) -> tuple[int, ...]:
 MAX_IDENTITY_VALUES = 1024
 
 
-def _count_values(x) -> int:
-    """The ints in x, an int or nested tuples of ints."""
-    return sum(map(_count_values, x)) if isinstance(x, tuple) else 1
-
-
-def _bounded(identity: str, p: dict) -> dict:
-    """p, refused when it holds more than MAX_IDENTITY_VALUES values."""
-    if _count_values(tuple(p.values())) > MAX_IDENTITY_VALUES:
-        raise ValueError(f"{identity} takes at most {MAX_IDENTITY_VALUES} k and v "
-                         f"values in all")
-    return p
-
-
-def parse_identity_params(identity: str, params) -> dict:
-    """Normalize string or dict parameters for a named identity."""
+def parse_identity_params(identity: str, params) -> tuple:
+    """(k, vs) of a named identity, read from its parameter string or from
+    such a pair and checked against its layout; ((), ()) for a proposition,
+    which takes no parameters."""
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITIES}")
-    if identity in ("PropX", "PropY", "PropA"):
-        if params not in (None, "", {}):
+    if identity not in _LAYOUTS:
+        if params not in (None, ""):
             raise ValueError(f"{identity} takes no parameters")
-        return {}
+        return (), ()
     if params is None:
         raise ValueError(f"{identity} requires parameters")
-    if isinstance(params, dict):
-        return _bounded(identity, params)
-    groups = [p.strip() for p in str(params).split(";")]
-    if identity == "KF1":
-        if len(groups) != 4:
-            raise ValueError("KF1 parameters look like 's;k1,..;l;v1,..'")
-        s = _int(groups[0], "s")
-        k = _ints(groups[1], "k values")
-        l = _int(groups[2], "l")
-        v = _ints(groups[3], "v values")
-        if len(k) != s:
-            raise ValueError("KF1 s must equal the number of k values")
-        if len(v) != l:
-            raise ValueError("KF1 l must equal the number of v values")
-        return _bounded(identity, {"k": k, "v": v})
-    if identity == "KF2":
-        if len(groups) != 5:
-            raise ValueError("KF2 parameters look like 's;k..;l0,l1;v0..;v1..'")
-        s = _int(groups[0], "s")
-        k = _ints(groups[1], "k values")
-        ls = _ints(groups[2], "l values")
-        v0 = _ints(groups[3], "v0 values")
-        v1 = _ints(groups[4], "v1 values")
-        if len(k) * 2 != s:
-            raise ValueError("KF2 s must equal twice the number of k values")
-        if len(ls) != 2 or (len(v0), len(v1)) != (ls[0], ls[1]):
-            raise ValueError("KF2 l0,l1 must match the v list lengths")
-        return _bounded(identity, {"k": k, "v0": v0, "v1": v1})
-    if identity == "KF3":
-        if len(groups) != 6:
-            raise ValueError(
-                "KF3 parameters look like 'k;l00,l01,l10,l11;v00..;v01..;v10..;v11..'")
-        k = _int(groups[0], "k")
-        ls = _ints(groups[1], "l values")
-        vmat = tuple(_ints(gtext, "v values") for gtext in groups[2:6])
-        if len(ls) != 4 or tuple(len(vs) for vs in vmat) != ls:
-            raise ValueError("KF3 l values must match the v list lengths")
-        return _bounded(identity, {"k": k, "v": vmat})
-    # KF4: the name check and the cases above leave no other identity
-    if len(groups) != 3:
-        raise ValueError("KF4 parameters look like 'k1,k2;l;v1,..'")
-    ks = _ints(groups[0], "k values")
-    l = _int(groups[1], "l")
-    v = _ints(groups[2], "v values")
-    if len(ks) != 2:
-        raise ValueError("KF4 takes exactly two k values")
-    if len(v) != l:
-        raise ValueError("KF4 l must equal the number of v values")
-    return _bounded(identity, {"k1": ks[0], "k2": ks[1], "v": v})
+    looks, per_k, bare, names, _ = _LAYOUTS[identity]
+    if isinstance(params, str):
+        groups = [g.strip() for g in params.split(";")]
+        if len(groups) != (per_k > 0) + 2 + len(names):
+            raise ValueError(f"{identity} parameters look like {looks!r}")
+        s = _int(groups.pop(0), "s") if per_k else 0
+        k = _ints(groups[0], "k", bare == 1)
+        ls = _ints(groups[1], "l", len(names) == 1)
+        vs = tuple(map(_ints, groups[2:], names))
+        if s != per_k * len(k):
+            raise ValueError(f"{identity} s must be {per_k} per k value")
+        if ls != tuple(map(len, vs)):
+            raise ValueError(f"{identity} l values must match the v list lengths")
+    else:
+        k, vs = tuple(params[0]), tuple(map(tuple, params[1]))
+        if len(vs) != len(names):
+            raise ValueError(f"{identity} takes {len(names)} v lists")
+    if bare and len(k) != bare:
+        raise ValueError(f"{identity} takes exactly {bare} k values")
+    values = k + sum(vs, ())
+    if len(values) > MAX_IDENTITY_VALUES:
+        raise ValueError(f"{identity} takes at most {MAX_IDENTITY_VALUES} k and v "
+                         f"values in all")
+    if any(x < 1 for x in values):
+        raise ValueError(f"{identity} k and v values must be positive integers")
+    return k, vs
 
 
 def canonical_params(identity: str, params) -> str:
-    p = parse_identity_params(identity, params)
-    j = lambda xs: ",".join(str(x) for x in xs)
-    if identity == "KF1":
-        return f"{len(p['k'])};{j(p['k'])};{len(p['v'])};{j(p['v'])}"
-    if identity == "KF2":
-        return (f"{2 * len(p['k'])};{j(p['k'])};{len(p['v0'])},{len(p['v1'])};"
-                f"{j(p['v0'])};{j(p['v1'])}")
-    if identity == "KF3":
-        ls = j(len(vs) for vs in p["v"])
-        return f"{p['k']};{ls};" + ";".join(j(vs) for vs in p["v"])
-    if identity == "KF4":
-        return f"{p['k1']},{p['k2']};{len(p['v'])};{j(p['v'])}"
-    return ""
+    """The canonical parameter string of a named identity; '' for a
+    proposition."""
+    k, vs = parse_identity_params(identity, params)
+    if identity not in _LAYOUTS:
+        return ""
+    per_k = _LAYOUTS[identity][1]
+    j = lambda xs: ",".join(map(str, xs))
+    groups = [j(k), j(map(len, vs)), *map(j, vs)]
+    return ";".join([str(per_k * len(k))] * (per_k > 0) + groups)
 
 
 # The ranges of the random draws: k values in 1..DRAW_MAX_K, v values in
@@ -611,12 +575,14 @@ def random_identity_params(identity: str, rng) -> str:
     """Draw a uniformly messy but valid parameter string for a KF identity.
 
     rng is a random.Random instance; the draw is deterministic given its
-    state.  The string is in canonical form.
+    state.  The k values are drawn first, then each v list of the identity's
+    layout.  The string is in canonical form.
     """
+    if identity not in _LAYOUTS:
+        raise ValueError(f"identity {identity!r} is not parametrized")
 
-    def vlist():
-        return tuple(rng.randint(1, DRAW_MAX_V)
-                     for _ in range(rng.randint(0, DRAW_MAX_LEN)))
+    def one_k():
+        return (rng.randint(1, DRAW_MAX_K),)
 
     def ascending_pair():
         k1 = rng.randint(1, DRAW_MAX_K - 1)
@@ -625,7 +591,7 @@ def random_identity_params(identity: str, rng) -> str:
     if identity == "KF1":
         shape = rng.choice((1, 2, 4))
         if shape == 1:
-            k = (rng.randint(1, DRAW_MAX_K),)
+            k = one_k()
         elif shape == 2:
             k = ascending_pair()
         else:
@@ -634,18 +600,16 @@ def random_identity_params(identity: str, rng) -> str:
             k2 = rng.randint(k1 + 2, DRAW_MAX_K)
             k3 = rng.randint(k1 + 1, (k1 + k2) // 2)
             k = (k1, k2, k3, k1 + k2 - k3)
-        return canonical_params(identity, {"k": k, "v": vlist()})
-    if identity == "KF2":
-        k = (rng.randint(1, DRAW_MAX_K),) if rng.random() < 0.5 else ascending_pair()
-        return canonical_params(identity, {"k": k, "v0": vlist(), "v1": vlist()})
-    if identity == "KF3":
-        k = rng.randint(1, DRAW_MAX_K)
-        vmat = (vlist(), vlist(), vlist(), vlist())
-        return canonical_params(identity, {"k": k, "v": vmat})
-    if identity == "KF4":
-        k1, k2 = ascending_pair()
-        return canonical_params(identity, {"k1": k1, "k2": k2, "v": vlist()})
-    raise ValueError(f"identity {identity!r} is not parametrized")
+    elif identity == "KF2":
+        k = one_k() if rng.random() < 0.5 else ascending_pair()
+    elif identity == "KF3":
+        k = one_k()
+    else:
+        k = ascending_pair()
+    vs = tuple(tuple(rng.randint(1, DRAW_MAX_V)
+                     for _ in range(rng.randint(0, DRAW_MAX_LEN)))
+               for _ in _LAYOUTS[identity][3])
+    return canonical_params(identity, (k, vs))
 
 
 def prove_identity(identity: str, params=None) -> dict:

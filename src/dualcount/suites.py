@@ -1,7 +1,8 @@
 """The verification suites of `dualcount verify`.
 
 Each suite's runner yields one (passed, row) pair per check, and
-`run_verify` tallies them into one report.
+`run_verify` tallies them into one report.  A run that checks nothing, every
+check skipped, is not covered.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ import argparse
 import random
 
 from . import affine, lattice, refined, series
-from .cli import DUALITY_PAIRS, EXIT_FAIL, EXIT_OK, _zn_sweep
-from .counting import Target, count_homs, count_table
+from .counting import DUALITY_PAIRS, Target, count_homs, count_table
 from .errors import NotCoveredError
 from .grouprep import GroupSpec
 
@@ -134,11 +134,10 @@ def _suite_identities(cfg: argparse.Namespace):
 
 
 def _suite_zn(cfg: argparse.Namespace):
-    pairs, max_n = _zn_sweep(cfg)
-    for pair in pairs:
+    for pair in lattice.zn_sweep(cfg.pair, cfg.max_rank):
         # largest modulus first: each side's orbit table to max_n then holds
         # every smaller modulus
-        rows = [lattice.zn_duality_row(pair, n) for n in range(max_n, 0, -1)]
+        rows = [lattice.zn_duality_row(pair, n) for n in range(cfg.max_n, 0, -1)]
         for row in reversed(rows):
             yield row["equal"], {"suite": "zn-lattice", **row}
 
@@ -214,8 +213,9 @@ _SUITE_RUNNERS = {
 }
 
 
-def run_verify(cfg: argparse.Namespace):
-    """The report of the verify suite cfg.suite, and its exit status."""
+def run_verify(cfg: argparse.Namespace) -> dict:
+    """The report of the verify suite cfg.suite.  NotCoveredError when the
+    suite checked nothing: a report of no checks would pass vacuously."""
     checks = skipped = 0
     failures = []
     for passed, row in _SUITE_RUNNERS[cfg.suite](cfg):
@@ -225,6 +225,8 @@ def run_verify(cfg: argparse.Namespace):
         checks += 1
         if not passed:
             failures.append(row)
-    report = {"command": "verify", "suite": cfg.suite, "checks": checks,
-              "skipped": skipped, "failures": failures}
-    return report, (EXIT_OK if not failures else EXIT_FAIL)
+    if not checks:
+        raise NotCoveredError(f"not covered: verify {cfg.suite} made no check "
+                              f"here ({skipped} skipped)")
+    return {"command": "verify", "suite": cfg.suite, "checks": checks,
+            "skipped": skipped, "failures": failures}

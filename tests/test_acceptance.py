@@ -12,7 +12,7 @@ from math import comb, gcd
 
 import pytest
 
-from dualcount import affine, lattice, series
+from dualcount import affine, lattice, series, suites
 from dualcount.counting import Target, count_homs, verify_swap_equivalence
 from dualcount.errors import NotCoveredError
 from dualcount.grouprep import GroupSpec, abelianization, irreps
@@ -21,12 +21,7 @@ from enumeration import multiplicity_vectors
 from per_n_routes import count_twisted
 from rep_routes import sector_of_so_rep
 
-ALL_GAMMAS = (
-    [GroupSpec.cyclic(m) for m in range(1, 13)]
-    + [GroupSpec.binary_dihedral(m) for m in range(2, 7)]
-    + [GroupSpec.binary_tetrahedral(), GroupSpec.binary_octahedral(),
-       GroupSpec.binary_icosahedral()]
-)
+ALL_GAMMAS = [GroupSpec.from_label(label) for label in suites.DEFAULT_GAMMAS]
 
 EXCEPTIONAL_GAMMAS = ALL_GAMMAS[-3:]
 
@@ -154,18 +149,7 @@ def test_05_refined_series_match_sector_enumeration():
 # -- 6: the counting identities hold exactly ---------------------------------------
 
 
-FIXED_INSTANTIATIONS = (
-    ("KF1", "1;1;3;1,1,1"),
-    ("KF1", "2;1,2;2;1,2"),
-    ("KF1", "4;1,3,2,2;2;2,4"),
-    ("KF2", "2;1;3,2;1,2,2;1,1"),
-    ("KF2", "4;1,2;1,1;2;1"),
-    ("KF3", "1;2,2,0,0;2,2;1,1;;"),
-    ("KF4", "1,2;1;2"),
-)
-
-
-@pytest.mark.parametrize("identity,params", FIXED_INSTANTIATIONS)
+@pytest.mark.parametrize("identity,params", suites.FIXED_IDENTITY_RUNS)
 def test_06_fixed_instantiations_clear_exactly(identity, params):
     report = series.prove_identity(identity, params)
     assert report["verdict"] == "proven"

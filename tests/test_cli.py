@@ -182,10 +182,9 @@ def test_suite_flag_map_is_what_each_suite_reads():
     # argparse refuses every flag the suite would ignore
     import ast
 
-    # the runners live in suites and call helpers of cli, such as _zn_sweep
-    tree = ast.Module(body=[stmt for module in (cli, suites) for stmt in
-                            ast.parse(Path(module.__file__).read_text()).body],
-                      type_ignores=[])
+    # the runners and every helper they pass cfg to live in suites, which
+    # imports nothing from cli
+    tree = ast.parse(Path(suites.__file__).read_text())
     parsers = _suite_parsers()
     assert set(parsers) == set(suites._SUITE_RUNNERS)
     for suite, runner in suites._SUITE_RUNNERS.items():
@@ -1186,6 +1185,29 @@ def test_dihedral_psp_rows_are_skipped_not_failed(capsys):
     # the rank-zero target is trivially covered; everything beyond skips
     assert report["checks"] == 1
     assert report["skipped"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "refined", "--gamma", "Z:1", "--max-n", "0"],
+    ["verify", "refined", "--gamma", "Dhat:3", "--max-n", "0"],
+])
+def test_a_verify_run_that_checks_nothing_is_not_covered(argv, capsys):
+    # every check is skipped, so a report of 0 checks would pass vacuously
+    status, out, err = invoke(argv, capsys)
+    assert (status, out) == (3, "")
+    assert err == "not covered: verify refined made no check here (1 skipped)\n"
+
+
+def test_suites_import_nothing_from_cli():
+    import ast
+
+    tree = ast.parse(Path(suites.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+    assert "cli" not in imported
 
 
 def test_verification_failure_exits_2(monkeypatch, capsys):

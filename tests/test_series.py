@@ -1,5 +1,6 @@
 """Tests for series term lists, expansion, and identity proofs."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from dualcount.series import (
     scalar,
     signed_sum,
 )
+from dualcount.suites import FIXED_IDENTITY_RUNS, identity_runs
 
 ALL_GROUPS = (
     [GroupSpec.cyclic(m) for m in range(1, 8)]
@@ -54,17 +56,6 @@ REFINED_TOKENS = (
     "refined:0,1:Spin",
     "refined:1,1:Spin",
 )
-
-FIXED_INSTANTIATIONS = (
-    ("KF1", "1;1;3;1,1,1"),
-    ("KF1", "2;1,2;2;1,2"),
-    ("KF1", "4;1,3,2,2;2;2,4"),
-    ("KF2", "2;1;3,2;1,2,2;1,1"),
-    ("KF2", "4;1,2;1,1;2;1"),
-    ("KF3", "1;2,2,0,0;2,2;1,1;;"),
-    ("KF4", "1,2;1;2"),
-)
-
 
 # -- the seed's Fraction route, kept as the test oracle -------------------------
 #
@@ -426,7 +417,7 @@ def test_vanishing_sector_series_is_zero_to_high_order():
 # -- identities ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("identity,params", FIXED_INSTANTIATIONS)
+@pytest.mark.parametrize("identity,params", FIXED_IDENTITY_RUNS)
 def test_fixed_instantiations_prove_by_clearing(identity, params):
     report = prove_identity(identity, params)
     assert report["verdict"] == "proven"
@@ -526,7 +517,7 @@ def test_invalid_identity_parameters_rejected():
 
 
 def test_canonical_params_round_trip():
-    for identity, params in FIXED_INSTANTIATIONS:
+    for identity, params in FIXED_IDENTITY_RUNS:
         canon = canonical_params(identity, params)
         assert canon == params
         assert parse_identity_params(identity, canon) == parse_identity_params(
@@ -540,8 +531,7 @@ def test_canonical_params_round_trip():
 )
 @settings(max_examples=25, deadline=None)
 def test_random_single_factor_tuples_prove(k, v):
-    params = {"k": (k,), "v": tuple(v)}
-    report = prove_identity("KF1", params)
+    report = prove_identity("KF1", ((k,), (tuple(v),)))
     assert report["verdict"] == "proven"
 
 
@@ -553,11 +543,9 @@ def test_random_single_factor_tuples_prove(k, v):
 )
 @settings(max_examples=15, deadline=None)
 def test_random_two_factor_average_tuples_prove(k, dk, v0, v1):
-    params = {"k": (k,), "v0": tuple(v0), "v1": tuple(v1)}
-    report = prove_identity("KF2", params)
+    report = prove_identity("KF2", ((k,), (tuple(v0), tuple(v1))))
     assert report["verdict"] == "proven"
-    params2 = {"k": (k, k + dk), "v": tuple(v0)}
-    report2 = prove_identity("KF1", params2)
+    report2 = prove_identity("KF1", ((k, k + dk), (tuple(v0),)))
     assert report2["verdict"] == "proven"
 
 
@@ -610,15 +598,15 @@ def test_identity_values_are_bounded():
     # the count takes in every k value and every v list
     top = MAX_IDENTITY_VALUES
     kf3 = lambda n: f"1;{n},0,0,1;{','.join(['1'] * n)};;;1"  # n + 2 values
-    assert parse_identity_params("KF1", {"k": (1,), "v": (1,) * (top - 1)})
-    assert parse_identity_params("KF3", kf3(top - 2))["v"][0] == (1,) * (top - 2)
-    for identity, params in (("KF1", {"k": (1,), "v": (1,) * top}),
+    assert parse_identity_params("KF1", ((1,), ((1,) * (top - 1),)))
+    assert parse_identity_params("KF3", kf3(top - 2))[1][0] == (1,) * (top - 2)
+    for identity, params in (("KF1", ((1,), ((1,) * top,))),
                              ("KF3", kf3(top - 1))):
         with pytest.raises(ValueError, match=f"at most {top} k and v values"):
             parse_identity_params(identity, params)
 
 
-@pytest.mark.parametrize("params", [None, "", "1;1;0;", {"k": (1,), "v": ()}])
+@pytest.mark.parametrize("params", [None, "", "1;1;0;", ((1,), ((),))])
 def test_an_unknown_identity_is_refused_before_its_parameters_are_read(params):
     with pytest.raises(ValueError, match=r"^unknown identity 'Bogus'; choose from \("):
         parse_identity_params("Bogus", params)
@@ -627,10 +615,61 @@ def test_an_unknown_identity_is_refused_before_its_parameters_are_read(params):
 @pytest.mark.parametrize("identity,params,message", [
     ("KF1", "x;1;1;1", "s from 'x'"), ("KF1", "1;1;1.0;1", "l from '1.0'"),
     ("KF2", " ;1;1,1;2;1", "s from ''"), ("KF3", "k;1,0,0,0;1;;;", "k from 'k'"),
-    ("KF4", "1,2;;2", "l from ''"), ("KF1", "1;1,x;1;1", "k values from 'x'")])
+    ("KF4", "1,2;;2", "l from ''"), ("KF1", "1;1,x;1;1", "k values from 'x'"),
+    ("KF3", "1,2;0,0,0,0;;;;", "k from '1,2'")])
 def test_a_parameter_that_is_no_int_is_named(identity, params, message):
     with pytest.raises(ValueError, match=f"^could not parse {message}$"):
         parse_identity_params(identity, params)
+
+
+@pytest.mark.parametrize("identity,params", [
+    ("KF1", "1;0;0;"), ("KF2", "2;1;1,0;-1;"), ("KF3", "0;0,0,0,0;;;;"),
+    ("KF4", "1,2;1;0"), ("KF1", ((1,), ((2, 0),))), ("KF3", ((1,), ((), (), (-3,), ())))])
+def test_a_value_below_one_is_refused_by_the_parser(identity, params):
+    with pytest.raises(ValueError, match=f"^{identity} k and v values must be positive"):
+        parse_identity_params(identity, params)
+
+
+@pytest.mark.parametrize("identity,params,message", [
+    ("KF1", "1;1;0", "KF1 parameters look like 's;k1,..;l;v1,..'"),
+    ("KF3", "1;0,0,0,0;;;", "KF3 parameters look like 'k;l00,l01,l10,l11;"),
+    ("KF1", "2;1;0;", "KF1 s must be 1 per k value"),
+    ("KF2", "2;1,2;0,0;;", "KF2 s must be 2 per k value"),
+    ("KF1", "1;1;2;1", "KF1 l values must match the v list lengths"),
+    ("KF2", "2;1;1;1;", "KF2 l values must match the v list lengths"),
+    ("KF4", "1,2,3;0;", "KF4 takes exactly 2 k values"),
+    ("KF4", ((1,), ((),)), "KF4 takes exactly 2 k values"),
+    ("KF2", ((1,), ((1,),)), "KF2 takes 2 v lists")])
+def test_a_string_or_pair_off_its_layout_is_refused(identity, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_identity_params(identity, params)
+
+
+@pytest.mark.parametrize("identity,params", FIXED_IDENTITY_RUNS)
+def test_strings_and_pairs_read_alike(identity, params):
+    k, vs = parse_identity_params(identity, params)
+    assert parse_identity_params(identity, (list(k), list(vs))) == (k, vs)
+    assert canonical_params(identity, (k, vs)) == params
+    assert prove_identity(identity, (k, vs)) == prove_identity(identity, params)
+
+
+def test_the_benchmark_identity_draw_is_pinned():
+    # verify identities --random 3 --seed 7: the draw of the proof-orbits
+    # benchmark, whose output perfbench/reference.json holds
+    assert [(name, params, prove_identity(name, params)["degree_or_order"])
+            for name, params in identity_runs(3, 7)] == [
+        ("KF1", "2;2,6;0;", 50),
+        ("KF1", "1;5;0;", 27),
+        ("KF1", "2;5,6;1;1", 62),
+        ("KF2", "2;4;0,1;;1", 44),
+        ("KF2", "4;1,6;0,1;;6", 106),
+        ("KF2", "4;1,6;3,1;1,2,1;3", 100),
+        ("KF3", "4;1,0,2,1;5;;5,6;1", 122),
+        ("KF3", "5;1,0,0,0;3;;;", 126),
+        ("KF3", "5;1,3,3,1;4;3,4,5;3,3,2;6", 178),
+        ("KF4", "2,3;2;5,4", 112),
+        ("KF4", "3,6;3;3,5,1", 232),
+        ("KF4", "1,6;3;2,3,2", 196)]
 
 
 # -- the integer route against the Fraction route ---------------------------------
@@ -649,7 +688,7 @@ ORACLE_GROUPS = (
 
 @pytest.mark.parametrize(
     "identity,params",
-    FIXED_INSTANTIATIONS + (("PropX", None), ("PropA", None)))
+    FIXED_IDENTITY_RUNS + (("PropX", None), ("PropA", None)))
 def test_cleared_routes_agree_on_fixed_instances(identity, params):
     lhs, rhs = identity_sides(identity, params)
     assert cleared_difference_degree(lhs, rhs) == oracle_cleared_difference_degree(lhs, rhs)
